@@ -12,23 +12,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import corpus
 from .diagram import MmpDiagram, iter_mmp_lines, load_diagram_line
 from .errors import InvalidSpec, MmpError, NotAdmissible, TooLarge
 from .generate import GenSpec, brute_force_generate, generate
+from .lattice import build_oml
 from .render import render_dot
 from .states import (
     Classification,
+    _strong_01_set,
+    _strong_set,
     admits_classically_strong,
-    admits_strong_01_set,
-    admits_strong_set,
     classify_states,
     enumerate_01_states,
     is_state,
 )
-from .structure import validate
+from .structure import element_count, validate
 from .symmetry import canonical_form, is_self_dual
 
 OK, CLAIM_MISMATCH, FORMAT_ERROR, BAD_SPEC = 0, 1, 2, 3
@@ -40,10 +40,6 @@ def _open_lines(path: str):
     else:
         with open(path) as fh:
             yield from iter_mmp_lines(fh)
-
-
-def _frac(f: Fraction) -> str:
-    return str(f)
 
 
 def cmd_validate(args) -> int:
@@ -94,26 +90,26 @@ def _summary_json(d: MmpDiagram, args) -> dict:
     summary = classify_states(d)
     doc: dict = {"classification": summary.classification.value}
     if summary.classification is Classification.EXACTLY_ONE:
-        doc["unique_state"] = [_frac(v) for v in summary.unique_state]
+        doc["unique_state"] = [str(v) for v in summary.unique_state]
         values = set(summary.unique_state)
         if len(values) == 1:
-            doc["value"] = _frac(values.pop())
+            doc["value"] = str(values.pop())
     if summary.atom_ranges is not None:
-        doc["atom_ranges"] = [[_frac(lo), _frac(hi)] for lo, hi in summary.atom_ranges]
+        doc["atom_ranges"] = [[str(lo), str(hi)] for lo, hi in summary.atom_ranges]
     if summary.classification is Classification.MORE_THAN_ONE:
         doc["witnesses"] = [
-            [_frac(v) for v in summary.witness_state],
-            [_frac(v) for v in summary.second_witness],
+            [str(v) for v in summary.witness_state],
+            [str(v) for v in summary.second_witness],
         ]
+    poset = build_oml(d) if args.zero_one or args.strong else None
     if args.zero_one:
         states = enumerate_01_states(d)
-        doc["zero_one"] = {"count": len(states)}
-        rep = admits_strong_01_set(d)
-        doc["zero_one"]["admits_strong_01_set"] = rep.admits
+        rep = _strong_01_set(poset, states)
+        doc["zero_one"] = {"count": len(states), "admits_strong_01_set": rep.admits}
         if rep.witness_pair:
             doc["zero_one"]["failing_pair"] = [e.label() for e in rep.witness_pair]
     if args.strong:
-        rep = admits_strong_set(d)
+        rep = _strong_set(poset, summary)
         doc["strong"] = {"admits_strong_set": rep.admits}
         if rep.witness_pair:
             doc["strong"]["failing_pair"] = [e.label() for e in rep.witness_pair]
@@ -128,7 +124,7 @@ def cmd_states(args) -> int:
             try:
                 d = load_diagram_line(line)
             except MmpError as exc:
-                print(json.dumps({"line": lineno, "error": str(exc)}))
+                print(json.dumps({"file": path, "line": lineno, "error": str(exc)}))
                 continue
             doc = {"file": path, "line": lineno}
             try:
@@ -203,9 +199,7 @@ def cmd_canon(args) -> int:
             try:
                 d = load_diagram_line(line)
                 cf = canonical_form(d)
-            except (MmpError, Exception) as exc:
-                if isinstance(exc, KeyboardInterrupt):
-                    raise
+            except Exception as exc:
                 print(f"{path}:{lineno}: error: {exc}", file=sys.stderr)
                 status = FORMAT_ERROR
                 continue
@@ -220,6 +214,7 @@ def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
     if not rep.greechie_admissible:
         problems.append("not greechie-admissible")
         return problems
+    summary = None
     if entry.state_classification is not None:
         summary = classify_states(d)
         if summary.classification.value != entry.state_classification:
@@ -230,8 +225,6 @@ def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
             if set(summary.unique_state) != {entry.unique_state_value}:
                 problems.append("unique state is not uniformly the claimed value")
     if entry.element_count is not None:
-        from .structure import element_count
-
         ec = element_count(d)
         if ec != entry.element_count:
             problems.append(f"element count {ec} != {entry.element_count}")
@@ -240,7 +233,7 @@ def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
         if sd != entry.self_dual:
             problems.append(f"self_dual {sd} != {entry.self_dual}")
     if entry.admits_strong_set is not None:
-        rep_strong = admits_strong_set(d)
+        rep_strong = _strong_set(build_oml(d), summary or classify_states(d))
         if rep_strong.admits != entry.admits_strong_set:
             problems.append(f"admits_strong_set {rep_strong.admits} != {entry.admits_strong_set}")
     if entry.name in corpus.KNOWN_STATES:

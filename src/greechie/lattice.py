@@ -17,8 +17,8 @@ from itertools import combinations
 from typing import Iterable
 
 from .diagram import ALPHABET, MmpDiagram
-from .errors import ForeignElement, NotAdmissible, NotAState
-from .structure import validate
+from .errors import ForeignElement, NotAState
+from .structure import require_admissible
 
 ZERO = "zero"
 ONE = "one"
@@ -62,9 +62,7 @@ class OmlPoset:
     """
 
     def __init__(self, source: MmpDiagram):
-        report = validate(source)
-        if not report.greechie_admissible:
-            raise NotAdmissible("build_oml requires a Greechie-admissible diagram")
+        require_admissible(source)
         self.source = source
         self.elements: list[OmlElement] = [OmlElement(ZERO), OmlElement(ONE)]
         self.elements += [OmlElement(ATOM, atom=a) for a in range(source.atom_count)]

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 
 from .diagram import ALPHABET, MmpDiagram
-from .errors import NotAdmissible
-from .structure import max_loop, validate
+from .structure import max_loop, require_admissible
 
 _PALETTE = (
     "black", "firebrick", "royalblue", "forestgreen", "darkorange",
@@ -26,8 +25,7 @@ def _node_name(a: int) -> str:
 
 def render_dot(d: MmpDiagram) -> str:
     """Graphviz source for the diagram; byte-identical across runs."""
-    if not validate(d).greechie_admissible:
-        raise NotAdmissible("rendering requires a Greechie-admissible diagram")
+    require_admissible(d)
     loop = max_loop(d)
     pos: dict[int, tuple[float, float]] = {}
     loop_blocks: list[int] = []

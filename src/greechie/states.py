@@ -13,10 +13,10 @@ from enum import Enum
 from fractions import Fraction
 
 from .diagram import MmpDiagram
-from .errors import Infeasible, LengthMismatch, NotAdmissible, NotValidated
+from .errors import Infeasible, LengthMismatch
 from .lattice import ATOM, COATOM, ONE, ZERO, OmlElement, OmlPoset, build_oml
 from .linprog import EqualityLP, gauss_affine, rank_mod_p
-from .structure import validate
+from .structure import require_admissible, require_mmp
 
 StateVector = tuple[Fraction, ...]
 
@@ -47,14 +47,6 @@ class PolytopeSummary:
 
 
 @dataclass(frozen=True)
-class PairCertificate:
-    x: str
-    y: str
-    outcome: str  # "witnessed" | "vacuous" | "forced"
-    detail: str
-
-
-@dataclass(frozen=True)
 class StrongReport:
     """Outcome of a strong-set decision.
 
@@ -65,18 +57,6 @@ class StrongReport:
 
     admits: bool
     witness_pair: tuple[OmlElement, OmlElement] | None
-    certificates: tuple[PairCertificate, ...] = ()
-
-
-def _require_mmp(d: MmpDiagram) -> None:
-    rep = validate(d)
-    if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
-        raise NotValidated("diagram fails MMP conditions (i)-(iii)")
-
-
-def _require_admissible(d: MmpDiagram) -> None:
-    if not validate(d).greechie_admissible:
-        raise NotAdmissible("operation requires a Greechie-admissible diagram")
 
 
 def _block_rows(d: MmpDiagram) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -106,7 +86,12 @@ def classify_states(d: MmpDiagram) -> PolytopeSummary:
     certificate settles it without any elimination over Q).  Only systems
     with a nontrivial affine hull reach the per-atom simplex scan.
     """
-    _require_mmp(d)
+    require_mmp(d)
+    return _classify(d)
+
+
+def _classify(d: MmpDiagram) -> PolytopeSummary:
+    """:func:`classify_states` on a diagram already known to pass (i)-(iii)."""
     n = d.atom_count
     if n == 0:
         empty: StateVector = ()
@@ -214,7 +199,12 @@ def enumerate_01_states(d: MmpDiagram) -> list[StateVector]:
     Backtracking over blocks with constraint propagation; results come out
     in lexicographic order.  The list may be empty.
     """
-    _require_mmp(d)
+    require_mmp(d)
+    return _enumerate_01(d)
+
+
+def _enumerate_01(d: MmpDiagram) -> list[StateVector]:
+    """:func:`enumerate_01_states` on a diagram already known to pass (i)-(iii)."""
     n = d.atom_count
     blocks = d.blocks
     assign: list[int | None] = [None] * n
@@ -292,34 +282,29 @@ def admits_strong_set(d: MmpDiagram) -> StrongReport:
     minimizing m(y) over the states with m(x) = 1; with a unique overall
     state the minimum is read off that state directly.
     """
-    _require_admissible(d)
-    poset = build_oml(d)
-    summary = classify_states(d)
-    forms = {id(e): _element_form(poset, e) for e in poset.elements}
+    poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
+    return _strong_set(poset, _classify(d))
+
+
+def _strong_set(poset: OmlPoset, summary: PolytopeSummary) -> StrongReport:
+    """:func:`admits_strong_set` given the poset and the state classification."""
+    d = poset.source
     zero_elem = poset.elements[0]
-    certificates: list[PairCertificate] = []
 
     if summary.classification is Classification.NONE:
-        for x, y in _incomparable_pairs(poset):
-            cert = PairCertificate(x.label(), y.label(), "vacuous", "no states at all")
-            return StrongReport(False, (x, zero_elem), tuple(certificates) + (cert,))
-        return StrongReport(False, None, ())
+        for x, _ in _incomparable_pairs(poset):
+            return StrongReport(False, (x, zero_elem))
+        return StrongReport(False, None)
 
+    forms = {id(e): _element_form(poset, e) for e in poset.elements}
     if summary.classification is Classification.EXACTLY_ONE:
         vals = {id(e): _form_value(forms[id(e)], summary.unique_state) for e in poset.elements}
         for x, y in _incomparable_pairs(poset):
             if vals[id(x)] != 1:
-                cert = PairCertificate(
-                    x.label(), y.label(), "vacuous", f"unique state gives m(x)={vals[id(x)]}"
-                )
-                return StrongReport(False, (x, zero_elem), tuple(certificates) + (cert,))
+                return StrongReport(False, (x, zero_elem))
             if vals[id(y)] == 1:
-                cert = PairCertificate(x.label(), y.label(), "forced", "unique state gives m(y)=1")
-                return StrongReport(False, (x, y), tuple(certificates) + (cert,))
-            certificates.append(
-                PairCertificate(x.label(), y.label(), "witnessed", f"m(y)={vals[id(y)]}")
-            )
-        return StrongReport(True, None, tuple(certificates))
+                return StrongReport(False, (x, y))
+        return StrongReport(True, None)
 
     # MoreThanOne: sweep pairs with exact LPs, caching witness states.
     rows, rhs = _block_rows(d)
@@ -353,69 +338,49 @@ def admits_strong_set(d: MmpDiagram) -> StrongReport:
 
     for x, y in _incomparable_pairs(poset):
         if element_max(x) != 1:
-            cert = PairCertificate(x.label(), y.label(), "vacuous", "no state reaches m(x)=1")
-            return StrongReport(False, (x, zero_elem), tuple(certificates) + (cert,))
+            return StrongReport(False, (x, zero_elem))
         fx = forms[id(x)]
         fy = forms[id(y)]
-        cached = next(
-            (s for s in known if _form_value(fx, s) == 1 and _form_value(fy, s) < 1), None
-        )
-        if cached is not None:
-            certificates.append(
-                PairCertificate(x.label(), y.label(), "witnessed", "cached state separates")
-            )
+        if any(_form_value(fx, s) == 1 and _form_value(fy, s) < 1 for s in known):
             continue
         lp = lp_with_x_equal_one(x)
         if lp is None:
-            cert = PairCertificate(x.label(), y.label(), "vacuous", "m(x)=1 infeasible")
-            return StrongReport(False, (x, zero_elem), tuple(certificates) + (cert,))
+            return StrongReport(False, (x, zero_elem))
         const_y, coeffs_y = fy
         cost = [_ZERO] * d.atom_count
         for a, c in coeffs_y.items():
             cost[a] = c
         value, point = lp.optimize(cost)
-        minimum = const_y + value
-        if minimum < 1:
-            known.append(tuple(point))
-            certificates.append(
-                PairCertificate(x.label(), y.label(), "witnessed", f"min m(y)={minimum}")
-            )
-        else:
-            cert = PairCertificate(x.label(), y.label(), "forced", "min m(y)=1")
-            return StrongReport(False, (x, y), tuple(certificates) + (cert,))
-    return StrongReport(True, None, tuple(certificates))
+        if const_y + value >= 1:
+            return StrongReport(False, (x, y))
+        known.append(tuple(point))
+    return StrongReport(True, None)
 
 
 def admits_strong_01_set(d: MmpDiagram) -> StrongReport:
     """Strong-set test restricted to the 0-1 states (the Kochen-Specker test)."""
-    _require_admissible(d)
-    poset = build_oml(d)
-    states = enumerate_01_states(d)
+    poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
+    return _strong_01_set(poset, _enumerate_01(d))
+
+
+def _strong_01_set(poset: OmlPoset, states: list[StateVector]) -> StrongReport:
+    """:func:`admits_strong_01_set` given the poset and its source's 0-1 states.
+
+    Only the blockless diagram has no incomparable pair, and it has one
+    (empty) 0-1 state, so an empty ``states`` always fails at a pair.
+    """
     forms = {id(e): _element_form(poset, e) for e in poset.elements}
     zero_elem = poset.elements[0]
     values = [
         {id(e): _form_value(forms[id(e)], s) for e in poset.elements} for s in states
     ]
-    certificates: list[PairCertificate] = []
-    any_incomparable = False
     for x, y in _incomparable_pairs(poset):
-        any_incomparable = True
         ones = [v for v in values if v[id(x)] == 1]
         if not ones:
-            cert = PairCertificate(x.label(), y.label(), "vacuous", "no 0-1 state has m(x)=1")
-            return StrongReport(False, (x, zero_elem), tuple(certificates) + (cert,))
+            return StrongReport(False, (x, zero_elem))
         if all(v[id(y)] == 1 for v in ones):
-            cert = PairCertificate(x.label(), y.label(), "forced", "all such states give m(y)=1")
-            return StrongReport(False, (x, y), tuple(certificates) + (cert,))
-        certificates.append(PairCertificate(x.label(), y.label(), "witnessed", "0-1 state separates"))
-    if not states:
-        # No incomparable pairs and nothing to witness with: an empty set
-        # of states is not strong.
-        one_elem = poset.elements[1]
-        return StrongReport(False, (one_elem, zero_elem), ())
-    if not any_incomparable:
-        return StrongReport(True, None, ())
-    return StrongReport(True, None, tuple(certificates))
+            return StrongReport(False, (x, y))
+    return StrongReport(True, None)
 
 
 def admits_classically_strong(d: MmpDiagram) -> bool:
@@ -423,42 +388,8 @@ def admits_classically_strong(d: MmpDiagram) -> bool:
 
     A single state m must satisfy (m(a)=1 implies m(b)=1) iff a <= b for
     every ordered pair.  Two mutually incomparable elements already make
-    that contradictory, so only chain posets can qualify.
+    that contradictory, and any two atoms of one block are incomparable,
+    so only the blockless diagram (the chain 0 < 1) qualifies.
     """
-    _require_admissible(d)
-    poset = build_oml(d)
-    must_one: list[OmlElement] = []
-    must_less: list[OmlElement] = []
-    seen_one = set()
-    seen_less = set()
-    for x, y in _incomparable_pairs(poset):
-        if id(x) not in seen_one:
-            seen_one.add(id(x))
-            must_one.append(x)
-        if id(y) not in seen_less:
-            seen_less.add(id(y))
-            must_less.append(y)
-    if seen_one & seen_less:
-        return False
-    if not must_one:
-        return classify_states(d).classification is not Classification.NONE
-    rows, rhs = _block_rows(d)
-    for x in must_one:
-        const, coeffs = _element_form(poset, x)
-        row = [_ZERO] * d.atom_count
-        for a, c in coeffs.items():
-            row[a] = c
-        rows.append(row)
-        rhs.append(_ONE - const)
-    lp = EqualityLP(rows, rhs)
-    if not lp.feasible:
-        return False
-    for y in must_less:
-        const, coeffs = _element_form(poset, y)
-        cost = [_ZERO] * d.atom_count
-        for a, c in coeffs.items():
-            cost[a] = c
-        value, _ = lp.optimize(cost)
-        if const + value >= 1:
-            return False
-    return True
+    require_admissible(d)
+    return d.block_count == 0

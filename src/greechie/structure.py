@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .diagram import MmpDiagram
-from .errors import IndexOutOfRange, NotAdmissible, PreconditionViolated
+from .errors import IndexOutOfRange, NotAdmissible, NotValidated, PreconditionViolated
 
 #: Loops shorter than this cannot occur in a Greechie diagram of a lattice.
 MIN_GREECHIE_GIRTH = 5
@@ -114,6 +114,19 @@ def validate(d: MmpDiagram) -> ValidationReport:
         connected=connected,
         greechie_admissible=admissible,
     )
+
+
+def require_mmp(d: MmpDiagram) -> None:
+    """Raise ``NotValidated`` unless the MMP conditions (i)-(iii) hold."""
+    rep = validate(d)
+    if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
+        raise NotValidated("diagram fails MMP conditions (i)-(iii)")
+
+
+def require_admissible(d: MmpDiagram) -> None:
+    """Raise ``NotAdmissible`` unless the diagram is Greechie-admissible."""
+    if not validate(d).greechie_admissible:
+        raise NotAdmissible("operation requires a Greechie-admissible diagram")
 
 
 def _require_linear(d: MmpDiagram) -> None:
@@ -352,8 +365,7 @@ def element_count(d: MmpDiagram) -> int:
     k >= 4 its 2^k - 2 - 2k interior subsets (proper subsets of size 2 to
     k-2; the (k-1)-subsets coincide with coatoms).
     """
-    if not validate(d).greechie_admissible:
-        raise NotAdmissible("element_count requires a Greechie-admissible diagram")
+    require_admissible(d)
     total = 2 + 2 * d.atom_count
     for b in d.blocks:
         k = len(b)

@@ -16,8 +16,8 @@ import json
 from dataclasses import dataclass
 
 from .diagram import ALPHABET, MmpDiagram, serialize_mmp
-from .errors import NotValidated, SizeMismatch
-from .structure import validate
+from .errors import SizeMismatch
+from .structure import require_mmp, validate
 
 Code = tuple[tuple[int, ...], ...]
 
@@ -68,15 +68,9 @@ def relabel(d: MmpDiagram, pi: Permutation) -> MmpDiagram:
     return MmpDiagram(d.atom_count, tuple(tuple(pi[a] for a in b) for b in d.blocks))
 
 
-def _check_mmp_conditions(d: MmpDiagram) -> None:
-    rep = validate(d)
-    if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
-        raise NotValidated("diagram fails MMP conditions (i)-(iii)")
-
-
 def canonical_form(d: MmpDiagram) -> CanonicalForm:
     """Canonical text and automorphism count of a validated diagram."""
-    _check_mmp_conditions(d)
+    require_mmp(d)
     code, _, gens = _canonical_search(d.blocks, d.atom_count)
     if d.atom_count <= len(ALPHABET):
         text = serialize_mmp(MmpDiagram(d.atom_count, code))

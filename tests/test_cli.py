@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from greechie import corpus
 from greechie.cli import main
 
@@ -83,6 +85,25 @@ def test_states_degenerate_two_element_lattice(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["classification"] == "ExactlyOne"
     assert doc["admits_classically_strong"] is True
+
+
+def test_states_parse_error_carries_file(tmp_path, capsys):
+    f = write(tmp_path, "bad.mmp", "12,34\n")
+    assert main(["states", f]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"file": f, "line": 1, "error": "MMP line must end with a full stop"}
+
+
+@pytest.mark.parametrize("flag", ["--strong", "--zero-one", "--classical"])
+def test_states_requirement_errors(tmp_path, capsys, flag):
+    # blocks below 3 atoms fail (i)-(iii); the square is MMP but has a loop of order 4
+    f = write(tmp_path, "e.mmp", "12,34.\n" + SQUARE + "\n")
+    assert main(["states", flag, f]) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert docs == [
+        {"file": f, "line": 1, "error": "diagram fails MMP conditions (i)-(iii)"},
+        {"file": f, "line": 2, "error": "operation requires a Greechie-admissible diagram"},
+    ]
 
 
 def test_validate_greechie_flag_explicit(tmp_path):

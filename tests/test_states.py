@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from greechie import corpus
 from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import Infeasible, LengthMismatch, NotAdmissible, NotValidated
-from greechie.lattice import ATOM, ZERO
+from greechie.lattice import ATOM, ZERO, build_oml
 from greechie.states import (
     Classification,
     admits_classically_strong,
@@ -193,7 +194,6 @@ def test_strong_set_monotonicity(rng):
 
 
 def _subset_is_strong(d, states):
-    from greechie.lattice import build_oml
     from greechie.states import _element_form, _form_value, _incomparable_pairs
 
     poset = build_oml(d)
@@ -239,10 +239,19 @@ def test_full_state_set_is_strong_when_decision_is_positive(rng):
     assert checked > 0
 
 
-def test_admits_classically_strong():
+def test_admits_classically_strong(rng):
     assert admits_classically_strong(MmpDiagram(0, ()))  # the 0 < 1 chain
     assert not admits_classically_strong(parse_mmp("123."))
     assert not admits_classically_strong(corpus.diagram("35-35e"))
+    # the closed form rests on any two atoms of one block being incomparable
+    for d in [MmpDiagram(0, ())] + [random_admissible(rng) for _ in range(20)]:
+        poset = build_oml(d)
+        atom = {e.atom: e for e in poset.elements if e.kind == ATOM}
+        for block in d.blocks:
+            for a, b in combinations(block, 2):
+                assert not poset.leq(atom[a], atom[b])
+                assert not poset.leq(atom[b], atom[a])
+        assert admits_classically_strong(d) == (d.block_count == 0)
 
 
 def test_every_witness_is_exact(rng):
