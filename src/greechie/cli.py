@@ -21,7 +21,7 @@ from .lattice import build_oml
 from .render import render_dot
 from .states import (
     Classification,
-    _strong_01_set,
+    _strong_over,
     _strong_set,
     admits_classically_strong,
     classify_states,
@@ -104,7 +104,7 @@ def _summary_json(d: MmpDiagram, args) -> dict:
     poset = build_oml(d) if args.zero_one or args.strong else None
     if args.zero_one:
         states = enumerate_01_states(d)
-        rep = _strong_01_set(poset, states)
+        rep = _strong_over(poset, states)
         doc["zero_one"] = {"count": len(states), "admits_strong_01_set": rep.admits}
         if rep.witness_pair:
             doc["zero_one"]["failing_pair"] = [e.label() for e in rep.witness_pair]
@@ -164,8 +164,8 @@ def cmd_generate(args) -> int:
             print(line)
     print(
         f"# nodes={stats.nodes_explored} canonical_rejections={stats.canonical_rejections} "
-        f"girth_prunes={stats.girth_prunes} emitted={stats.emitted_count} "
-        f"wall={stats.wall_time:.2f}s",
+        f"girth_prunes={stats.girth_prunes} budget_prunes={stats.budget_prunes} "
+        f"emitted={stats.emitted_count} wall={stats.wall_time:.2f}s",
         file=sys.stderr,
     )
     if args.oracle:

@@ -126,7 +126,7 @@ class EqualityLP:
         cost = [ZERO] * self.total
         for j in range(self.n, self.total):
             cost[j] = ONE
-        value = self._run(cost, allowed=range(self.total))
+        value, _ = self._run(cost, allowed=range(self.total))
         if value != 0:
             return False
         self._evict_artificials()
@@ -159,8 +159,8 @@ class EqualityLP:
                     tab[i] = [a - f * b for a, b in zip(r, prow)]
         self.basis[row] = col
 
-    def _run(self, cost: list[Fraction], allowed) -> Fraction:
-        """Minimize cost over the current tableau; returns the optimum."""
+    def _run(self, cost: list[Fraction], allowed) -> tuple[Fraction, list[Fraction]]:
+        """Minimize cost entering only ``allowed`` columns; (optimum, reduced costs)."""
         tab = self.tab
         m = len(tab)
         width = self.total + 1
@@ -215,17 +215,29 @@ class EqualityLP:
             cb = cost[self.basis[i]]
             if cb != 0:
                 value += cb * tab[i][-1]
-        return value
+        return value, red
 
     # -- public --------------------------------------------------------------
 
-    def optimize(self, cost: list[Fraction], minimize: bool = True) -> tuple[Fraction, list[Fraction]]:
-        """Optimal value and an optimal point for the given objective."""
+    def optimize(
+        self, cost: list[Fraction], minimize: bool = True, face_of: list[Fraction] | None = None
+    ) -> tuple[Fraction, list[Fraction]]:
+        """Optimal value and an optimal point for the given objective.
+
+        With ``face_of``, only over the face of points maximizing ``face_of``:
+        at that optimum, the face is where every column of nonzero reduced
+        cost is 0 (complementary slackness), so the same tableau goes on
+        with only the zero-reduced-cost columns allowed to enter.
+        """
         if not self.feasible:
             raise SimplexError("LP is infeasible")
+        pad = [ZERO] * (self.total - self.n)
+        allowed = range(self.n)
+        if face_of is not None:
+            _, red = self._run([-v for v in face_of] + pad, allowed)
+            allowed = [j for j in allowed if red[j] == 0]
         c = list(cost) if minimize else [-v for v in cost]
-        c += [ZERO] * (self.total - self.n)
-        value = self._run(c, allowed=range(self.n))
+        value, _ = self._run(c + pad, allowed)
         return (value if minimize else -value), self.solution()
 
     def solution(self) -> list[Fraction]:

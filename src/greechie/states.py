@@ -60,10 +60,7 @@ class StrongReport:
 
 
 def _block_rows(d: MmpDiagram) -> tuple[list[list[Fraction]], list[Fraction]]:
-    rows = []
-    for b in d.blocks:
-        members = set(b)
-        rows.append([_ONE if a in members else _ZERO for a in range(d.atom_count)])
+    rows = [[_ONE if a in b else _ZERO for a in range(d.atom_count)] for b in d.blocks]
     return rows, [_ONE] * len(rows)
 
 
@@ -246,30 +243,68 @@ def _enumerate_01(d: MmpDiagram) -> list[StateVector]:
 # ---------------------------------------------------------------------------
 
 
-def _element_form(poset: OmlPoset, e: OmlElement) -> tuple[Fraction, dict[int, Fraction]]:
-    """m(e) as an affine function (const, coefficients) of the atom values."""
-    if e.kind == ZERO:
-        return _ZERO, {}
-    if e.kind == ONE:
-        return _ONE, {}
-    if e.kind == ATOM:
-        return _ZERO, {e.atom: _ONE}
-    if e.kind == COATOM:
-        return _ONE, {e.atom: -_ONE}
-    return _ZERO, {a: _ONE for a in e.subset}
+def _unit_zeros(poset: OmlPoset) -> list[tuple[int, ...] | None]:
+    """Per element e but 0 (``None``), the atoms Z with m(e) = 1 - m(Z): the
+    rest of its block for an atom or a block interior, {a} for a coatom a'.
+    Atom values are nonnegative, so m(e) = 1 exactly when m is 0 on Z."""
+    blocks = poset.source.blocks
+    home = {a: block for block in reversed(blocks) for a in block}
+    out: list[tuple[int, ...] | None] = []
+    for e in poset.elements:
+        if e.kind == ZERO:
+            out.append(None)
+        elif e.kind == ONE:
+            out.append(())
+        elif e.kind == ATOM:
+            out.append(tuple(a for a in home[e.atom] if a != e.atom))
+        elif e.kind == COATOM:
+            out.append((e.atom,))
+        else:
+            out.append(tuple(a for a in blocks[e.block] if a not in e.subset))
+    return out
 
 
-def _form_value(form: tuple[Fraction, dict[int, Fraction]], x) -> Fraction:
-    const, coeffs = form
-    return const + sum((c * x[a] for a, c in coeffs.items()), _ZERO)
+def _ones(zeros: list[tuple[int, ...] | None], n: int, states: list[StateVector]) -> list[int]:
+    """Per element, the bitmask of the k with m(e) = 1 in ``states[k]``."""
+    at_zero = [
+        int("".join("0" if s[a] else "1" for s in reversed(states)) or "0", 2) for a in range(n)
+    ]
+    out = []
+    for need in zeros:
+        mask = 0 if need is None else (1 << len(states)) - 1
+        for a in need or ():
+            mask &= at_zero[a]
+        out.append(mask)
+    return out
 
 
-def _incomparable_pairs(poset: OmlPoset):
+def _first_failure(poset: OmlPoset, ones: list[int], reaches_one, below_one) -> StrongReport:
+    """Sweep the pairs (x, y) with x not below y, x-major in element order.
+
+    A known state in ``ones`` with m(x) = 1 and m(y) < 1 passes a pair;
+    otherwise ``below_one(i, j)`` decides whether any state does.
+    ``reaches_one(i)`` decides whether any state puts 1 on element i.
+    """
     elements = poset.elements
+    everything = (1 << len(elements)) - 1
     for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            if i != j and not poset.leq(x, y):
-                yield x, y
+        rest = everything & ~poset.up_mask(x)
+        if rest and not reaches_one(i):
+            return StrongReport(False, (x, elements[0]))
+        rest &= ~1  # (x, 0) passes: m(0) = 0 wherever m(x) = 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            if not ones[i] & ~ones[j] and not below_one(i, j):
+                return StrongReport(False, (x, elements[j]))
+    return StrongReport(True, None)
+
+
+def _strong_over(poset: OmlPoset, states: list[StateVector]) -> StrongReport:
+    """The strong-set test over a finite list of states, exactly as given."""
+    ones = _ones(_unit_zeros(poset), poset.source.atom_count, states)
+    return _first_failure(poset, ones, lambda i: ones[i] != 0, lambda i, j: False)
 
 
 def admits_strong_set(d: MmpDiagram) -> StrongReport:
@@ -278,9 +313,9 @@ def admits_strong_set(d: MmpDiagram) -> StrongReport:
     It suffices to test the set of all states: if that set fails the
     strong-set biconditional at some pair, every subset fails the same
     pair, since shrinking the set only weakens the premise of the
-    implication.  Each pair (x, y) with x not below y is checked by
-    minimizing m(y) over the states with m(x) = 1; with a unique overall
-    state the minimum is read off that state directly.
+    implication.  A pair (x, y) with x not below y passes when a cached
+    witness state has m(x) = 1 and m(y) < 1; otherwise the exact minimum
+    of m(y) over the face m(x) = 1 decides it.
     """
     poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
     return _strong_set(poset, _classify(d))
@@ -288,99 +323,50 @@ def admits_strong_set(d: MmpDiagram) -> StrongReport:
 
 def _strong_set(poset: OmlPoset, summary: PolytopeSummary) -> StrongReport:
     """:func:`admits_strong_set` given the poset and the state classification."""
-    d = poset.source
-    zero_elem = poset.elements[0]
+    if summary.classification is not Classification.MORE_THAN_ONE:
+        return _strong_over(poset, [] if summary.unique_state is None else [summary.unique_state])
 
-    if summary.classification is Classification.NONE:
-        for x, _ in _incomparable_pairs(poset):
-            return StrongReport(False, (x, zero_elem))
-        return StrongReport(False, None)
+    # MoreThanOne: every LP re-prices one tableau, built on first use.
+    n = poset.source.atom_count
+    zeros = _unit_zeros(poset)
+    ones = _ones(zeros, n, [summary.witness_state, summary.second_witness])
+    witnesses = 2
+    base: EqualityLP | None = None
 
-    forms = {id(e): _element_form(poset, e) for e in poset.elements}
-    if summary.classification is Classification.EXACTLY_ONE:
-        vals = {id(e): _form_value(forms[id(e)], summary.unique_state) for e in poset.elements}
-        for x, y in _incomparable_pairs(poset):
-            if vals[id(x)] != 1:
-                return StrongReport(False, (x, zero_elem))
-            if vals[id(y)] == 1:
-                return StrongReport(False, (x, y))
-        return StrongReport(True, None)
+    def solve(i: int, **kwargs) -> Fraction:
+        """Optimize m(Z) of element i and cache the optimal point as a witness."""
+        nonlocal base, witnesses
+        if base is None:
+            base = EqualityLP(*_block_rows(poset.source))
+        cost = [_ONE if a in zeros[i] else _ZERO for a in range(n)]
+        value, point = base.optimize(cost, **kwargs)
+        for k, mask in enumerate(_ones(zeros, n, [point])):
+            ones[k] |= mask << witnesses
+        witnesses += 1
+        return value
 
-    # MoreThanOne: sweep pairs with exact LPs, caching witness states.
-    rows, rhs = _block_rows(d)
-    base = EqualityLP(rows, rhs)
-    known: list[StateVector] = [summary.witness_state, summary.second_witness]
-    emax: dict[int, Fraction] = {}
-    constrained: dict[int, EqualityLP | None] = {}
+    def reaches_one(i: int) -> bool:
+        e = poset.elements[i]
+        if ones[i]:
+            return True
+        if e.kind == ATOM:
+            return summary.atom_ranges[e.atom][1] == 1
+        if e.kind == COATOM:
+            return summary.atom_ranges[e.atom][0] == 0
+        return solve(i) == 0  # a block interior: min m(Z) = 0 means max m(x) = 1
 
-    def element_max(e: OmlElement) -> Fraction:
-        key = id(e)
-        if key not in emax:
-            const, coeffs = forms[key]
-            cost = [_ZERO] * d.atom_count
-            for a, c in coeffs.items():
-                cost[a] = c
-            value, point = base.optimize(cost, minimize=False)
-            emax[key] = const + value
-            known.append(tuple(point))
-        return emax[key]
+    def below_one(i: int, j: int) -> bool:
+        # max m(Z_y) on the face where m(Z_x) is least, that is m(x) = 1
+        face = [-_ONE if a in zeros[i] else _ZERO for a in range(n)]
+        return solve(j, minimize=False, face_of=face) > 0
 
-    def lp_with_x_equal_one(x: OmlElement) -> EqualityLP | None:
-        key = id(x)
-        if key not in constrained:
-            const, coeffs = forms[key]
-            row = [_ZERO] * d.atom_count
-            for a, c in coeffs.items():
-                row[a] = c
-            lp = EqualityLP(rows + [row], rhs + [_ONE - const])
-            constrained[key] = lp if lp.feasible else None
-        return constrained[key]
-
-    for x, y in _incomparable_pairs(poset):
-        if element_max(x) != 1:
-            return StrongReport(False, (x, zero_elem))
-        fx = forms[id(x)]
-        fy = forms[id(y)]
-        if any(_form_value(fx, s) == 1 and _form_value(fy, s) < 1 for s in known):
-            continue
-        lp = lp_with_x_equal_one(x)
-        if lp is None:
-            return StrongReport(False, (x, zero_elem))
-        const_y, coeffs_y = fy
-        cost = [_ZERO] * d.atom_count
-        for a, c in coeffs_y.items():
-            cost[a] = c
-        value, point = lp.optimize(cost)
-        if const_y + value >= 1:
-            return StrongReport(False, (x, y))
-        known.append(tuple(point))
-    return StrongReport(True, None)
+    return _first_failure(poset, ones, reaches_one, below_one)
 
 
 def admits_strong_01_set(d: MmpDiagram) -> StrongReport:
     """Strong-set test restricted to the 0-1 states (the Kochen-Specker test)."""
     poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
-    return _strong_01_set(poset, _enumerate_01(d))
-
-
-def _strong_01_set(poset: OmlPoset, states: list[StateVector]) -> StrongReport:
-    """:func:`admits_strong_01_set` given the poset and its source's 0-1 states.
-
-    Only the blockless diagram has no incomparable pair, and it has one
-    (empty) 0-1 state, so an empty ``states`` always fails at a pair.
-    """
-    forms = {id(e): _element_form(poset, e) for e in poset.elements}
-    zero_elem = poset.elements[0]
-    values = [
-        {id(e): _form_value(forms[id(e)], s) for e in poset.elements} for s in states
-    ]
-    for x, y in _incomparable_pairs(poset):
-        ones = [v for v in values if v[id(x)] == 1]
-        if not ones:
-            return StrongReport(False, (x, zero_elem))
-        if all(v[id(y)] == 1 for v in ones):
-            return StrongReport(False, (x, y))
-    return StrongReport(True, None)
+    return _strong_over(poset, _enumerate_01(d))
 
 
 def admits_classically_strong(d: MmpDiagram) -> bool:

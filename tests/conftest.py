@@ -22,18 +22,24 @@ def random_diagram(rng: random.Random, max_atoms: int = 13, max_blocks: int = 5,
     return MmpDiagram(len(used), tuple(tuple(remap[a] for a in b) for b in blocks))
 
 
-def random_admissible(rng: random.Random, max_blocks: int = 6) -> MmpDiagram:
-    """Grow a random Greechie-admissible diagram block by block."""
+def random_admissible(rng: random.Random, max_blocks: int = 6, sizes=(3,)) -> MmpDiagram:
+    """Grow a random Greechie-admissible diagram block by block.
+
+    The first block has ``sizes[0]`` atoms; each later block draws its size
+    from ``sizes`` and shares at most one atom with the blocks before it.
+    """
     from greechie.structure import validate
 
-    blocks: list[tuple[int, ...]] = [(0, 1, 2)]
-    n = 3
+    blocks: list[tuple[int, ...]] = [tuple(range(sizes[0]))]
+    n = sizes[0]
     target = rng.randrange(1, max_blocks + 1)
     attempts = 0
     while len(blocks) < target and attempts < 60:
         attempts += 1
-        new_atoms = rng.randrange(2, 4)
-        stock = rng.sample(range(n), 3 - new_atoms)
+        # one size draws nothing, so 3-block callers keep their random stream
+        size = rng.choice(sizes) if len(sizes) > 1 else sizes[0]
+        new_atoms = rng.randrange(size - 1, size + 1)
+        stock = rng.sample(range(n), size - new_atoms)
         cand = tuple(sorted(stock + list(range(n, n + new_atoms))))
         trial = blocks + [cand]
         trial_n = n + new_atoms

@@ -11,9 +11,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from greechie.diagram import MmpDiagram
-from greechie.lattice import build_oml
+from greechie.lattice import OmlPoset, build_oml
 from greechie.linprog import gauss_affine
-from greechie.states import _element_form, _form_value, _incomparable_pairs
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -72,9 +71,15 @@ def polytope_vertices(d: MmpDiagram) -> set[tuple[Fraction, ...]]:
     n = d.atom_count
     assert n <= 12, "oracle enumerates coordinate subsets"
     rows = [[ONE if a in set(b) else ZERO for a in range(n)] for b in d.blocks]
-    rhs = [ONE] * len(rows)
     if not rows:
         return {()} if n == 0 else set()
+    return basic_solutions(rows, [ONE] * len(rows))
+
+
+def basic_solutions(rows: list[list[Fraction]], rhs: list[Fraction]) -> set[tuple[Fraction, ...]]:
+    """All vertices of {x >= 0, rows . x = rhs}: the nonnegative solutions
+    that are unique on their support."""
+    n = len(rows[0])
     rank = _rank(rows)
     vertices: set[tuple[Fraction, ...]] = set()
     for size in range(rank + 1):
@@ -91,8 +96,7 @@ def polytope_vertices(d: MmpDiagram) -> set[tuple[Fraction, ...]]:
             x = [ZERO] * n
             for a, v in zip(support, x_s):
                 x[a] = v
-            if all(sum(x[a] for a in b) == 1 for b in d.blocks):
-                vertices.add(tuple(x))
+            vertices.add(tuple(x))
     return vertices
 
 
@@ -159,21 +163,34 @@ def _partial_ok(d: MmpDiagram, mapping: dict[int, int]) -> bool:
     return True
 
 
-def strong_set_by_vertices(d: MmpDiagram) -> bool:
-    """Decide strong-set admission from the polytope's vertex list alone.
+def first_failing_pair(poset: OmlPoset, states):
+    """First pair (x, y), x-major in element order with x not below y, at
+    which ``states`` fail the strong-set condition, or ``None``.
+
+    The pair fails when no state puts 1 on x (reported against the zero
+    element) or when every state with m(x) = 1 also has m(y) = 1.
+    """
+    elements = poset.elements
+    values = [poset.extend_state(s) for s in states]
+    for x in elements:
+        later = [y for y in elements if y != x and not poset.leq(x, y)]
+        if not later:
+            continue
+        ones = [v for v in values if v[x] == 1]
+        if not ones:
+            return x, elements[0]
+        for y in later:
+            if all(v[y] == 1 for v in ones):
+                return x, y
+    return None
+
+
+def strong_set_by_vertices(d: MmpDiagram):
+    """The first pair failing the strong-set condition, or ``None``, decided
+    from the polytope's vertex list alone.
 
     The premise of the strong-set condition is a statement about the face
     m(x) = 1, whose vertices are polytope vertices, so scanning vertices
     decides every pair.
     """
-    poset = build_oml(d)
-    vertices = polytope_vertices(d)
-    if not vertices:
-        return False
-    forms = {id(e): _element_form(poset, e) for e in poset.elements}
-    values = [{id(e): _form_value(forms[id(e)], v) for e in poset.elements} for v in vertices]
-    for x, y in _incomparable_pairs(poset):
-        ones = [v for v in values if v[id(x)] == 1]
-        if not ones or all(v[id(y)] == 1 for v in ones):
-            return False
-    return True
+    return first_failing_pair(build_oml(d), sorted(polytope_vertices(d)))

@@ -82,7 +82,7 @@ def test_criterion_3_strong_set_decisions():
     assert boolean.admits and dt < 30.0
     from oracles import strong_set_by_vertices
 
-    assert strong_set_by_vertices(parse_mmp("123."))
+    assert strong_set_by_vertices(parse_mmp("123.")) is None
     _report(
         3,
         True,

@@ -126,6 +126,22 @@ def test_generate_includes_pentagon(capsys):
     assert are_isomorphic(parse_mmp(out[0]), parse_mmp(PENTAGON)) is not None
 
 
+def test_generate_stderr_summary_keys(capsys):
+    assert main(["generate", "--atoms", "10", "--blocks", "5", "--count-only"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1\n"
+    fields = captured.err.strip().removeprefix("# ").split()
+    assert [f.split("=")[0] for f in fields] == [
+        "nodes",
+        "canonical_rejections",
+        "girth_prunes",
+        "budget_prunes",
+        "emitted",
+        "wall",
+    ]
+    assert "emitted=1" in fields
+
+
 def test_generate_oracle_cross_check(capsys):
     assert main(["generate", "--atoms", "7", "--blocks", "3", "--count-only", "--oracle"]) == 0
     assert capsys.readouterr().out.strip() == "2"

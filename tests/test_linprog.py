@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from greechie.linprog import EqualityLP, SimplexError, gauss_affine, rank_mod_p
+from oracles import basic_solutions
 
 F = Fraction
 
@@ -62,6 +63,42 @@ def test_warm_reoptimization_matches_fresh_solves(rng):
                     fresh.optimize(cost)
                 continue
             assert a == fresh.optimize(cost)[0]
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), F(0))
+
+
+def test_face_restricted_optimize_matches_vertex_enumeration(rng):
+    # Bounded polytopes (the first row fixes the coordinate sum); each LP
+    # answers several face queries in a row from its warm tableau.
+    checked = 0
+    for _ in range(60):
+        n = rng.randrange(2, 7)
+        rows = [[F(1)] * n] + [
+            [F(rng.randrange(0, 3)) for _ in range(n)] for _ in range(rng.randrange(0, 3))
+        ]
+        rhs = [F(rng.randrange(1, 4))] + [F(rng.randrange(0, 5)) for _ in rows[1:]]
+        lp = EqualityLP(rows, rhs)
+        vertices = basic_solutions(rows, rhs)
+        assert lp.feasible == bool(vertices)
+        if not vertices:
+            continue
+        for _ in range(4):
+            primary = [F(rng.randrange(-1, 2)) for _ in range(n)]
+            cost = [F(rng.randrange(-2, 3)) for _ in range(n)]
+            minimize = rng.random() < 0.5
+            best = max(_dot(primary, v) for v in vertices)
+            face = [v for v in vertices if _dot(primary, v) == best]
+            pick = min if minimize else max
+            expected = pick(_dot(cost, v) for v in face)
+            value, point = lp.optimize(cost, minimize=minimize, face_of=primary)
+            assert value == expected
+            assert _dot(cost, point) == value and _dot(primary, point) == best
+            assert all(v >= 0 for v in point)
+            assert all(_dot(row, point) == b for row, b in zip(rows, rhs))
+            checked += 1
+    assert checked > 100
 
 
 def test_gauss_affine_cases():

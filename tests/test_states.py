@@ -7,6 +7,7 @@ from greechie import corpus
 from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import Infeasible, LengthMismatch, NotAdmissible, NotValidated
 from greechie.lattice import ATOM, ZERO, build_oml
+from greechie.linprog import EqualityLP
 from greechie.states import (
     Classification,
     admits_classically_strong,
@@ -19,7 +20,7 @@ from greechie.states import (
 )
 from greechie.structure import validate
 from conftest import random_admissible, random_diagram
-from oracles import brute_01_states, polytope_vertices, strong_set_by_vertices
+from oracles import brute_01_states, first_failing_pair, polytope_vertices, strong_set_by_vertices
 
 F = Fraction
 PENTAGON = "123,345,567,789,9A1."
@@ -141,12 +142,13 @@ def test_enumerate_01_states_matches_brute_force(rng):
 def test_admits_strong_set_boolean_block():
     rep = admits_strong_set(parse_mmp("123."))
     assert rep.admits and rep.witness_pair is None
-    assert strong_set_by_vertices(parse_mmp("123."))
+    assert strong_set_by_vertices(parse_mmp("123.")) is None
 
 
 def test_admits_strong_set_pentagon_with_oracle():
     pent = parse_mmp(PENTAGON)
-    assert admits_strong_set(pent).admits == strong_set_by_vertices(pent) == True  # noqa: E712
+    assert admits_strong_set(pent).admits
+    assert strong_set_by_vertices(pent) is None
 
 
 def test_admits_strong_set_oracle_random(rng):
@@ -155,10 +157,47 @@ def test_admits_strong_set_oracle_random(rng):
         d = random_admissible(rng, max_blocks=4)
         if not validate(d).greechie_admissible or d.atom_count > 12:
             continue
-        got = admits_strong_set(d).admits
-        assert got == strong_set_by_vertices(d)
-        decided[got] += 1
+        rep = admits_strong_set(d)
+        assert rep.witness_pair == strong_set_by_vertices(d)
+        assert rep.admits == (rep.witness_pair is None)
+        decided[rep.admits] += 1
     assert decided[True] > 0
+
+
+def test_strong_sets_with_block_interiors_match_oracles(rng):
+    # 4- and 5-atom blocks have interior elements, whose maxima take the LP
+    interiors = 0
+    for _ in range(40):
+        d = random_admissible(rng, max_blocks=4, sizes=(3, 4, 5))
+        if not validate(d).greechie_admissible or d.atom_count > 12:
+            continue
+        rep = admits_strong_set(d)
+        assert rep.witness_pair == strong_set_by_vertices(d)
+        assert rep.admits == (rep.witness_pair is None)
+        rep01 = admits_strong_01_set(d)
+        assert rep01.witness_pair == first_failing_pair(build_oml(d), brute_01_states(d))
+        assert rep01.admits == (rep01.witness_pair is None)
+        interiors += any(len(b) >= 4 for b in d.blocks)
+    assert interiors > 10
+
+
+def test_admits_strong_set_fails_past_the_zero_pair():
+    # An admissible sub-diagram of a corpus lattice with many states, in
+    # which every state putting 1 on atom 1 puts 0 on atom I.
+    d = parse_mmp(
+        "2EP,39W,OPU,5FK,GHO,6HK,BJM,78C,DOT,8GI,NVX,FPW,1CU,EJV,IRZ,9AQ,BFI,"
+        "6NR,5AL,28A,3SY,EYZ,9HJ,CKY,QTZ,7MT,LMS,1QX,5DV,246,34D,LRU,7NW."
+    )
+    assert classify_states(d).classification is Classification.MORE_THAN_ONE
+    rep = admits_strong_set(d)
+    x, y = rep.witness_pair
+    assert not rep.admits and (x.label(), y.label()) == ("1", "I'")
+    # the pair fails by a separate LP with m(1) = 1 as an extra row
+    n = d.atom_count
+    rows = [[F(a in b) for a in range(n)] for b in d.blocks] + [[F(a == x.atom) for a in range(n)]]
+    lp = EqualityLP(rows, [F(1)] * len(rows))
+    assert lp.feasible
+    assert lp.optimize([F(a == y.atom) for a in range(n)], minimize=False)[0] == 0
 
 
 def test_admits_strong_set_single_state_failure_shape():
@@ -194,16 +233,7 @@ def test_strong_set_monotonicity(rng):
 
 
 def _subset_is_strong(d, states):
-    from greechie.states import _element_form, _form_value, _incomparable_pairs
-
-    poset = build_oml(d)
-    forms = {id(e): _element_form(poset, e) for e in poset.elements}
-    vals = [{id(e): _form_value(forms[id(e)], s) for e in poset.elements} for s in states]
-    for x, y in _incomparable_pairs(poset):
-        ones = [v for v in vals if v[id(x)] == 1]
-        if not ones or all(v[id(y)] == 1 for v in ones):
-            return False
-    return True
+    return first_failing_pair(build_oml(d), states) is None
 
 
 def test_maximality_reduction_subsets_fail_too(rng):
