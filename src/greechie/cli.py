@@ -15,7 +15,7 @@ import sys
 
 from . import corpus
 from .diagram import MmpDiagram, iter_mmp_lines, load_diagram_line
-from .errors import InvalidSpec, MmpError, NotAdmissible, TooLarge
+from .errors import InvalidSpec, MmpError, NotAdmissible, NotValidated, TooLarge
 from .generate import GenSpec, brute_force_generate, generate
 from .lattice import build_oml
 from .render import render_dot
@@ -199,7 +199,7 @@ def cmd_canon(args) -> int:
             try:
                 d = load_diagram_line(line)
                 cf = canonical_form(d)
-            except Exception as exc:
+            except (MmpError, NotValidated) as exc:
                 print(f"{path}:{lineno}: error: {exc}", file=sys.stderr)
                 status = FORMAT_ERROR
                 continue

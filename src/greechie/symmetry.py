@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .diagram import ALPHABET, MmpDiagram, serialize_mmp
 from .errors import SizeMismatch
-from .structure import require_mmp, validate
+from .structure import dual, require_mmp, validate
 
 Code = tuple[tuple[int, ...], ...]
 
@@ -69,14 +69,19 @@ def relabel(d: MmpDiagram, pi: Permutation) -> MmpDiagram:
 
 
 def canonical_form(d: MmpDiagram) -> CanonicalForm:
-    """Canonical text and automorphism count of a validated diagram."""
+    """Canonical text and automorphism count of a validated diagram.
+
+    The count is read from the canonical search itself (orbit-stabilizer
+    along its first path, times k! per run of k isomorphic components), so
+    it is exact at any size.
+    """
     require_mmp(d)
-    code, _, gens = _canonical_search(d.blocks, d.atom_count)
+    code, _, order = _canonical_search(d.blocks, d.atom_count)
     if d.atom_count <= len(ALPHABET):
         text = serialize_mmp(MmpDiagram(d.atom_count, code))
     else:
         text = json.dumps({"atoms": d.atom_count, "blocks": [list(b) for b in code]})
-    return CanonicalForm(text, _group_order(gens, d.atom_count))
+    return CanonicalForm(text, order)
 
 
 def are_isomorphic(d1: MmpDiagram, d2: MmpDiagram) -> Permutation | None:
@@ -99,8 +104,6 @@ def is_self_dual(d: MmpDiagram) -> bool:
 
     False when the dual is not even a valid MMP diagram (conditions (i)-(iii)).
     """
-    from .structure import dual  # local import to avoid cycle at module load
-
     dd = dual(d)
     rep = validate(dd)
     if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
@@ -120,20 +123,21 @@ def canonical_code(blocks: tuple[tuple[int, ...], ...], atom_count: int) -> Code
 
 def _canonical_search(
     blocks: tuple[tuple[int, ...], ...], n: int
-) -> tuple[Code, tuple[int, ...], list[tuple[int, ...]]]:
-    """Return (canonical code, a permutation achieving it, automorphism gens).
+) -> tuple[Code, tuple[int, ...], int]:
+    """Return (canonical code, a permutation achieving it, |Aut|).
 
     The permutation maps original atom -> canonical index.  Isolated atoms
     take the trailing indices in input order and never influence the code,
-    so a diagram and its atom-compacted version share one code.
+    so a diagram and its atom-compacted version share one code; they add
+    nothing to the automorphism count.
     """
     if not blocks:
-        return (), tuple(range(n)), []
+        return (), tuple(range(n)), 1
     used = sorted({a for b in blocks for a in b})
     if len(used) < n:
         comp = {a: i for i, a in enumerate(used)}
         cblocks = tuple(tuple(comp[a] for a in b) for b in blocks)
-        code, cperm, cgens = _search_dense(cblocks, len(used))
+        code, cperm, order = _search_dense(cblocks, len(used))
         perm = [0] * n
         nxt = len(used)
         for a in range(n):
@@ -142,24 +146,21 @@ def _canonical_search(
             else:
                 perm[a] = nxt
                 nxt += 1
-        lifted = []
-        for g in cgens:
-            h = list(range(n))
-            for a in used:
-                h[a] = used[g[comp[a]]]
-            lifted.append(tuple(h))
-        return code, tuple(perm), lifted
+        return code, tuple(perm), order
     return _search_dense(blocks, n)
 
 
 def _search_dense(
     blocks: tuple[tuple[int, ...], ...], n: int
-) -> tuple[Code, tuple[int, ...], list[tuple[int, ...]]]:
+) -> tuple[Code, tuple[int, ...], int]:
     """Canonical search over a diagram in which every atom is used.
 
     Disconnected diagrams are canonicalized one component at a time and
-    recombined in sorted-code order, which sidesteps the component-swap
-    symmetry blowup; the result is still a relabeled copy of the input.
+    recombined in sorted-code order; the result is still a relabeled copy
+    of the input.  An automorphism permutes the components within each
+    isomorphism class and acts on each one by a component automorphism,
+    so |Aut| is the product of the component orders times k! for each run
+    of k components with equal codes.
     """
     comps = _components(blocks, n)
     if len(comps) <= 1:
@@ -168,41 +169,22 @@ def _search_dense(
     for atoms, comp_blocks in comps:
         index = {a: i for i, a in enumerate(atoms)}
         local = tuple(tuple(index[a] for a in b) for b in comp_blocks)
-        code, perm, gens = _search_connected(local, len(atoms))
-        pieces.append((code, atoms, index, perm, gens))
+        code, perm, order = _search_connected(local, len(atoms))
+        pieces.append((code, atoms, perm, order))
     pieces.sort(key=lambda p: (p[0], p[1][0]))
     perm_out = [0] * n
     code_out: list[tuple[int, ...]] = []
-    gens_out: list[tuple[int, ...]] = []
+    order_out = 1
     offset = 0
-    for code, atoms, index, perm, gens in pieces:
-        for a in atoms:
-            perm_out[a] = offset + perm[index[a]]
+    run = 0
+    for i, (code, atoms, perm, order) in enumerate(pieces):
+        for j, a in enumerate(atoms):
+            perm_out[a] = offset + perm[j]
         code_out.extend(tuple(offset + x for x in b) for b in code)
-        for g in gens:
-            lifted = list(range(n))
-            for a in atoms:
-                lifted[a] = atoms[g[index[a]]]
-            gens_out.append(tuple(lifted))
         offset += len(atoms)
-    for (code1, atoms1, index1, perm1, _), (code2, atoms2, index2, perm2, _) in zip(
-        pieces, pieces[1:]
-    ):
-        if code1 == code2:
-            # Equal components may be exchanged position-for-position.
-            inv2 = [0] * len(atoms2)
-            for a in atoms2:
-                inv2[perm2[index2[a]]] = a
-            inv1 = [0] * len(atoms1)
-            for a in atoms1:
-                inv1[perm1[index1[a]]] = a
-            swap = list(range(n))
-            for a in atoms1:
-                swap[a] = inv2[perm1[index1[a]]]
-            for a in atoms2:
-                swap[a] = inv1[perm2[index2[a]]]
-            gens_out.append(tuple(swap))
-    return tuple(sorted(code_out)), tuple(perm_out), gens_out
+        run = run + 1 if i and code == pieces[i - 1][0] else 1
+        order_out *= order * run
+    return tuple(sorted(code_out)), tuple(perm_out), order_out
 
 
 def _components(
@@ -234,7 +216,17 @@ def _components(
 
 def _search_connected(
     blocks: tuple[tuple[int, ...], ...], n: int
-) -> tuple[Code, tuple[int, ...], list[tuple[int, ...]]]:
+) -> tuple[Code, tuple[int, ...], int]:
+    """Individualization-refinement search over a connected diagram.
+
+    Leaves with equal codes yield automorphisms, which prune branches in
+    the orbit of an explored sibling.  |Aut| comes from orbit-stabilizer
+    along the first path (McKay 1981): once the children of a first-path
+    node are explored, the automorphisms found that fix its individualized
+    prefix generate that prefix's stabilizer, so the orbit of the node's
+    first child under them is exact, and |Aut| is the product of these
+    orbit sizes (the stabilizer of the first leaf is trivial).
+    """
     sizes = [len(b) for b in blocks]
     incident: list[list[int]] = [[] for _ in range(n)]
     for i, b in enumerate(blocks):
@@ -303,65 +295,39 @@ def _search_connected(
         ca = colors[a]
         return [c + 1 if (c > ca or (c == ca and x != a)) else c for x, c in enumerate(colors)]
 
-    def search(colors: list[int], fixed: tuple[int, ...]) -> None:
+    order = 1
+
+    def search(colors: list[int], fixed: tuple[int, ...], first: bool) -> None:
+        nonlocal order
         cell = target_cell(colors)
         if cell is None:
             record_leaf(colors)
             return
         explored: list[int] = []
         for a in cell:
-            if _orbit_covered(a, explored, fixed, gens):
+            if explored and a in _orbit(explored, fixed, gens):
                 continue
             explored.append(a)
-            search(refine(individualize(colors, a)), fixed + (a,))
+            search(refine(individualize(colors, a)), fixed + (a,), first and a == cell[0])
+        if first:
+            order *= len(_orbit([cell[0]], fixed, gens))
 
-    search(initial_colors(), ())
-    return best["code"], best["perm"], gens
+    search(initial_colors(), (), True)
+    return best["code"], best["perm"], order
 
 
-def _orbit_covered(
-    a: int, explored: list[int], fixed: tuple[int, ...], gens: list[tuple[int, ...]]
-) -> bool:
-    """True if some known automorphism fixing ``fixed`` maps an explored branch to a."""
-    if not explored or not gens:
-        return False
+def _orbit(
+    seeds: list[int], fixed: tuple[int, ...], gens: list[tuple[int, ...]]
+) -> set[int]:
+    """Orbit of ``seeds`` under the known automorphisms that fix every atom of ``fixed``."""
     valid = [g for g in gens if all(g[x] == x for x in fixed)]
-    if not valid:
-        return False
-    # Orbit of the explored set under the valid generators.
-    orbit = set(explored)
-    frontier = list(explored)
+    orbit = set(seeds)
+    frontier = list(seeds)
     while frontier:
         p = frontier.pop()
         for g in valid:
             q = g[p]
             if q not in orbit:
-                if q == a:
-                    return True
                 orbit.add(q)
                 frontier.append(q)
-    return a in orbit
-
-
-def _group_order(gens: list[tuple[int, ...]], n: int, limit: int = 10**6) -> int:
-    """Order of the group generated by ``gens`` via closure enumeration.
-
-    Automorphism groups of admissible diagrams are small; the limit guards
-    against degenerate inputs rather than expected use.
-    """
-    ident = tuple(range(n))
-    gens = [g for g in gens if g != ident]
-    if not gens:
-        return 1
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        h = frontier.pop()
-        for g in gens:
-            hg = tuple(h[g[i]] for i in range(n))
-            if hg not in seen:
-                if len(seen) >= limit:
-                    raise OverflowError("automorphism group too large to count")
-                seen.add(hg)
-                frontier.append(hg)
-    return len(seen)
+    return orbit

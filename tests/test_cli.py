@@ -168,6 +168,25 @@ def test_canon_output(tmp_path, capsys):
     assert text.endswith(".") and int(count) == 8
 
 
+def test_canon_input_errors_exit_2_and_internal_errors_surface(tmp_path, capsys, monkeypatch):
+    # a parse error and a line failing MMP condition (ii) between valid lines
+    f = write(tmp_path, "c.mmp", "123.\n123,345\n12.\n123,345.\n")
+    assert main(["canon", f]) == 2
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert len(out) == 2 and out[0] == "123. 6" and out[1].endswith(" 8")
+    errors = captured.err.splitlines()
+    assert [e.split(": ", 1)[0] for e in errors] == [f"{f}:2", f"{f}:3"]
+    assert "full stop" in errors[0] and "MMP conditions" in errors[1]
+
+    def broken(d):
+        raise RuntimeError("internal")
+
+    monkeypatch.setattr("greechie.cli.canonical_form", broken)
+    with pytest.raises(RuntimeError):
+        main(["canon", f])
+
+
 def test_corpus_list_show_check(capsys):
     assert main(["corpus", "--list"]) == 0
     names = capsys.readouterr().out.split()

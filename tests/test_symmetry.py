@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 
 from greechie import corpus
@@ -82,6 +85,25 @@ def test_automorphism_count_matches_brute_force(rng):
         assert canonical_form(d).automorphism_count == brute_automorphism_count(d)
         checked += 1
     assert checked > 15
+    # 2-3 copies of one component, each relabelled within its own atom range:
+    # k! times the component order to the k
+    copies = 0
+    while copies < 12:
+        c = random_diagram(rng, max_atoms=5, max_blocks=2)
+        rep = validate(c)
+        if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
+            continue
+        k = rng.choice((2, 3))
+        n = c.atom_count
+        blocks = []
+        for i in range(k):
+            r, _ = shuffled(c, rng)
+            blocks += [tuple(i * n + a for a in b) for b in r.blocks]
+        rng.shuffle(blocks)
+        d = MmpDiagram(k * n, tuple(blocks))
+        expected = math.factorial(k) * brute_automorphism_count(c) ** k
+        assert canonical_form(d).automorphism_count == brute_automorphism_count(d) == expected
+        copies += 1
 
 
 def test_automorphism_count_disjoint_blocks():
@@ -90,6 +112,15 @@ def test_automorphism_count_disjoint_blocks():
     assert canonical_form(d).automorphism_count == brute_automorphism_count(d) == 72
     d3 = parse_mmp("123,456,789.")
     assert canonical_form(d3).automorphism_count == brute_automorphism_count(d3) == 1296
+    # closed forms far beyond what enumerating the group could reach; 2 s for all
+    t0 = time.perf_counter()
+    for k in range(4, 8):
+        star = MmpDiagram(2 * k + 1, tuple((2 * i, 2 * i + 1, 2 * k) for i in range(k)))
+        assert canonical_form(star).automorphism_count == math.factorial(k) * 2**k
+    for k, order in ((4, 31104), (8, 67722117120)):
+        disjoint = MmpDiagram(3 * k, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)))
+        assert canonical_form(disjoint).automorphism_count == math.factorial(k) * 6**k == order
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_are_isomorphic_witness(rng):
