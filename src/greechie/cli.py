@@ -23,9 +23,9 @@ from .states import (
     Classification,
     _strong_over,
     _strong_set,
+    _zero_one_states,
     admits_classically_strong,
     classify_states,
-    enumerate_01_states,
     is_state,
 )
 from .structure import element_count, validate
@@ -103,7 +103,7 @@ def _summary_json(d: MmpDiagram, args) -> dict:
         ]
     poset = build_oml(d) if args.zero_one or args.strong else None
     if args.zero_one:
-        states = enumerate_01_states(d)
+        states = _zero_one_states(d, summary)
         rep = _strong_over(poset, states)
         doc["zero_one"] = {"count": len(states), "admits_strong_01_set": rep.admits}
         if rep.witness_pair:
@@ -129,7 +129,7 @@ def cmd_states(args) -> int:
             doc = {"file": path, "line": lineno}
             try:
                 doc.update(_summary_json(d, args))
-            except Exception as exc:  # analysis tool: report the line, keep going
+            except (NotValidated, NotAdmissible) as exc:  # report the line, keep going
                 doc["error"] = str(exc)
             print(json.dumps(doc))
     return OK

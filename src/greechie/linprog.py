@@ -60,11 +60,21 @@ def gauss_affine(
     return x0, basis
 
 
-def rank_mod_p(rows: list[list[int]], n_cols: int, p: int = 2_147_483_629) -> int:
-    """Rank over GF(p): a lower bound for (and usually equal to) the Q-rank."""
+def rank_mod_p(rows: list[list[int]], n_cols: int, p: int = 2_147_483_629) -> list[int]:
+    """Pivot columns of the integer matrix ``rows``, eliminated over GF(p)
+    column by column.
+
+    Their number is the rank mod p, and those before column k number the
+    rank mod p of the first k columns.  Each is a lower bound for (and
+    usually equal to) the rank over Q: a minor that vanishes over Q
+    vanishes mod p.
+    """
     mat = [[v % p for v in row] for row in rows]
-    rank = 0
+    pivots: list[int] = []
     for col in range(n_cols):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
         pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot_row is None:
             continue
@@ -76,10 +86,8 @@ def rank_mod_p(rows: list[list[int]], n_cols: int, p: int = 2_147_483_629) -> in
             if i != rank and mat[i][col]:
                 f = mat[i][col]
                 mat[i] = [(a - f * b) % p for a, b in zip(mat[i], prow)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        pivots.append(col)
+    return pivots
 
 
 class SimplexError(Exception):

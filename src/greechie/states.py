@@ -8,7 +8,7 @@ set decisions) is decided in exact arithmetic, never with floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -36,7 +36,9 @@ class PolytopeSummary:
     """Feasibility and uniqueness of the state polytope.
 
     ``ExactlyOne`` iff every atom's (min, max) range collapses to a point;
-    ``MoreThanOne`` carries two valid states differing in some coordinate.
+    ``MoreThanOne`` carries two valid states differing in some coordinate,
+    and ``lp``, when the range scan ran the simplex, its feasible tableau,
+    which later optimizations over the same polytope may re-price.
     """
 
     classification: Classification
@@ -44,6 +46,7 @@ class PolytopeSummary:
     atom_ranges: tuple[tuple[Fraction, Fraction], ...] | None = None
     witness_state: StateVector | None = None
     second_witness: StateVector | None = None
+    lp: EqualityLP | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -77,11 +80,13 @@ def is_state(d: MmpDiagram, values) -> bool:
 def classify_states(d: MmpDiagram) -> PolytopeSummary:
     """Decide whether the diagram admits no, one, or many states.
 
-    The equality system is examined first: a full-rank system pins the
-    polytope to at most a point (for 3-uniform diagrams the uniform 1/3
-    vector, whose validity is immediate, together with a nonsingularity
-    certificate settles it without any elimination over Q).  Only systems
-    with a nontrivial affine hull reach the per-atom simplex scan.
+    The equality system is examined first, by one elimination mod a large
+    prime: when the block matrix has full column rank there, its rank over
+    Q is full too, and the system either has no solution (the right-hand
+    side takes a pivot as well) or at most one; for 3-uniform diagrams that
+    one is the uniform 1/3 vector, whose validity is immediate.  Either
+    way no elimination over Q runs.  Only systems with a nontrivial affine
+    hull reach the per-atom simplex scan.
     """
     require_mmp(d)
     return _classify(d)
@@ -94,9 +99,15 @@ def _classify(d: MmpDiagram) -> PolytopeSummary:
         empty: StateVector = ()
         return PolytopeSummary(Classification.EXACTLY_ONE, unique_state=empty, atom_ranges=())
 
-    if all(len(b) == 3 for b in d.blocks):
-        int_rows = [[1 if a in set(b) else 0 for a in range(n)] for b in d.blocks]
-        if rank_mod_p(int_rows, n) == n:
+    # One GF(p) elimination of [A | b].  Once A has n pivots its rank over
+    # Q is n too, so a pivot in b makes [A | b] rank n + 1 over Q: no state.
+    # Below n pivots the rank may have dropped mod p, and nothing follows.
+    augmented = [[1 if a in b else 0 for a in range(n)] + [1] for b in map(set, d.blocks)]
+    pivots = rank_mod_p(augmented, n + 1)
+    if pivots[:n] == list(range(n)):
+        if n in pivots:
+            return PolytopeSummary(Classification.NONE)
+        if all(len(b) == 3 for b in d.blocks):  # 1/3 everywhere is the one state
             uniform = tuple([_THIRD] * n)
             return PolytopeSummary(
                 Classification.EXACTLY_ONE,
@@ -143,6 +154,7 @@ def _classify(d: MmpDiagram) -> PolytopeSummary:
         atom_ranges=tuple(ranges),
         witness_state=witness,
         second_witness=second,
+        lp=lp,
     )
 
 
@@ -198,6 +210,19 @@ def enumerate_01_states(d: MmpDiagram) -> list[StateVector]:
     """
     require_mmp(d)
     return _enumerate_01(d)
+
+
+def _zero_one_states(d: MmpDiagram, summary: PolytopeSummary) -> list[StateVector]:
+    """:func:`enumerate_01_states` given the diagram's state classification.
+
+    A 0-1 state is a state, so with no state there is none, and with
+    exactly one it is that state if its values are all 0 or 1; only
+    ``MoreThanOne`` diagrams are enumerated.
+    """
+    if summary.classification is Classification.MORE_THAN_ONE:
+        return _enumerate_01(d)
+    only = summary.unique_state
+    return [only] if only is not None and all(v in (0, 1) for v in only) else []
 
 
 def _enumerate_01(d: MmpDiagram) -> list[StateVector]:
@@ -326,12 +351,13 @@ def _strong_set(poset: OmlPoset, summary: PolytopeSummary) -> StrongReport:
     if summary.classification is not Classification.MORE_THAN_ONE:
         return _strong_over(poset, [] if summary.unique_state is None else [summary.unique_state])
 
-    # MoreThanOne: every LP re-prices one tableau, built on first use.
+    # MoreThanOne: every LP re-prices one tableau, the classification's or
+    # one built on first use.
     n = poset.source.atom_count
     zeros = _unit_zeros(poset)
     ones = _ones(zeros, n, [summary.witness_state, summary.second_witness])
     witnesses = 2
-    base: EqualityLP | None = None
+    base = summary.lp
 
     def solve(i: int, **kwargs) -> Fraction:
         """Optimize m(Z) of element i and cache the optimal point as a witness."""

@@ -22,6 +22,26 @@ def random_diagram(rng: random.Random, max_atoms: int = 13, max_blocks: int = 5,
     return MmpDiagram(len(used), tuple(tuple(remap[a] for a in b) for b in blocks))
 
 
+def random_mmp(rng: random.Random, max_atoms: int = 12, sizes=(3, 4, 5), tries: int = 60) -> MmpDiagram:
+    """A random diagram passing MMP conditions (i)-(iii), often with as many
+    blocks as atoms, so that all three state classifications occur.
+
+    Blocks are drawn at random and kept while every two of them meeting in
+    t atoms have at least t + 2 atoms each; unused atoms are dropped.
+    """
+    n = rng.randrange(6, max_atoms + 1)
+    blocks: list[tuple[int, ...]] = []
+    for _ in range(tries):
+        cand = tuple(sorted(rng.sample(range(n), rng.choice(sizes))))
+        if cand not in blocks and all(
+            len(set(cand) & set(b)) + 2 <= min(len(cand), len(b)) for b in blocks
+        ):
+            blocks.append(cand)
+    used = sorted({a for b in blocks for a in b})
+    remap = {a: i for i, a in enumerate(used)}
+    return MmpDiagram(len(used), tuple(tuple(remap[a] for a in b) for b in blocks))
+
+
 def random_admissible(rng: random.Random, max_blocks: int = 6, sizes=(3,)) -> MmpDiagram:
     """Grow a random Greechie-admissible diagram block by block.
 

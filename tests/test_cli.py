@@ -1,9 +1,15 @@
 import json
+import time
 
 import pytest
 
 from greechie import corpus
 from greechie.cli import main
+from greechie.diagram import serialize_mmp
+from greechie.lattice import build_oml
+from greechie.states import enumerate_01_states
+from conftest import random_admissible
+from oracles import brute_01_states, first_failing_pair
 
 PENTAGON = "123,345,567,789,9A1."
 SQUARE = "123,345,567,781."
@@ -104,6 +110,49 @@ def test_states_requirement_errors(tmp_path, capsys, flag):
         {"file": f, "line": 1, "error": "diagram fails MMP conditions (i)-(iii)"},
         {"file": f, "line": 2, "error": "operation requires a Greechie-admissible diagram"},
     ]
+
+
+def test_states_internal_errors_surface(tmp_path, monkeypatch):
+    f = write(tmp_path, "p.mmp", PENTAGON + "\n")
+
+    def broken(d):
+        raise RuntimeError("internal")
+
+    monkeypatch.setattr("greechie.cli.classify_states", broken)
+    with pytest.raises(RuntimeError):
+        main(["states", f])
+
+
+@pytest.mark.parametrize("name", ["73-78-ngv", "73-78-single", "73-73"])
+def test_states_zero_one_on_the_73_atom_lattices(tmp_path, capsys, name):
+    # no state, or only the 1/3 state: no 0-1 state, and no backtracking
+    f = write(tmp_path, "w.mmp", corpus.get(name).mmp_line + "\n")
+    t0 = time.perf_counter()
+    assert main(["states", "--zero-one", f]) == 0
+    dt = time.perf_counter() - t0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["zero_one"] == {"count": 0, "admits_strong_01_set": False, "failing_pair": ["1", "0"]}
+    assert dt < 2.0, f"{name} took {dt:.2f}s"
+
+
+def test_states_zero_one_matches_the_enumerations(tmp_path, capsys, rng):
+    # the corpus lattices the backtracking enumerates (all but the three
+    # 73-atom ones), and random admissible diagrams, brute-forced
+    lattices = [e.diagram() for e in corpus.ENTRIES if not e.name.startswith("73-")]
+    cases = [(d, enumerate_01_states(d)) for d in lattices]
+    for _ in range(30):
+        d = random_admissible(rng, max_blocks=5, sizes=(3, 4))
+        cases.append((d, brute_01_states(d)))
+    f = write(tmp_path, "z.mmp", "".join(serialize_mmp(d) + "\n" for d, _ in cases))
+    assert main(["states", "--zero-one", f]) == 0
+    docs = [json.loads(out) for out in capsys.readouterr().out.splitlines()]
+    assert len(docs) == len(cases)
+    for doc, (d, states) in zip(docs, cases):
+        pair = first_failing_pair(build_oml(d), states)
+        expected = {"count": len(states), "admits_strong_01_set": pair is None}
+        if pair is not None:
+            expected["failing_pair"] = [e.label() for e in pair]
+        assert doc["zero_one"] == expected, serialize_mmp(d)
 
 
 def test_validate_greechie_flag_explicit(tmp_path):

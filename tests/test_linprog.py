@@ -118,6 +118,37 @@ def test_gauss_affine_cases():
 
 
 def test_rank_mod_p():
-    assert rank_mod_p([[1, 1], [1, -1]], 2) == 2
-    assert rank_mod_p([[1, 1], [2, 2]], 2) == 1
-    assert rank_mod_p([[0, 0]], 2) == 0
+    assert rank_mod_p([[1, 1], [1, -1]], 2) == [0, 1]
+    assert rank_mod_p([[1, 1], [2, 2]], 2) == [0]
+    assert rank_mod_p([[0, 0]], 2) == []
+
+
+def test_full_rank_mod_p_certificate_agrees_with_gauss_affine(rng):
+    # [A | b] eliminated mod p: once A has n pivots its rank over Q is n,
+    # so a pivot in b proves the system inconsistent and no pivot leaves at
+    # most one solution; below n pivots (a small p can drop the rank)
+    # nothing follows.  Sound for every prime.
+    fired = 0
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        m = rng.randrange(n, n + 3)
+        rows = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(m)]
+        x = [rng.randrange(-2, 3) for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        if rng.random() < 0.5:
+            rhs[rng.randrange(m)] += rng.choice((-1, 1))  # usually inconsistent now
+        solved = gauss_affine([[F(v) for v in row] for row in rows], [F(b) for b in rhs])
+        for p in (2, 3, 5, 2_147_483_629):
+            pivots = rank_mod_p([row + [b] for row, b in zip(rows, rhs)], n + 1, p)
+            if pivots[:n] != list(range(n)):
+                continue
+            if n in pivots:
+                assert solved is None
+                if p > 5:
+                    fired += 1
+            else:
+                assert solved is None or solved[1] == []
+        if solved is None and rank_mod_p(rows, n)[:n] == list(range(n)):
+            # full rank over Q and inconsistent: the large prime certifies it
+            assert rank_mod_p([row + [b] for row, b in zip(rows, rhs)], n + 1)[-1] == n
+    assert fired > 20

@@ -1,3 +1,5 @@
+import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,9 +9,10 @@ from greechie import corpus
 from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import Infeasible, LengthMismatch, NotAdmissible, NotValidated
 from greechie.lattice import ATOM, ZERO, build_oml
-from greechie.linprog import EqualityLP
+from greechie.linprog import EqualityLP, rank_mod_p
 from greechie.states import (
     Classification,
+    _zero_one_states,
     admits_classically_strong,
     admits_strong_01_set,
     admits_strong_set,
@@ -19,7 +22,7 @@ from greechie.states import (
     is_state,
 )
 from greechie.structure import validate
-from conftest import random_admissible, random_diagram
+from conftest import random_admissible, random_diagram, random_mmp
 from oracles import brute_01_states, first_failing_pair, polytope_vertices, strong_set_by_vertices
 
 F = Fraction
@@ -80,9 +83,12 @@ def test_classify_35_35e_and_witnesses():
 
 
 def test_classification_agrees_with_vertex_enumeration(rng):
-    seen = {Classification.EXACTLY_ONE: 0, Classification.MORE_THAN_ONE: 0}
-    for _ in range(120):
-        d = random_diagram(rng, max_atoms=9, max_blocks=5)
+    # sparse 3-uniform diagrams, then dense ones with 3- to 5-atom blocks,
+    # where the mod-p certificate often proves that no state exists
+    seen = dict.fromkeys(Classification, 0)
+    inputs = [random_diagram(rng, max_atoms=9, max_blocks=5) for _ in range(120)]
+    inputs += [random_mmp(rng, max_atoms=10, sizes=(4, 5)) for _ in range(15)]
+    for d in inputs:
         rep = validate(d)
         if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
             continue
@@ -92,11 +98,37 @@ def test_classification_agrees_with_vertex_enumeration(rng):
             assert not verts
         elif s.classification is Classification.EXACTLY_ONE:
             assert verts == {s.unique_state}
-            seen[s.classification] += 1
         else:
             assert len(verts) >= 2
-            seen[s.classification] += 1
-    assert seen[Classification.MORE_THAN_ONE] > 0
+        seen[s.classification] += 1
+    assert all(seen.values())
+
+
+def test_rank_drop_mod_p_is_no_certificate(monkeypatch):
+    # Mod 3 every row of a 3-uniform block matrix sums to 0, so its rank
+    # drops below the atom count, and the right-hand side takes a pivot:
+    # read as a certificate, that would wrongly say no state exists.
+    d = corpus.diagram("35-35a")
+    n = d.atom_count
+    pivots = rank_mod_p([[int(a in b) for a in range(n)] + [1] for b in d.blocks], n + 1, 3)
+    assert len(pivots) <= n and pivots[-1] == n
+    monkeypatch.setattr("greechie.states.rank_mod_p", lambda rows, cols: rank_mod_p(rows, cols, 3))
+    s = classify_states(d)
+    assert s.classification is Classification.EXACTLY_ONE
+    assert set(s.unique_state) == {F(1, 3)}
+
+
+def test_weber_original_is_stateless_by_certificate(monkeypatch):
+    def no_elimination_over_q(rows, rhs):
+        raise AssertionError("gauss_affine ran")
+
+    monkeypatch.setattr("greechie.states.gauss_affine", no_elimination_over_q)
+    d = corpus.diagram("73-78-ngv")
+    t0 = time.perf_counter()
+    s = classify_states(d)
+    dt = time.perf_counter() - t0
+    assert s.classification is Classification.NONE
+    assert dt < 1.0, f"73-78-ngv took {dt:.2f}s"
 
 
 def test_atom_range_examples():
@@ -128,6 +160,22 @@ def test_enumerate_01_states_pentagon():
 
 def test_enumerate_01_states_corpus_single_state_empty():
     assert enumerate_01_states(corpus.diagram("35-35a")) == []
+
+
+def test_zero_one_states_follow_the_classification(rng):
+    # a 0-1 state is a state: none without states, the one state when it is
+    # 0-1, and an enumeration only for MoreThanOne
+    seen = Counter()
+    inputs = [parse_mmp("1459,1256,12378,3468,2349,13679,2579,2458.")]  # one state, 0-1
+    inputs += [random_mmp(rng) for _ in range(100)]
+    for d in inputs:
+        s = classify_states(d)
+        states = _zero_one_states(d, s)
+        assert states == brute_01_states(d)
+        seen[s.classification, len(states)] += 1
+    assert seen[Classification.NONE, 0] > 0
+    assert seen[Classification.EXACTLY_ONE, 0] > 0
+    assert seen[Classification.EXACTLY_ONE, 1] > 0
 
 
 def test_enumerate_01_states_matches_brute_force(rng):
@@ -179,6 +227,22 @@ def test_strong_sets_with_block_interiors_match_oracles(rng):
         assert rep01.admits == (rep01.witness_pair is None)
         interiors += any(len(b) >= 4 for b in d.blocks)
     assert interiors > 10
+
+
+def test_strong_set_reprices_the_classification_tableau(monkeypatch):
+    # phase 1 runs once per diagram: the sweep goes on from the tableau of
+    # the range scan instead of building a second one
+    builds = []
+
+    class Counting(EqualityLP):
+        def __init__(self, rows, rhs):
+            builds.append(len(rows))
+            super().__init__(rows, rhs)
+
+    monkeypatch.setattr("greechie.states.EqualityLP", Counting)
+    pent = parse_mmp(PENTAGON)
+    assert admits_strong_set(pent).admits
+    assert builds == [5]
 
 
 def test_admits_strong_set_fails_past_the_zero_pair():
