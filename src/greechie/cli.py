@@ -149,19 +149,23 @@ def cmd_generate(args) -> int:
     except InvalidSpec as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return BAD_SPEC
-    lines: list[str] = []
+    lines: list[str] = []  # kept only for the oracle
+
+    def emit(line: str) -> None:
+        if not args.count_only:
+            print(line)
+        if args.oracle:
+            lines.append(line)
+
     stats = generate(
         spec,
-        lines.append,
+        emit,
         workers=args.workers,
         split_depth=args.split_depth,
         checkpoint=args.checkpoint,
     )
     if args.count_only:
-        print(len(lines))
-    else:
-        for line in lines:
-            print(line)
+        print(stats.emitted_count)
     print(
         f"# nodes={stats.nodes_explored} canonical_rejections={stats.canonical_rejections} "
         f"girth_prunes={stats.girth_prunes} budget_prunes={stats.budget_prunes} "

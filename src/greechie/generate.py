@@ -1,12 +1,14 @@
 """Exhaustive isomorph-free generation of admissible diagrams.
 
 Diagrams are grown block by block (new atoms always take the smallest
-unused indices).  A child is kept only when it survives sibling
-deduplication by canonical code and the canonical-augmentation parent
-test: removing the canonically last block of the child must reproduce
-the parent.  Every isomorphism class matching the spec is emitted
-exactly once, in canonical form, in a deterministic order independent
-of the worker count.
+unused indices).  Only one candidate block per orbit of the parent's
+automorphism group is tried (McKay 1998), with the generators that the
+parent's own canonical search found.  A child is kept only when it
+survives sibling deduplication by canonical code and the
+canonical-augmentation parent test: removing the canonically last block
+of the child must reproduce the parent.  Every isomorphism class
+matching the spec is emitted exactly once, in canonical form, in a
+deterministic order independent of the worker count.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Callable
@@ -23,7 +26,7 @@ from typing import Callable
 from .diagram import MmpDiagram, serialize_mmp
 from .errors import InvalidSpec, TooLarge
 from .structure import is_connected, validate
-from .symmetry import CanonicalForm, canonical_code, canonical_form, _canonical_search
+from .symmetry import CanonicalForm, Gens, canonical_code, canonical_form, _canonical_search
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -186,6 +189,7 @@ def _expand(
     blocks: Blocks,
     n_used: int,
     own_code: Blocks,
+    gens: Gens,
     spec: GenSpec,
     stats: GenStats,
     emit: Callable[[str], None],
@@ -193,6 +197,13 @@ def _expand(
     frontier: list | None = None,
 ) -> None:
     """Depth-first canonical augmentation below one node.
+
+    ``gens`` generate the node's automorphism group, acting on its own
+    labels.  Candidates in one orbit of that group give isomorphic
+    children with one code, so only the first candidate of each orbit, in
+    candidate order, is searched; the rest count as canonical rejections,
+    exactly as the duplicate-code test would have counted them.  A
+    searched child passes its own generators down.
 
     When ``depth_limit`` is set, nodes reaching it are appended to
     ``frontier`` instead of being expanded (work partitioning hook).
@@ -204,13 +215,18 @@ def _expand(
             emit(serialize_mmp(MmpDiagram(n_used, own_code)))
         return
     if depth_limit is not None and len(blocks) >= depth_limit:
-        frontier.append((blocks, n_used, own_code))
+        frontier.append((blocks, n_used, own_code, gens))
         return
+    covered: set[tuple[int, ...]] = set()
     seen: set[Blocks] = set()
     for cand in _candidates(blocks, n_used, spec, stats):
+        if cand in covered:
+            stats.canonical_rejections += 1
+            continue
+        covered |= _block_orbit(cand, gens)
         child = blocks + (cand,)
         child_used = max(n_used, (cand[-1] + 1) if cand else 0)
-        code, perm, _ = _canonical_search(child, child_used)
+        code, perm, _, child_gens = _canonical_search(child, child_used)
         if code in seen:
             stats.canonical_rejections += 1
             continue
@@ -221,22 +237,29 @@ def _expand(
             if canonical_code(rest, child_used) != own_code:
                 stats.canonical_rejections += 1
                 continue
-        _expand(child, child_used, code, spec, stats, emit, depth_limit, frontier)
+        _expand(child, child_used, code, child_gens, spec, stats, emit, depth_limit, frontier)
+
+
+def _block_orbit(block: tuple[int, ...], gens: Gens) -> set[tuple[int, ...]]:
+    """Images of a candidate block under the group generated by ``gens``;
+    atoms beyond the generators' range (new atoms) are fixed."""
+    orbit = {block}
+    todo = [block]
+    while todo:
+        b = todo.pop()
+        for g in gens:
+            image = tuple(sorted(g[a] if a < len(g) else a for a in b))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def _run_subtree(args: tuple) -> tuple[list[str], GenStats]:
-    spec_fields, blocks, n_used, own_code = args
-    spec = GenSpec(**spec_fields)
+    spec_fields, blocks, n_used, own_code, gens = args
     stats = GenStats()
     lines: list[str] = []
-    _expand(
-        tuple(tuple(b) for b in blocks),
-        n_used,
-        tuple(tuple(b) for b in own_code),
-        spec,
-        stats,
-        lines.append,
-    )
+    _expand(blocks, n_used, own_code, gens, GenSpec(**spec_fields), stats, lines.append)
     return lines, stats
 
 
@@ -251,8 +274,10 @@ def generate(
     """Emit every matching isomorphism class once, in canonical form.
 
     ``workers`` > 1 partitions the search tree at ``split_depth`` blocks
-    into independent subtree tasks; emissions merge in task order, so the
-    output sequence does not depend on the worker count.  ``checkpoint``
+    into independent subtree tasks, each starting from its root's
+    automorphism generators; emissions reach ``sink`` in task order as
+    the tasks finish, so the output sequence does not depend on the
+    worker count.  ``checkpoint``
     names a JSON file recording completed subtrees for resumable runs.
     """
     spec.check()
@@ -265,47 +290,31 @@ def generate(
         stats.wall_time = time.perf_counter() - start
         return stats
     if workers <= 1 and checkpoint is None:
-        _expand((), 0, (), spec, stats, sink)
+        _expand((), 0, (), (), spec, stats, sink)
         stats.wall_time = time.perf_counter() - start
         return stats
 
     # Collect the frontier at split_depth, emitting anything shallower.
-    frontier: list[tuple[Blocks, int, Blocks]] = []
+    frontier: list[tuple[Blocks, int, Blocks, Gens]] = []
     depth = max(1, min(split_depth, spec.block_count))
-    shallow: list[str] = []
-    _expand((), 0, (), spec, stats, shallow.append, depth_limit=depth, frontier=frontier)
+    _expand((), 0, (), (), spec, stats, sink, depth_limit=depth, frontier=frontier)
     stats.nodes_explored -= len(frontier)  # tasks count their own roots
-    for line in shallow:
-        sink(line)
 
     state = _load_checkpoint(checkpoint, spec, depth, len(frontier))
-    tasks = [
-        (asdict(spec), task[0], task[1], task[2])
-        for i, task in enumerate(frontier)
-        if str(i) not in state["completed"]
-    ]
-    task_ids = [i for i in range(len(frontier)) if str(i) not in state["completed"]]
-    results: dict[int, list[str]] = {}
-    if tasks:
-        if workers <= 1:
-            fresh = map(_run_subtree, tasks)
-            for tid, (lines, sub) in zip(task_ids, fresh):
-                results[tid] = lines
+    completed = state["completed"]
+    tasks = [(asdict(spec), *task) for i, task in enumerate(frontier) if str(i) not in completed]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        fresh = (pool.map if pool else map)(_run_subtree, tasks)
+        for i in range(len(frontier)):
+            lines = completed.get(str(i))
+            if lines is None:
+                lines, sub = next(fresh)
                 stats.merge(sub)
-                _record_task(state, tid, lines, checkpoint)
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for tid, (lines, sub) in zip(task_ids, pool.map(_run_subtree, tasks)):
-                    results[tid] = lines
-                    stats.merge(sub)
-                    _record_task(state, tid, lines, checkpoint)
-    for i in range(len(frontier)):
-        lines = results.get(i)
-        if lines is None:
-            lines = state["completed"][str(i)]
-            stats.emitted_count += len(lines)
-        for line in lines:
-            sink(line)
+                _record_task(state, i, lines, checkpoint)
+            else:
+                stats.emitted_count += len(lines)
+            for line in lines:
+                sink(line)
     stats.wall_time = time.perf_counter() - start
     return stats
 
@@ -361,11 +370,11 @@ def membership_probe(d: MmpDiagram, spec: GenSpec) -> bool:
         # The atom budget must stay reachable or the generator would prune.
         if len(parent_used) + spec.block_size * (spec.block_count - level + 1) < spec.atom_count:
             return False
-        pcode, pperm, _ = _canonical_search(parent_blocks, child_atoms)
+        pcode, pperm, _, _ = _canonical_search(parent_blocks, child_atoms)
         candidate = tuple(sorted(pperm[a] for a in code[-1]))
         rebuilt = pcode + (candidate,)
         rebuilt_atoms = max(child_atoms, candidate[-1] + 1) if candidate else child_atoms
-        ccode, cperm, _ = _canonical_search(rebuilt, rebuilt_atoms)
+        ccode, cperm, _, _ = _canonical_search(rebuilt, rebuilt_atoms)
         if ccode != code:
             return False
         beta = _designated_last(rebuilt, ccode, cperm)

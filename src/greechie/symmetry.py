@@ -8,18 +8,25 @@ non-singleton color class, lowest atom index first.  The minimum, taken
 over all leaves of that search, is a deterministic relabeling-invariant
 representative: two diagrams get the same canonical text exactly when
 they are isomorphic.
+
+Refinement is incremental: each round re-examines only the cells next to
+an atom that changed cell in the round before.  Besides the code, the search
+returns |Aut| and generators of the automorphism group; generation uses
+the generators to try one augmenting block per orbit.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .diagram import ALPHABET, MmpDiagram, serialize_mmp
 from .errors import SizeMismatch
 from .structure import dual, require_mmp, validate
 
 Code = tuple[tuple[int, ...], ...]
+Gens = tuple[tuple[int, ...], ...]  # generators of a permutation group
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,7 @@ def canonical_form(d: MmpDiagram) -> CanonicalForm:
     it is exact at any size.
     """
     require_mmp(d)
-    code, _, order = _canonical_search(d.blocks, d.atom_count)
+    code, _, order, _ = _canonical_search(d.blocks, d.atom_count)
     if d.atom_count <= len(ALPHABET):
         text = serialize_mmp(MmpDiagram(d.atom_count, code))
     else:
@@ -90,8 +97,8 @@ def are_isomorphic(d1: MmpDiagram, d2: MmpDiagram) -> Permutation | None:
         return None
     if sorted(len(b) for b in d1.blocks) != sorted(len(b) for b in d2.blocks):
         return None
-    code1, p1, _ = _canonical_search(d1.blocks, d1.atom_count)
-    code2, p2, _ = _canonical_search(d2.blocks, d2.atom_count)
+    code1, p1, _, _ = _canonical_search(d1.blocks, d1.atom_count)
+    code2, p2, _, _ = _canonical_search(d2.blocks, d2.atom_count)
     if code1 != code2:
         return None
     pi = Permutation(p2).inverse().compose(Permutation(p1))
@@ -123,21 +130,23 @@ def canonical_code(blocks: tuple[tuple[int, ...], ...], atom_count: int) -> Code
 
 def _canonical_search(
     blocks: tuple[tuple[int, ...], ...], n: int
-) -> tuple[Code, tuple[int, ...], int]:
-    """Return (canonical code, a permutation achieving it, |Aut|).
+) -> tuple[Code, tuple[int, ...], int, Gens]:
+    """Return (canonical code, a permutation achieving it, |Aut|, generators).
 
-    The permutation maps original atom -> canonical index.  Isolated atoms
-    take the trailing indices in input order and never influence the code,
-    so a diagram and its atom-compacted version share one code; they add
-    nothing to the automorphism count.
+    The permutation maps original atom -> canonical index.  The generators
+    are atom permutations of the input that generate its automorphism
+    group.  Isolated atoms take the trailing indices in input order and
+    never influence the code, so a diagram and its atom-compacted version
+    share one code; they add nothing to the automorphism count, and every
+    generator fixes them.
     """
     if not blocks:
-        return (), tuple(range(n)), 1
+        return (), tuple(range(n)), 1, ()
     used = sorted({a for b in blocks for a in b})
     if len(used) < n:
         comp = {a: i for i, a in enumerate(used)}
         cblocks = tuple(tuple(comp[a] for a in b) for b in blocks)
-        code, cperm, order = _search_dense(cblocks, len(used))
+        code, cperm, order, cgens = _search_dense(cblocks, len(used))
         perm = [0] * n
         nxt = len(used)
         for a in range(n):
@@ -146,13 +155,21 @@ def _canonical_search(
             else:
                 perm[a] = nxt
                 nxt += 1
-        return code, tuple(perm), order
+        return code, tuple(perm), order, tuple(_lift(g, used, n) for g in cgens)
     return _search_dense(blocks, n)
+
+
+def _lift(g: tuple[int, ...], atoms: list[int], n: int) -> tuple[int, ...]:
+    """Extend a permutation of ``atoms`` (given by local index) to range(n)."""
+    full = list(range(n))
+    for j, a in enumerate(atoms):
+        full[a] = atoms[g[j]]
+    return tuple(full)
 
 
 def _search_dense(
     blocks: tuple[tuple[int, ...], ...], n: int
-) -> tuple[Code, tuple[int, ...], int]:
+) -> tuple[Code, tuple[int, ...], int, Gens]:
     """Canonical search over a diagram in which every atom is used.
 
     Disconnected diagrams are canonicalized one component at a time and
@@ -160,7 +177,9 @@ def _search_dense(
     of the input.  An automorphism permutes the components within each
     isomorphism class and acts on each one by a component automorphism,
     so |Aut| is the product of the component orders times k! for each run
-    of k components with equal codes.
+    of k components with equal codes.  The group is generated by the
+    component generators and, for each two neighbours in such a run, the
+    swap that matches their canonical labelings.
     """
     comps = _components(blocks, n)
     if len(comps) <= 1:
@@ -169,22 +188,30 @@ def _search_dense(
     for atoms, comp_blocks in comps:
         index = {a: i for i, a in enumerate(atoms)}
         local = tuple(tuple(index[a] for a in b) for b in comp_blocks)
-        code, perm, order = _search_connected(local, len(atoms))
-        pieces.append((code, atoms, perm, order))
-    pieces.sort(key=lambda p: (p[0], p[1][0]))
+        pieces.append((*_search_connected(local, len(atoms)), atoms))
+    pieces.sort(key=lambda p: (p[0], p[4][0]))
     perm_out = [0] * n
     code_out: list[tuple[int, ...]] = []
     order_out = 1
+    gens_out: list[tuple[int, ...]] = []
     offset = 0
     run = 0
-    for i, (code, atoms, perm, order) in enumerate(pieces):
+    for i, (code, perm, order, gens, atoms) in enumerate(pieces):
         for j, a in enumerate(atoms):
             perm_out[a] = offset + perm[j]
         code_out.extend(tuple(offset + x for x in b) for b in code)
-        offset += len(atoms)
+        gens_out.extend(_lift(g, atoms, n) for g in gens)
         run = run + 1 if i and code == pieces[i - 1][0] else 1
+        if run > 1:
+            at = {perm_out[b]: b for b in atoms}
+            swap = list(range(n))
+            for a in pieces[i - 1][4]:
+                b = at[perm_out[a] + len(atoms)]
+                swap[a], swap[b] = b, a
+            gens_out.append(tuple(swap))
+        offset += len(atoms)
         order_out *= order * run
-    return tuple(sorted(code_out)), tuple(perm_out), order_out
+    return tuple(sorted(code_out)), tuple(perm_out), order_out, tuple(gens_out)
 
 
 def _components(
@@ -216,7 +243,7 @@ def _components(
 
 def _search_connected(
     blocks: tuple[tuple[int, ...], ...], n: int
-) -> tuple[Code, tuple[int, ...], int]:
+) -> tuple[Code, tuple[int, ...], int, Gens]:
     """Individualization-refinement search over a connected diagram.
 
     Leaves with equal codes yield automorphisms, which prune branches in
@@ -225,33 +252,19 @@ def _search_connected(
     node are explored, the automorphisms found that fix its individualized
     prefix generate that prefix's stabilizer, so the orbit of the node's
     first child under them is exact, and |Aut| is the product of these
-    orbit sizes (the stabilizer of the first leaf is trivial).
+    orbit sizes (the stabilizer of the first leaf is trivial).  At the
+    root the prefix is empty, so the automorphisms found generate Aut.
     """
-    sizes = [len(b) for b in blocks]
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, b in enumerate(blocks):
-        for a in b:
-            incident[a].append(i)
-
-    def refine(colors: list[int]) -> list[int]:
-        while True:
-            sigs = []
-            for a in range(n):
-                around = sorted(
-                    (sizes[i], tuple(sorted(colors[x] for x in blocks[i] if x != a)))
-                    for i in incident[a]
-                )
-                sigs.append((colors[a], tuple(around)))
-            ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-            new = [ranking[s] for s in sigs]
-            if new == colors:
-                return colors
-            colors = new
+    refine = _refiner(blocks, n)
 
     def initial_colors() -> list[int]:
-        sigs = [(len(incident[a]), tuple(sorted(sizes[i] for i in incident[a]))) for a in range(n)]
+        profile: list[list[int]] = [[] for _ in range(n)]  # incident block sizes
+        for b in blocks:
+            for a in b:
+                profile[a].append(len(b))
+        sigs = [(len(p), tuple(sorted(p))) for p in profile]
         ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        return refine([ranking[s] for s in sigs])
+        return refine([ranking[s] for s in sigs], range(n))
 
     def code_of(perm: list[int]) -> Code:
         return tuple(sorted(tuple(sorted(perm[a] for a in b)) for b in blocks))
@@ -308,12 +321,78 @@ def _search_connected(
             if explored and a in _orbit(explored, fixed, gens):
                 continue
             explored.append(a)
-            search(refine(individualize(colors, a)), fixed + (a,), first and a == cell[0])
+            search(refine(individualize(colors, a), [a]), fixed + (a,), first and a == cell[0])
         if first:
             order *= len(_orbit([cell[0]], fixed, gens))
 
     search(initial_colors(), (), True)
-    return best["code"], best["perm"], order
+    return best["code"], best["perm"], order, tuple(gens)
+
+
+def _refiner(
+    blocks: tuple[tuple[int, ...], ...], n: int
+) -> Callable[[list[int], Iterable[int]], list[int]]:
+    """The refinement function of one connected diagram on atoms 0..n-1.
+
+    ``refine(colors, moved)`` returns the equitable refinement of
+    ``colors`` (cell indices, dense, in cell order).  ``moved`` lists the
+    atoms that left their cell since the coloring was last equitable:
+    every atom for a fresh coloring, the individualized atom after an
+    individualization.
+
+    The signature of an atom is the sorted list of (size, sorted colors of
+    the other atoms) over its blocks.  Each round splits cells by
+    signature, puts the parts in their cell's place in signature order
+    and renumbers the cells, until no cell splits.  Only the cells next
+    to a moved atom are examined: the atoms of any other cell see their
+    neighbours' colors renumbered by one order-preserving map, so their
+    signatures stay equal (McKay 1981).  When a cell splits, the atoms of
+    every part but its largest count as moved for the next round.  The
+    rounds, and so the result, are those of recomputing every signature
+    every round.
+    """
+    # per atom: (size, other atoms) of each incident block, and its neighbours
+    around: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    for b in blocks:
+        for a in b:
+            around[a].append((len(b), [x for x in b if x != a]))
+    nbrs = [{x for _, xs in around[a] for x in xs} for a in range(n)]
+
+    def refine(colors: list[int], moved: Iterable[int]) -> list[int]:
+        colors = list(colors)
+        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+        for a, c in enumerate(colors):
+            cells[c].append(a)
+        while True:
+            parts: dict[int, list[list[int]]] = {}
+            for c in {colors[x] for a in moved for x in nbrs[a]}:
+                if len(cells[c]) == 1:
+                    continue
+                by_sig: dict[tuple, list[int]] = {}
+                for a in cells[c]:
+                    sig = tuple(sorted(
+                        (size, tuple(sorted([colors[x] for x in xs]))) for size, xs in around[a]
+                    ))
+                    by_sig.setdefault(sig, []).append(a)
+                if len(by_sig) > 1:
+                    parts[c] = [by_sig[sig] for sig in sorted(by_sig)]
+            if not parts:
+                return colors
+            moved = []
+            new_cells: list[list[int]] = []
+            for c, cell in enumerate(cells):
+                if c in parts:
+                    new_cells.extend(parts[c])
+                    largest = max(parts[c], key=len)
+                    moved.extend(a for part in parts[c] if part is not largest for a in part)
+                else:
+                    new_cells.append(cell)
+            cells = new_cells
+            for c in range(min(parts), len(cells)):
+                for a in cells[c]:
+                    colors[a] = c
+
+    return refine
 
 
 def _orbit(

@@ -194,3 +194,41 @@ def strong_set_by_vertices(d: MmpDiagram):
     decides every pair.
     """
     return first_failing_pair(build_oml(d), sorted(polytope_vertices(d)))
+
+
+def refine_by_signatures(blocks, n: int, colors: list[int]) -> list[int]:
+    """Equitable refinement recomputing every atom's signature each round.
+
+    A signature is (own color, sorted (block size, sorted colors of the
+    block's other atoms) over the atom's blocks); each round ranks the
+    distinct signatures, until the ranking reproduces the coloring.
+    """
+    incident = [[b for b in blocks if a in b] for a in range(n)]
+    while True:
+        sigs = []
+        for a in range(n):
+            around = sorted(
+                (len(b), tuple(sorted(colors[x] for x in b if x != a))) for b in incident[a]
+            )
+            sigs.append((colors[a], tuple(around)))
+        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def closure_order(gens, n: int) -> int:
+    """Order of the permutation group on range(n) generated by ``gens``,
+    by listing every element."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)

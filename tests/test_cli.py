@@ -196,6 +196,36 @@ def test_generate_oracle_cross_check(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_generate_streams_each_line_as_emitted(capsys, monkeypatch):
+    # stdout is the library's emission sequence, one line each, and each
+    # line is printed before generation moves on; --count-only prints only
+    # the count, for any worker count
+    from greechie import cli
+    from greechie.generate import GenSpec, generate
+
+    expected = []
+    generate(GenSpec(11, 5), expected.append)
+    printed = []
+
+    def spy(spec, sink, **kwargs):
+        def traced(line):
+            sink(line)
+            printed.append(capsys.readouterr().out)
+
+        return generate(spec, traced, **kwargs)
+
+    monkeypatch.setattr(cli, "generate", spy)
+    assert main(["generate", "--atoms", "11", "--blocks", "5"]) == 0
+    assert printed == [line + "\n" for line in expected]
+    monkeypatch.undo()
+    for workers in ("1", "2"):
+        assert main(["generate", "--atoms", "11", "--blocks", "5", "--workers", workers]) == 0
+        assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+        argv = ["generate", "--atoms", "11", "--blocks", "5", "--workers", workers, "--count-only"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{len(expected)}\n"
+
+
 def test_generate_invalid_spec(capsys):
     assert main(["generate", "--atoms", "4", "--blocks", "1", "--block-size", "2"]) == 3
 

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -103,32 +105,72 @@ def test_brute_force_guard():
     assert math.comb(math.comb(12, 3), 6) > 10**8
 
 
+def _counts(stats):
+    """Every GenStats count; only the wall time may differ between runs."""
+    counts = asdict(stats)
+    del counts["wall_time"]
+    return counts
+
+
 def test_worker_determinism():
-    spec = GenSpec(11, 5)
-    runs = {}
-    for workers in (1, 4):
-        lines = []
-        generate(spec, lines.append, workers=workers, split_depth=2)
-        runs[workers] = lines
-    baseline = []
-    generate(spec, baseline.append)
-    assert runs[1] == runs[4] == baseline
+    for spec, worker_counts in ((GenSpec(11, 5), (1, 4)), (GenSpec(13, 6), (1, 2))):
+        baseline = []
+        base_stats = generate(spec, baseline.append)
+        for workers in worker_counts:
+            lines = []
+            stats = generate(spec, lines.append, workers=workers, split_depth=2)
+            assert lines == baseline
+            assert _counts(stats) == _counts(base_stats)
 
 
 def test_checkpoint_resume(tmp_path):
-    spec = GenSpec(11, 5)
-    cp = tmp_path / "run.json"
-    first = []
-    generate(spec, first.append, workers=2, checkpoint=str(cp))
-    doc = json.loads(cp.read_text())
-    assert doc["tasks"] >= 1 and doc["completed"]
-    # forget half the tasks, then resume
-    for key in sorted(doc["completed"], key=int)[::2]:
-        del doc["completed"][key]
-    cp.write_text(json.dumps(doc))
-    second = []
-    generate(spec, second.append, workers=2, checkpoint=str(cp))
-    assert second == first
+    for spec, workers in ((GenSpec(11, 5), 2), (GenSpec(13, 6), 1), (GenSpec(13, 6), 2)):
+        baseline = []
+        base_stats = generate(spec, baseline.append)
+        cp = tmp_path / f"run-{spec.atom_count}-{workers}.json"
+        first = []
+        stats = generate(spec, first.append, workers=workers, checkpoint=str(cp))
+        assert first == baseline
+        assert _counts(stats) == _counts(base_stats)
+        doc = json.loads(cp.read_text())
+        assert doc["tasks"] >= 1 and doc["completed"]
+        # forget half the tasks, then resume
+        for key in sorted(doc["completed"], key=int)[::2]:
+            del doc["completed"][key]
+        cp.write_text(json.dumps(doc))
+        second = []
+        resumed = generate(spec, second.append, workers=workers, checkpoint=str(cp))
+        assert second == first
+        assert resumed.emitted_count == len(baseline)
+
+
+def test_task_roots_prune_by_their_automorphisms(monkeypatch, tmp_path):
+    # a subtree task starts from its root's generators, so a partitioned run
+    # (in this process: one worker with a checkpoint) makes exactly the
+    # canonical searches of a serial one
+    calls = []
+    module = sys.modules["greechie.generate"]  # the package exports the function by this name
+    real = module._canonical_search
+
+    def counted(blocks, n):
+        calls.append(len(blocks))
+        return real(blocks, n)
+
+    monkeypatch.setattr(module, "_canonical_search", counted)
+    spec = GenSpec(13, 6)
+    generate(spec, lambda line: None)
+    serial = len(calls)
+    calls.clear()
+    generate(spec, lambda line: None, workers=1, split_depth=3, checkpoint=str(tmp_path / "cp.json"))
+    assert len(calls) == serial
+    # far fewer searches than candidates: one per Aut(parent) orbit
+    assert serial < 200
+
+
+def test_n3_configuration_counts():
+    # (n_3) configurations: 3-regular, 3-uniform, girth >= 3 (OEIS A001403)
+    counts = [census(GenSpec(n, n, min_girth=3, min_atom_degree=3)) for n in range(7, 11)]
+    assert counts == [1, 1, 3, 10]
 
 
 def test_membership_probe_examples():

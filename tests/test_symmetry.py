@@ -6,16 +6,18 @@ import pytest
 from greechie import corpus
 from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import NotValidated, SizeMismatch
-from greechie.structure import dual, girth, validate
+from greechie.structure import dual, girth, is_connected, validate
 from greechie.symmetry import (
     Permutation,
+    _canonical_search,
+    _refiner,
     are_isomorphic,
     canonical_form,
     is_self_dual,
     relabel,
 )
 from conftest import random_diagram
-from oracles import brute_automorphism_count
+from oracles import brute_automorphism_count, closure_order, refine_by_signatures
 
 PENTAGON = "123,345,567,789,9A1."
 
@@ -162,3 +164,72 @@ def test_is_self_dual_corpus_claims():
 def test_is_self_dual_invalid_dual_is_false():
     # pentagon's dual has 2-atom blocks, hence not even MMP-valid
     assert not is_self_dual(parse_mmp(PENTAGON))
+
+
+def test_incremental_refine_matches_full_signature_oracle(rng):
+    # from the initial coloring, then after individualizing each atom of the
+    # first cell the search would branch on
+    pool = [corpus.diagram(name) for name in ("35-35a", "36-36", "38-38f")]
+    while len(pool) < 200:
+        d = random_diagram(rng, max_atoms=16, max_blocks=10, sizes=(3, 4, 5))
+        if is_connected(d):
+            pool.append(d)
+    branched = 0
+    for d in pool:
+        n = d.atom_count
+        refine = _refiner(d.blocks, n)
+        profiles = [sorted(len(b) for b in d.blocks if a in b) for a in range(n)]
+        sigs = [(len(p), tuple(p)) for p in profiles]
+        initial = [sorted(set(sigs)).index(s) for s in sigs]
+        colors = refine_by_signatures(d.blocks, n, initial)
+        assert refine(initial, range(n)) == colors
+        cells = {}
+        for a, c in enumerate(colors):
+            cells.setdefault(c, []).append(a)
+        big = [(len(v), c) for c, v in cells.items() if len(v) > 1]
+        if not big:
+            continue
+        cell = cells[min(big)[1]]
+        for a in cell:
+            ca = colors[a]
+            ind = [c + 1 if (c > ca or (c == ca and x != a)) else c for x, c in enumerate(colors)]
+            assert refine(ind, [a]) == refine_by_signatures(d.blocks, n, ind)
+            branched += 1
+    assert branched > 200
+
+
+def test_search_generators_generate_the_automorphism_group(rng):
+    # every generator maps the block multiset onto itself, and together they
+    # generate a group of order |Aut|; isolated atoms are fixed by every
+    # generator and left out of |Aut|, so the brute count is divided by k!
+    checked = repeated = isolated = 0
+    while checked < 40:
+        c = random_diagram(rng, max_atoms=6, max_blocks=3)
+        copies = rng.choice((1, 1, 2, 3))
+        extra = rng.choice((0, 0, 1, 2))
+        n = copies * c.atom_count + extra
+        if n > 9:
+            continue
+        place = list(range(n))
+        rng.shuffle(place)
+        blocks = []
+        for i in range(copies):
+            r, _ = shuffled(c, rng)
+            blocks += [tuple(place[i * c.atom_count + a] for a in b) for b in r.blocks]
+        if rng.random() < 0.5:
+            other = random_diagram(rng, max_atoms=4, max_blocks=2)
+            blocks += [tuple(n + a for a in b) for b in other.blocks]
+            n += other.atom_count
+        rng.shuffle(blocks)
+        d = MmpDiagram(n, tuple(blocks))
+        _, _, order, gens = _canonical_search(d.blocks, n)
+        target = sorted(tuple(sorted(b)) for b in d.blocks)
+        for g in gens:
+            assert sorted(g) == list(range(n))
+            assert sorted(tuple(sorted(g[a] for a in b)) for b in d.blocks) == target
+        assert closure_order(gens, n) == order
+        assert order * math.factorial(extra) == brute_automorphism_count(d)
+        checked += 1
+        repeated += copies > 1
+        isolated += extra > 0
+    assert repeated >= 10 and isolated >= 10
