@@ -18,7 +18,7 @@ from .diagram import MmpDiagram, iter_mmp_lines, load_diagram_line
 from .errors import InvalidSpec, MmpError, NotAdmissible, NotValidated, TooLarge
 from .generate import GenSpec, brute_force_generate, generate
 from .lattice import build_oml
-from .render import render_dot
+from .render import LOOP_BUDGET, render_dot
 from .states import (
     Classification,
     _strong_over,
@@ -187,12 +187,19 @@ def cmd_generate(args) -> int:
 
 def cmd_render(args) -> int:
     for lineno, line in _open_lines(args.file):
+        drawn = []  # the loop render_dot lays out, if any
         try:
             d = load_diagram_line(line)
-            sys.stdout.write(render_dot(d))
+            sys.stdout.write(render_dot(d, on_loop=drawn.append))
         except (MmpError, NotAdmissible) as exc:
             print(f"{args.file}:{lineno}: {exc}", file=sys.stderr)
             return FORMAT_ERROR
+        if drawn and not drawn[0].exact:
+            print(
+                f"{args.file}:{lineno}: note: the outer loop, of order {drawn[0].order}, is the "
+                f"longest found within {LOOP_BUDGET} search nodes",
+                file=sys.stderr,
+            )
     return OK
 
 

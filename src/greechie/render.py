@@ -9,9 +9,15 @@ so the dominant cycle renders as the outer face.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .diagram import ALPHABET, MmpDiagram
-from .structure import max_loop, require_admissible
+from .structure import LoopProfile, max_loop, require_admissible
+
+#: chain extensions the loop search may spend; a node count, not a time, so
+#: the drawing is the same on every machine.  The corpus lattices of 35 to 44
+#: atoms reach their longest loop within their first few dozen nodes.
+LOOP_BUDGET = 20_000
 
 _PALETTE = (
     "black", "firebrick", "royalblue", "forestgreen", "darkorange",
@@ -23,10 +29,17 @@ def _node_name(a: int) -> str:
     return ALPHABET[a] if a < len(ALPHABET) else f"a{a}"
 
 
-def render_dot(d: MmpDiagram) -> str:
-    """Graphviz source for the diagram; byte-identical across runs."""
+def render_dot(d: MmpDiagram, on_loop: Callable[[LoopProfile], None] | None = None) -> str:
+    """Graphviz source for the diagram; byte-identical across runs.
+
+    The loop laid out first is the longest one :func:`max_loop` finds within
+    ``LOOP_BUDGET`` nodes; ``on_loop``, if given, receives it (it is not
+    called for an acyclic diagram).
+    """
     require_admissible(d)
-    loop = max_loop(d)
+    loop = max_loop(d, budget=LOOP_BUDGET)
+    if loop is not None and on_loop is not None:
+        on_loop(loop)
     pos: dict[int, tuple[float, float]] = {}
     loop_blocks: list[int] = []
     if loop is not None:

@@ -7,8 +7,9 @@ of the pasted lattice.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .diagram import MmpDiagram
 from .errors import IndexOutOfRange, NotAdmissible, NotValidated, PreconditionViolated
@@ -38,6 +39,9 @@ class LoopProfile:
     order: int
     blocks: tuple[int, ...]
     junction_atoms: tuple[int, ...]
+    #: False when a budgeted :func:`max_loop` stopped before proving that no
+    #: longer loop exists
+    exact: bool = True
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,25 @@ def _pairwise_ok(d: MmpDiagram) -> CheckResult:
     return CheckResult(not bad, tuple(bad))
 
 
+def mmp_checks(d: MmpDiagram) -> tuple[CheckResult, CheckResult, CheckResult]:
+    """The results of MMP conditions (i), (ii) and (iii), in that order."""
+    missing = tuple(sorted(set(range(d.atom_count)) - d.used_atoms()))
+    mmp_i = CheckResult(not missing, missing)
+
+    small = tuple(i for i, b in enumerate(d.blocks) if len(b) < 3)
+    mmp_ii = CheckResult(not small, small)
+
+    bad_iii = []
+    sets = [set(b) for b in d.blocks]
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            t = len(sets[i] & sets[j])
+            if t and min(len(sets[i]), len(sets[j])) < t + 2:
+                bad_iii.append((i, j))
+    mmp_iii = CheckResult(not bad_iii, tuple(bad_iii))
+    return mmp_i, mmp_ii, mmp_iii
+
+
 def validate(d: MmpDiagram) -> ValidationReport:
     """Check the MMP conditions plus the Greechie loop-order requirement.
 
@@ -77,21 +100,8 @@ def validate(d: MmpDiagram) -> ValidationReport:
     diagram is Greechie-admissible when all three hold, any two blocks
     share at most one atom, and every loop has order at least five.
     """
+    mmp_i, mmp_ii, mmp_iii = mmp_checks(d)
     used = d.used_atoms()
-    missing = tuple(sorted(set(range(d.atom_count)) - used))
-    mmp_i = CheckResult(not missing, missing)
-
-    small = tuple(i for i, b in enumerate(d.blocks) if len(b) < 3)
-    mmp_ii = CheckResult(not small, small)
-
-    bad_iii = []
-    for i in range(d.block_count):
-        for j in range(i + 1, d.block_count):
-            t = len(set(d.blocks[i]) & set(d.blocks[j]))
-            if t and min(len(d.blocks[i]), len(d.blocks[j])) < t + 2:
-                bad_iii.append((i, j))
-    mmp_iii = CheckResult(not bad_iii, tuple(bad_iii))
-
     if used:
         gaps = tuple(sorted(set(range(max(used) + 1)) - used))
     else:
@@ -118,8 +128,7 @@ def validate(d: MmpDiagram) -> ValidationReport:
 
 def require_mmp(d: MmpDiagram) -> None:
     """Raise ``NotValidated`` unless the MMP conditions (i)-(iii) hold."""
-    rep = validate(d)
-    if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
+    if not all(mmp_checks(d)):
         raise NotValidated("diagram fails MMP conditions (i)-(iii)")
 
 
@@ -201,10 +210,13 @@ def _shortest_incidence_cycle(d: MmpDiagram) -> list[int] | None:
                     dist[w] = dist[u] + 1
                     parent[w] = u
                     queue.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    # Found a cycle through root of length dist[u]+dist[w]+1;
-                    # only even lengths arise (bipartite), and only cycles
-                    # actually passing through the root are recovered cleanly.
+                elif parent[u] != w and parent[w] != u and (
+                    best is None or dist[u] + dist[w] + 1 < len(best)
+                ):
+                    # A closed walk through the root of length dist[u]+dist[w]+1
+                    # (even: the graph is bipartite) holds a cycle no longer
+                    # than it.  Longer walks are skipped: a shorter cycle inside
+                    # one is found at its true length from its own vertices.
                     path_u = _path_to_root(parent, u)
                     path_w = _path_to_root(parent, w)
                     set_u = set(path_u)
@@ -212,7 +224,7 @@ def _shortest_incidence_cycle(d: MmpDiagram) -> list[int] | None:
                     iu = path_u.index(common)
                     iw = path_w.index(common)
                     cycle = path_u[:iu] + [common] + path_w[:iw][::-1]
-                    if len(cycle) >= 6 and (best is None or len(cycle) < len(best)):
+                    if len(cycle) >= 6:
                         best = cycle
         # dist/parent discarded per root
     return best
@@ -225,16 +237,26 @@ def _path_to_root(parent: list[int], v: int) -> list[int]:
     return path
 
 
-def max_loop(d: MmpDiagram) -> LoopProfile | None:
+class _BudgetSpent(Exception):
+    pass
+
+
+def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
     """A witness loop of maximal order, or ``None`` if acyclic.
 
     Branch-and-bound over simple block chains.  A loop of order k uses 2k
     distinct atoms, which caps the search at atom_count // 2 and lets the
     first full-length loop terminate it on structured inputs.
+
+    With a ``budget``, the search stops after that many chain extensions and
+    returns the longest loop found so far, with ``exact`` false (a shortest
+    loop if it found none yet).  A loop is replaced only by a strictly longer
+    one, so a search that completes within the budget returns the same
+    profile as the unbudgeted one.
     """
     _require_linear(d)
-    if girth(d) is None:
-        return None
+    if any(len(b) < 3 for b in d.blocks):
+        raise PreconditionViolated("max_loop needs blocks of three or more atoms")
     n, m = d.atom_count, d.block_count
     block_masks = [0] * m
     for i, b in enumerate(d.blocks):
@@ -250,6 +272,7 @@ def max_loop(d: MmpDiagram) -> LoopProfile | None:
     hard_cap = min(m, n // 2)
 
     best: list[LoopProfile | None] = [None]
+    nodes_left = [math.inf if budget is None else budget]
 
     def consider(blocks: list[int], junctions: list[int]):
         prof = LoopProfile(order=len(blocks), blocks=tuple(blocks), junction_atoms=tuple(junctions))
@@ -257,6 +280,9 @@ def max_loop(d: MmpDiagram) -> LoopProfile | None:
             best[0] = prof
 
     def extend(path: list[int], junctions: list[int], used_mask: int, start: int):
+        if nodes_left[0] == 0:
+            raise _BudgetSpent
+        nodes_left[0] -= 1
         if best[0] is not None and best[0].order >= hard_cap:
             return
         k = len(path)
@@ -281,12 +307,16 @@ def max_loop(d: MmpDiagram) -> LoopProfile | None:
                 if y != first_junction:
                     consider(path + [j], junctions + [x, y])
 
-    for s in range(m):
-        if best[0] is not None and best[0].order >= hard_cap:
-            break
-        for j, x in neighbors[s]:
-            if j > s:
-                extend([s, j], [x], block_masks[s] | block_masks[j], s)
+    try:
+        for s in range(m):
+            if best[0] is not None and best[0].order >= hard_cap:
+                break
+            for j, x in neighbors[s]:
+                if j > s:
+                    extend([s, j], [x], block_masks[s] | block_masks[j], s)
+    except _BudgetSpent:
+        found = best[0] or min_loop(d)
+        return None if found is None else replace(found, exact=False)
     return best[0]
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 
 from .diagram import ALPHABET, MmpDiagram, serialize_mmp
 from .errors import SizeMismatch
-from .structure import dual, require_mmp, validate
+from .structure import dual, mmp_checks, require_mmp
 
 Code = tuple[tuple[int, ...], ...]
 Gens = tuple[tuple[int, ...], ...]  # generators of a permutation group
@@ -112,8 +112,7 @@ def is_self_dual(d: MmpDiagram) -> bool:
     False when the dual is not even a valid MMP diagram (conditions (i)-(iii)).
     """
     dd = dual(d)
-    rep = validate(dd)
-    if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
+    if not all(mmp_checks(dd)):
         return False
     return are_isomorphic(d, dd) is not None
 

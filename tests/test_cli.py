@@ -5,8 +5,9 @@ import pytest
 
 from greechie import corpus
 from greechie.cli import main
-from greechie.diagram import serialize_mmp
+from greechie.diagram import load_diagram_line, serialize_mmp
 from greechie.lattice import build_oml
+from greechie.render import LOOP_BUDGET, render_dot
 from greechie.states import enumerate_01_states
 from conftest import random_admissible
 from oracles import brute_01_states, first_failing_pair
@@ -236,6 +237,19 @@ def test_render_pipe(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("graph mmp {")
     bad = write(tmp_path, "sq.mmp", SQUARE + "\n")
     assert main(["render", bad]) == 2
+
+
+def test_render_notes_a_loop_not_proven_longest(tmp_path, capsys):
+    lines = [PENTAGON, corpus.get("35-35a").mmp_line, corpus.get("36-36").mmp_line]
+    f = write(tmp_path, "r.mmp", "\n".join(lines) + "\n")
+    assert main(["render", f]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "".join(render_dot(load_diagram_line(x)) for x in lines)
+    # 35-35a needs more nodes than the budget to prove its 16-loop longest
+    assert captured.err == (
+        f"{f}:2: note: the outer loop, of order 16, is the longest found "
+        f"within {LOOP_BUDGET} search nodes\n"
+    )
 
 
 def test_canon_output(tmp_path, capsys):

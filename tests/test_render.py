@@ -1,9 +1,16 @@
+import hashlib
+import json
+import signal
+from pathlib import Path
+
 import pytest
 
 from greechie import corpus
-from greechie.diagram import parse_mmp
+from greechie.diagram import load_diagram_line, parse_mmp
 from greechie.errors import NotAdmissible
 from greechie.render import render_dot
+
+RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus.json"
 
 PENTAGON = "123,345,567,789,9A1."
 
@@ -37,3 +44,47 @@ def test_36_36_has_18_loop_layout():
     pinned = [line for line in dot.splitlines() if "pos=" in line]
     assert len(pinned) == 36  # 18 junctions + 18 interiors of the loop blocks
     assert dot.count(" -- ") == 72  # every block contributes two edges
+
+
+def test_render_matches_recorded_corpus_outputs():
+    data = json.loads(RECORDED.read_text())
+    lines = {e["name"]: e["line"] for e in data["entries"]}
+    pinned = {k.split(":")[2]: v["sha256"] for k, v in data["outputs"].items()
+              if k.startswith("corpus:render:")}
+    assert len(pinned) == 15
+    for name, digest in pinned.items():
+        dot = render_dot(load_diagram_line(lines[name]))
+        assert hashlib.sha256(dot.encode()).hexdigest() == digest, name
+
+
+class _Overran(BaseException):
+    pass
+
+
+def _overran(signum, frame):
+    raise _Overran()
+
+
+@pytest.mark.parametrize("name", ["73-73", "73-78-ngv", "73-78-single"])
+def test_render_73_atom_lattices_in_bounded_time(name):
+    d = corpus.diagram(name)
+    drawn = []
+    # the alarm interrupts a search that runs away; a bound checked after
+    # the call would never be reached
+    old = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        first = render_dot(d, on_loop=drawn.append)
+        second = render_dot(d)
+    except _Overran:
+        pytest.fail(f"render_dot({name}) ran over 1 s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert first == second
+    nodes = [ln for ln in first.splitlines() if ln.startswith('  "') and "--" not in ln]
+    assert len(nodes) == d.atom_count
+    (loop,) = drawn
+    assert not loop.exact and loop.order >= 30
+    pinned = [ln for ln in nodes if "pos=" in ln]  # every atom of the loop's blocks
+    assert len(pinned) == sum(len(d.blocks[b]) - 1 for b in loop.blocks)

@@ -16,7 +16,8 @@ from greechie.structure import (
     min_loop,
     validate,
 )
-from conftest import random_admissible, random_diagram
+from greechie.symmetry import Permutation, relabel
+from conftest import random_admissible, random_diagram, random_mmp
 from oracles import brute_girth, brute_max_loop_order
 
 PENTAGON = "123,345,567,789,9A1."
@@ -81,6 +82,13 @@ def test_girth_precondition():
         girth(MmpDiagram(4, ((0, 1, 2), (0, 1, 3))))
 
 
+def test_max_loop_needs_blocks_of_three_atoms():
+    # its bound counts two fresh atoms per added block; a triangle of 2-atom
+    # blocks has a loop of order 3 on 3 atoms
+    with pytest.raises(PreconditionViolated):
+        max_loop(MmpDiagram(3, ((0, 1), (1, 2), (0, 2))))
+
+
 def test_girth_agrees_with_brute_force(rng):
     for _ in range(200):
         d = random_diagram(rng, max_atoms=11, max_blocks=6)
@@ -98,20 +106,84 @@ def test_loop_profile_invariants(rng):
         if not validate(d).pairwise_intersections:
             continue
         for prof in (min_loop(d), max_loop(d)):
-            if prof is None:
+            if prof is not None:
+                _assert_loop_profile(d, prof)
+
+
+def _assert_loop_profile(d, prof):
+    r = prof.order
+    assert len(prof.blocks) == len(prof.junction_atoms) == r
+    assert len(set(prof.blocks)) == r
+    assert len(set(prof.junction_atoms)) == r
+    for i in range(r):
+        b1 = set(d.blocks[prof.blocks[i]])
+        b2 = set(d.blocks[prof.blocks[(i + 1) % r]])
+        assert b1 & b2 == {prof.junction_atoms[i]}
+    for i in range(r):
+        for j in range(i + 2, r):
+            if i == 0 and j == r - 1:
                 continue
-            r = prof.order
-            assert len(set(prof.blocks)) == r
-            assert len(set(prof.junction_atoms)) == r
-            for i in range(r):
-                b1 = set(d.blocks[prof.blocks[i]])
-                b2 = set(d.blocks[prof.blocks[(i + 1) % r]])
-                assert b1 & b2 == {prof.junction_atoms[i]}
-            for i in range(r):
-                for j in range(i + 2, r):
-                    if i == 0 and j == r - 1:
-                        continue
-                    assert not set(d.blocks[prof.blocks[i]]) & set(d.blocks[prof.blocks[j]])
+            assert not set(d.blocks[prof.blocks[i]]) & set(d.blocks[prof.blocks[j]])
+
+
+def _random_linear_with_loops(rng):
+    """3-uniform linear diagrams of up to 8 blocks, most of them cyclic."""
+    while True:
+        d = random_mmp(rng, max_atoms=10, sizes=(3,), tries=14)
+        if d.block_count <= 8:
+            return d
+
+
+def test_budgeted_max_loop_that_finishes_is_the_exact_one(rng):
+    cyclic = 0
+    for _ in range(150):
+        d = _random_linear_with_loops(rng)
+        exact = max_loop(d)
+        budgeted = max_loop(d, budget=10_000)
+        assert budgeted == exact
+        assert (budgeted.order if budgeted else None) == brute_max_loop_order(d)
+        if budgeted is not None:
+            cyclic += 1
+            assert budgeted.exact
+    assert cyclic > 100
+
+
+def test_budget_spent_gives_a_valid_loop_marked_inexact(rng):
+    inexact = 0
+    for _ in range(150):
+        d = _random_linear_with_loops(rng)
+        exact = max_loop(d)
+        for budget in (0, 1, 3):
+            prof = max_loop(d, budget=budget)
+            if exact is None:
+                assert prof is None
+                continue
+            _assert_loop_profile(d, prof)
+            assert prof.order <= exact.order
+            if prof.exact:
+                assert budget > 0 and prof == exact
+            else:
+                inexact += 1
+    assert inexact > 100
+    # the corpus lattices need tens of thousands of nodes to prove optimality
+    prof = max_loop(corpus.diagram("35-35a"), budget=100)
+    _assert_loop_profile(corpus.diagram("35-35a"), prof)
+    assert not prof.exact and prof.order == 16
+
+
+def test_girth_of_corpus_lattices_and_relabellings(rng):
+    for name in corpus.names():
+        d = corpus.diagram(name)
+        copies = [d]
+        for _ in range(3):
+            pi = list(range(d.atom_count))
+            rng.shuffle(pi)
+            copies.append(relabel(d, Permutation(tuple(pi))))
+        for c in copies:
+            assert girth(c) == 5
+            prof = min_loop(c)
+            assert prof.order == 5
+            _assert_loop_profile(c, prof)
 
 
 def test_max_loop_published_examples():
