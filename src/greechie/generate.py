@@ -389,13 +389,9 @@ def membership_probe(d: MmpDiagram, spec: GenSpec) -> bool:
 
 def census(spec: GenSpec, *, workers: int = 1, split_depth: int = 2, checkpoint: str | None = None) -> int:
     """Number of isomorphism classes matching the spec."""
-    count = [0]
-
-    def bump(_line: str) -> None:
-        count[0] += 1
-
-    generate(spec, bump, workers=workers, split_depth=split_depth, checkpoint=checkpoint)
-    return count[0]
+    return generate(
+        spec, lambda _line: None, workers=workers, split_depth=split_depth, checkpoint=checkpoint
+    ).emitted_count
 
 
 def brute_force_generate(spec: GenSpec, guard: int = 10**8) -> list[CanonicalForm]:

@@ -3,9 +3,11 @@
 Elements are 0, 1, one atom and one coatom per vertex, and for every
 block of size >= 4 its interior subsets (size 2 to size-2).  Subsets of
 size |block|-1 are identified with the coatom of the excluded atom.
-Order is common-block subset containment together with the comparisons
-forced by orthocomplementation; only order, ortho, and block-local
-Boolean structure are materialized.
+For an admissible pasting the order is the union of the Boolean block
+orders (Greechie's paste lemma): x <= y exactly when some block holds
+both with subset containment.  It is built from the block incidences
+alone; only order, ortho, and block-local Boolean structure are
+materialized.
 """
 
 from __future__ import annotations
@@ -64,30 +66,40 @@ class OmlPoset:
     def __init__(self, source: MmpDiagram):
         require_admissible(source)
         self.source = source
+        n = source.atom_count
         self.elements: list[OmlElement] = [OmlElement(ZERO), OmlElement(ONE)]
-        self.elements += [OmlElement(ATOM, atom=a) for a in range(source.atom_count)]
-        self.elements += [OmlElement(COATOM, atom=a) for a in range(source.atom_count)]
+        self.elements += [OmlElement(ATOM, atom=a) for a in range(n)]
+        self.elements += [OmlElement(COATOM, atom=a) for a in range(n)]
+        # Bit j of up[i] is elements[i] <= elements[j]: the union of the
+        # block orders.  Atom a sits at 2 + a, coatom a' at 2 + n + a, and a
+        # coatom lies below only itself and 1.
+        up = [1 << i | 1 << 1 for i in range(2 + 2 * n)]  # x <= x <= 1
         for bi, block in enumerate(source.blocks):
-            k = len(block)
-            if k >= 4:
-                for size in range(2, k - 1):
-                    for sub in combinations(block, size):
-                        self.elements.append(OmlElement(MID, block=bi, subset=sub))
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        self._ortho = [self._orthocomplement(e) for e in self.elements]
-        n = len(self.elements)
-        self._up = [0] * n  # bitmask of {j : elements[i] <= elements[j]}
-        for i, x in enumerate(self.elements):
-            for j, y in enumerate(self.elements):
-                if self._leq_rule(x, y):
-                    self._up[i] |= 1 << j
-        # Atoms of one block are orthogonal exactly when they share a block.
-        self._share_block = [0] * source.atom_count
-        for block in source.blocks:
             for a in block:
                 for b in block:
-                    if a != b:
-                        self._share_block[a] |= 1 << b
+                    if b != a:
+                        up[2 + a] |= 1 << (2 + n + b)  # a <= b'
+            first = len(self.elements)
+            for size in range(2, len(block) - 1):
+                for sub in combinations(block, size):
+                    i = len(self.elements)
+                    self.elements.append(OmlElement(MID, block=bi, subset=sub))
+                    up.append(1 << i | 1 << 1)
+                    for a in block:
+                        if a in sub:
+                            up[2 + a] |= 1 << i  # a <= S
+                        else:
+                            up[i] |= 1 << (2 + n + a)  # S <= a'
+            # Interiors come in ascending size, so every strict superset of
+            # an interior S of this block comes after it.
+            for i in range(first, len(self.elements)):
+                for j in range(i + 1, len(self.elements)):
+                    if set(self.elements[i].subset) < set(self.elements[j].subset):
+                        up[i] |= 1 << j  # S < T
+        up[0] = (1 << len(self.elements)) - 1  # 0 <= everything
+        self._up = up
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        self._ortho = [self._orthocomplement(e) for e in self.elements]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -119,31 +131,6 @@ class OmlPoset:
         block = self.source.blocks[x.block]
         rest = tuple(a for a in block if a not in x.subset)
         return OmlElement(MID, block=x.block, subset=rest)
-
-    def _leq_rule(self, x: OmlElement, y: OmlElement) -> bool:
-        if x.kind == ZERO or y.kind == ONE or x == y:
-            return True
-        if y.kind == ZERO or x.kind == ONE:
-            return False
-        if x.kind == ATOM:
-            if y.kind == ATOM:
-                return False
-            if y.kind == COATOM:
-                if x.atom == y.atom:
-                    return False
-                return any(
-                    x.atom in block and y.atom in block for block in self.source.blocks
-                )
-            return x.atom in y.subset  # y is MID
-        if x.kind == COATOM:
-            return False  # coatoms lie below 1 only
-        # x is MID
-        if y.kind == ATOM:
-            return False
-        if y.kind == COATOM:
-            block = self.source.blocks[x.block]
-            return y.atom in block and y.atom not in x.subset
-        return x.block == y.block and set(x.subset) <= set(y.subset)
 
     # -- state extension ----------------------------------------------------
 

@@ -109,7 +109,11 @@ def validate(d: MmpDiagram) -> ValidationReport:
     contiguous = CheckResult(not gaps, gaps)
 
     pairwise = _pairwise_ok(d)
-    g = girth(d) if pairwise.passed else 2
+    if pairwise.passed:
+        cycle = _shortest_incidence_cycle(d)
+        g = None if cycle is None else len(cycle) // 2
+    else:
+        g = 2
     connected = is_connected(d)
     admissible = bool(
         mmp_i and mmp_ii and mmp_iii and pairwise and (g is None or g >= MIN_GREECHIE_GIRTH)
@@ -194,7 +198,8 @@ def _shortest_incidence_cycle(d: MmpDiagram) -> list[int] | None:
     adj = _incidence_adjacency(d)
     size = len(adj)
     best: list[int] | None = None
-    for root in range(size):
+    # Atom roots suffice: every incidence cycle alternates atoms and blocks.
+    for root in range(d.atom_count):
         if best is not None and len(best) <= 6:
             break  # 6 is the minimum possible (loops of order >= 3)
         dist = [-1] * size

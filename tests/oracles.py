@@ -8,10 +8,12 @@ agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
+from greechie import lattice
 from greechie.diagram import MmpDiagram
-from greechie.lattice import OmlPoset, build_oml
+from greechie.lattice import OmlElement, OmlPoset, build_oml
 from greechie.linprog import gauss_affine
 
 ZERO = Fraction(0)
@@ -105,6 +107,32 @@ def _rank(rows: list[list[Fraction]]) -> int:
     assert solved is not None
     _, null = solved
     return len(rows[0]) - len(null)
+
+
+@lru_cache(maxsize=1024)
+def block_forms(d: MmpDiagram, e: OmlElement) -> dict[int, frozenset]:
+    """Each block holding lattice element ``e``, mapped to the set of its
+    atoms whose join is ``e``.  Cached: callers must not mutate the dict."""
+    if e.kind == lattice.MID:
+        return {e.block: frozenset(e.subset)}
+    forms = {}
+    for bi, block in enumerate(d.blocks):
+        if e.kind == lattice.ZERO:
+            forms[bi] = frozenset()
+        elif e.kind == lattice.ONE:
+            forms[bi] = frozenset(block)
+        elif e.atom in block:
+            forms[bi] = frozenset({e.atom} if e.kind == lattice.ATOM else set(block) - {e.atom})
+    return forms
+
+
+def brute_leq(d: MmpDiagram, x: OmlElement, y: OmlElement) -> bool:
+    """x <= y in the pasted lattice: some block holds both, with the form of
+    x a subset of the form of y.  Without blocks the lattice is 0 < 1."""
+    if not d.blocks:
+        return x == y or x.kind == lattice.ZERO
+    fx, fy = block_forms(d, x), block_forms(d, y)
+    return any(bi in fy and form <= fy[bi] for bi, form in fx.items())
 
 
 def brute_01_states(d: MmpDiagram) -> list[tuple[Fraction, ...]]:

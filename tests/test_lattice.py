@@ -1,13 +1,16 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_admissible
 from greechie import corpus
 from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import ForeignElement, NotAdmissible, NotAState
 from greechie.lattice import ATOM, COATOM, MID, OmlElement, build_oml, extend_state, leq, ortho
 from greechie.states import classify_states
+from oracles import brute_leq
 
 F = Fraction
 
@@ -46,6 +49,21 @@ def test_build_oml_requires_admissibility():
 
 def test_build_oml_element_count_35_35a():
     assert len(build_oml(corpus.diagram("35-35a"))) == 72
+
+
+def test_order_matches_block_containment_oracle():
+    # Every bit of the order tables against "some block holds both forms,
+    # nested", on the corpus, the blockless 0 < 1 chain and random pastings
+    # of 3-, 4- and 5-atom blocks.
+    rng = random.Random(1971)
+    diagrams = [entry.diagram() for entry in corpus.ENTRIES] + [MmpDiagram(0, ())]
+    for sizes in ((3,), (4,), (5,), (3, 4), (3, 4, 5)):
+        diagrams += [random_admissible(rng, max_blocks=6, sizes=sizes) for _ in range(20)]
+    for d in diagrams:
+        poset = build_oml(d)
+        for i, x in enumerate(poset.elements):
+            for j, y in enumerate(poset.elements):
+                assert bool(poset._up[i] >> j & 1) == brute_leq(d, x, y), (d, x, y)
 
 
 def test_foreign_element_rejected():
