@@ -28,7 +28,7 @@ from .states import (
     classify_states,
     is_state,
 )
-from .structure import element_count, validate
+from .structure import validate
 from .symmetry import canonical_form, is_self_dual
 
 OK, CLAIM_MISMATCH, FORMAT_ERROR, BAD_SPEC = 0, 1, 2, 3
@@ -102,6 +102,7 @@ def _summary_json(d: MmpDiagram, args) -> dict:
             [str(v) for v in summary.second_witness],
         ]
     poset = build_oml(d) if args.zero_one or args.strong else None
+    states = []  # the 0-1 states, when asked for; the strong sweep reuses them
     if args.zero_one:
         states = _zero_one_states(d, summary)
         rep = _strong_over(poset, states)
@@ -109,7 +110,7 @@ def _summary_json(d: MmpDiagram, args) -> dict:
         if rep.witness_pair:
             doc["zero_one"]["failing_pair"] = [e.label() for e in rep.witness_pair]
     if args.strong:
-        rep = _strong_set(poset, summary)
+        rep = _strong_set(poset, summary, states)
         doc["strong"] = {"admits_strong_set": rep.admits}
         if rep.witness_pair:
             doc["strong"]["failing_pair"] = [e.label() for e in rep.witness_pair]
@@ -186,6 +187,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_render(args) -> int:
+    status = OK
     for lineno, line in _open_lines(args.file):
         drawn = []  # the loop render_dot lays out, if any
         try:
@@ -193,14 +195,15 @@ def cmd_render(args) -> int:
             sys.stdout.write(render_dot(d, on_loop=drawn.append))
         except (MmpError, NotAdmissible) as exc:
             print(f"{args.file}:{lineno}: {exc}", file=sys.stderr)
-            return FORMAT_ERROR
+            status = FORMAT_ERROR
+            continue
         if drawn and not drawn[0].exact:
             print(
                 f"{args.file}:{lineno}: note: the outer loop, of order {drawn[0].order}, is the "
                 f"longest found within {LOOP_BUDGET} search nodes",
                 file=sys.stderr,
             )
-    return OK
+    return status
 
 
 def cmd_canon(args) -> int:
@@ -221,10 +224,10 @@ def cmd_canon(args) -> int:
 def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
     problems: list[str] = []
     d = entry.diagram()
-    rep = validate(d)
-    if not rep.greechie_admissible:
-        problems.append("not greechie-admissible")
-        return problems
+    try:
+        poset = build_oml(d)  # validates once, for every check below
+    except NotAdmissible:
+        return ["not greechie-admissible"]
     summary = None
     if entry.state_classification is not None:
         summary = classify_states(d)
@@ -236,7 +239,7 @@ def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
             if set(summary.unique_state) != {entry.unique_state_value}:
                 problems.append("unique state is not uniformly the claimed value")
     if entry.element_count is not None:
-        ec = element_count(d)
+        ec = len(poset.elements)
         if ec != entry.element_count:
             problems.append(f"element count {ec} != {entry.element_count}")
     if entry.self_dual is not None:
@@ -244,7 +247,7 @@ def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
         if sd != entry.self_dual:
             problems.append(f"self_dual {sd} != {entry.self_dual}")
     if entry.admits_strong_set is not None:
-        rep_strong = _strong_set(build_oml(d), summary or classify_states(d))
+        rep_strong = _strong_set(poset, summary or classify_states(d))
         if rep_strong.admits != entry.admits_strong_set:
             problems.append(f"admits_strong_set {rep_strong.admits} != {entry.admits_strong_set}")
     if entry.name in corpus.KNOWN_STATES:

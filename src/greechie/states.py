@@ -37,8 +37,10 @@ class PolytopeSummary:
 
     ``ExactlyOne`` iff every atom's (min, max) range collapses to a point;
     ``MoreThanOne`` carries two valid states differing in some coordinate,
-    and ``lp``, when the range scan ran the simplex, its feasible tableau,
-    which later optimizations over the same polytope may re-price.
+    ``known_states``, every state computed on the way (the witnesses and
+    each simplex optimum), and ``lp``, when the range scan ran the simplex,
+    its feasible tableau, which later optimizations over the same polytope
+    may re-price.
     """
 
     classification: Classification
@@ -46,6 +48,7 @@ class PolytopeSummary:
     atom_ranges: tuple[tuple[Fraction, Fraction], ...] | None = None
     witness_state: StateVector | None = None
     second_witness: StateVector | None = None
+    known_states: tuple[StateVector, ...] = field(default=(), compare=False, repr=False)
     lp: EqualityLP | None = field(default=None, compare=False, repr=False)
 
 
@@ -135,16 +138,26 @@ def _classify(d: MmpDiagram) -> PolytopeSummary:
     if not lp.feasible:
         return PolytopeSummary(Classification.NONE)
     witness = tuple(lp.solution())
+    known = [witness]
     ranges: list[tuple[Fraction, Fraction]] = []
     second: StateVector | None = None
     for p in range(n):
         cost = [_ZERO] * n
         cost[p] = _ONE
-        lo, x_lo = lp.optimize(cost)
-        hi, x_hi = lp.optimize(cost, minimize=False)
+        bounds = []
+        for bound, minimize in ((_ZERO, True), (_ONE, False)):
+            # 0 <= x_p <= 1 in every state (p lies in a block summing to 1), so
+            # a known state at a bound attains it; until ``second`` is found
+            # every LP runs, which keeps the witnesses' pivots
+            if second is None or all(s[p] != bound for s in known):
+                bound, point = lp.optimize(cost, minimize=minimize)
+                known.append(tuple(point))
+            bounds.append(bound)
+        lo, hi = bounds
         ranges.append((lo, hi))
         if second is None and lo != hi:
-            second = tuple(x_lo) if x_lo[p] != witness[p] else tuple(x_hi)
+            x_lo, x_hi = known[-2:]
+            second = x_lo if x_lo[p] != witness[p] else x_hi
     if second is None:
         return PolytopeSummary(
             Classification.EXACTLY_ONE, unique_state=witness, atom_ranges=tuple(ranges)
@@ -154,6 +167,7 @@ def _classify(d: MmpDiagram) -> PolytopeSummary:
         atom_ranges=tuple(ranges),
         witness_state=witness,
         second_witness=second,
+        known_states=tuple(known),
         lp=lp,
     )
 
@@ -189,6 +203,7 @@ def _classify_segment(x0: list[Fraction], direction: list[Fraction]) -> Polytope
         atom_ranges=ranges,
         witness_state=low,
         second_witness=high,
+        known_states=(low, high),
     )
 
 
@@ -338,16 +353,21 @@ def admits_strong_set(d: MmpDiagram) -> StrongReport:
     It suffices to test the set of all states: if that set fails the
     strong-set biconditional at some pair, every subset fails the same
     pair, since shrinking the set only weakens the premise of the
-    implication.  A pair (x, y) with x not below y passes when a cached
-    witness state has m(x) = 1 and m(y) < 1; otherwise the exact minimum
-    of m(y) over the face m(x) = 1 decides it.
+    implication.  A pair (x, y) with x not below y passes when a known
+    state has m(x) = 1 and m(y) < 1; otherwise the exact minimum of m(y)
+    over the face m(x) = 1 decides it.
     """
     poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
     return _strong_set(poset, _classify(d))
 
 
-def _strong_set(poset: OmlPoset, summary: PolytopeSummary) -> StrongReport:
-    """:func:`admits_strong_set` given the poset and the state classification."""
+def _strong_set(poset: OmlPoset, summary: PolytopeSummary, zero_one=()) -> StrongReport:
+    """:func:`admits_strong_set` given the poset and the state classification.
+
+    ``zero_one``, 0-1 states already enumerated, join ``summary.known_states``
+    as known states.  Pair decisions are exact, so they change only how
+    many LPs run, never the report.
+    """
     if summary.classification is not Classification.MORE_THAN_ONE:
         return _strong_over(poset, [] if summary.unique_state is None else [summary.unique_state])
 
@@ -355,8 +375,9 @@ def _strong_set(poset: OmlPoset, summary: PolytopeSummary) -> StrongReport:
     # one built on first use.
     n = poset.source.atom_count
     zeros = _unit_zeros(poset)
-    ones = _ones(zeros, n, [summary.witness_state, summary.second_witness])
-    witnesses = 2
+    known = [*summary.known_states, *zero_one]
+    ones = _ones(zeros, n, known)
+    witnesses = len(known)
     base = summary.lp
 
     def solve(i: int, **kwargs) -> Fraction:

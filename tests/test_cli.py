@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -6,7 +7,9 @@ import pytest
 from greechie import corpus
 from greechie.cli import main
 from greechie.diagram import load_diagram_line, serialize_mmp
+from greechie.generate import GenSpec, generate
 from greechie.lattice import build_oml
+from greechie.linprog import EqualityLP
 from greechie.render import LOOP_BUDGET, render_dot
 from greechie.states import enumerate_01_states
 from conftest import random_admissible
@@ -156,6 +159,31 @@ def test_states_zero_one_matches_the_enumerations(tmp_path, capsys, rng):
         assert doc["zero_one"] == expected, serialize_mmp(d)
 
 
+def test_states_strong_zero_one_takes_bounds_and_pairs_from_known_states(
+    tmp_path, capsys, monkeypatch
+):
+    # the 36 connected classes at (12, 6), (13, 6) and (14, 7), all
+    # MoreThanOne: a range scan of 2n LPs per class and an LP for every pair
+    # no witness passes made 1,520 optimizations
+    lines = []
+    for atoms, blocks in ((12, 6), (13, 6), (14, 7)):
+        generate(GenSpec(atoms, blocks), lines.append)
+    f = write(tmp_path, "census.mmp", "".join(line + "\n" for line in lines))
+    calls = []
+    optimize = EqualityLP.optimize
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return optimize(self, *args, **kwargs)
+
+    monkeypatch.setattr(EqualityLP, "optimize", counting)
+    assert main(["states", "--strong", "--zero-one", f]) == 0
+    docs = [json.loads(out) for out in capsys.readouterr().out.splitlines()]
+    assert len(docs) == 36
+    assert {doc["classification"] for doc in docs} == {"MoreThanOne"}
+    assert len(calls) <= 1520 // 3
+
+
 def test_validate_greechie_flag_explicit(tmp_path):
     good = write(tmp_path, "g.mmp", "123,345.\n")
     assert main(["validate", "--greechie", good]) == 0
@@ -237,6 +265,13 @@ def test_render_pipe(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("graph mmp {")
     bad = write(tmp_path, "sq.mmp", SQUARE + "\n")
     assert main(["render", bad]) == 2
+    # each bad line is reported and the lines after it still render
+    capsys.readouterr()
+    mixed = write(tmp_path, "m.mmp", "\n".join([PENTAGON, SQUARE, "12,34", PENTAGON]) + "\n")
+    assert main(["render", mixed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == 2 * render_dot(load_diagram_line(PENTAGON))
+    assert [e.split(": ", 1)[0] for e in captured.err.splitlines()] == [f"{mixed}:2", f"{mixed}:3"]
 
 
 def test_render_notes_a_loop_not_proven_longest(tmp_path, capsys):
@@ -294,3 +329,56 @@ def test_corpus_check_runs_clean(capsys):
     assert main(["corpus", "--check"]) == 0
     out = capsys.readouterr().out
     assert out.count(": ok") == 18
+
+
+def test_exit_codes_of_every_command(tmp_path, capsys, monkeypatch):
+    # 0 success, 1 analysis-claim mismatch, 2 format or validation error,
+    # 3 invalid generation spec
+    from greechie import cli
+
+    good = write(tmp_path, "good.mmp", PENTAGON + "\n")
+    square = write(tmp_path, "square.mmp", SQUARE + "\n")
+    short = write(tmp_path, "short.mmp", "12.\n")  # fails MMP condition (ii)
+    unparsable = write(tmp_path, "unparsable.mmp", "12,34\n")
+    missing = str(tmp_path / "missing.mmp")
+    oracle = ["generate", "--atoms", "7", "--blocks", "3", "--count-only", "--oracle"]
+    cases = [
+        (["validate", good], 0),
+        (["validate", square], 2),
+        (["states", good], 0),
+        (["states", unparsable], 0),  # reported in the line's JSON object
+        (["states", missing], 2),
+        (["render", good], 0),
+        (["render", square], 2),
+        (["canon", good], 0),
+        (["canon", short], 2),
+        (["generate", "--atoms", "10", "--blocks", "5"], 0),
+        (oracle, 0),
+        (["generate", "--atoms", "4", "--blocks", "1", "--block-size", "2"], 3),
+        (["corpus", "--show", "44-44"], 0),
+        (["corpus", "--show", "nope"], 2),
+    ]
+    assert [main(argv) for argv, _ in cases] == [code for _, code in cases]
+    monkeypatch.setattr(cli, "brute_force_generate", lambda spec: [])
+    assert main(oracle) == 1
+    wrong = dataclasses.replace(corpus.get("36-36"), element_count=1)
+    monkeypatch.setattr(corpus, "ENTRIES", (wrong,))
+    capsys.readouterr()
+    assert main(["corpus", "--check"]) == 1
+    assert capsys.readouterr().out == "36-36: FAIL: element count 74 != 1\n"
+
+
+def test_corpus_check_validates_each_entry_once(capsys, monkeypatch):
+    from greechie import structure
+
+    calls = []
+    validate = structure.validate
+
+    def counting(d):
+        calls.append(d)
+        return validate(d)
+
+    monkeypatch.setattr(structure, "validate", counting)
+    assert main(["corpus", "--check"]) == 0
+    assert capsys.readouterr().out.count(": ok") == 18
+    assert len(calls) == 18

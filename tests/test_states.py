@@ -12,6 +12,7 @@ from greechie.lattice import ATOM, ZERO, build_oml
 from greechie.linprog import EqualityLP, rank_mod_p
 from greechie.states import (
     Classification,
+    _strong_set,
     _zero_one_states,
     admits_classically_strong,
     admits_strong_01_set,
@@ -102,6 +103,46 @@ def test_classification_agrees_with_vertex_enumeration(rng):
             assert len(verts) >= 2
         seen[s.classification] += 1
     assert all(seen.values())
+
+
+def _full_range_scan(d):
+    """Both LPs for every atom, no bound taken from a known state:
+    (atom ranges, phase-1 witness, second witness)."""
+    n = d.atom_count
+    lp = EqualityLP([[F(a in b) for a in range(n)] for b in d.blocks], [F(1)] * d.block_count)
+    witness = tuple(lp.solution())
+    ranges, second = [], None
+    for p in range(n):
+        cost = [F(a == p) for a in range(n)]
+        lo, x_lo = lp.optimize(cost)
+        hi, x_hi = lp.optimize(cost, minimize=False)
+        ranges.append((lo, hi))
+        if second is None and lo != hi:
+            second = tuple(x_lo) if x_lo[p] != witness[p] else tuple(x_hi)
+    return tuple(ranges), witness, second
+
+
+def test_range_scan_matches_vertices_and_the_full_scan(rng):
+    # a bound some known state attains is taken without an LP; the ranges
+    # must still be the vertex extremes, and the witnesses those of the scan
+    # that runs every LP
+    inputs = [random_mmp(rng, max_atoms=9) for _ in range(60)]
+    for sizes in ((3,), (4,), (5,), (3, 4, 5)):
+        inputs += [random_admissible(rng, max_blocks=5, sizes=sizes) for _ in range(15)]
+    scanned = 0
+    for d in inputs:
+        if d.atom_count > 10:  # the vertex oracle grows as 2^n
+            continue
+        s = classify_states(d)
+        if s.classification is not Classification.MORE_THAN_ONE:
+            continue
+        verts = polytope_vertices(d)
+        columns = list(zip(*verts))
+        assert s.atom_ranges == tuple((min(c), max(c)) for c in columns)
+        if s.lp is not None:  # the simplex path, not the one-dimensional segment
+            assert (s.atom_ranges, s.witness_state, s.second_witness) == _full_range_scan(d)
+            scanned += 1
+    assert scanned > 40
 
 
 def test_rank_drop_mod_p_is_no_certificate(monkeypatch):
@@ -223,8 +264,11 @@ def test_strong_sets_with_block_interiors_match_oracles(rng):
         assert rep.witness_pair == strong_set_by_vertices(d)
         assert rep.admits == (rep.witness_pair is None)
         rep01 = admits_strong_01_set(d)
-        assert rep01.witness_pair == first_failing_pair(build_oml(d), brute_01_states(d))
+        states01 = brute_01_states(d)
+        assert rep01.witness_pair == first_failing_pair(build_oml(d), states01)
         assert rep01.admits == (rep01.witness_pair is None)
+        # the 0-1 states as extra certificates change only the LP count
+        assert _strong_set(build_oml(d), classify_states(d), states01) == rep
         interiors += any(len(b) >= 4 for b in d.blocks)
     assert interiors > 10
 
