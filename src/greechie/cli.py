@@ -120,20 +120,23 @@ def _summary_json(d: MmpDiagram, args) -> dict:
 
 
 def cmd_states(args) -> int:
+    status = OK
     for path in args.files:
         for lineno, line in _open_lines(path):
             try:
                 d = load_diagram_line(line)
             except MmpError as exc:
                 print(json.dumps({"file": path, "line": lineno, "error": str(exc)}))
+                status = FORMAT_ERROR
                 continue
             doc = {"file": path, "line": lineno}
             try:
                 doc.update(_summary_json(d, args))
             except (NotValidated, NotAdmissible) as exc:  # report the line, keep going
                 doc["error"] = str(exc)
+                status = FORMAT_ERROR
             print(json.dumps(doc))
-    return OK
+    return status
 
 
 def cmd_generate(args) -> int:

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -203,7 +204,8 @@ def _expand(
     children with one code, so only the first candidate of each orbit, in
     candidate order, is searched; the rest count as canonical rejections,
     exactly as the duplicate-code test would have counted them.  A
-    searched child passes its own generators down.
+    searched child passes its own generators down, and they settle most
+    parent tests without a second search (``_is_canonical_parent``).
 
     When ``depth_limit`` is set, nodes reaching it are appended to
     ``frontier`` instead of being expanded (work partitioning hook).
@@ -232,12 +234,33 @@ def _expand(
             continue
         seen.add(code)
         beta = _designated_last(child, code, perm)
-        if beta != len(child) - 1:
-            rest = child[:beta] + child[beta + 1 :]
-            if canonical_code(rest, child_used) != own_code:
-                stats.canonical_rejections += 1
-                continue
+        if not _is_canonical_parent(child, beta, child_gens, own_code, child_used):
+            stats.canonical_rejections += 1
+            continue
         _expand(child, child_used, code, child_gens, spec, stats, emit, depth_limit, frontier)
+
+
+def _is_canonical_parent(child: Blocks, beta: int, gens: Gens, parent_code: Blocks, n: int) -> bool:
+    """Is ``child`` minus block ``beta`` a copy of the parent, ``child``
+    minus its last block, whose canonical code is ``parent_code``?
+
+    Yes if an automorphism of the child (``gens`` generate them all) maps
+    block ``beta`` onto the last block, since it maps one remainder onto
+    the other; no if the remainders differ in the multiset of their
+    blocks' sorted atom degrees, which isomorphisms preserve.  Only the
+    other cases run the canonical search.
+    """
+    if child[-1] in _block_orbit(child[beta], gens):
+        return True
+    rest = child[:beta] + child[beta + 1 :]
+    if _degree_profiles(rest) != _degree_profiles(child[:-1]):
+        return False
+    return canonical_code(rest, n) == parent_code
+
+
+def _degree_profiles(blocks: Blocks) -> list[tuple[int, ...]]:
+    degree = Counter(a for b in blocks for a in b)
+    return sorted(tuple(sorted(degree[a] for a in b)) for b in blocks)
 
 
 def _block_orbit(block: tuple[int, ...], gens: Gens) -> set[tuple[int, ...]]:
@@ -374,14 +397,12 @@ def membership_probe(d: MmpDiagram, spec: GenSpec) -> bool:
         candidate = tuple(sorted(pperm[a] for a in code[-1]))
         rebuilt = pcode + (candidate,)
         rebuilt_atoms = max(child_atoms, candidate[-1] + 1) if candidate else child_atoms
-        ccode, cperm, _, _ = _canonical_search(rebuilt, rebuilt_atoms)
+        ccode, cperm, _, cgens = _canonical_search(rebuilt, rebuilt_atoms)
         if ccode != code:
             return False
         beta = _designated_last(rebuilt, ccode, cperm)
-        if beta != len(rebuilt) - 1:
-            rest = rebuilt[:beta] + rebuilt[beta + 1 :]
-            if canonical_code(rest, rebuilt_atoms) != pcode:
-                return False
+        if not _is_canonical_parent(rebuilt, beta, cgens, pcode, rebuilt_atoms):
+            return False
         code = pcode
         level -= 1
     return True

@@ -10,9 +10,11 @@ representative: two diagrams get the same canonical text exactly when
 they are isomorphic.
 
 Refinement is incremental: each round re-examines only the cells next to
-an atom that changed cell in the round before.  Besides the code, the search
-returns |Aut| and generators of the automorphism group; generation uses
-the generators to try one augmenting block per orbit.
+an atom that changed cell in the round before, and it keys each incident
+block by one int whose order is that of the (size, colors) tuple it
+encodes (see ``_refiner``).  Besides the code, the search returns |Aut|
+and generators of the automorphism group; generation uses the generators
+to try one augmenting block per orbit and to settle most parent tests.
 """
 
 from __future__ import annotations
@@ -315,14 +317,18 @@ def _search_connected(
         if cell is None:
             record_leaf(colors)
             return
-        explored: list[int] = []
+        explored: set[int] = set()  # the orbits of the atoms searched so far
+        # the known automorphisms that fix ``fixed``
+        valid = [g for g in gens if all(g[x] == x for x in fixed)]
         for a in cell:
-            if explored and a in _orbit(explored, fixed, gens):
+            if a in _close(explored, valid):
                 continue
-            explored.append(a)
+            explored.add(a)
+            known = len(gens)
             search(refine(individualize(colors, a), [a]), fixed + (a,), first and a == cell[0])
+            valid += [g for g in gens[known:] if all(g[x] == x for x in fixed)]
         if first:
-            order *= len(_orbit([cell[0]], fixed, gens))
+            order *= len(_close({cell[0]}, valid))
 
     search(initial_colors(), (), True)
     return best["code"], best["perm"], order, tuple(gens)
@@ -340,22 +346,50 @@ def _refiner(
     individualization.
 
     The signature of an atom is the sorted list of (size, sorted colors of
-    the other atoms) over its blocks.  Each round splits cells by
-    signature, puts the parts in their cell's place in signature order
-    and renumbers the cells, until no cell splits.  Only the cells next
-    to a moved atom are examined: the atoms of any other cell see their
-    neighbours' colors renumbered by one order-preserving map, so their
-    signatures stay equal (McKay 1981).  When a cell splits, the atoms of
-    every part but its largest count as moved for the next round.  The
-    rounds, and so the result, are those of recomputing every signature
-    every round.
+    the other atoms) over its blocks, each entry encoded as one int whose
+    base-(n + 2) digits are the size and then the colors.  Digits are
+    below the base and the leading one is not 0, so a block of s atoms
+    gives an s-digit number: larger blocks give larger numbers, and blocks
+    of one size compare digit by digit, as the tuples do.  So the encoding
+    is strictly order-preserving and cells split into the same parts in
+    the same order.  With only 3-atom blocks an entry is min * base + max
+    of the partners' colors.
+
+    Each round splits cells by signature, puts the parts in their cell's
+    place in signature order and renumbers the cells, until no cell
+    splits.  Only the cells next to a moved atom are examined: the atoms
+    of any other cell see their neighbours' colors renumbered by one
+    order-preserving map, so their signatures stay equal (McKay 1981).
+    When a cell splits, the atoms of every part but its largest count as
+    moved for the next round.  The rounds, and so the result, are those
+    of recomputing every signature every round.
     """
-    # per atom: (size, other atoms) of each incident block, and its neighbours
-    around: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    base = n + 2
+    uniform = all(len(b) == 3 for b in blocks)
+    # per atom: the other atoms of each incident block, and its neighbours
+    around: list[list[list[int]]] = [[] for _ in range(n)]
     for b in blocks:
         for a in b:
-            around[a].append((len(b), [x for x in b if x != a]))
-    nbrs = [{x for _, xs in around[a] for x in xs} for a in range(n)]
+            around[a].append([x for x in b if x != a])
+    nbrs = [{x for xs in around[a] for x in xs} for a in range(n)]
+
+    def signatures(cell: list[int], colors: list[int]) -> list[tuple[int, ...]]:
+        sigs = []
+        for a in cell:
+            keys = []
+            if uniform:
+                for x, y in around[a]:
+                    cx, cy = colors[x], colors[y]
+                    keys.append(cx * base + cy if cx < cy else cy * base + cx)
+            else:
+                for xs in around[a]:
+                    key = len(xs) + 1
+                    for c in sorted([colors[x] for x in xs]):
+                        key = key * base + c
+                    keys.append(key)
+            keys.sort()
+            sigs.append(tuple(keys))
+        return sigs
 
     def refine(colors: list[int], moved: Iterable[int]) -> list[int]:
         colors = list(colors)
@@ -367,11 +401,8 @@ def _refiner(
             for c in {colors[x] for a in moved for x in nbrs[a]}:
                 if len(cells[c]) == 1:
                     continue
-                by_sig: dict[tuple, list[int]] = {}
-                for a in cells[c]:
-                    sig = tuple(sorted(
-                        (size, tuple(sorted([colors[x] for x in xs]))) for size, xs in around[a]
-                    ))
+                by_sig: dict[tuple[int, ...], list[int]] = {}
+                for a, sig in zip(cells[c], signatures(cells[c], colors)):
                     by_sig.setdefault(sig, []).append(a)
                 if len(by_sig) > 1:
                     parts[c] = [by_sig[sig] for sig in sorted(by_sig)]
@@ -394,16 +425,12 @@ def _refiner(
     return refine
 
 
-def _orbit(
-    seeds: list[int], fixed: tuple[int, ...], gens: list[tuple[int, ...]]
-) -> set[int]:
-    """Orbit of ``seeds`` under the known automorphisms that fix every atom of ``fixed``."""
-    valid = [g for g in gens if all(g[x] == x for x in fixed)]
-    orbit = set(seeds)
-    frontier = list(seeds)
+def _close(orbit: set[int], gens: list[tuple[int, ...]]) -> set[int]:
+    """Extend ``orbit`` in place to its orbit under the group ``gens`` generate."""
+    frontier = list(orbit)
     while frontier:
         p = frontier.pop()
-        for g in valid:
+        for g in gens:
             q = g[p]
             if q not in orbit:
                 orbit.add(q)

@@ -99,7 +99,7 @@ def test_states_degenerate_two_element_lattice(tmp_path, capsys):
 
 def test_states_parse_error_carries_file(tmp_path, capsys):
     f = write(tmp_path, "bad.mmp", "12,34\n")
-    assert main(["states", f]) == 0
+    assert main(["states", f]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"file": f, "line": 1, "error": "MMP line must end with a full stop"}
 
@@ -108,7 +108,7 @@ def test_states_parse_error_carries_file(tmp_path, capsys):
 def test_states_requirement_errors(tmp_path, capsys, flag):
     # blocks below 3 atoms fail (i)-(iii); the square is MMP but has a loop of order 4
     f = write(tmp_path, "e.mmp", "12,34.\n" + SQUARE + "\n")
-    assert main(["states", flag, f]) == 0
+    assert main(["states", flag, f]) == 2
     docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert docs == [
         {"file": f, "line": 1, "error": "diagram fails MMP conditions (i)-(iii)"},
@@ -346,7 +346,7 @@ def test_exit_codes_of_every_command(tmp_path, capsys, monkeypatch):
         (["validate", good], 0),
         (["validate", square], 2),
         (["states", good], 0),
-        (["states", unparsable], 0),  # reported in the line's JSON object
+        (["states", unparsable], 2),  # reported in the line's JSON object
         (["states", missing], 2),
         (["render", good], 0),
         (["render", square], 2),

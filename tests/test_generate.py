@@ -167,6 +167,41 @@ def test_task_roots_prune_by_their_automorphisms(monkeypatch, tmp_path):
     assert serial < 200
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [GenSpec(13, 6), GenSpec(15, 7), GenSpec(10, 10, min_girth=3, min_atom_degree=3),
+     GenSpec(12, 12, min_atom_degree=3)],
+    ids=["13-6", "15-7", "10_3", "12-12-degree-3"],
+)
+def test_parent_test_filters_agree_with_the_full_comparison(monkeypatch, spec):
+    # the block-orbit and degree-profile tests settle the parent test without
+    # a canonical search; each of their answers must be the search's answer
+    module = sys.modules["greechie.generate"]
+    real_test, real_code = module._is_canonical_parent, module.canonical_code
+    searches = []
+    by_filter = {True: 0, False: 0}
+
+    def counted(blocks, n):
+        searches.append(len(blocks))
+        return real_code(blocks, n)
+
+    def checked(child, beta, gens, parent_code, n):
+        before = len(searches)
+        got = real_test(child, beta, gens, parent_code, n)
+        if len(searches) == before:
+            by_filter[got] += 1
+        rest = child[:beta] + child[beta + 1 :]
+        assert parent_code == real_code(child[:-1], n)
+        assert got == (real_code(rest, n) == parent_code)
+        return got
+
+    monkeypatch.setattr(module, "canonical_code", counted)
+    monkeypatch.setattr(module, "_is_canonical_parent", checked)
+    generate(spec, lambda line: None)
+    assert by_filter[True] > 0 and by_filter[False] > 0
+    assert len(searches) < (by_filter[True] + by_filter[False]) / 10
+
+
 def test_n3_configuration_counts():
     # (n_3) configurations: 3-regular, 3-uniform, girth >= 3 (OEIS A001403)
     counts = [census(GenSpec(n, n, min_girth=3, min_atom_degree=3)) for n in range(7, 11)]

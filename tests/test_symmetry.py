@@ -168,12 +168,16 @@ def test_is_self_dual_invalid_dual_is_false():
 
 def test_incremental_refine_matches_full_signature_oracle(rng):
     # from the initial coloring, then after individualizing each atom of the
-    # first cell the search would branch on
+    # first cell the search would branch on; 3-uniform diagrams take the
+    # partner-pair keys, the others the size-prefixed keys up to size 8
     pool = [corpus.diagram(name) for name in ("35-35a", "36-36", "38-38f")]
-    while len(pool) < 200:
-        d = random_diagram(rng, max_atoms=16, max_blocks=10, sizes=(3, 4, 5))
+    shapes = [(3,), (3, 4, 5), (3, 5, 8), (4, 6, 7, 8)]
+    while len(pool) < 300:
+        d = random_diagram(rng, max_atoms=16, max_blocks=10, sizes=shapes[len(pool) % len(shapes)])
         if is_connected(d):
             pool.append(d)
+    assert sum(all(len(b) == 3 for b in d.blocks) for d in pool) > 60
+    assert sum(any(len(b) == 8 for b in d.blocks) for d in pool) > 60
     branched = 0
     for d in pool:
         n = d.atom_count
