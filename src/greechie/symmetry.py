@@ -352,8 +352,9 @@ def _refiner(
     gives an s-digit number: larger blocks give larger numbers, and blocks
     of one size compare digit by digit, as the tuples do.  So the encoding
     is strictly order-preserving and cells split into the same parts in
-    the same order.  With only 3-atom blocks an entry is min * base + max
-    of the partners' colors.
+    the same order.  When every block has 3 atoms the size digit is the
+    same in every entry, so an entry is just min * base + max of the two
+    partners' colors: the same order without a sort per block.
 
     Each round splits cells by signature, puts the parts in their cell's
     place in signature order and renumbers the cells, until no cell
@@ -373,24 +374,6 @@ def _refiner(
             around[a].append([x for x in b if x != a])
     nbrs = [{x for xs in around[a] for x in xs} for a in range(n)]
 
-    def signatures(cell: list[int], colors: list[int]) -> list[tuple[int, ...]]:
-        sigs = []
-        for a in cell:
-            keys = []
-            if uniform:
-                for x, y in around[a]:
-                    cx, cy = colors[x], colors[y]
-                    keys.append(cx * base + cy if cx < cy else cy * base + cx)
-            else:
-                for xs in around[a]:
-                    key = len(xs) + 1
-                    for c in sorted([colors[x] for x in xs]):
-                        key = key * base + c
-                    keys.append(key)
-            keys.sort()
-            sigs.append(tuple(keys))
-        return sigs
-
     def refine(colors: list[int], moved: Iterable[int]) -> list[int]:
         colors = list(colors)
         cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
@@ -402,8 +385,20 @@ def _refiner(
                 if len(cells[c]) == 1:
                     continue
                 by_sig: dict[tuple[int, ...], list[int]] = {}
-                for a, sig in zip(cells[c], signatures(cells[c], colors)):
-                    by_sig.setdefault(sig, []).append(a)
+                for a in cells[c]:
+                    keys = []
+                    if uniform:
+                        for x, y in around[a]:
+                            cx, cy = colors[x], colors[y]
+                            keys.append(cx * base + cy if cx < cy else cy * base + cx)
+                    else:
+                        for xs in around[a]:
+                            key = len(xs) + 1
+                            for color in sorted([colors[x] for x in xs]):
+                                key = key * base + color
+                            keys.append(key)
+                    keys.sort()
+                    by_sig.setdefault(tuple(keys), []).append(a)
                 if len(by_sig) > 1:
                     parts[c] = [by_sig[sig] for sig in sorted(by_sig)]
             if not parts:
