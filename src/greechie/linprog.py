@@ -1,93 +1,99 @@
 """Exact rational linear algebra and linear programming.
 
-Everything here works over ``fractions.Fraction``; nothing is ever
-rounded.  The simplex uses Dantzig pricing for speed but switches to
+Nothing here is ever rounded.  :func:`gauss_affine`, the one elimination
+routine, solves a linear system over the integers on sparse rows and
+divides by its pivots only at the end; the simplex works over
+``fractions.Fraction``, using Dantzig pricing for speed but switching to
 Bland's rule after a fixed pivot budget, so termination is guaranteed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def gauss_affine(
-    rows: list[list[Fraction]], rhs: list[Fraction]
+    rows: list[list[int | Fraction]], rhs: list[int | Fraction]
 ) -> tuple[list[Fraction], list[list[Fraction]]] | None:
     """Solve ``rows · x = rhs`` over the rationals.
 
     Returns (particular solution, nullspace basis) with free variables set
-    to zero, or ``None`` if the system is inconsistent.
+    to zero and each basis vector 1 in its own free column, or ``None`` if
+    the system is inconsistent.  Both are read off the reduced row echelon
+    form, which is unique, so any elimination order gives the same answer.
+
+    The elimination is sparse and fraction-free.  Each row, scaled to
+    integers, is a ``{column: value}`` dict with the right-hand side in
+    column n.  Pivot columns are taken in order; the pivot row is the
+    remaining row with the fewest nonzeros (the first on ties), which keeps
+    fill-in low, and each combined row is divided by its content, the gcd
+    of its entries, which keeps the integers small.  A backward pass clears
+    each pivot column above its pivot, and only then are the pivots divided
+    out.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
+    n = len(rows[0]) if rows else 0
+    active: list[dict[int, int]] = []
+    for row, b in zip(rows, rhs):
+        r = {j: v for j, v in enumerate(row) if v}
+        if b:
+            r[n] = b
+        if r:
+            den = lcm(*(v.denominator for v in r.values()))
+            active.append({j: int(v * den) for j, v in r.items()})
+    pivots: list[tuple[int, dict[int, int]]] = []
     for col in range(n):
-        pivot_row = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if pivot_row is None:
+        holders = [r for r in active if col in r]
+        if not holders:
             continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pv = aug[r][col]
-        if pv != 1:
-            aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+        prow = min(holders, key=len)
+        pivots.append((col, prow))
+        rest = []
+        for r in active:
+            if r is not prow:
+                r = _cancel(r, prow, col) if col in r else r
+                if r:
+                    rest.append(r)
+        active = rest
+    if active:  # what is left is zero but in column n: 0 = b with b nonzero
+        return None
+    for k in range(len(pivots) - 1, 0, -1):
+        col, prow = pivots[k]
+        for i, (c, r) in enumerate(pivots[:k]):
+            if col in r:
+                pivots[i] = (c, _cancel(r, prow, col))
     x0 = [ZERO] * n
-    for row, col in pivots:
-        x0[col] = aug[row][n]
+    for col, r in pivots:
+        x0[col] = Fraction(r.get(n, 0), r[col])
+    pivot_cols = {col for col, _ in pivots}
     basis = []
-    for fc in free_cols:
-        v = [ZERO] * n
-        v[fc] = ONE
-        for row, col in pivots:
-            v[col] = -aug[row][fc]
-        basis.append(v)
+    for free in range(n):
+        if free not in pivot_cols:
+            v = [ZERO] * n
+            v[free] = ONE
+            for col, r in pivots:
+                if free in r:
+                    v[col] = Fraction(-r[free], r[col])
+            basis.append(v)
     return x0, basis
 
 
-def rank_mod_p(rows: list[list[int]], n_cols: int, p: int = 2_147_483_629) -> list[int]:
-    """Pivot columns of the integer matrix ``rows``, eliminated over GF(p)
-    column by column.
-
-    Their number is the rank mod p, and those before column k number the
-    rank mod p of the first k columns.  Each is a lower bound for (and
-    usually equal to) the rank over Q: a minor that vanishes over Q
-    vanishes mod p.
-    """
-    mat = [[v % p for v in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(n_cols):
-        rank = len(pivots)
-        if rank == len(mat):
-            break
-        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [v * inv % p for v in mat[rank]]
-        prow = mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], prow)]
-        pivots.append(col)
-    return pivots
+def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """``row`` with column ``col`` eliminated by ``prow``, divided by its content."""
+    g = gcd(prow[col], row[col])
+    s, t = prow[col] // g, row[col] // g
+    out = {j: s * v for j, v in row.items()} if s != 1 else dict(row)
+    for j, v in prow.items():
+        w = out.get(j, 0) - t * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: v // g for j, v in out.items()} if g > 1 else out
 
 
 class SimplexError(Exception):

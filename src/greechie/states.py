@@ -15,14 +15,13 @@ from fractions import Fraction
 from .diagram import MmpDiagram
 from .errors import Infeasible, LengthMismatch
 from .lattice import ATOM, COATOM, ONE, ZERO, OmlElement, OmlPoset, build_oml
-from .linprog import EqualityLP, gauss_affine, rank_mod_p
+from .linprog import EqualityLP, gauss_affine
 from .structure import require_admissible, require_mmp
 
 StateVector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_THIRD = Fraction(1, 3)
 
 
 class Classification(Enum):
@@ -65,9 +64,10 @@ class StrongReport:
     witness_pair: tuple[OmlElement, OmlElement] | None
 
 
-def _block_rows(d: MmpDiagram) -> tuple[list[list[Fraction]], list[Fraction]]:
-    rows = [[_ONE if a in b else _ZERO for a in range(d.atom_count)] for b in d.blocks]
-    return rows, [_ONE] * len(rows)
+def _block_rows(d: MmpDiagram) -> tuple[list[list[int]], list[int]]:
+    """The system A x = 1 of the block sums, in integers."""
+    rows = [[int(a in b) for a in range(d.atom_count)] for b in map(set, d.blocks)]
+    return rows, [1] * len(rows)
 
 
 def is_state(d: MmpDiagram, values) -> bool:
@@ -83,13 +83,12 @@ def is_state(d: MmpDiagram, values) -> bool:
 def classify_states(d: MmpDiagram) -> PolytopeSummary:
     """Decide whether the diagram admits no, one, or many states.
 
-    The equality system is examined first, by one elimination mod a large
-    prime: when the block matrix has full column rank there, its rank over
-    Q is full too, and the system either has no solution (the right-hand
-    side takes a pivot as well) or at most one; for 3-uniform diagrams that
-    one is the uniform 1/3 vector, whose validity is immediate.  Either
-    way no elimination over Q runs.  Only systems with a nontrivial affine
-    hull reach the per-atom simplex scan.
+    The block sums A x = 1 are solved first, by one exact sparse
+    elimination over the integers (:func:`~greechie.linprog.gauss_affine`).
+    No solution means no state; a unique solution is the one state if it
+    lies in [0, 1]^n and otherwise there is none; a line of solutions is
+    cut to a segment by interval arithmetic.  Only affine hulls of two or
+    more dimensions reach the per-atom simplex scan.
     """
     require_mmp(d)
     return _classify(d)
@@ -97,27 +96,6 @@ def classify_states(d: MmpDiagram) -> PolytopeSummary:
 
 def _classify(d: MmpDiagram) -> PolytopeSummary:
     """:func:`classify_states` on a diagram already known to pass (i)-(iii)."""
-    n = d.atom_count
-    if n == 0:
-        empty: StateVector = ()
-        return PolytopeSummary(Classification.EXACTLY_ONE, unique_state=empty, atom_ranges=())
-
-    # One GF(p) elimination of [A | b].  Once A has n pivots its rank over
-    # Q is n too, so a pivot in b makes [A | b] rank n + 1 over Q: no state.
-    # Below n pivots the rank may have dropped mod p, and nothing follows.
-    augmented = [[1 if a in b else 0 for a in range(n)] + [1] for b in map(set, d.blocks)]
-    pivots = rank_mod_p(augmented, n + 1)
-    if pivots[:n] == list(range(n)):
-        if n in pivots:
-            return PolytopeSummary(Classification.NONE)
-        if all(len(b) == 3 for b in d.blocks):  # 1/3 everywhere is the one state
-            uniform = tuple([_THIRD] * n)
-            return PolytopeSummary(
-                Classification.EXACTLY_ONE,
-                unique_state=uniform,
-                atom_ranges=tuple((_THIRD, _THIRD) for _ in range(n)),
-            )
-
     rows, rhs = _block_rows(d)
     affine = gauss_affine(rows, rhs)
     if affine is None:
@@ -134,6 +112,7 @@ def _classify(d: MmpDiagram) -> PolytopeSummary:
     if len(nullspace) == 1:
         return _classify_segment(x0, nullspace[0])
 
+    n = d.atom_count
     lp = EqualityLP(rows, rhs)
     if not lp.feasible:
         return PolytopeSummary(Classification.NONE)

@@ -267,62 +267,65 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
     for i, b in enumerate(d.blocks):
         for a in b:
             block_masks[i] |= 1 << a
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    # per block, (neighbor, junction atom, neighbor's mask)
+    neighbors: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
     for i in range(m):
         for j in range(m):
             if i != j:
                 inter = block_masks[i] & block_masks[j]
                 if inter:
-                    neighbors[i].append((j, inter.bit_length() - 1))
+                    neighbors[i].append((j, inter.bit_length() - 1, block_masks[j]))
     hard_cap = min(m, n // 2)
 
-    best: list[LoopProfile | None] = [None]
-    nodes_left = [math.inf if budget is None else budget]
+    best: LoopProfile | None = None
+    nodes_left = math.inf if budget is None else budget
+    # the chain being extended: path[i] and path[i + 1] share junctions[i]
+    path: list[int] = []
+    junctions: list[int] = []
 
-    def consider(blocks: list[int], junctions: list[int]):
-        prof = LoopProfile(order=len(blocks), blocks=tuple(blocks), junction_atoms=tuple(junctions))
-        if best[0] is None or prof.order > best[0].order:
-            best[0] = prof
-
-    def extend(path: list[int], junctions: list[int], used_mask: int, start: int):
-        if nodes_left[0] == 0:
+    def extend(last: int, last_junction: int, used_mask: int, used_count: int):
+        # start and first_mask belong to the chain's first block, set below
+        nonlocal best, nodes_left
+        if nodes_left == 0:
             raise _BudgetSpent
-        nodes_left[0] -= 1
-        if best[0] is not None and best[0].order >= hard_cap:
+        nodes_left -= 1
+        if best is not None and best.order >= hard_cap:
             return
         k = len(path)
-        atoms_left = n - bin(used_mask).count("1")
-        if best[0] is not None and k + (atoms_left + 1) // 2 <= best[0].order:
+        if best is not None and k + (n - used_count + 1) // 2 <= best.order:
             return
-        last = path[-1]
-        first_mask = block_masks[path[0]]
-        first_junction = junctions[0] if junctions else -1
-        last_junction = junctions[-1] if junctions else -1
-        for j, x in neighbors[last]:
+        for j, x, bm in neighbors[last]:
             if j <= start or x == last_junction:
                 continue
-            bm = block_masks[j]
             extra = (bm & used_mask) & ~(1 << x)
             if extra == 0:
-                extend(path + [j], junctions + [x], used_mask | bm, start)
-            elif k + 1 >= 3 and extra & (extra - 1) == 0 and extra & first_mask == extra:
+                path.append(j)
+                junctions.append(x)
+                extend(j, x, used_mask | bm, used_count + (bm & ~used_mask).bit_count())
+                path.pop()
+                junctions.pop()
+            elif extra & (extra - 1) == 0 and extra & first_mask == extra:
                 # j touches exactly the last block (at x) and the first block
                 # (at one further atom y): it closes a loop of order k+1.
                 y = extra.bit_length() - 1
-                if y != first_junction:
-                    consider(path + [j], junctions + [x, y])
+                if y != junctions[0] and (best is None or k + 1 > best.order):
+                    best = LoopProfile(k + 1, (*path, j), (*junctions, x, y))
 
     try:
-        for s in range(m):
-            if best[0] is not None and best[0].order >= hard_cap:
+        for start in range(m):
+            if best is not None and best.order >= hard_cap:
                 break
-            for j, x in neighbors[s]:
-                if j > s:
-                    extend([s, j], [x], block_masks[s] | block_masks[j], s)
+            first_mask = block_masks[start]
+            for j, x, bm in neighbors[start]:
+                if j > start:
+                    path[:] = [start, j]
+                    junctions[:] = [x]
+                    used = first_mask | bm
+                    extend(j, x, used, used.bit_count())
     except _BudgetSpent:
-        found = best[0] or min_loop(d)
+        found = best or min_loop(d)
         return None if found is None else replace(found, exact=False)
-    return best[0]
+    return best
 
 
 def is_connected(d: MmpDiagram) -> bool:

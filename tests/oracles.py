@@ -14,10 +14,53 @@ from itertools import combinations, permutations
 from greechie import lattice
 from greechie.diagram import MmpDiagram
 from greechie.lattice import OmlElement, OmlPoset, build_oml
-from greechie.linprog import gauss_affine
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def dense_gauss_affine(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> tuple[list[Fraction], list[list[Fraction]]] | None:
+    """``linprog.gauss_affine`` by dense Gauss-Jordan elimination over
+    ``Fraction``: pivot columns in order, the first nonzero row as pivot."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    pivots: list[tuple[int, int]] = []  # (row, col)
+    r = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        pv = aug[r][col]
+        if pv != 1:
+            aug[r] = [v / pv for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(n) if c not in pivot_cols]
+    x0 = [ZERO] * n
+    for row, col in pivots:
+        x0[col] = aug[row][n]
+    basis = []
+    for fc in free_cols:
+        v = [ZERO] * n
+        v[fc] = ONE
+        for row, col in pivots:
+            v[col] = -aug[row][fc]
+        basis.append(v)
+    return x0, basis
 
 
 def brute_loop_orders(d: MmpDiagram) -> list[int]:
@@ -87,7 +130,7 @@ def basic_solutions(rows: list[list[Fraction]], rhs: list[Fraction]) -> set[tupl
     for size in range(rank + 1):
         for support in combinations(range(n), size):
             sub = [[row[a] for a in support] for row in rows]
-            solved = gauss_affine(sub, rhs)
+            solved = dense_gauss_affine(sub, rhs)
             if solved is None:
                 continue
             x_s, null = solved
@@ -103,7 +146,7 @@ def basic_solutions(rows: list[list[Fraction]], rhs: list[Fraction]) -> set[tupl
 
 
 def _rank(rows: list[list[Fraction]]) -> int:
-    solved = gauss_affine(rows, [ZERO] * len(rows))
+    solved = dense_gauss_affine(rows, [ZERO] * len(rows))
     assert solved is not None
     _, null = solved
     return len(rows[0]) - len(null)

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from greechie.linprog import EqualityLP, SimplexError, gauss_affine, rank_mod_p
-from oracles import basic_solutions
+from greechie.linprog import EqualityLP, SimplexError, gauss_affine
+from oracles import basic_solutions, dense_gauss_affine
 
 F = Fraction
 
@@ -117,38 +117,27 @@ def test_gauss_affine_cases():
     assert x0 == [] and null == []
 
 
-def test_rank_mod_p():
-    assert rank_mod_p([[1, 1], [1, -1]], 2) == [0, 1]
-    assert rank_mod_p([[1, 1], [2, 2]], 2) == [0]
-    assert rank_mod_p([[0, 0]], 2) == []
-
-
-def test_full_rank_mod_p_certificate_agrees_with_gauss_affine(rng):
-    # [A | b] eliminated mod p: once A has n pivots its rank over Q is n,
-    # so a pivot in b proves the system inconsistent and no pivot leaves at
-    # most one solution; below n pivots (a small p can drop the rank)
-    # nothing follows.  Sound for every prime.
-    fired = 0
-    for _ in range(300):
-        n = rng.randrange(1, 5)
-        m = rng.randrange(n, n + 3)
-        rows = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(m)]
-        x = [rng.randrange(-2, 3) for _ in range(n)]
-        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
-        if rng.random() < 0.5:
-            rhs[rng.randrange(m)] += rng.choice((-1, 1))  # usually inconsistent now
-        solved = gauss_affine([[F(v) for v in row] for row in rows], [F(b) for b in rhs])
-        for p in (2, 3, 5, 2_147_483_629):
-            pivots = rank_mod_p([row + [b] for row, b in zip(rows, rhs)], n + 1, p)
-            if pivots[:n] != list(range(n)):
-                continue
-            if n in pivots:
-                assert solved is None
-                if p > 5:
-                    fired += 1
-            else:
-                assert solved is None or solved[1] == []
-        if solved is None and rank_mod_p(rows, n)[:n] == list(range(n)):
-            # full rank over Q and inconsistent: the large prime certifies it
-            assert rank_mod_p([row + [b] for row, b in zip(rows, rhs)], n + 1)[-1] == n
-    assert fired > 20
+def test_gauss_affine_agrees_with_the_dense_oracle(rng):
+    # Integer systems with negative and non-unit entries, some with a row
+    # that is a combination of others (rank-deficient), some with one
+    # right-hand side shifted (usually inconsistent), a few with rational
+    # entries, and empty ones; the reduced echelon form is unique, so the
+    # two eliminations return the same x0 and nullspace basis exactly.
+    kinds = {"none": 0, "unique": 0, "hull": 0}
+    for trial in range(400):
+        n = rng.randrange(0, 7)
+        m = rng.randrange(0, 7) if n else 0
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 6)) for _ in range(n)] for _ in range(m)]
+        if m >= 2 and rng.random() < 0.3:
+            rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])
+        x = [F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(n)]
+        rhs = [sum((a * v for a, v in zip(row, x)), F(0)) for row in rows]
+        if rows and rng.random() < 0.4:
+            rhs[rng.randrange(len(rows))] += rng.choice((-2, 1, 3))
+        if trial % 10 == 0:
+            rows = [[F(v, rng.randrange(1, 4)) for v in row] for row in rows]
+        want = dense_gauss_affine(rows, rhs)
+        assert gauss_affine(rows, rhs) == want, (rows, rhs)
+        kinds["none" if want is None else "hull" if want[1] else "unique"] += 1
+    assert min(kinds.values()) > 50, kinds
+    assert gauss_affine([], []) == dense_gauss_affine([], []) == ([], [])

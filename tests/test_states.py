@@ -9,9 +9,10 @@ from greechie import corpus
 from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import Infeasible, LengthMismatch, NotAdmissible, NotValidated
 from greechie.lattice import ATOM, ZERO, build_oml
-from greechie.linprog import EqualityLP, rank_mod_p
+from greechie.linprog import EqualityLP, gauss_affine
 from greechie.states import (
     Classification,
+    _block_rows,
     _strong_set,
     _zero_one_states,
     admits_classically_strong,
@@ -22,9 +23,15 @@ from greechie.states import (
     enumerate_01_states,
     is_state,
 )
-from greechie.structure import validate
+from greechie.structure import drop_blocks, validate
 from conftest import random_admissible, random_diagram, random_mmp
-from oracles import brute_01_states, first_failing_pair, polytope_vertices, strong_set_by_vertices
+from oracles import (
+    brute_01_states,
+    dense_gauss_affine,
+    first_failing_pair,
+    polytope_vertices,
+    strong_set_by_vertices,
+)
 
 F = Fraction
 PENTAGON = "123,345,567,789,9A1."
@@ -85,7 +92,7 @@ def test_classify_35_35e_and_witnesses():
 
 def test_classification_agrees_with_vertex_enumeration(rng):
     # sparse 3-uniform diagrams, then dense ones with 3- to 5-atom blocks,
-    # where the mod-p certificate often proves that no state exists
+    # where the elimination often proves that no state exists
     seen = dict.fromkeys(Classification, 0)
     inputs = [random_diagram(rng, max_atoms=9, max_blocks=5) for _ in range(120)]
     inputs += [random_mmp(rng, max_atoms=10, sizes=(4, 5)) for _ in range(15)]
@@ -145,25 +152,47 @@ def test_range_scan_matches_vertices_and_the_full_scan(rng):
     assert scanned > 40
 
 
-def test_rank_drop_mod_p_is_no_certificate(monkeypatch):
-    # Mod 3 every row of a 3-uniform block matrix sums to 0, so its rank
-    # drops below the atom count, and the right-hand side takes a pivot:
-    # read as a certificate, that would wrongly say no state exists.
-    d = corpus.diagram("35-35a")
-    n = d.atom_count
-    pivots = rank_mod_p([[int(a in b) for a in range(n)] + [1] for b in d.blocks], n + 1, 3)
-    assert len(pivots) <= n and pivots[-1] == n
-    monkeypatch.setattr("greechie.states.rank_mod_p", lambda rows, cols: rank_mod_p(rows, cols, 3))
-    s = classify_states(d)
-    assert s.classification is Classification.EXACTLY_ONE
-    assert set(s.unique_state) == {F(1, 3)}
+#: admissible sub-diagrams (lattice, dropped blocks) whose state polytopes
+#: have dimension 2 to 5
+CLIFF = [
+    ("38-38a", {0, 1}),
+    ("44-44", {0, 1}),
+    ("44-44", {0, 1, 2, 3}),
+    ("73-73", {0, 1, 2}),
+    ("73-73", {0, 1, 2, 3, 4}),
+]
 
 
-def test_weber_original_is_stateless_by_certificate(monkeypatch):
-    def no_elimination_over_q(rows, rhs):
-        raise AssertionError("gauss_affine ran")
+def _case_id(value):
+    if isinstance(value, str):
+        return value
+    return "minus-" + ",".join(map(str, sorted(value))) if value else "whole"
 
-    monkeypatch.setattr("greechie.states.gauss_affine", no_elimination_over_q)
+
+@pytest.mark.parametrize(
+    "name, dropped", [(name, set()) for name in corpus.names()] + CLIFF, ids=_case_id
+)
+def test_block_systems_agree_with_the_dense_oracle(name, dropped):
+    d, _ = drop_blocks(corpus.diagram(name), dropped)
+    rows, rhs = _block_rows(d)
+    assert gauss_affine(rows, rhs) == dense_gauss_affine(rows, rhs)
+
+
+@pytest.mark.parametrize(
+    "name, dropped",
+    [(name, set()) for name in ("73-73", "73-78-single", "73-78-ngv")] + CLIFF[3:],
+    ids=_case_id,
+)
+def test_affine_hull_of_a_73_atom_system_within_a_tenth_of_a_second(name, dropped):
+    d, _ = drop_blocks(corpus.diagram(name), dropped)
+    rows, rhs = _block_rows(d)
+    t0 = time.perf_counter()
+    gauss_affine(rows, rhs)
+    dt = time.perf_counter() - t0
+    assert dt < 0.1, f"{name} minus {sorted(dropped)} took {dt:.3f}s"
+
+
+def test_weber_original_is_stateless_within_a_second():
     d = corpus.diagram("73-78-ngv")
     t0 = time.perf_counter()
     s = classify_states(d)
