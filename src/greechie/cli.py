@@ -21,9 +21,9 @@ from .lattice import build_oml
 from .render import LOOP_BUDGET, render_dot
 from .states import (
     Classification,
+    _enumerate_01,
     _strong_over,
     _strong_set,
-    _zero_one_states,
     admits_classically_strong,
     classify_states,
     is_state,
@@ -104,7 +104,7 @@ def _summary_json(d: MmpDiagram, args) -> dict:
     poset = build_oml(d) if args.zero_one or args.strong else None
     states = []  # the 0-1 states, when asked for; the strong sweep reuses them
     if args.zero_one:
-        states = _zero_one_states(d, summary)
+        states = _enumerate_01(d)
         rep = _strong_over(poset, states)
         doc["zero_one"] = {"count": len(states), "admits_strong_01_set": rep.admits}
         if rep.witness_pair:

@@ -107,10 +107,11 @@ class MmpDiagram:
             raise BadJson('expected {"atoms": N, "blocks": [[...], ...]}')
         atoms = doc["atoms"]
         blocks = doc["blocks"]
-        if not isinstance(atoms, int) or not isinstance(blocks, list):
+        # ``type(...) is int``, since JSON true and false load as bools, an int subclass
+        if type(atoms) is not int or not isinstance(blocks, list):
             raise BadJson('"atoms" must be an integer and "blocks" a list')
         for b in blocks:
-            if not isinstance(b, list) or not all(isinstance(a, int) for a in b):
+            if not isinstance(b, list) or not all(type(a) is int for a in b):
                 raise BadJson("each block must be a list of integer atom indices")
         try:
             return cls(atoms, tuple(tuple(b) for b in blocks))

@@ -199,62 +199,52 @@ def atom_range(d: MmpDiagram, p: int) -> tuple[Fraction, Fraction]:
 def enumerate_01_states(d: MmpDiagram) -> list[StateVector]:
     """All dispersion-free states: exactly one atom of each block at 1.
 
-    Backtracking over blocks with constraint propagation; results come out
-    in lexicographic order.  The list may be empty.
+    An exact cover of the blocks by atoms, searched on bitmasks: each step
+    branches on the open block with the fewest live atoms.  Results come
+    out in lexicographic order.  The list may be empty.
     """
     require_mmp(d)
     return _enumerate_01(d)
 
 
-def _zero_one_states(d: MmpDiagram, summary: PolytopeSummary) -> list[StateVector]:
-    """:func:`enumerate_01_states` given the diagram's state classification.
-
-    A 0-1 state is a state, so with no state there is none, and with
-    exactly one it is that state if its values are all 0 or 1; only
-    ``MoreThanOne`` diagrams are enumerated.
-    """
-    if summary.classification is Classification.MORE_THAN_ONE:
-        return _enumerate_01(d)
-    only = summary.unique_state
-    return [only] if only is not None and all(v in (0, 1) for v in only) else []
-
-
 def _enumerate_01(d: MmpDiagram) -> list[StateVector]:
-    """:func:`enumerate_01_states` on a diagram already known to pass (i)-(iii)."""
+    """:func:`enumerate_01_states` on a diagram already known to pass (i)-(iii).
+
+    Setting atom a to 1 closes every block holding a and sets every atom of
+    those blocks to 0; a branch dies when an open block has no live atom.
+    """
     n = d.atom_count
-    blocks = d.blocks
-    assign: list[int | None] = [None] * n
-    found: list[StateVector] = []
+    members = [sum(1 << a for a in block) for block in d.blocks]
+    blocks_of = [0] * n  # per atom, the mask of the blocks holding it
+    mates = [0] * n  # per atom, the atoms sharing a block with it, itself included
+    for bi, block in enumerate(d.blocks):
+        for a in block:
+            blocks_of[a] |= 1 << bi
+            mates[a] |= members[bi]
+    found: list[int] = []
 
-    def fill(bi: int) -> None:
-        if bi == len(blocks):
-            found.append(tuple(_ONE if assign[a] == 1 else _ZERO for a in range(n)))
+    def cover(live: int, open_blocks: int, ones: int) -> None:
+        if not open_blocks:
+            found.append(ones)
             return
-        block = blocks[bi]
-        ones = [a for a in block if assign[a] == 1]
-        if len(ones) > 1:
-            return
-        if len(ones) == 1:
-            touched = [a for a in block if assign[a] is None]
-            for a in touched:
-                assign[a] = 0
-            fill(bi + 1)
-            for a in touched:
-                assign[a] = None
-            return
-        for pick in block:
-            if assign[pick] == 0:
-                continue
-            touched = [a for a in block if assign[a] is None]
-            for a in touched:
-                assign[a] = 1 if a == pick else 0
-            fill(bi + 1)
-            for a in touched:
-                assign[a] = None
-        return
+        best = -1
+        rest = open_blocks
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            choices = members[low.bit_length() - 1] & live
+            if not choices:
+                return
+            if best < 0 or choices.bit_count() < best.bit_count():
+                best = choices
+        while best:
+            low = best & -best
+            best ^= low
+            a = low.bit_length() - 1
+            cover(live & ~mates[a], open_blocks & ~blocks_of[a], ones | low)
 
-    fill(0)
-    return sorted(found)
+    cover((1 << n) - 1, (1 << len(members)) - 1, 0)
+    return sorted(tuple(_ONE if ones >> a & 1 else _ZERO for a in range(n)) for ones in found)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,45 @@ def brute_01_states(d: MmpDiagram) -> list[tuple[Fraction, ...]]:
     return sorted(out)
 
 
+def block_order_01_states(d: MmpDiagram) -> list[tuple[Fraction, ...]]:
+    """All 0-1 states by backtracking over the blocks in index order,
+    looking only inside the current block; no 20-atom limit, but it can
+    take exponential time where an exact cover prunes at once."""
+    n = d.atom_count
+    blocks = d.blocks
+    assign: list[int | None] = [None] * n
+    found: list[tuple[Fraction, ...]] = []
+
+    def fill(bi: int) -> None:
+        if bi == len(blocks):
+            found.append(tuple(ONE if assign[a] == 1 else ZERO for a in range(n)))
+            return
+        block = blocks[bi]
+        ones = [a for a in block if assign[a] == 1]
+        if len(ones) > 1:
+            return
+        if len(ones) == 1:
+            touched = [a for a in block if assign[a] is None]
+            for a in touched:
+                assign[a] = 0
+            fill(bi + 1)
+            for a in touched:
+                assign[a] = None
+            return
+        for pick in block:
+            if assign[pick] == 0:
+                continue
+            touched = [a for a in block if assign[a] is None]
+            for a in touched:
+                assign[a] = 1 if a == pick else 0
+            fill(bi + 1)
+            for a in touched:
+                assign[a] = None
+
+    fill(0)
+    return sorted(found)
+
+
 def brute_automorphism_count(d: MmpDiagram) -> int:
     """Count block-multiset-preserving atom bijections by backtracking."""
     n = d.atom_count

@@ -12,6 +12,7 @@ from greechie.lattice import build_oml
 from greechie.linprog import EqualityLP
 from greechie.render import LOOP_BUDGET, render_dot
 from greechie.states import enumerate_01_states
+from greechie.structure import drop_blocks
 from conftest import random_admissible
 from oracles import brute_01_states, first_failing_pair
 
@@ -129,7 +130,7 @@ def test_states_internal_errors_surface(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["73-78-ngv", "73-78-single", "73-73"])
 def test_states_zero_one_on_the_73_atom_lattices(tmp_path, capsys, name):
-    # no state, or only the 1/3 state: no 0-1 state, and no backtracking
+    # no state, or only the 1/3 state: no 0-1 state
     f = write(tmp_path, "w.mmp", corpus.get(name).mmp_line + "\n")
     t0 = time.perf_counter()
     assert main(["states", "--zero-one", f]) == 0
@@ -140,9 +141,8 @@ def test_states_zero_one_on_the_73_atom_lattices(tmp_path, capsys, name):
 
 
 def test_states_zero_one_matches_the_enumerations(tmp_path, capsys, rng):
-    # the corpus lattices the backtracking enumerates (all but the three
-    # 73-atom ones), and random admissible diagrams, brute-forced
-    lattices = [e.diagram() for e in corpus.ENTRIES if not e.name.startswith("73-")]
+    # the corpus lattices, and random admissible diagrams, brute-forced
+    lattices = [e.diagram() for e in corpus.ENTRIES]
     cases = [(d, enumerate_01_states(d)) for d in lattices]
     for _ in range(30):
         d = random_admissible(rng, max_blocks=5, sizes=(3, 4))
@@ -157,6 +157,20 @@ def test_states_zero_one_matches_the_enumerations(tmp_path, capsys, rng):
         if pair is not None:
             expected["failing_pair"] = [e.label() for e in pair]
         assert doc["zero_one"] == expected, serialize_mmp(d)
+
+
+def test_states_strong_zero_one_on_a_73_atom_sub_diagram(tmp_path, capsys):
+    # admissible and MoreThanOne, where block-order backtracking over the
+    # 0-1 states did not finish in 15 s
+    d, _ = drop_blocks(corpus.diagram("73-73"), {0})
+    f = write(tmp_path, "d.mmp", serialize_mmp(d) + "\n")
+    t0 = time.perf_counter()
+    assert main(["states", "--strong", "--zero-one", f]) == 0
+    dt = time.perf_counter() - t0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classification"] == "MoreThanOne"
+    assert doc["zero_one"]["count"] == 0
+    assert dt < 1.0, f"took {dt:.2f}s"
 
 
 def test_states_strong_zero_one_takes_bounds_and_pairs_from_known_states(
@@ -340,11 +354,15 @@ def test_exit_codes_of_every_command(tmp_path, capsys, monkeypatch):
     square = write(tmp_path, "square.mmp", SQUARE + "\n")
     short = write(tmp_path, "short.mmp", "12.\n")  # fails MMP condition (ii)
     unparsable = write(tmp_path, "unparsable.mmp", "12,34\n")
+    # JSON true is no atom count or index, though Python's bool is an int
+    true_count = write(tmp_path, "true_count.json", '{"atoms": true, "blocks": []}\n')
+    true_atom = write(tmp_path, "true_atom.json", '{"atoms": 3, "blocks": [[0, true, 2]]}\n')
     missing = str(tmp_path / "missing.mmp")
     oracle = ["generate", "--atoms", "7", "--blocks", "3", "--count-only", "--oracle"]
     cases = [
         (["validate", good], 0),
         (["validate", square], 2),
+        (["validate", true_count], 2),
         (["states", good], 0),
         (["states", unparsable], 2),  # reported in the line's JSON object
         (["states", missing], 2),
@@ -352,6 +370,7 @@ def test_exit_codes_of_every_command(tmp_path, capsys, monkeypatch):
         (["render", square], 2),
         (["canon", good], 0),
         (["canon", short], 2),
+        (["canon", true_atom], 2),
         (["generate", "--atoms", "10", "--blocks", "5"], 0),
         (oracle, 0),
         (["generate", "--atoms", "4", "--blocks", "1", "--block-size", "2"], 3),

@@ -103,6 +103,11 @@ def test_json_rejects_malformed_documents():
         MmpDiagram.from_json('{"atoms": 2, "blocks": [[0, 5]]}')
     with pytest.raises(BadJson):
         MmpDiagram.from_json('{"atoms": "x", "blocks": []}')
+    # JSON true and false are not integers, though Python's bool is an int
+    with pytest.raises(BadJson):
+        MmpDiagram.from_json('{"atoms": true, "blocks": []}')
+    with pytest.raises(BadJson):
+        MmpDiagram.from_json('{"atoms": 3, "blocks": [[0, true, 2]]}')
 
 
 def test_load_diagram_line_dispatches_on_shape():

@@ -14,7 +14,6 @@ from greechie.states import (
     Classification,
     _block_rows,
     _strong_set,
-    _zero_one_states,
     admits_classically_strong,
     admits_strong_01_set,
     admits_strong_set,
@@ -26,6 +25,7 @@ from greechie.states import (
 from greechie.structure import drop_blocks, validate
 from conftest import random_admissible, random_diagram, random_mmp
 from oracles import (
+    block_order_01_states,
     brute_01_states,
     dense_gauss_affine,
     first_failing_pair,
@@ -232,29 +232,51 @@ def test_enumerate_01_states_corpus_single_state_empty():
     assert enumerate_01_states(corpus.diagram("35-35a")) == []
 
 
-def test_zero_one_states_follow_the_classification(rng):
-    # a 0-1 state is a state: none without states, the one state when it is
-    # 0-1, and an enumeration only for MoreThanOne
+def test_enumerate_01_states_blockless():
+    assert enumerate_01_states(parse_mmp(".")) == [()]
+
+
+def test_enumerate_01_states_matches_brute_force(rng):
+    # every classification occurs, and among ExactlyOne lattices both a 0-1
+    # unique state and one that is not
     seen = Counter()
     inputs = [parse_mmp("1459,1256,12378,3468,2349,13679,2579,2458.")]  # one state, 0-1
     inputs += [random_mmp(rng) for _ in range(100)]
+    inputs += [random_diagram(rng, max_atoms=10, max_blocks=5) for _ in range(80)]
     for d in inputs:
-        s = classify_states(d)
-        states = _zero_one_states(d, s)
+        rep = validate(d)
+        if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
+            continue
+        states = enumerate_01_states(d)
         assert states == brute_01_states(d)
-        seen[s.classification, len(states)] += 1
+        seen[classify_states(d).classification, len(states)] += 1
     assert seen[Classification.NONE, 0] > 0
     assert seen[Classification.EXACTLY_ONE, 0] > 0
     assert seen[Classification.EXACTLY_ONE, 1] > 0
 
 
-def test_enumerate_01_states_matches_brute_force(rng):
-    for _ in range(80):
-        d = random_diagram(rng, max_atoms=10, max_blocks=5)
-        rep = validate(d)
-        if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
-            continue
-        assert enumerate_01_states(d) == brute_01_states(d)
+def test_enumerate_01_states_matches_block_order_backtracking():
+    # the corpus lattices of 35-44 atoms, beyond the brute force's 20 atoms
+    for entry in corpus.ENTRIES:
+        d = entry.diagram()
+        if d.atom_count <= 44:
+            assert enumerate_01_states(d) == block_order_01_states(d), entry.name
+
+
+@pytest.mark.parametrize(
+    "name, dropped",
+    [("73-73", {0}), ("73-73", {1}), ("73-73", {0, 1}), ("73-78-ngv", set(range(8)))],
+    ids=["73-73-minus-0", "73-73-minus-1", "73-73-minus-0,1", "73-78-ngv-minus-0..7"],
+)
+def test_enumerate_01_states_on_73_atom_sub_diagrams_is_fast(name, dropped):
+    # admissible and MoreThanOne, with no 0-1 state; block-order
+    # backtracking did not finish in 15 s here
+    d, _ = drop_blocks(corpus.diagram(name), dropped)
+    assert validate(d).greechie_admissible
+    t0 = time.perf_counter()
+    assert enumerate_01_states(d) == []
+    dt = time.perf_counter() - t0
+    assert dt < 0.1, f"{name} minus {sorted(dropped)} took {dt:.3f}s"
 
 
 def test_admits_strong_set_boolean_block():
