@@ -236,23 +236,35 @@ def test_enumerate_01_states_blockless():
     assert enumerate_01_states(parse_mmp(".")) == [()]
 
 
-def test_enumerate_01_states_matches_brute_force(rng):
-    # every classification occurs, and among ExactlyOne lattices both a 0-1
-    # unique state and one that is not
+def test_zero_one_states_follow_the_classification(rng):
+    # a 0-1 state is a state: none without states, at most the one state for
+    # ExactlyOne, and that state itself when it is 0-1
     seen = Counter()
     inputs = [parse_mmp("1459,1256,12378,3468,2349,13679,2579,2458.")]  # one state, 0-1
     inputs += [random_mmp(rng) for _ in range(100)]
-    inputs += [random_diagram(rng, max_atoms=10, max_blocks=5) for _ in range(80)]
     for d in inputs:
-        rep = validate(d)
-        if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
-            continue
+        s = classify_states(d)
         states = enumerate_01_states(d)
         assert states == brute_01_states(d)
-        seen[classify_states(d).classification, len(states)] += 1
+        if s.classification is Classification.NONE:
+            assert states == []
+        elif s.classification is Classification.EXACTLY_ONE:
+            assert len(states) <= 1
+            if states:
+                assert tuple(s.unique_state) == states[0]
+        seen[s.classification, len(states)] += 1
     assert seen[Classification.NONE, 0] > 0
     assert seen[Classification.EXACTLY_ONE, 0] > 0
     assert seen[Classification.EXACTLY_ONE, 1] > 0
+
+
+def test_enumerate_01_states_matches_brute_force(rng):
+    for _ in range(80):
+        d = random_diagram(rng, max_atoms=10, max_blocks=5)
+        rep = validate(d)
+        if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
+            continue
+        assert enumerate_01_states(d) == brute_01_states(d)
 
 
 def test_enumerate_01_states_matches_block_order_backtracking():
