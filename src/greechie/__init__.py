@@ -11,6 +11,7 @@ from .corpus import ENTRIES as CORPUS_ENTRIES
 from .corpus import CorpusEntry
 from .diagram import ALPHABET, MmpDiagram, parse_mmp, serialize_mmp
 from .errors import (
+    BadCheckpoint,
     DuplicateAtomInBlock,
     EmptyBlock,
     Infeasible,
@@ -119,5 +120,6 @@ __all__ = [
     "LengthMismatch",
     "Infeasible",
     "InvalidSpec",
+    "BadCheckpoint",
     "TooLarge",
 ]

@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 analysis-claim mismatch (``corpus --check``,
-``generate --oracle``), 2 format or validation error, 3 invalid
-generation spec.  Input files hold one diagram per line in MMP notation
-(lines starting with '#' are comments); a line opening with '{' is read
-as the JSON interchange form instead.  ``-`` means stdin.
+``generate --oracle``), 2 format or validation error (also a
+``generate --checkpoint`` file for another spec or that does not read),
+3 invalid generation spec (including ``--workers`` below 1).  Input
+files hold one diagram per line in MMP notation (lines starting with '#'
+are comments); a line opening with '{' is read as the JSON interchange
+form instead.  ``-`` means stdin.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 
 from . import corpus
 from .diagram import MmpDiagram, iter_mmp_lines, load_diagram_line
-from .errors import InvalidSpec, MmpError, NotAdmissible, NotValidated, TooLarge
+from .errors import BadCheckpoint, InvalidSpec, MmpError, NotAdmissible, NotValidated, TooLarge
 from .generate import GenSpec, brute_force_generate, generate
 from .lattice import build_oml
 from .render import LOOP_BUDGET, render_dot
@@ -148,11 +150,6 @@ def cmd_generate(args) -> int:
         require_connected=not args.allow_disconnected,
         min_atom_degree=args.min_degree,
     )
-    try:
-        spec.check()
-    except InvalidSpec as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return BAD_SPEC
     lines: list[str] = []  # kept only for the oracle
 
     def emit(line: str) -> None:
@@ -161,13 +158,14 @@ def cmd_generate(args) -> int:
         if args.oracle:
             lines.append(line)
 
-    stats = generate(
-        spec,
-        emit,
-        workers=args.workers,
-        split_depth=args.split_depth,
-        checkpoint=args.checkpoint,
-    )
+    try:
+        stats = generate(spec, emit, workers=args.workers, checkpoint=args.checkpoint)
+    except InvalidSpec as exc:
+        print(f"invalid spec: {exc}", file=sys.stderr)
+        return BAD_SPEC
+    except BadCheckpoint as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+        return FORMAT_ERROR
     if args.count_only:
         print(stats.emitted_count)
     print(
@@ -317,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-degree", type=int, default=1)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--split-depth", type=int, default=2)
-    p.add_argument("--checkpoint", help="JSON file for resumable runs")
+    p.add_argument("--checkpoint", help="file of per-task JSON records for resumable runs")
     p.add_argument("--oracle", action="store_true", help="cross-check with brute force")
     p.set_defaults(func=cmd_generate)
 

@@ -82,5 +82,9 @@ class InvalidSpec(Exception):
     """Generation parameters are contradictory or out of range."""
 
 
+class BadCheckpoint(Exception):
+    """A generation checkpoint is for another spec or does not read."""
+
+
 class TooLarge(Exception):
     """Brute-force enumeration would exceed its guard."""

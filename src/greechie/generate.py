@@ -15,21 +15,24 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import combinations
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterator
 
 from .diagram import MmpDiagram, serialize_mmp
-from .errors import InvalidSpec, TooLarge
+from .errors import BadCheckpoint, InvalidSpec, TooLarge
 from .structure import is_connected, validate
 from .symmetry import CanonicalForm, Gens, canonical_code, canonical_form, _canonical_search
 
 Blocks = tuple[tuple[int, ...], ...]
+Node = tuple[Blocks, int, Blocks, Gens]  # blocks, atoms used, canonical code, Aut generators
+TASKS_PER_WORKER = 8  # subtree tasks per worker that a partitioned run aims for
 
 
 @dataclass(frozen=True)
@@ -186,18 +189,21 @@ def _designated_last(blocks: Blocks, code: Blocks, perm: tuple[int, ...]) -> int
     raise AssertionError("no block maps to the canonical tail")
 
 
-def _expand(
-    blocks: Blocks,
-    n_used: int,
-    own_code: Blocks,
-    gens: Gens,
-    spec: GenSpec,
-    stats: GenStats,
-    emit: Callable[[str], None],
-    depth_limit: int | None = None,
-    frontier: list | None = None,
-) -> None:
-    """Depth-first canonical augmentation below one node.
+def _expand(node: Node, spec: GenSpec, stats: GenStats, emit: Callable[[str], None]) -> None:
+    """Depth-first canonical augmentation below one node."""
+    blocks, n_used, own_code, _ = node
+    stats.nodes_explored += 1
+    if len(blocks) == spec.block_count:
+        if _final_ok(blocks, n_used, spec):
+            stats.emitted_count += 1
+            emit(serialize_mmp(MmpDiagram(n_used, own_code)))
+        return
+    for child in _children(node, spec, stats):
+        _expand(child, spec, stats, emit)
+
+
+def _children(node: Node, spec: GenSpec, stats: GenStats) -> Iterator[Node]:
+    """The node's accepted children, in search order.
 
     ``gens`` generate the node's automorphism group, acting on its own
     labels.  Candidates in one orbit of that group give isomorphic
@@ -206,19 +212,8 @@ def _expand(
     exactly as the duplicate-code test would have counted them.  A
     searched child passes its own generators down, and they settle most
     parent tests without a second search (``_is_canonical_parent``).
-
-    When ``depth_limit`` is set, nodes reaching it are appended to
-    ``frontier`` instead of being expanded (work partitioning hook).
     """
-    stats.nodes_explored += 1
-    if len(blocks) == spec.block_count:
-        if _final_ok(blocks, n_used, spec):
-            stats.emitted_count += 1
-            emit(serialize_mmp(MmpDiagram(n_used, own_code)))
-        return
-    if depth_limit is not None and len(blocks) >= depth_limit:
-        frontier.append((blocks, n_used, own_code, gens))
-        return
+    blocks, n_used, own_code, gens = node
     covered: set[tuple[int, ...]] = set()
     seen: set[Blocks] = set()
     for cand in _candidates(blocks, n_used, spec, stats):
@@ -237,7 +232,7 @@ def _expand(
         if not _is_canonical_parent(child, beta, child_gens, own_code, child_used):
             stats.canonical_rejections += 1
             continue
-        _expand(child, child_used, code, child_gens, spec, stats, emit, depth_limit, frontier)
+        yield child, child_used, code, child_gens
 
 
 def _is_canonical_parent(child: Blocks, beta: int, gens: Gens, parent_code: Blocks, n: int) -> bool:
@@ -278,88 +273,91 @@ def _block_orbit(block: tuple[int, ...], gens: Gens) -> set[tuple[int, ...]]:
     return orbit
 
 
-def _run_subtree(args: tuple) -> tuple[list[str], GenStats]:
-    spec_fields, blocks, n_used, own_code, gens = args
-    stats = GenStats()
-    lines: list[str] = []
-    _expand(blocks, n_used, own_code, gens, GenSpec(**spec_fields), stats, lines.append)
+def _run_subtree(spec: GenSpec, node: Node) -> tuple[list[str], GenStats]:
+    stats, lines = GenStats(), []
+    _expand(node, spec, stats, lines.append)
     return lines, stats
 
 
 def generate(
-    spec: GenSpec,
-    sink: Callable[[str], None],
-    *,
-    workers: int = 1,
-    split_depth: int = 2,
-    checkpoint: str | None = None,
+    spec: GenSpec, sink: Callable[[str], None], *, workers: int = 1, checkpoint: str | None = None
 ) -> GenStats:
     """Emit every matching isomorphism class once, in canonical form.
 
-    ``workers`` > 1 partitions the search tree at ``split_depth`` blocks
-    into independent subtree tasks, each starting from its root's
-    automorphism generators; emissions reach ``sink`` in task order as
-    the tasks finish, so the output sequence does not depend on the
-    worker count.  ``checkpoint``
-    names a JSON file recording completed subtrees for resumable runs.
+    ``workers`` > 1 or a ``checkpoint`` runs the search as subtree tasks
+    (``_run_tasks``) and emits their lines in task order, so the output does
+    not depend on the worker count.  ``checkpoint`` names a file of JSON
+    lines: a header (spec, depth, task count), then one record (index,
+    lines, ``GenStats``) per finished task; a run on it resumes it.
     """
     spec.check()
+    if workers < 1:
+        raise InvalidSpec("workers must be at least 1")
     start = time.perf_counter()
     stats = GenStats()
     if spec.block_count == 0:
         if spec.atom_count == 0:
             stats.emitted_count = 1
             sink(".")
-        stats.wall_time = time.perf_counter() - start
-        return stats
-    if workers <= 1 and checkpoint is None:
-        _expand((), 0, (), (), spec, stats, sink)
-        stats.wall_time = time.perf_counter() - start
-        return stats
-
-    # Collect the frontier at split_depth, emitting anything shallower.
-    frontier: list[tuple[Blocks, int, Blocks, Gens]] = []
-    depth = max(1, min(split_depth, spec.block_count))
-    _expand((), 0, (), (), spec, stats, sink, depth_limit=depth, frontier=frontier)
-    stats.nodes_explored -= len(frontier)  # tasks count their own roots
-
-    state = _load_checkpoint(checkpoint, spec, depth, len(frontier))
-    completed = state["completed"]
-    tasks = [(asdict(spec), *task) for i, task in enumerate(frontier) if str(i) not in completed]
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        fresh = (pool.map if pool else map)(_run_subtree, tasks)
-        for i in range(len(frontier)):
-            lines = completed.get(str(i))
-            if lines is None:
-                lines, sub = next(fresh)
-                stats.merge(sub)
-                _record_task(state, i, lines, checkpoint)
-            else:
-                stats.emitted_count += len(lines)
-            for line in lines:
-                sink(line)
+    elif workers == 1 and checkpoint is None:
+        _expand(((), 0, (), ()), spec, stats, sink)
+    else:
+        _run_tasks(spec, sink, stats, workers, checkpoint)
     stats.wall_time = time.perf_counter() - start
     return stats
 
 
-def _load_checkpoint(path: str | None, spec: GenSpec, depth: int, n_tasks: int) -> dict:
-    state = {"spec": asdict(spec), "split_depth": depth, "tasks": n_tasks, "completed": {}}
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            old = json.load(fh)
-        if old.get("spec") == state["spec"] and old.get("split_depth") == depth:
-            state["completed"] = old.get("completed", {})
-    return state
+def _run_tasks(
+    spec: GenSpec, sink: Callable, stats: GenStats, workers: int, checkpoint: str | None
+) -> None:
+    """Run the search as subtree tasks, each finished one recorded in the
+    line-buffered ``checkpoint``.  The frontier deepens one block at a time
+    until it holds ``TASKS_PER_WORKER`` tasks per worker or lies just above
+    the leaves; a resumed run deepens it to the recorded depth."""
+    header, done, size = _read_checkpoint(checkpoint, spec) if checkpoint else (None, {}, 0)
+    tasks, depth = [((), 0, (), ())], 0
+    last = spec.block_count - 1 if header is None else header["depth"]
+    while depth < last and (header or len(tasks) < TASKS_PER_WORKER * workers):
+        stats.nodes_explored += len(tasks)
+        tasks = [child for task in tasks for child in _children(task, spec, stats)]
+        depth += 1
+    if header and header["tasks"] != len(tasks):
+        raise BadCheckpoint(f"{checkpoint}: records {header['tasks']} tasks, not {len(tasks)}")
+    todo = [task for i, task in enumerate(tasks) if i not in done]
+    pool = ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
+    with pool as pool, open(checkpoint, "a", buffering=1) if checkpoint else nullcontext() as log:
+        if log:
+            log.truncate(size)  # drops a record torn by an interrupted run
+        if log and not header:
+            print(json.dumps({"spec": asdict(spec), "depth": depth, "tasks": len(tasks)}), file=log)
+        fresh = (pool.map if pool else map)(partial(_run_subtree, spec), todo)
+        for i in range(len(tasks)):
+            lines, sub = done[i] if i in done else next(fresh)
+            if log and i not in done:
+                print(json.dumps({"task": i, "lines": lines, "stats": asdict(sub)}), file=log)
+            stats.merge(sub)
+            for line in lines:
+                sink(line)
 
 
-def _record_task(state: dict, task_id: int, lines: list[str], path: str | None) -> None:
-    if path is None:
-        return
-    state["completed"][str(task_id)] = lines
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(state, fh)
-    os.replace(tmp, path)
+def _read_checkpoint(path: str, spec: GenSpec) -> tuple[dict | None, dict, int]:
+    """Header, finished tasks and the byte length of the complete lines of a
+    checkpoint.  A missing or empty file has no header; a last line without
+    its newline was torn by an interrupted run and is ignored."""
+    data = Path(path).read_bytes() if Path(path).exists() else b""
+    if not data:
+        return None, {}, 0
+    complete = data[: data.rfind(b"\n") + 1]
+    try:
+        header, *records = map(json.loads, complete.splitlines())
+        if header["spec"] != asdict(spec):
+            raise BadCheckpoint(f"{path}: written for another spec, {header['spec']}")
+        if not type(header["depth"]) is type(header["tasks"]) is int:
+            raise ValueError("depth and task count must be integers")
+        done = {r["task"]: (r["lines"], GenStats(**r["stats"])) for r in records}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadCheckpoint(f"{path}: not a readable checkpoint ({exc!r})") from None
+    return header, done, len(complete)
 
 
 def membership_probe(d: MmpDiagram, spec: GenSpec) -> bool:
@@ -408,11 +406,9 @@ def membership_probe(d: MmpDiagram, spec: GenSpec) -> bool:
     return True
 
 
-def census(spec: GenSpec, *, workers: int = 1, split_depth: int = 2, checkpoint: str | None = None) -> int:
+def census(spec: GenSpec) -> int:
     """Number of isomorphism classes matching the spec."""
-    return generate(
-        spec, lambda _line: None, workers=workers, split_depth=split_depth, checkpoint=checkpoint
-    ).emitted_count
+    return generate(spec, lambda _line: None).emitted_count
 
 
 def brute_force_generate(spec: GenSpec, guard: int = 10**8) -> list[CanonicalForm]:

@@ -173,7 +173,7 @@ def test_criterion_8_reachability_uniqueness_determinism():
     runs = {}
     for workers in (1, 4, 8):
         lines = []
-        generate(GenSpec(11, 5), lines.append, workers=workers, split_depth=2)
+        generate(GenSpec(11, 5), lines.append, workers=workers)
         runs[workers] = lines
     determinism = runs[1] == runs[4] == runs[8]
     dt = time.perf_counter() - t0

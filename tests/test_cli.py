@@ -273,6 +273,20 @@ def test_generate_invalid_spec(capsys):
     assert main(["generate", "--atoms", "4", "--blocks", "1", "--block-size", "2"]) == 3
 
 
+def test_generate_refuses_a_checkpoint_for_another_spec(tmp_path, capsys):
+    cp = str(tmp_path / "cp.jsonl")
+    assert main(["generate", "--atoms", "13", "--blocks", "6", "--checkpoint", cp]) == 0
+    with open(cp) as fh:
+        before = fh.read()
+    capsys.readouterr()
+    assert main(["generate", "--atoms", "12", "--blocks", "6", "--checkpoint", cp]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"checkpoint error: {cp}: written for another spec")
+    with open(cp) as fh:
+        assert fh.read() == before
+
+
 def test_render_pipe(tmp_path, capsys):
     f = write(tmp_path, "p.mmp", PENTAGON + "\n")
     assert main(["render", f]) == 0
@@ -358,6 +372,8 @@ def test_exit_codes_of_every_command(tmp_path, capsys, monkeypatch):
     true_count = write(tmp_path, "true_count.json", '{"atoms": true, "blocks": []}\n')
     true_atom = write(tmp_path, "true_atom.json", '{"atoms": 3, "blocks": [[0, true, 2]]}\n')
     missing = str(tmp_path / "missing.mmp")
+    unreadable_checkpoint = write(tmp_path, "cp.jsonl", "not json\n")
+    pentagon = ["generate", "--atoms", "10", "--blocks", "5"]
     oracle = ["generate", "--atoms", "7", "--blocks", "3", "--count-only", "--oracle"]
     cases = [
         (["validate", good], 0),
@@ -371,9 +387,12 @@ def test_exit_codes_of_every_command(tmp_path, capsys, monkeypatch):
         (["canon", good], 0),
         (["canon", short], 2),
         (["canon", true_atom], 2),
-        (["generate", "--atoms", "10", "--blocks", "5"], 0),
+        (pentagon, 0),
         (oracle, 0),
         (["generate", "--atoms", "4", "--blocks", "1", "--block-size", "2"], 3),
+        (pentagon + ["--workers", "0"], 3),
+        (pentagon + ["--workers", "-1"], 3),
+        (pentagon + ["--checkpoint", unreadable_checkpoint], 2),
         (["corpus", "--show", "44-44"], 0),
         (["corpus", "--show", "nope"], 2),
     ]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -7,8 +8,9 @@ import pytest
 
 from greechie import corpus
 from greechie.diagram import parse_mmp
-from greechie.errors import InvalidSpec, TooLarge
+from greechie.errors import BadCheckpoint, InvalidSpec, TooLarge
 from greechie.generate import (
+    TASKS_PER_WORKER,
     GenSpec,
     brute_force_generate,
     census,
@@ -30,6 +32,9 @@ def test_spec_validation():
         GenSpec(5, 2, min_girth=2).check()
     with pytest.raises(InvalidSpec):
         GenSpec(2, 1).check()
+    for workers in (0, -1):  # never a large count: each worker is a process
+        with pytest.raises(InvalidSpec):
+            generate(GenSpec(10, 5), lambda line: None, workers=workers)
 
 
 def test_generate_single_block():
@@ -118,7 +123,7 @@ def test_worker_determinism():
         base_stats = generate(spec, baseline.append)
         for workers in worker_counts:
             lines = []
-            stats = generate(spec, lines.append, workers=workers, split_depth=2)
+            stats = generate(spec, lines.append, workers=workers)
             assert lines == baseline
             assert _counts(stats) == _counts(base_stats)
 
@@ -127,21 +132,61 @@ def test_checkpoint_resume(tmp_path):
     for spec, workers in ((GenSpec(11, 5), 2), (GenSpec(13, 6), 1), (GenSpec(13, 6), 2)):
         baseline = []
         base_stats = generate(spec, baseline.append)
-        cp = tmp_path / f"run-{spec.atom_count}-{workers}.json"
+        cp = tmp_path / f"run-{spec.atom_count}-{workers}.jsonl"
         first = []
         stats = generate(spec, first.append, workers=workers, checkpoint=str(cp))
         assert first == baseline
         assert _counts(stats) == _counts(base_stats)
-        doc = json.loads(cp.read_text())
-        assert doc["tasks"] >= 1 and doc["completed"]
-        # forget half the tasks, then resume
-        for key in sorted(doc["completed"], key=int)[::2]:
-            del doc["completed"][key]
-        cp.write_text(json.dumps(doc))
-        second = []
-        resumed = generate(spec, second.append, workers=workers, checkpoint=str(cp))
-        assert second == first
-        assert resumed.emitted_count == len(baseline)
+        header, *records = cp.read_text().splitlines()
+        assert json.loads(header)["tasks"] == len(records) > 1
+        # forget every other task; then also cut a record mid-line, as an
+        # interrupted run leaves it.  A finished checkpoint replays as is.
+        kept = "\n".join([header] + records[1::2]) + "\n"
+        for text in (kept, kept + records[0][:-7], None):
+            if text is not None:
+                cp.write_text(text)
+            resumed_lines = []
+            resumed = generate(spec, resumed_lines.append, workers=workers, checkpoint=str(cp))
+            assert resumed_lines == baseline
+            assert _counts(resumed) == _counts(base_stats)
+            # every task is recorded once, and no torn line is left behind
+            tasks = [json.loads(line)["task"] for line in cp.read_text().splitlines()[1:]]
+            assert sorted(tasks) == list(range(len(records)))
+
+
+def test_checkpoint_for_another_spec_or_unreadable_is_refused(tmp_path):
+    cp = tmp_path / "cp.jsonl"
+    spec = GenSpec(13, 6)
+    generate(spec, lambda line: None, workers=1, checkpoint=str(cp))
+    finished = cp.read_text()
+    header, record = finished.splitlines()[:2]
+    cases = [
+        (GenSpec(12, 6), finished),
+        (spec, "not json\n"),
+        (spec, header[:-3]),  # a header cut before its newline
+        (spec, "[1, 2]\n"),
+        (spec, json.dumps({**json.loads(header), "depth": "4"}) + "\n"),
+        (spec, json.dumps({**json.loads(header), "tasks": 3}) + "\n"),
+        (spec, header + "\n" + record.replace('"stats"', '"counts"') + "\n"),
+    ]
+    for other, text in cases:
+        cp.write_text(text)
+        with pytest.raises(BadCheckpoint, match=re.escape(str(cp))):
+            generate(other, lambda line: None, workers=1, checkpoint=str(cp))
+        assert cp.read_text() == text
+
+
+def test_split_gives_several_tasks_per_worker(tmp_path):
+    # split at a fixed 2 blocks, these trees gave 2 tasks, one of them
+    # nearly the whole tree, so a second worker sat idle
+    for spec in (GenSpec(15, 7), GenSpec(10, 10, min_girth=3, min_atom_degree=3)):
+        baseline = []
+        generate(spec, baseline.append)
+        cp = tmp_path / f"{spec.atom_count}.jsonl"
+        lines = []
+        generate(spec, lines.append, workers=2, checkpoint=str(cp))
+        assert lines == baseline
+        assert json.loads(cp.read_text().splitlines()[0])["tasks"] >= 2 * TASKS_PER_WORKER
 
 
 def test_task_roots_prune_by_their_automorphisms(monkeypatch, tmp_path):
@@ -161,7 +206,7 @@ def test_task_roots_prune_by_their_automorphisms(monkeypatch, tmp_path):
     generate(spec, lambda line: None)
     serial = len(calls)
     calls.clear()
-    generate(spec, lambda line: None, workers=1, split_depth=3, checkpoint=str(tmp_path / "cp.json"))
+    generate(spec, lambda line: None, workers=1, checkpoint=str(tmp_path / "cp.jsonl"))
     assert len(calls) == serial
     # far fewer searches than candidates: one per Aut(parent) orbit
     assert serial < 200
