@@ -25,7 +25,6 @@ from .states import (
     Classification,
     _enumerate_01,
     _strong_over,
-    _strong_set,
     admits_classically_strong,
     classify_states,
     is_state,
@@ -104,7 +103,6 @@ def _summary_json(d: MmpDiagram, args) -> dict:
             [str(v) for v in summary.second_witness],
         ]
     poset = build_oml(d) if args.zero_one or args.strong else None
-    states = []  # the 0-1 states, when asked for; the strong sweep reuses them
     if args.zero_one:
         states = _enumerate_01(d)
         rep = _strong_over(poset, states)
@@ -112,7 +110,7 @@ def _summary_json(d: MmpDiagram, args) -> dict:
         if rep.witness_pair:
             doc["zero_one"]["failing_pair"] = [e.label() for e in rep.witness_pair]
     if args.strong:
-        rep = _strong_set(poset, summary, states)
+        rep = _strong_over(poset, summary.vertices)
         doc["strong"] = {"admits_strong_set": rep.admits}
         if rep.witness_pair:
             doc["strong"]["failing_pair"] = [e.label() for e in rep.witness_pair]
@@ -248,7 +246,7 @@ def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
         if sd != entry.self_dual:
             problems.append(f"self_dual {sd} != {entry.self_dual}")
     if entry.admits_strong_set is not None:
-        rep_strong = _strong_set(poset, summary or classify_states(d))
+        rep_strong = _strong_over(poset, (summary or classify_states(d)).vertices)
         if rep_strong.admits != entry.admits_strong_set:
             problems.append(f"admits_strong_set {rep_strong.admits} != {entry.admits_strong_set}")
     if entry.name in corpus.KNOWN_STATES:

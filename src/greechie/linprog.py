@@ -1,10 +1,10 @@
-"""Exact rational linear algebra and linear programming.
+"""Exact rational linear algebra over polyhedra.
 
 Nothing here is ever rounded.  :func:`gauss_affine`, the one elimination
 routine, solves a linear system over the integers on sparse rows and
-divides by its pivots only at the end; the simplex works over
-``fractions.Fraction``, using Dantzig pricing for speed but switching to
-Bland's rule after a fixed pivot budget, so termination is guaranteed.
+divides by its pivots only at the end; :func:`vertices` lists the vertices
+of {x >= 0 : A x = b} from that solution by double description, with
+integer rays and bitmask zero sets.
 """
 
 from __future__ import annotations
@@ -96,167 +96,82 @@ def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, in
     return {j: v // g for j, v in out.items()} if g > 1 else out
 
 
-class SimplexError(Exception):
-    pass
+def vertices(
+    rows: list[list[int | Fraction]], rhs: list[int | Fraction]
+) -> list[tuple[Fraction, ...]]:
+    """The vertices of {x >= 0 : rows · x = rhs}, in lexicographic order.
 
-
-class EqualityLP:
-    """Exact simplex over {x : A x = b, x >= 0}.
-
-    Phase 1 runs once at construction; afterwards ``optimize`` re-prices
-    and re-solves for any objective from the current feasible basis, which
-    makes per-coordinate range scans cheap.
+    By the double-description method (Motzkin, Raiffa, Thompson & Thrall
+    1953; Fukuda & Prodon 1996).  :func:`gauss_affine` writes the solutions
+    as x = x0 + N t with t the values on the free columns.  Homogenized by
+    s >= 0, the points (x, s) with x = s x0 + N t form a cone, which starts
+    as the one where only t >= 0 and s >= 0 are imposed; its extreme rays
+    are (N_i, 0) and (x0, 1), kept in integers.  Each pivot column p then
+    adds the inequality x_p >= 0: the rays with x_p < 0 go, and each ray
+    with x_p > 0 that is adjacent to one of them makes a new ray with
+    x_p = 0.  Two rays are adjacent when no third ray is zero on every
+    coordinate imposed so far on which both are zero, tested on zero-set
+    bitmasks.  The rays with s > 0 are the vertices; any with s = 0 are
+    directions in which the polyhedron is unbounded, and are left out.
     """
+    affine = gauss_affine(rows, rhs)
+    if affine is None:
+        return []
+    x0, basis = affine
+    n = len(x0)
+    rays = [_integral(v + [ZERO]) for v in basis] + [_integral(x0 + [ONE])]
+    # s >= 0 and t >= 0; in reduced echelon form the last nonzero of a
+    # basis vector is its free column
+    imposed = 1 << n | sum(1 << max(j for j, v in enumerate(b) if v) for b in basis)
+    zeros = [sum(1 << j for j, v in enumerate(r) if imposed >> j & 1 and not v) for r in rays]
+    dim = len(rays)
+    for col in range(n):
+        if imposed >> col & 1:
+            continue
+        tight = 1 << col
+        kept = [q for q, r in enumerate(rays) if r[col] >= 0]
+        negative = [q for q, r in enumerate(rays) if r[col] < 0]
+        new_rays = [rays[q] for q in kept]
+        new_zeros = [zeros[q] | tight if not rays[q][col] else zeros[q] for q in kept]
+        if negative:
+            # per imposed coordinate, the mask of the rays zero on it
+            holders = {
+                c: int("".join("1" if z >> c & 1 else "0" for z in reversed(zeros)), 2)
+                for c in range(n + 1)
+                if imposed >> c & 1
+            }
+            everyone = (1 << len(rays)) - 1
+            for p in kept:
+                vp = rays[p][col]
+                for q in negative if vp else ():
+                    common = zeros[p] & zeros[q]
+                    if common.bit_count() < dim - 2:
+                        continue
+                    pair = 1 << p | 1 << q
+                    shared = everyone
+                    rest = common
+                    while rest and shared != pair:
+                        low = rest & -rest
+                        rest ^= low
+                        shared &= holders[low.bit_length() - 1]
+                    if shared == pair:
+                        vq = rays[q][col]
+                        ray = [vp * b - vq * a for a, b in zip(rays[p], rays[q])]
+                        new_rays.append(_integral(ray))
+                        new_zeros.append(common | tight)
+        imposed |= tight
+        rays, zeros = new_rays, new_zeros
 
-    #: pivots before pricing falls back from Dantzig to Bland's rule
-    BLAND_AFTER = 2000
+    points = [r for r in rays if r[n]]
+    den = lcm(*(r[n] for r in points))  # sorted over one denominator, in integers
+    points.sort(key=lambda r: [v * (den // r[n]) for v in r[:n]])
+    value = {pair: Fraction(*pair) for pair in {(v, r[n]) for r in points for v in r[:n]}}
+    return [tuple(value[v, r[n]] for v in r[:n]) for r in points]
 
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction]):
-        self.n = len(rows[0]) if rows else 0
-        work_rows = []
-        work_rhs = []
-        for row, b in zip(rows, rhs):
-            if b < 0:
-                work_rows.append([-v for v in row])
-                work_rhs.append(-b)
-            else:
-                work_rows.append(list(row))
-                work_rhs.append(b)
-        m = len(work_rows)
-        total = self.n + m  # originals then artificials
-        self.tab = [
-            [Fraction(v) for v in work_rows[i]]
-            + [ONE if j == i else ZERO for j in range(m)]
-            + [Fraction(work_rhs[i])]
-            for i in range(m)
-        ]
-        self.basis = [self.n + i for i in range(m)]
-        self.total = total
-        self.feasible = self._phase1()
 
-    # -- internals -----------------------------------------------------------
-
-    def _phase1(self) -> bool:
-        cost = [ZERO] * self.total
-        for j in range(self.n, self.total):
-            cost[j] = ONE
-        value, _ = self._run(cost, allowed=range(self.total))
-        if value != 0:
-            return False
-        self._evict_artificials()
-        return True
-
-    def _evict_artificials(self) -> None:
-        keep = []
-        for i in range(len(self.tab)):
-            if self.basis[i] >= self.n:
-                col = next((j for j in range(self.n) if self.tab[i][j] != 0), None)
-                if col is None:
-                    continue  # redundant constraint
-                self._pivot(i, col)
-            keep.append(i)
-        if len(keep) != len(self.tab):
-            self.tab = [self.tab[i] for i in keep]
-            self.basis = [self.basis[i] for i in keep]
-
-    def _pivot(self, row: int, col: int) -> None:
-        tab = self.tab
-        prow = tab[row]
-        pv = prow[col]
-        if pv != 1:
-            tab[row] = prow = [v / pv for v in prow]
-        for i in range(len(tab)):
-            if i != row:
-                f = tab[i][col]
-                if f != 0:
-                    r = tab[i]
-                    tab[i] = [a - f * b for a, b in zip(r, prow)]
-        self.basis[row] = col
-
-    def _run(self, cost: list[Fraction], allowed) -> tuple[Fraction, list[Fraction]]:
-        """Minimize cost entering only ``allowed`` columns; (optimum, reduced costs)."""
-        tab = self.tab
-        m = len(tab)
-        width = self.total + 1
-        # reduced costs: r_j = c_j - c_B . T_j
-        red = list(cost) + [ZERO]
-        for i in range(m):
-            cb = cost[self.basis[i]]
-            if cb != 0:
-                row = tab[i]
-                red = [a - cb * b for a, b in zip(red, row)]
-        allowed = list(allowed)
-        pivots = 0
-        while True:
-            entering = None
-            if pivots < self.BLAND_AFTER:
-                best = ZERO
-                for j in allowed:
-                    if red[j] < best:
-                        best = red[j]
-                        entering = j
-            else:
-                for j in allowed:
-                    if red[j] < 0:
-                        entering = j
-                        break
-            if entering is None:
-                break
-            # ratio test, Bland tie-break on basis variable
-            row_pick = None
-            best_ratio = None
-            for i in range(m):
-                coef = tab[i][entering]
-                if coef > 0:
-                    ratio = tab[i][-1] / coef
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[row_pick])
-                    ):
-                        best_ratio = ratio
-                        row_pick = i
-            if row_pick is None:
-                raise SimplexError("objective unbounded below on the feasible set")
-            self._pivot(row_pick, entering)
-            f = red[entering]
-            if f != 0:
-                prow = tab[row_pick]
-                red = [a - f * b for a, b in zip(red, prow)]
-            pivots += 1
-        value = ZERO
-        for i in range(m):
-            cb = cost[self.basis[i]]
-            if cb != 0:
-                value += cb * tab[i][-1]
-        return value, red
-
-    # -- public --------------------------------------------------------------
-
-    def optimize(
-        self, cost: list[Fraction], minimize: bool = True, face_of: list[Fraction] | None = None
-    ) -> tuple[Fraction, list[Fraction]]:
-        """Optimal value and an optimal point for the given objective.
-
-        With ``face_of``, only over the face of points maximizing ``face_of``:
-        at that optimum, the face is where every column of nonzero reduced
-        cost is 0 (complementary slackness), so the same tableau goes on
-        with only the zero-reduced-cost columns allowed to enter.
-        """
-        if not self.feasible:
-            raise SimplexError("LP is infeasible")
-        pad = [ZERO] * (self.total - self.n)
-        allowed = range(self.n)
-        if face_of is not None:
-            _, red = self._run([-v for v in face_of] + pad, allowed)
-            allowed = [j for j in allowed if red[j] == 0]
-        c = list(cost) if minimize else [-v for v in cost]
-        value, _ = self._run(c + pad, allowed)
-        return (value if minimize else -value), self.solution()
-
-    def solution(self) -> list[Fraction]:
-        x = [ZERO] * self.n
-        for i, bv in enumerate(self.basis):
-            if bv < self.n:
-                x[bv] = self.tab[i][-1]
-        return x
+def _integral(vector: list[int | Fraction]) -> tuple[int, ...]:
+    """The positive multiple of ``vector`` in coprime integers."""
+    den = lcm(*(v.denominator for v in vector))
+    ints = [int(v * den) for v in vector]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)

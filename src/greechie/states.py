@@ -8,6 +8,7 @@ set decisions) is decided in exact arithmetic, never with floats.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -15,7 +16,7 @@ from fractions import Fraction
 from .diagram import MmpDiagram
 from .errors import Infeasible, LengthMismatch
 from .lattice import ATOM, COATOM, ONE, ZERO, OmlElement, OmlPoset, build_oml
-from .linprog import EqualityLP, gauss_affine
+from .linprog import vertices
 from .structure import require_admissible, require_mmp
 
 StateVector = tuple[Fraction, ...]
@@ -32,14 +33,13 @@ class Classification(Enum):
 
 @dataclass(frozen=True)
 class PolytopeSummary:
-    """Feasibility and uniqueness of the state polytope.
+    """The state polytope, read off its vertices.
 
-    ``ExactlyOne`` iff every atom's (min, max) range collapses to a point;
-    ``MoreThanOne`` carries two valid states differing in some coordinate,
-    ``known_states``, every state computed on the way (the witnesses and
-    each simplex optimum), and ``lp``, when the range scan ran the simplex,
-    its feasible tableau, which later optimizations over the same polytope
-    may re-price.
+    ``vertices`` lists them in lexicographic order: none for ``None``, the
+    one state for ``ExactlyOne``, two or more for ``MoreThanOne``.  Each
+    atom's (min, max) range is the least and greatest value it takes on a
+    vertex; the two ``MoreThanOne`` witnesses are the least and the
+    greatest vertex.
     """
 
     classification: Classification
@@ -47,8 +47,7 @@ class PolytopeSummary:
     atom_ranges: tuple[tuple[Fraction, Fraction], ...] | None = None
     witness_state: StateVector | None = None
     second_witness: StateVector | None = None
-    known_states: tuple[StateVector, ...] = field(default=(), compare=False, repr=False)
-    lp: EqualityLP | None = field(default=None, compare=False, repr=False)
+    vertices: tuple[StateVector, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,13 @@ def is_state(d: MmpDiagram, values) -> bool:
 def classify_states(d: MmpDiagram) -> PolytopeSummary:
     """Decide whether the diagram admits no, one, or many states.
 
-    The block sums A x = 1 are solved first, by one exact sparse
-    elimination over the integers (:func:`~greechie.linprog.gauss_affine`).
-    No solution means no state; a unique solution is the one state if it
-    lies in [0, 1]^n and otherwise there is none; a line of solutions is
-    cut to a segment by interval arithmetic.  Only affine hulls of two or
-    more dimensions reach the per-atom simplex scan.
+    The state polytope {x >= 0 : A x = 1} is listed by its vertices
+    (:func:`~greechie.linprog.vertices`): one exact sparse elimination of
+    the block sums over the integers, then double description from its
+    solution.  Every atom lies in a block summing to 1, so the polytope
+    is bounded and is the convex hull of those vertices: no vertex means no
+    state, one means exactly one, and the atom ranges are the vertices'
+    column extremes.  The run time grows with the vertex count.
     """
     require_mmp(d)
     return _classify(d)
@@ -96,93 +96,20 @@ def classify_states(d: MmpDiagram) -> PolytopeSummary:
 
 def _classify(d: MmpDiagram) -> PolytopeSummary:
     """:func:`classify_states` on a diagram already known to pass (i)-(iii)."""
-    rows, rhs = _block_rows(d)
-    affine = gauss_affine(rows, rhs)
-    if affine is None:
+    found = tuple(vertices(*_block_rows(d)))
+    if not found:
         return PolytopeSummary(Classification.NONE)
-    x0, nullspace = affine
-    if not nullspace:
-        if all(0 <= v <= 1 for v in x0):
-            return PolytopeSummary(
-                Classification.EXACTLY_ONE,
-                unique_state=tuple(x0),
-                atom_ranges=tuple((v, v) for v in x0),
-            )
-        return PolytopeSummary(Classification.NONE)
-    if len(nullspace) == 1:
-        return _classify_segment(x0, nullspace[0])
-
-    n = d.atom_count
-    lp = EqualityLP(rows, rhs)
-    if not lp.feasible:
-        return PolytopeSummary(Classification.NONE)
-    witness = tuple(lp.solution())
-    known = [witness]
-    ranges: list[tuple[Fraction, Fraction]] = []
-    second: StateVector | None = None
-    for p in range(n):
-        cost = [_ZERO] * n
-        cost[p] = _ONE
-        bounds = []
-        for bound, minimize in ((_ZERO, True), (_ONE, False)):
-            # 0 <= x_p <= 1 in every state (p lies in a block summing to 1), so
-            # a known state at a bound attains it; until ``second`` is found
-            # every LP runs, which keeps the witnesses' pivots
-            if second is None or all(s[p] != bound for s in known):
-                bound, point = lp.optimize(cost, minimize=minimize)
-                known.append(tuple(point))
-            bounds.append(bound)
-        lo, hi = bounds
-        ranges.append((lo, hi))
-        if second is None and lo != hi:
-            x_lo, x_hi = known[-2:]
-            second = x_lo if x_lo[p] != witness[p] else x_hi
-    if second is None:
+    ranges = tuple((min(column), max(column)) for column in zip(*found))
+    if len(found) == 1:
         return PolytopeSummary(
-            Classification.EXACTLY_ONE, unique_state=witness, atom_ranges=tuple(ranges)
-        )
-    return PolytopeSummary(
-        Classification.MORE_THAN_ONE,
-        atom_ranges=tuple(ranges),
-        witness_state=witness,
-        second_witness=second,
-        known_states=tuple(known),
-        lp=lp,
-    )
-
-
-def _classify_segment(x0: list[Fraction], direction: list[Fraction]) -> PolytopeSummary:
-    """Classification when the affine hull is a line: pure interval arithmetic.
-
-    The states are x0 + t * direction for t in a closed interval determined
-    coordinatewise by 0 <= x_i <= 1; no simplex is needed.
-    """
-    t_lo: Fraction | None = None
-    t_hi: Fraction | None = None
-    for xi, vi in zip(x0, direction):
-        if vi == 0:
-            if xi < 0 or xi > 1:
-                return PolytopeSummary(Classification.NONE)
-            continue
-        bounds = sorted(((-xi) / vi, (1 - xi) / vi))
-        t_lo = bounds[0] if t_lo is None else max(t_lo, bounds[0])
-        t_hi = bounds[1] if t_hi is None else min(t_hi, bounds[1])
-    assert t_lo is not None and t_hi is not None  # direction is nonzero
-    if t_lo > t_hi:
-        return PolytopeSummary(Classification.NONE)
-    low = tuple(xi + t_lo * vi for xi, vi in zip(x0, direction))
-    high = tuple(xi + t_hi * vi for xi, vi in zip(x0, direction))
-    ranges = tuple(tuple(sorted((a, b))) for a, b in zip(low, high))
-    if t_lo == t_hi:
-        return PolytopeSummary(
-            Classification.EXACTLY_ONE, unique_state=low, atom_ranges=ranges
+            Classification.EXACTLY_ONE, unique_state=found[0], atom_ranges=ranges, vertices=found
         )
     return PolytopeSummary(
         Classification.MORE_THAN_ONE,
         atom_ranges=ranges,
-        witness_state=low,
-        second_witness=high,
-        known_states=(low, high),
+        witness_state=found[0],
+        second_witness=found[-1],
+        vertices=found,
     )
 
 
@@ -273,7 +200,7 @@ def _unit_zeros(poset: OmlPoset) -> list[tuple[int, ...] | None]:
     return out
 
 
-def _ones(zeros: list[tuple[int, ...] | None], n: int, states: list[StateVector]) -> list[int]:
+def _ones(zeros: list[tuple[int, ...] | None], n: int, states: Sequence[StateVector]) -> list[int]:
     """Per element, the bitmask of the k with m(e) = 1 in ``states[k]``."""
     at_zero = [
         int("".join("0" if s[a] else "1" for s in reversed(states)) or "0", 2) for a in range(n)
@@ -287,33 +214,28 @@ def _ones(zeros: list[tuple[int, ...] | None], n: int, states: list[StateVector]
     return out
 
 
-def _first_failure(poset: OmlPoset, ones: list[int], reaches_one, below_one) -> StrongReport:
-    """Sweep the pairs (x, y) with x not below y, x-major in element order.
+def _strong_over(poset: OmlPoset, states: Sequence[StateVector]) -> StrongReport:
+    """The strong-set test over a finite list of states, exactly as given.
 
-    A known state in ``ones`` with m(x) = 1 and m(y) < 1 passes a pair;
-    otherwise ``below_one(i, j)`` decides whether any state does.
-    ``reaches_one(i)`` decides whether any state puts 1 on element i.
+    Sweeps the pairs (x, y) with x not below y, x-major in element order.
+    A pair fails when no state puts 1 on x (reported against the zero
+    element) or every state with m(x) = 1 has m(y) = 1.
     """
+    ones = _ones(_unit_zeros(poset), poset.source.atom_count, states)
     elements = poset.elements
     everything = (1 << len(elements)) - 1
     for i, x in enumerate(elements):
         rest = everything & ~poset.up_mask(x)
-        if rest and not reaches_one(i):
+        if rest and not ones[i]:
             return StrongReport(False, (x, elements[0]))
         rest &= ~1  # (x, 0) passes: m(0) = 0 wherever m(x) = 1
         while rest:
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
-            if not ones[i] & ~ones[j] and not below_one(i, j):
+            if not ones[i] & ~ones[j]:
                 return StrongReport(False, (x, elements[j]))
     return StrongReport(True, None)
-
-
-def _strong_over(poset: OmlPoset, states: list[StateVector]) -> StrongReport:
-    """The strong-set test over a finite list of states, exactly as given."""
-    ones = _ones(_unit_zeros(poset), poset.source.atom_count, states)
-    return _first_failure(poset, ones, lambda i: ones[i] != 0, lambda i, j: False)
 
 
 def admits_strong_set(d: MmpDiagram) -> StrongReport:
@@ -322,61 +244,14 @@ def admits_strong_set(d: MmpDiagram) -> StrongReport:
     It suffices to test the set of all states: if that set fails the
     strong-set biconditional at some pair, every subset fails the same
     pair, since shrinking the set only weakens the premise of the
-    implication.  A pair (x, y) with x not below y passes when a known
-    state has m(x) = 1 and m(y) < 1; otherwise the exact minimum of m(y)
-    over the face m(x) = 1 decides it.
+    implication.  The states with m(x) = 1 are those that are 0 on a set
+    of atoms, a face of the state polytope, and the vertices of that face
+    are vertices of the polytope.  So m(y) = 1 on the whole face exactly
+    when it holds on each polytope vertex with m(x) = 1, and the test over
+    the vertex list decides every pair.
     """
     poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
-    return _strong_set(poset, _classify(d))
-
-
-def _strong_set(poset: OmlPoset, summary: PolytopeSummary, zero_one=()) -> StrongReport:
-    """:func:`admits_strong_set` given the poset and the state classification.
-
-    ``zero_one``, 0-1 states already enumerated, join ``summary.known_states``
-    as known states.  Pair decisions are exact, so they change only how
-    many LPs run, never the report.
-    """
-    if summary.classification is not Classification.MORE_THAN_ONE:
-        return _strong_over(poset, [] if summary.unique_state is None else [summary.unique_state])
-
-    # MoreThanOne: every LP re-prices one tableau, the classification's or
-    # one built on first use.
-    n = poset.source.atom_count
-    zeros = _unit_zeros(poset)
-    known = [*summary.known_states, *zero_one]
-    ones = _ones(zeros, n, known)
-    witnesses = len(known)
-    base = summary.lp
-
-    def solve(i: int, **kwargs) -> Fraction:
-        """Optimize m(Z) of element i and cache the optimal point as a witness."""
-        nonlocal base, witnesses
-        if base is None:
-            base = EqualityLP(*_block_rows(poset.source))
-        cost = [_ONE if a in zeros[i] else _ZERO for a in range(n)]
-        value, point = base.optimize(cost, **kwargs)
-        for k, mask in enumerate(_ones(zeros, n, [point])):
-            ones[k] |= mask << witnesses
-        witnesses += 1
-        return value
-
-    def reaches_one(i: int) -> bool:
-        e = poset.elements[i]
-        if ones[i]:
-            return True
-        if e.kind == ATOM:
-            return summary.atom_ranges[e.atom][1] == 1
-        if e.kind == COATOM:
-            return summary.atom_ranges[e.atom][0] == 0
-        return solve(i) == 0  # a block interior: min m(Z) = 0 means max m(x) = 1
-
-    def below_one(i: int, j: int) -> bool:
-        # max m(Z_y) on the face where m(Z_x) is least, that is m(x) = 1
-        face = [-_ONE if a in zeros[i] else _ZERO for a in range(n)]
-        return solve(j, minimize=False, face_of=face) > 0
-
-    return _first_failure(poset, ones, reaches_one, below_one)
+    return _strong_over(poset, _classify(d).vertices)
 
 
 def admits_strong_01_set(d: MmpDiagram) -> StrongReport:

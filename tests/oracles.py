@@ -1,8 +1,8 @@
 """Independent brute-force oracles for cross-checking the main algorithms.
 
 Everything here is deliberately naive: exhaustive enumeration with none of
-the pruning, refinement, or simplex machinery used by the library, so that
-agreement between the two is meaningful evidence.
+the pruning, refinement, or double-description machinery used by the
+library, so that agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from greechie.cli import main
 from greechie.diagram import load_diagram_line, serialize_mmp
 from greechie.generate import GenSpec, generate
 from greechie.lattice import build_oml
-from greechie.linprog import EqualityLP
 from greechie.render import LOOP_BUDGET, render_dot
 from greechie.states import enumerate_01_states
 from greechie.structure import drop_blocks
@@ -171,31 +170,6 @@ def test_states_strong_zero_one_on_a_73_atom_sub_diagram(tmp_path, capsys):
     assert doc["classification"] == "MoreThanOne"
     assert doc["zero_one"]["count"] == 0
     assert dt < 1.0, f"took {dt:.2f}s"
-
-
-def test_states_strong_zero_one_takes_bounds_and_pairs_from_known_states(
-    tmp_path, capsys, monkeypatch
-):
-    # the 36 connected classes at (12, 6), (13, 6) and (14, 7), all
-    # MoreThanOne: a range scan of 2n LPs per class and an LP for every pair
-    # no witness passes made 1,520 optimizations
-    lines = []
-    for atoms, blocks in ((12, 6), (13, 6), (14, 7)):
-        generate(GenSpec(atoms, blocks), lines.append)
-    f = write(tmp_path, "census.mmp", "".join(line + "\n" for line in lines))
-    calls = []
-    optimize = EqualityLP.optimize
-
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return optimize(self, *args, **kwargs)
-
-    monkeypatch.setattr(EqualityLP, "optimize", counting)
-    assert main(["states", "--strong", "--zero-one", f]) == 0
-    docs = [json.loads(out) for out in capsys.readouterr().out.splitlines()]
-    assert len(docs) == 36
-    assert {doc["classification"] for doc in docs} == {"MoreThanOne"}
-    assert len(calls) <= 1520 // 3
 
 
 def test_validate_greechie_flag_explicit(tmp_path):

@@ -1,104 +1,61 @@
 from fractions import Fraction
 
-import pytest
-
-from greechie.linprog import EqualityLP, SimplexError, gauss_affine
+from greechie.linprog import gauss_affine, vertices
 from oracles import basic_solutions, dense_gauss_affine
 
 F = Fraction
 
 
 def test_min_max_over_segment():
-    lp = EqualityLP([[F(1), F(1)]], [F(1)])
-    assert lp.feasible
-    lo, x = lp.optimize([F(1), F(0)])
-    assert lo == 0 and x == [F(0), F(1)]
-    hi, x = lp.optimize([F(1), F(0)], minimize=False)
-    assert hi == 1 and x == [F(1), F(0)]
+    # x + y = 1: the segment between its two vertices, in lexicographic order
+    assert vertices([[1, 1]], [1]) == [(F(0), F(1)), (F(1), F(0))]
 
 
 def test_negative_rhs_rows_are_normalized():
     # -x - y = -1 is the same segment
-    lp = EqualityLP([[F(-1), F(-1)]], [F(-1)])
-    assert lp.feasible
-    assert lp.optimize([F(1), F(0)])[0] == 0
+    assert vertices([[-1, -1]], [-1]) == [(F(0), F(1)), (F(1), F(0))]
 
 
 def test_duplicate_rows_are_redundant_not_fatal():
-    lp = EqualityLP([[F(1), F(1)], [F(1), F(1)]], [F(1), F(1)])
-    assert lp.feasible
-    assert lp.optimize([F(0), F(1)], minimize=False)[0] == 1
+    assert vertices([[F(1), F(1)], [F(1), F(1)]], [F(1), F(1)]) == [(F(0), F(1)), (F(1), F(0))]
 
 
 def test_infeasible_systems():
-    assert not EqualityLP([[F(1)]], [F(-1)]).feasible
-    assert not EqualityLP([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)]).feasible
-    with pytest.raises(SimplexError):
-        EqualityLP([[F(1)]], [F(-1)]).optimize([F(1)])
+    assert vertices([[1]], [-1]) == []  # x = -1 has no solution x >= 0
+    assert vertices([[1, 1], [1, 1]], [1, 2]) == []  # inconsistent
+    assert vertices([[1, 1, 0], [0, 1, 1]], [1, -1]) == []  # consistent, nothing x >= 0
 
 
-def test_unbounded_objective_raises():
-    lp = EqualityLP([[F(1), F(-1)]], [F(0)])  # the ray x = y >= 0
-    with pytest.raises(SimplexError):
-        lp.optimize([F(-1), F(0)])  # maximize x: unbounded
+def test_unbounded_polyhedra_keep_their_vertices():
+    # x = y >= 0 is a ray from its one vertex; x - y = 1 a ray from (1, 0)
+    assert vertices([[1, -1]], [0]) == [(F(0), F(0))]
+    assert vertices([[1, -1]], [1]) == [(F(1), F(0))]
 
 
-def test_warm_reoptimization_matches_fresh_solves(rng):
-    for _ in range(30):
-        n = rng.randrange(2, 6)
+def test_points_and_empty_systems():
+    assert vertices([], []) == [()]  # the one point of R^0
+    assert vertices([[2, 0], [0, 3]], [1, 1]) == [(F(1, 2), F(1, 3))]
+    assert vertices([[1, 1]], [0]) == [(F(0), F(0))]
+
+
+def test_vertices_match_basic_solution_enumeration(rng):
+    # Integer systems with negative and non-unit entries, bounded (the first
+    # row fixing the coordinate sum) or not; the vertices are the
+    # nonnegative solutions unique on their support, listed once each in
+    # lexicographic order.
+    kinds = {"none": 0, "one": 0, "many": 0}
+    for _ in range(300):
+        n = rng.randrange(1, 7)
         m = rng.randrange(1, 4)
-        rows = [[F(rng.randrange(0, 3)) for _ in range(n)] for _ in range(m)]
-        rhs = [F(rng.randrange(0, 4)) for _ in range(m)]
-        warm = EqualityLP(rows, rhs)
-        objectives = [[F(rng.randrange(-2, 3)) for _ in range(n)] for _ in range(4)]
-        for cost in objectives:
-            fresh = EqualityLP(rows, rhs)
-            assert warm.feasible == fresh.feasible
-            if not warm.feasible:
-                break
-            try:
-                a = warm.optimize(cost)[0]
-            except SimplexError:
-                with pytest.raises(SimplexError):
-                    fresh.optimize(cost)
-                continue
-            assert a == fresh.optimize(cost)[0]
-
-
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), F(0))
-
-
-def test_face_restricted_optimize_matches_vertex_enumeration(rng):
-    # Bounded polytopes (the first row fixes the coordinate sum); each LP
-    # answers several face queries in a row from its warm tableau.
-    checked = 0
-    for _ in range(60):
-        n = rng.randrange(2, 7)
-        rows = [[F(1)] * n] + [
-            [F(rng.randrange(0, 3)) for _ in range(n)] for _ in range(rng.randrange(0, 3))
-        ]
-        rhs = [F(rng.randrange(1, 4))] + [F(rng.randrange(0, 5)) for _ in rows[1:]]
-        lp = EqualityLP(rows, rhs)
-        vertices = basic_solutions(rows, rhs)
-        assert lp.feasible == bool(vertices)
-        if not vertices:
-            continue
-        for _ in range(4):
-            primary = [F(rng.randrange(-1, 2)) for _ in range(n)]
-            cost = [F(rng.randrange(-2, 3)) for _ in range(n)]
-            minimize = rng.random() < 0.5
-            best = max(_dot(primary, v) for v in vertices)
-            face = [v for v in vertices if _dot(primary, v) == best]
-            pick = min if minimize else max
-            expected = pick(_dot(cost, v) for v in face)
-            value, point = lp.optimize(cost, minimize=minimize, face_of=primary)
-            assert value == expected
-            assert _dot(cost, point) == value and _dot(primary, point) == best
-            assert all(v >= 0 for v in point)
-            assert all(_dot(row, point) == b for row, b in zip(rows, rhs))
-            checked += 1
-    assert checked > 100
+        rows = [[rng.choice((0, 0, 1, 1, 2, -1, 3)) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.5:
+            rows[0] = [1] * n
+        rhs = [rng.randrange(-1, 4) for _ in rows]
+        found = vertices(rows, rhs)
+        want = basic_solutions([[F(v) for v in row] for row in rows], [F(b) for b in rhs])
+        assert found == sorted(want), (rows, rhs)
+        kinds["none" if not want else "one" if len(want) == 1 else "many"] += 1
+    assert min(kinds.values()) > 30, kinds
 
 
 def test_gauss_affine_cases():

@@ -1,3 +1,4 @@
+import json
 import time
 from collections import Counter
 from fractions import Fraction
@@ -9,11 +10,12 @@ from greechie import corpus
 from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import Infeasible, LengthMismatch, NotAdmissible, NotValidated
 from greechie.lattice import ATOM, ZERO, build_oml
-from greechie.linprog import EqualityLP, gauss_affine
+from greechie.cli import main
+from greechie.diagram import serialize_mmp
+from greechie.linprog import gauss_affine
 from greechie.states import (
     Classification,
     _block_rows,
-    _strong_set,
     admits_classically_strong,
     admits_strong_01_set,
     admits_strong_set,
@@ -102,41 +104,28 @@ def test_classification_agrees_with_vertex_enumeration(rng):
             continue
         s = classify_states(d)
         verts = polytope_vertices(d)
+        assert s.vertices == tuple(sorted(verts))
         if s.classification is Classification.NONE:
             assert not verts
         elif s.classification is Classification.EXACTLY_ONE:
             assert verts == {s.unique_state}
         else:
             assert len(verts) >= 2
+            assert (s.witness_state, s.second_witness) == (min(verts), max(verts))
         seen[s.classification] += 1
     assert all(seen.values())
+    blockless = classify_states(MmpDiagram(0, ()))
+    assert blockless.classification is Classification.EXACTLY_ONE
+    assert blockless.unique_state == () and blockless.vertices == ((),)
 
 
-def _full_range_scan(d):
-    """Both LPs for every atom, no bound taken from a known state:
-    (atom ranges, phase-1 witness, second witness)."""
-    n = d.atom_count
-    lp = EqualityLP([[F(a in b) for a in range(n)] for b in d.blocks], [F(1)] * d.block_count)
-    witness = tuple(lp.solution())
-    ranges, second = [], None
-    for p in range(n):
-        cost = [F(a == p) for a in range(n)]
-        lo, x_lo = lp.optimize(cost)
-        hi, x_hi = lp.optimize(cost, minimize=False)
-        ranges.append((lo, hi))
-        if second is None and lo != hi:
-            second = tuple(x_lo) if x_lo[p] != witness[p] else tuple(x_hi)
-    return tuple(ranges), witness, second
-
-
-def test_range_scan_matches_vertices_and_the_full_scan(rng):
-    # a bound some known state attains is taken without an LP; the ranges
-    # must still be the vertex extremes, and the witnesses those of the scan
-    # that runs every LP
+def test_atom_ranges_and_witnesses_match_the_vertex_oracle(rng):
+    # the ranges are the column extremes of the oracle's vertices, and the
+    # witnesses its lexicographically least and greatest vertex
     inputs = [random_mmp(rng, max_atoms=9) for _ in range(60)]
     for sizes in ((3,), (4,), (5,), (3, 4, 5)):
         inputs += [random_admissible(rng, max_blocks=5, sizes=sizes) for _ in range(15)]
-    scanned = 0
+    checked = 0
     for d in inputs:
         if d.atom_count > 10:  # the vertex oracle grows as 2^n
             continue
@@ -146,10 +135,9 @@ def test_range_scan_matches_vertices_and_the_full_scan(rng):
         verts = polytope_vertices(d)
         columns = list(zip(*verts))
         assert s.atom_ranges == tuple((min(c), max(c)) for c in columns)
-        if s.lp is not None:  # the simplex path, not the one-dimensional segment
-            assert (s.atom_ranges, s.witness_state, s.second_witness) == _full_range_scan(d)
-            scanned += 1
-    assert scanned > 40
+        assert (s.witness_state, s.second_witness) == (min(verts), max(verts))
+        checked += 1
+    assert checked > 40
 
 
 #: admissible sub-diagrams (lattice, dropped blocks) whose state polytopes
@@ -161,6 +149,8 @@ CLIFF = [
     ("73-73", {0, 1, 2}),
     ("73-73", {0, 1, 2, 3, 4}),
 ]
+#: per CLIFF case: the dimension of its state polytope and its vertex count
+CLIFF_SHAPES = [(2, 6), (2, 6), (4, 71), (3, 30), (5, 496)]
 
 
 def _case_id(value):
@@ -199,6 +189,31 @@ def test_weber_original_is_stateless_within_a_second():
     dt = time.perf_counter() - t0
     assert s.classification is Classification.NONE
     assert dt < 1.0, f"73-78-ngv took {dt:.2f}s"
+
+
+@pytest.mark.parametrize(
+    "name, dropped, shape",
+    [c + (shape,) for c, shape in zip(CLIFF, CLIFF_SHAPES)],
+    ids=[f"{name}-{_case_id(dropped)}" for name, dropped in CLIFF],
+)
+def test_cliff_sub_diagrams_take_their_vertices_in_a_few_seconds(
+    name, dropped, shape, tmp_path, capsys
+):
+    # a scan of two simplex optimizations per atom took 3.4 to 67 s on these
+    d, _ = drop_blocks(corpus.diagram(name), dropped)
+    dim, count = shape
+    assert len(gauss_affine(*_block_rows(d))[1]) == dim
+    s = classify_states(d)
+    assert s.classification is Classification.MORE_THAN_ONE and len(s.vertices) == count
+    assert all(is_state(d, v) for v in s.vertices)
+    f = tmp_path / "d.mmp"
+    f.write_text(serialize_mmp(d) + "\n")
+    t0 = time.perf_counter()
+    assert main(["states", "--strong", "--zero-one", str(f)]) == 0
+    dt = time.perf_counter() - t0
+    assert json.loads(capsys.readouterr().out)["classification"] == "MoreThanOne"
+    bound = 1.0 if dim <= 4 else 5.0
+    assert dt < bound, f"{name} minus {sorted(dropped)} took {dt:.2f}s"
 
 
 def test_atom_range_examples():
@@ -317,7 +332,8 @@ def test_admits_strong_set_oracle_random(rng):
 
 
 def test_strong_sets_with_block_interiors_match_oracles(rng):
-    # 4- and 5-atom blocks have interior elements, whose maxima take the LP
+    # 4- and 5-atom blocks have interior elements, whose value is 1 exactly
+    # where the rest of their block is 0
     interiors = 0
     for _ in range(40):
         d = random_admissible(rng, max_blocks=4, sizes=(3, 4, 5))
@@ -330,26 +346,8 @@ def test_strong_sets_with_block_interiors_match_oracles(rng):
         states01 = brute_01_states(d)
         assert rep01.witness_pair == first_failing_pair(build_oml(d), states01)
         assert rep01.admits == (rep01.witness_pair is None)
-        # the 0-1 states as extra certificates change only the LP count
-        assert _strong_set(build_oml(d), classify_states(d), states01) == rep
         interiors += any(len(b) >= 4 for b in d.blocks)
     assert interiors > 10
-
-
-def test_strong_set_reprices_the_classification_tableau(monkeypatch):
-    # phase 1 runs once per diagram: the sweep goes on from the tableau of
-    # the range scan instead of building a second one
-    builds = []
-
-    class Counting(EqualityLP):
-        def __init__(self, rows, rhs):
-            builds.append(len(rows))
-            super().__init__(rows, rhs)
-
-    monkeypatch.setattr("greechie.states.EqualityLP", Counting)
-    pent = parse_mmp(PENTAGON)
-    assert admits_strong_set(pent).admits
-    assert builds == [5]
 
 
 def test_admits_strong_set_fails_past_the_zero_pair():
@@ -359,16 +357,24 @@ def test_admits_strong_set_fails_past_the_zero_pair():
         "2EP,39W,OPU,5FK,GHO,6HK,BJM,78C,DOT,8GI,NVX,FPW,1CU,EJV,IRZ,9AQ,BFI,"
         "6NR,5AL,28A,3SY,EYZ,9HJ,CKY,QTZ,7MT,LMS,1QX,5DV,246,34D,LRU,7NW."
     )
-    assert classify_states(d).classification is Classification.MORE_THAN_ONE
+    s = classify_states(d)
+    assert s.classification is Classification.MORE_THAN_ONE
     rep = admits_strong_set(d)
     x, y = rep.witness_pair
     assert not rep.admits and (x.label(), y.label()) == ("1", "I'")
-    # the pair fails by a separate LP with m(1) = 1 as an extra row
-    n = d.atom_count
-    rows = [[F(a in b) for a in range(n)] for b in d.blocks] + [[F(a == x.atom) for a in range(n)]]
-    lp = EqualityLP(rows, [F(1)] * len(rows))
-    assert lp.feasible
-    assert lp.optimize([F(a == y.atom) for a in range(n)], minimize=False)[0] == 0
+    # Each listed point is a state and a vertex, the one nonnegative solution
+    # on its support.  m(x) = 1 is a face, the convex hull of the vertices
+    # on it; on every one of them m(I) = 0, so m(I') = 1 wherever m(x) = 1.
+    rows = [[F(a in b) for a in range(d.atom_count)] for b in d.blocks]
+    on_face = []
+    for v in s.vertices:
+        assert is_state(d, v)
+        support = [a for a in range(d.atom_count) if v[a]]
+        sub = [[row[a] for a in support] for row in rows]
+        assert dense_gauss_affine(sub, [F(1)] * len(rows)) == ([v[a] for a in support], [])
+        if v[x.atom] == 1:
+            on_face.append(v)
+    assert on_face and all(v[y.atom] == 0 for v in on_face)
 
 
 def test_admits_strong_set_single_state_failure_shape():
