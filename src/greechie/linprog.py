@@ -130,6 +130,7 @@ def vertices(
             continue
         tight = 1 << col
         kept = [q for q, r in enumerate(rays) if r[col] >= 0]
+        positive = [q for q in kept if rays[q][col]]
         negative = [q for q, r in enumerate(rays) if r[col] < 0]
         new_rays = [rays[q] for q in kept]
         new_zeros = [zeros[q] | tight if not rays[q][col] else zeros[q] for q in kept]
@@ -141,9 +142,10 @@ def vertices(
                 if imposed >> c & 1
             }
             everyone = (1 << len(rays)) - 1
-            for p in kept:
+            for p in positive:
                 vp = rays[p][col]
-                for q in negative if vp else ():
+                for q in negative:
+                    # adjacent rays are both zero on dim - 2 independent coordinates
                     common = zeros[p] & zeros[q]
                     if common.bit_count() < dim - 2:
                         continue
