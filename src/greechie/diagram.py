@@ -34,13 +34,6 @@ _CHAR_TO_INDEX = {c: i for i, c in enumerate(ALPHABET)}
 assert len(ALPHABET) == 90 and len(_CHAR_TO_INDEX) == 90
 
 
-def atom_char(index: int) -> str:
-    """Symbol for an atom index; only defined below 90."""
-    if not 0 <= index < len(ALPHABET):
-        raise TooManyAtoms(index + 1)
-    return ALPHABET[index]
-
-
 @dataclass(frozen=True)
 class MmpDiagram:
     """Immutable hypergraph: an atom count plus an ordered list of blocks.

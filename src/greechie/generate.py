@@ -1,14 +1,18 @@
 """Exhaustive isomorph-free generation of admissible diagrams.
 
 Diagrams are grown block by block (new atoms always take the smallest
-unused indices).  Only one candidate block per orbit of the parent's
-automorphism group is tried (McKay 1998), with the generators that the
-parent's own canonical search found.  A child is kept only when it
-survives sibling deduplication by canonical code and the
-canonical-augmentation parent test: removing the canonically last block
-of the child must reproduce the parent.  Every isomorphism class
-matching the spec is emitted exactly once, in canonical form, in a
-deterministic order independent of the worker count.
+unused indices) by canonical augmentation (McKay 1998).  A node tries
+one candidate block per orbit of its automorphism group, with the
+generators its own canonical search found.  A child is kept only when
+its new block is, up to automorphism, the block b* its deletion rule
+picks: of the blocks with the largest key (sorted atom degrees, then
+sorted atom weights, both isomorphism invariants), the one whose
+canonical image comes last.  A child whose new block has a smaller key
+than some other block is rejected before any canonical search, and one
+whose new block alone has the largest key is kept before any; its own
+search waits until its group or its code is needed.  Every isomorphism
+class matching the spec is emitted exactly once, in canonical form, in
+a deterministic order independent of the worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -31,7 +34,8 @@ from .structure import is_connected, validate
 from .symmetry import CanonicalForm, Gens, canonical_code, canonical_form, _canonical_search
 
 Blocks = tuple[tuple[int, ...], ...]
-Node = tuple[Blocks, int, Blocks, Gens]  # blocks, atoms used, canonical code, Aut generators
+# blocks, atoms used, canonical code, Aut generators (the last two None until searched)
+Node = tuple[Blocks, int, Blocks | None, Gens | None]
 TASKS_PER_WORKER = 8  # subtree tasks per worker that a partitioned run aims for
 
 
@@ -80,91 +84,67 @@ class GenStats:
         self.emitted_count += other.emitted_count
 
 
-def _pair_distances(blocks: Blocks, n_used: int) -> list[list[int]]:
-    """Chain distance between atoms: least number of blocks joining them.
-
-    dist[x][y] = 1 when x, y share a block; adding a new block over x and y
-    would close a loop of order dist[x][y] + 1.
-    """
-    incident: list[list[int]] = [[] for _ in range(n_used)]
-    for i, b in enumerate(blocks):
-        for a in b:
-            incident[a].append(i)
-    big = len(blocks) + 2
-    dist = [[big] * n_used for _ in range(n_used)]
-    for src in range(n_used):
-        row = dist[src]
-        row[src] = 0
-        seen_atom = [False] * n_used
-        seen_block = [False] * len(blocks)
-        seen_atom[src] = True
-        frontier = [src]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for x in frontier:
-                for bi in incident[x]:
-                    if not seen_block[bi]:
-                        seen_block[bi] = True
-                        for y in blocks[bi]:
-                            if not seen_atom[y]:
-                                seen_atom[y] = True
-                                row[y] = depth
-                                nxt.append(y)
-            frontier = nxt
-    return dist
+def _far_masks(blocks: Blocks, incident: list[list[int]], sep: int) -> list[int]:
+    """Per atom x, the bitmask of the atoms y joined by no chain of fewer
+    than ``sep`` blocks; a new block over x and y would close a loop of
+    order chain length + 1.  ``incident[a]`` lists the blocks through a."""
+    n = len(incident)
+    step = [sum(1 << y for y in {y for i in incident[x] for y in blocks[i]}) for x in range(n)]
+    far = []
+    for x in range(n):
+        near = frontier = 1 << x
+        for _ in range(sep - 1):
+            grown = near
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown |= step[low.bit_length() - 1]
+            near, frontier = grown, grown & ~near
+        far.append((1 << n) - 1 & ~near)
+    return far
 
 
-def _candidates(blocks: Blocks, n_used: int, spec: GenSpec, stats: GenStats) -> list[tuple[int, ...]]:
+def _candidates(blocks: Blocks, n_used: int, spec: GenSpec, stats: GenStats, invariants: tuple) -> list:
     """Valid augmenting blocks in lexicographic order.
 
     New atoms are appended densely; a candidate survives if it cannot
     close a loop shorter than min_girth and leaves the atom budget
-    reachable for the remaining blocks.
+    reachable for the remaining blocks.  Old atoms are picked in
+    increasing order, each among the atoms far enough from all picked.
     """
-    s = spec.block_size
-    k = len(blocks)
-    remaining_after = spec.block_count - k - 1
-    max_new = min(s, spec.atom_count - n_used)
-    degrees = [0] * n_used
-    for b in blocks:
-        for a in b:
-            degrees[a] += 1
-    dist = _pair_distances(blocks, n_used) if n_used else []
-    min_sep = spec.min_girth - 1
+    s, md = spec.block_size, spec.min_atom_degree
+    degree, incident = invariants[:2]
+    remaining_after = spec.block_count - len(blocks) - 1
+    far = _far_masks(blocks, incident, spec.min_girth - 1)
+    shortfall = sum(max(0, md - d) for d in degree)  # incidences the old atoms lack
     out: list[tuple[int, ...]] = []
-    for new in range(max_new + 1):
+
+    def pick(core: tuple[int, ...], allowed: int, size: int, found: list) -> None:
+        if len(core) == size:
+            found.append(core)
+            return
+        while allowed:
+            bit = allowed & -allowed
+            allowed ^= bit
+            a = bit.bit_length() - 1
+            pick(core + (a,), allowed & far[a], size, found)
+
+    for new in range(min(s, spec.atom_count - n_used) + 1):
         # enough room must remain to reach atom_count with later blocks
         if n_used + new + s * remaining_after < spec.atom_count:
             stats.budget_prunes += 1
             continue
+        cores: list[tuple[int, ...]] = []
+        pick((), (1 << n_used) - 1, s - new, cores)
+        stats.girth_prunes += math.comb(n_used, s - new) - len(cores)
+        # new atoms in this block already start at degree 1
+        spare = s * remaining_after - (spec.atom_count - n_used - new) * md - new * (md - 1)
         tail = tuple(range(n_used, n_used + new))
-        for core in combinations(range(n_used), s - new):
-            ok = True
-            for i in range(len(core)):
-                for j in range(i + 1, len(core)):
-                    if dist[core[i]][core[j]] < min_sep:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                stats.girth_prunes += 1
-                continue
-            if spec.min_atom_degree > 1:
-                deficit = 0
-                for a in range(n_used):
-                    d = degrees[a] + (1 if a in core else 0)
-                    if d < spec.min_atom_degree:
-                        deficit += spec.min_atom_degree - d
-                deficit += (spec.atom_count - n_used - new) * spec.min_atom_degree
-                # new atoms in this block already start at degree 1
-                deficit += new * (spec.min_atom_degree - 1)
-                if deficit > s * remaining_after:
-                    stats.budget_prunes += 1
-                    continue
-            out.append(core + tail)
+        for core in cores:
+            if md > 1 and shortfall - sum(degree[a] < md for a in core) > spare:
+                stats.budget_prunes += 1
+            else:
+                out.append(core + tail)
     out.sort()
     return out
 
@@ -180,15 +160,6 @@ def _final_ok(blocks: Blocks, n_used: int, spec: GenSpec) -> bool:
     return True
 
 
-def _designated_last(blocks: Blocks, code: Blocks, perm: tuple[int, ...]) -> int:
-    """Index of the block mapped to the last entry of the canonical code."""
-    target = code[-1]
-    for i, b in enumerate(blocks):
-        if tuple(sorted(perm[a] for a in b)) == target:
-            return i
-    raise AssertionError("no block maps to the canonical tail")
-
-
 def _expand(node: Node, spec: GenSpec, stats: GenStats, emit: Callable[[str], None]) -> None:
     """Depth-first canonical augmentation below one node."""
     blocks, n_used, own_code, _ = node
@@ -196,7 +167,8 @@ def _expand(node: Node, spec: GenSpec, stats: GenStats, emit: Callable[[str], No
     if len(blocks) == spec.block_count:
         if _final_ok(blocks, n_used, spec):
             stats.emitted_count += 1
-            emit(serialize_mmp(MmpDiagram(n_used, own_code)))
+            code = _canonical_search(blocks, n_used)[0] if own_code is None else own_code
+            emit(serialize_mmp(MmpDiagram(n_used, code)))
         return
     for child in _children(node, spec, stats):
         _expand(child, spec, stats, emit)
@@ -206,67 +178,107 @@ def _children(node: Node, spec: GenSpec, stats: GenStats) -> Iterator[Node]:
     """The node's accepted children, in search order.
 
     ``gens`` generate the node's automorphism group, acting on its own
-    labels.  Candidates in one orbit of that group give isomorphic
-    children with one code, so only the first candidate of each orbit, in
-    candidate order, is searched; the rest count as canonical rejections,
-    exactly as the duplicate-code test would have counted them.  A
-    searched child passes its own generators down, and they settle most
-    parent tests without a second search (``_is_canonical_parent``).
+    labels (None until the node's search runs, at the first candidate that
+    needs them).  Candidates in one orbit of that group give isomorphic
+    children, so only the first candidate of each orbit is tried.  A child
+    whose new block's key is beaten (``_child_keys``) is rejected unsearched;
+    one whose new block alone has the largest key is kept unsearched; any
+    other is searched and kept when its new block lies in the orbit of b*
+    (``_accepts``).  Each rejection counts as a canonical rejection.  As
+    Aut(node) is complete, kept children are pairwise non-isomorphic.
     """
-    blocks, n_used, own_code, gens = node
+    blocks, n_used, _, gens = node
+    invariants = _invariants(blocks, n_used)
+    top = max(invariants[3], default=())
     covered: set[tuple[int, ...]] = set()
-    seen: set[Blocks] = set()
-    for cand in _candidates(blocks, n_used, spec, stats):
-        if cand in covered:
+    for cand in _candidates(blocks, n_used, spec, stats, invariants):
+        child_keys = None if cand in covered else _child_keys(blocks, cand, invariants, top)
+        if child_keys is None:
             stats.canonical_rejections += 1
             continue
+        if gens is None:
+            gens = _canonical_search(blocks, n_used)[3]
         covered |= _block_orbit(cand, gens)
         child = blocks + (cand,)
-        child_used = max(n_used, (cand[-1] + 1) if cand else 0)
-        code, perm, _, child_gens = _canonical_search(child, child_used)
-        if code in seen:
-            stats.canonical_rejections += 1
+        child_used = max(n_used, cand[-1] + 1)
+        if child_keys.count(child_keys[-1]) == 1:  # b* is the new block
+            yield child, child_used, None, None
             continue
-        seen.add(code)
-        beta = _designated_last(child, code, perm)
-        if not _is_canonical_parent(child, beta, child_gens, own_code, child_used):
+        code, perm, _, child_gens = _canonical_search(child, child_used)
+        if not _accepts(child, child_keys, perm, child_gens):
             stats.canonical_rejections += 1
             continue
         yield child, child_used, code, child_gens
 
 
-def _is_canonical_parent(child: Blocks, beta: int, gens: Gens, parent_code: Blocks, n: int) -> bool:
-    """Is ``child`` minus block ``beta`` a copy of the parent, ``child``
-    minus its last block, whose canonical code is ``parent_code``?
+def _invariants(blocks: Blocks, n: int) -> tuple[list[int], list[list[int]], list[int], list]:
+    """Atom degrees, the blocks through each atom, atom weights and block keys.
 
-    Yes if an automorphism of the child (``gens`` generate them all) maps
-    block ``beta`` onto the last block, since it maps one remainder onto
-    the other; no if the remainders differ in the multiset of their
-    blocks' sorted atom degrees, which isomorphisms preserve.  Only the
-    other cases run the canonical search.
+    The weight of an atom is the sum, over its blocks, of the block's
+    degree total; the key of a block is its sorted atom degrees followed
+    by its sorted atom weights.  Isomorphisms preserve all of them.
     """
-    if child[-1] in _block_orbit(child[beta], gens):
-        return True
-    rest = child[:beta] + child[beta + 1 :]
-    if _degree_profiles(rest) != _degree_profiles(child[:-1]):
-        return False
-    return canonical_code(rest, n) == parent_code
+    degree = [0] * n
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, b in enumerate(blocks):
+        for a in b:
+            degree[a] += 1
+            incident[a].append(i)
+    total = [sum(degree[a] for a in b) for b in blocks]
+    weight = [sum(total[i] for i in incident[a]) for a in range(n)]
+    return degree, incident, weight, [_key(b, degree, weight) for b in blocks]
 
 
-def _degree_profiles(blocks: Blocks) -> list[tuple[int, ...]]:
-    degree = Counter(a for b in blocks for a in b)
-    return sorted(tuple(sorted(degree[a] for a in b)) for b in blocks)
+def _key(block: tuple[int, ...], degree: list[int], weight: list[int]) -> tuple[int, ...]:
+    return tuple(sorted(degree[a] for a in block)) + tuple(sorted(weight[a] for a in block))
+
+
+def _child_keys(blocks: Blocks, cand: tuple[int, ...], invariants: tuple, top: tuple) -> list | None:
+    """The keys of ``blocks + (cand,)`` from the parent's ``_invariants``,
+    or None when some block's key beats the new block's.  Only the
+    candidate's atoms gain a degree, and only the blocks through them a
+    degree total (no two candidate atoms share a block).  Keys never fall,
+    so the parent's largest key ``top`` above the new one already rejects.
+    """
+    degree, incident, weight, _ = invariants
+    n = len(degree)
+    degree = degree + [0] * (cand[-1] + 1 - n)
+    weight = weight + [0] * (cand[-1] + 1 - n)
+    total = len(cand) + sum(degree[a] for a in cand)
+    for a in cand:
+        degree[a] += 1
+        weight[a] += total
+        for i in incident[a] if a < n else ():
+            for x in blocks[i]:
+                weight[x] += 1
+    new_key = _key(cand, degree, weight)
+    if top > new_key:
+        return None
+    keys = [_key(b, degree, weight) for b in blocks]
+    if max(keys, default=()) > new_key:
+        return None
+    return keys + [new_key]
+
+
+def _accepts(child: Blocks, keys: list[tuple[int, ...]], perm: tuple[int, ...], gens: Gens) -> bool:
+    """Is the last block in the Aut(child)-orbit (``gens``) of b*, the block
+    of largest key whose image under the canonical labelling ``perm`` is
+    last in the code?"""
+    top = keys[-1]
+    star = max((b for b, k in zip(child, keys) if k == top), key=lambda b: sorted(perm[a] for a in b))
+    return star == child[-1] or child[-1] in _block_orbit(star, gens)
 
 
 def _block_orbit(block: tuple[int, ...], gens: Gens) -> set[tuple[int, ...]]:
-    """Images of a candidate block under the group generated by ``gens``;
-    atoms beyond the generators' range (new atoms) are fixed."""
+    """Images of a block under the group generated by ``gens``; atoms
+    beyond the generators' range (new atoms) are fixed."""
+    gens = [g + tuple(range(len(g), block[-1] + 1)) for g in gens]
     orbit = {block}
     todo = [block]
     while todo:
         b = todo.pop()
         for g in gens:
-            image = tuple(sorted(g[a] if a < len(g) else a for a in b))
+            image = tuple(sorted([g[a] for a in b]))
             if image not in orbit:
                 orbit.add(image)
                 todo.append(image)
@@ -363,46 +375,39 @@ def _read_checkpoint(path: str, spec: GenSpec) -> tuple[dict | None, dict, int]:
 def membership_probe(d: MmpDiagram, spec: GenSpec) -> bool:
     """Would ``generate(spec)`` emit this diagram's isomorphism class?
 
-    Walks the canonical-parent chain down to the empty diagram, replaying
-    the generator's own acceptance test at every level: the child must
-    arise from its parent by one augmenting block whose removal (at the
-    canonically last position) reproduces that parent.  The full tree is
-    never searched, so deep lattices can be probed directly.
+    Walks the parent chain down to the empty diagram.  At every level the
+    deletion rule of ``_children`` picks b*, the last block of largest key
+    in the canonical code; the parent is the code without b*, and the
+    generator's own acceptance test is replayed on the parent plus b*.
+    The candidate filters hold on every sub-diagram of a diagram that
+    meets the spec, so the full tree is never searched and deep lattices
+    can be probed directly.
     """
     spec.check()
-    if d.atom_count != spec.atom_count or d.block_count != spec.block_count:
-        return False
-    if any(len(b) != spec.block_size for b in d.blocks):
-        return False
     rep = validate(d)
-    if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii and rep.pairwise_intersections):
+    if not (
+        (d.atom_count, d.block_count) == (spec.atom_count, spec.block_count)
+        and all(len(b) == spec.block_size for b in d.blocks)
+        and rep.mmp_i and rep.mmp_ii and rep.mmp_iii and rep.pairwise_intersections
+        and (rep.girth is None or rep.girth >= spec.min_girth)
+        and _final_ok(d.blocks, d.atom_count, spec)
+    ):
         return False
-    if rep.girth is not None and rep.girth < spec.min_girth:
-        return False
-    if not _final_ok(d.blocks, d.atom_count, spec):
-        return False
-
     code = canonical_code(d.blocks, d.atom_count)
-    level = spec.block_count
     while code:
-        child_atoms = 1 + max(a for b in code for a in b)
-        parent_blocks = code[:-1]
-        parent_used = sorted({a for b in parent_blocks for a in b})
-        # The atom budget must stay reachable or the generator would prune.
-        if len(parent_used) + spec.block_size * (spec.block_count - level + 1) < spec.atom_count:
-            return False
-        pcode, pperm, _, _ = _canonical_search(parent_blocks, child_atoms)
-        candidate = tuple(sorted(pperm[a] for a in code[-1]))
-        rebuilt = pcode + (candidate,)
-        rebuilt_atoms = max(child_atoms, candidate[-1] + 1) if candidate else child_atoms
-        ccode, cperm, _, cgens = _canonical_search(rebuilt, rebuilt_atoms)
-        if ccode != code:
-            return False
-        beta = _designated_last(rebuilt, ccode, cperm)
-        if not _is_canonical_parent(rebuilt, beta, cgens, pcode, rebuilt_atoms):
+        n = 1 + max(a for b in code for a in b)
+        keys = _invariants(code, n)[3]
+        star = max(range(len(code)), key=lambda i: (keys[i], i))
+        pcode, pperm, _, _ = _canonical_search(code[:star] + code[star + 1 :], n)
+        cand = tuple(sorted(pperm[a] for a in code[star]))
+        p_used = 1 + max((a for b in pcode for a in b), default=-1)
+        invariants = _invariants(pcode, p_used)
+        keys = _child_keys(pcode, cand, invariants, max(invariants[3], default=()))
+        child = pcode + (cand,)
+        ccode, cperm, _, cgens = _canonical_search(child, max(p_used, cand[-1] + 1))
+        if keys is None or ccode != code or not _accepts(child, keys, cperm, cgens):
             return False
         code = pcode
-        level -= 1
     return True
 
 

@@ -99,7 +99,9 @@ def _classify(d: MmpDiagram) -> PolytopeSummary:
     found = tuple(vertices(*_block_rows(d)))
     if not found:
         return PolytopeSummary(Classification.NONE)
-    ranges = tuple((min(column), max(column)) for column in zip(*found))
+    # ``vertices`` shares one Fraction per value: compare each column's few distinct objects
+    distinct = ({id(v): v for v in column}.values() for column in zip(*found))
+    ranges = tuple((min(values), max(values)) for values in distinct)
     if len(found) == 1:
         return PolytopeSummary(
             Classification.EXACTLY_ONE, unique_state=found[0], atom_ranges=ranges, vertices=found

@@ -7,6 +7,7 @@ library, so that agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -342,3 +343,13 @@ def closure_order(gens, n: int) -> int:
                 group.add(q)
                 frontier.append(q)
     return len(group)
+
+
+def deletion_keys(blocks) -> list[tuple[int, ...]]:
+    """Generation's block keys, counted from scratch: per block, its sorted
+    atom degrees, then its sorted atom weights, the weight of an atom being
+    the sum of the degree totals of the blocks through it."""
+    degree = Counter(a for b in blocks for a in b)
+    total = {b: sum(degree[a] for a in b) for b in blocks}
+    weight = {a: sum(total[b] for b in blocks if a in b) for a in degree}
+    return [tuple(sorted(degree[a] for a in b)) + tuple(sorted(weight[a] for a in b)) for b in blocks]

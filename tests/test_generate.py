@@ -18,7 +18,8 @@ from greechie.generate import (
     membership_probe,
 )
 from greechie.structure import validate
-from greechie.symmetry import are_isomorphic, canonical_form
+from greechie.symmetry import _canonical_search, are_isomorphic, canonical_code, canonical_form
+from oracles import deletion_keys
 
 PENTAGON = "123,345,567,789,9A1."
 
@@ -213,43 +214,91 @@ def test_task_roots_prune_by_their_automorphisms(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [GenSpec(13, 6), GenSpec(15, 7), GenSpec(10, 10, min_girth=3, min_atom_degree=3),
-     GenSpec(12, 12, min_atom_degree=3)],
+    "spec, by_keys, by_orbit",
+    [(GenSpec(13, 6), 347, 0), (GenSpec(15, 7), 1344, 1),
+     (GenSpec(10, 10, min_girth=3, min_atom_degree=3), 4219, 134),
+     (GenSpec(12, 12, min_atom_degree=3), 148, 0)],
     ids=["13-6", "15-7", "10_3", "12-12-degree-3"],
 )
-def test_parent_test_filters_agree_with_the_full_comparison(monkeypatch, spec):
-    # the block-orbit and degree-profile tests settle the parent test without
-    # a canonical search; each of their answers must be the search's answer
+def test_deletion_rule_agrees_with_the_full_rule(monkeypatch, spec, by_keys, by_orbit):
+    # every child is judged by the full rule as well: search it, take b* as
+    # the block of largest key (keys counted from scratch) whose canonical
+    # image is last, and test whether an automorphism maps b* onto the new
+    # block (marked diagrams: b* or the new block grows one private atom).
+    # Children rejected on their keys alone must fail it, children whose new
+    # block alone has the largest key (kept with no search) must pass it,
+    # and the orbit test must give its answer.  Both kinds of rejection
+    # occur, the orbit kind only at two of the four specs.
     module = sys.modules["greechie.generate"]
-    real_test, real_code = module._is_canonical_parent, module.canonical_code
-    searches = []
-    by_filter = {True: 0, False: 0}
-    parent_codes = {}
+    real_keys, real_accepts = module._child_keys, module._accepts
+    rejected = {"keys": 0, "orbit": 0}
 
-    def counted(blocks, n):
-        searches.append(len(blocks))
-        return real_code(blocks, n)
+    def full_rule(child):
+        n = 1 + max(a for b in child for a in b)
+        _, perm, _, _ = _canonical_search(child, n)
+        keys = deletion_keys(child)
+        top = max(keys)
+        star = max((b for b, k in zip(child, keys) if k == top), key=lambda b: sorted(perm[a] for a in b))
 
-    def checked(child, beta, gens, parent_code, n):
-        before = len(searches)
-        got = real_test(child, beta, gens, parent_code, n)
-        if len(searches) == before:
-            by_filter[got] += 1
-        # the code handed in is the parent's own, checked once per parent
-        parent = child[:-1]
-        if parent not in parent_codes:
-            parent_codes[parent] = real_code(parent, n)
-        assert parent_code == parent_codes[parent]
-        rest = child[:beta] + child[beta + 1 :]
-        assert got == (real_code(rest, n) == parent_code)
+        def marked(block):
+            return tuple(b + (n,) if b == block else b for b in child)
+
+        return canonical_code(marked(star), n + 1) == canonical_code(marked(child[-1]), n + 1)
+
+    def keys_checked(blocks, cand, *parent):
+        got = real_keys(blocks, cand, *parent)
+        if got is None:
+            rejected["keys"] += 1
+            assert not full_rule(blocks + (cand,))
+        else:
+            assert got == deletion_keys(blocks + (cand,))
+            if got.count(got[-1]) == 1:
+                assert full_rule(blocks + (cand,))
         return got
 
-    monkeypatch.setattr(module, "canonical_code", counted)
-    monkeypatch.setattr(module, "_is_canonical_parent", checked)
+    def accepts_checked(child, keys, perm, gens):
+        got = real_accepts(child, keys, perm, gens)
+        rejected["orbit"] += not got
+        assert got == full_rule(child)
+        return got
+
+    monkeypatch.setattr(module, "_child_keys", keys_checked)
+    monkeypatch.setattr(module, "_accepts", accepts_checked)
     generate(spec, lambda line: None)
-    assert by_filter[True] > 0 and by_filter[False] > 0
-    assert len(searches) < (by_filter[True] + by_filter[False]) / 10
+    assert rejected == {"keys": by_keys, "orbit": by_orbit}
+
+
+# class sets recorded before the deletion rule replaced the canonical-tail
+# parent test; the brute-force oracle's guard forbids these specs
+RECORDED_CLASSES = {
+    "10_3": (GenSpec(10, 10, min_girth=3, min_atom_degree=3), {
+        "123,146,157,248,25A,349,378,569,68A,79A.", "123,146,157,248,25A,369,378,459,68A,79A.",
+        "123,146,157,248,269,358,37A,479,56A,89A.", "123,146,157,248,259,368,379,45A,69A,78A.",
+        "123,145,167,248,269,358,36A,47A,579,89A.", "123,145,167,248,269,358,36A,479,57A,89A.",
+        "124,135,167,238,269,36A,458,479,57A,89A.", "123,146,157,248,25A,368,379,459,69A,78A.",
+        "123,146,157,248,269,35A,378,459,68A,79A.", "125,136,147,234,279,358,49A,56A,689,78A.",
+    }),
+    "11-5": (GenSpec(11, 5), {
+        "12B,34B,56B,78B,9AB.", "12A,34B,56B,78B,9AB.", "12A,34A,56B,78B,9AB.",
+        "129,34B,56B,79A,8AB.", "128,349,58A,69B,7AB.", "129,34A,56B,79B,8AB.",
+        "129,34A,56B,78B,9AB.", "128,349,56A,78B,9AB.",
+    }),
+    "12-6": (GenSpec(12, 6), {
+        "12C,389,48A,59B,6AC,7BC.", "178,279,38A,49B,5AC,6BC.", "127,389,48A,59B,6AC,7BC.",
+    }),
+    "12-12-degree-3": (GenSpec(12, 12, min_atom_degree=3), set()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_CLASSES))
+def test_no_duplicates_and_unchanged_class_sets(name):
+    spec, recorded = RECORDED_CLASSES[name]
+    lines = []
+    generate(spec, lines.append)
+    assert len(lines) == len(set(lines))
+    assert set(lines) == recorded
+    for line in lines:
+        assert membership_probe(parse_mmp(line), spec)
 
 
 def test_n3_configuration_counts():
