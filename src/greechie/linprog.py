@@ -124,10 +124,7 @@ def vertices(
     # basis vector is its free column
     imposed = 1 << n | sum(1 << max(j for j, v in enumerate(b) if v) for b in basis)
     zeros = [sum(1 << j for j, v in enumerate(r) if imposed >> j & 1 and not v) for r in rays]
-    dim = len(rays)
-    for col in range(n):
-        if imposed >> col & 1:
-            continue
+    for col in [c for c in range(n) if not imposed >> c & 1]:  # the pivot columns
         tight = 1 << col
         kept = [q for q, r in enumerate(rays) if r[col] >= 0]
         positive = [q for q in kept if rays[q][col]]
@@ -136,18 +133,19 @@ def vertices(
         new_zeros = [zeros[q] | tight if not rays[q][col] else zeros[q] for q in kept]
         if negative:
             # per imposed coordinate, the mask of the rays zero on it
-            holders = {
-                c: int("".join("1" if z >> c & 1 else "0" for z in reversed(zeros)), 2)
-                for c in range(n + 1)
-                if imposed >> c & 1
-            }
+            holders = [0] * (n + 1)
+            for q, z in enumerate(zeros):
+                while z:
+                    low = z & -z
+                    holders[low.bit_length() - 1] |= 1 << q
+                    z ^= low
             everyone = (1 << len(rays)) - 1
             for p in positive:
                 vp = rays[p][col]
                 for q in negative:
-                    # adjacent rays are both zero on dim - 2 independent coordinates
+                    # adjacent rays are both zero on len(basis) - 1 independent coordinates
                     common = zeros[p] & zeros[q]
-                    if common.bit_count() < dim - 2:
+                    if common.bit_count() < len(basis) - 1:
                         continue
                     pair = 1 << p | 1 << q
                     shared = everyone
@@ -159,9 +157,9 @@ def vertices(
                     if shared == pair:
                         vq = rays[q][col]
                         ray = [vp * b - vq * a for a, b in zip(rays[p], rays[q])]
-                        new_rays.append(_integral(ray))
+                        g = gcd(*ray)
+                        new_rays.append(tuple(v // g for v in ray))
                         new_zeros.append(common | tight)
-        imposed |= tight
         rays, zeros = new_rays, new_zeros
 
     points = [r for r in rays if r[n]]
@@ -171,9 +169,7 @@ def vertices(
     return [tuple(value[v, r[n]] for v in r[:n]) for r in points]
 
 
-def _integral(vector: list[int | Fraction]) -> tuple[int, ...]:
-    """The positive multiple of ``vector`` in coprime integers."""
+def _integral(vector: list[Fraction]) -> tuple[int, ...]:
+    """``vector`` times the lcm of its denominators: coprime, as one entry is 1."""
     den = lcm(*(v.denominator for v in vector))
-    ints = [int(v * den) for v in vector]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
+    return tuple(v.numerator * (den // v.denominator) for v in vector)

@@ -13,8 +13,8 @@ Refinement is incremental: each round re-examines only the cells next to
 an atom that changed cell in the round before, and it keys each incident
 block by one int whose order is that of the (size, colors) tuple it
 encodes (see ``_refiner``).  Besides the code, the search returns |Aut|
-and generators of the automorphism group; generation uses the generators
-to try one augmenting block per orbit and to settle most parent tests.
+and generators of Aut.  Generation uses them to try one augmenting block
+per orbit and in the deletion rule's orbit test (``generate._accepts``).
 """
 
 from __future__ import annotations

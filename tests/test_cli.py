@@ -394,3 +394,30 @@ def test_corpus_check_validates_each_entry_once(capsys, monkeypatch):
     assert main(["corpus", "--check"]) == 0
     assert capsys.readouterr().out.count(": ok") == 18
     assert len(calls) == 18
+
+
+def test_one_parser_serves_every_call_without_carrying_options_over(tmp_path, capsys):
+    # main() builds its parser once per process; what one call sets, the
+    # next call must not see
+    f = write(tmp_path, "p.mmp", PENTAGON + "\n")
+    assert main(["states", "--strong", "--zero-one", f]) == 0
+    assert {"strong", "zero_one"} <= json.loads(capsys.readouterr().out).keys()
+    assert main(["states", f]) == 0
+    plain = capsys.readouterr().out
+    assert not {"strong", "zero_one"} & json.loads(plain).keys()
+    assert main(["validate", "--mmp", f]) == 0
+    assert "ok [mmp]" in capsys.readouterr().out
+    assert main(["validate", f]) == 0
+    assert "ok [greechie]" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["states"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["states", f]) == 0
+    assert capsys.readouterr().out == plain
+    pentagons = ["generate", "--atoms", "10", "--blocks", "5"]
+    assert main(pentagons + ["--count-only"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert main(pentagons) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert load_diagram_line(line).block_count == 5

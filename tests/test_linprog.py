@@ -58,6 +58,29 @@ def test_vertices_match_basic_solution_enumeration(rng):
     assert min(kinds.values()) > 30, kinds
 
 
+def test_vertices_of_rational_systems_match_basic_solution_enumeration(rng):
+    # Entries and right-hand sides over the distinct denominators 2, 3, 5
+    # and 7 on 7 to 9 columns: the first rays come out of the elimination
+    # with mixed denominators to clear, and the rays combined from them
+    # share factors that must be divided out.
+    kinds = {"none": 0, "one": 0, "many": 0}
+    for _ in range(120):
+        n = rng.randrange(7, 10)
+        m = rng.randrange(1, 4)
+        rows = [
+            [F(rng.choice((0, 1, 1, 2, -1, 3)), rng.choice((2, 3, 5, 7))) for _ in range(n)]
+            for _ in range(m)
+        ]
+        if rng.random() < 0.5:
+            rows[0] = [F(1, rng.choice((2, 3, 5, 7)))] * n
+        rhs = [F(rng.randrange(-1, 4), rng.choice((2, 3, 5, 7))) for _ in rows]
+        found = vertices(rows, rhs)
+        want = basic_solutions(rows, rhs)
+        assert found == sorted(want), (rows, rhs)
+        kinds["none" if not want else "one" if len(want) == 1 else "many"] += 1
+    assert min(kinds.values()) > 5, kinds
+
+
 def test_gauss_affine_cases():
     # unique
     x0, null = gauss_affine([[F(1), F(1)], [F(1), F(-1)]], [F(1), F(0)])
