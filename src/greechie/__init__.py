@@ -34,7 +34,6 @@ from .states import (
     Classification,
     PolytopeSummary,
     StrongReport,
-    admits_classically_strong,
     admits_strong_01_set,
     admits_strong_set,
     atom_range,
@@ -75,7 +74,6 @@ __all__ = [
     "PolytopeSummary",
     "StrongReport",
     "ValidationReport",
-    "admits_classically_strong",
     "admits_strong_01_set",
     "admits_strong_set",
     "are_isomorphic",

@@ -26,7 +26,6 @@ from .states import (
     Classification,
     _enumerate_01,
     _strong_over,
-    admits_classically_strong,
     classify_states,
     is_state,
 )
@@ -115,8 +114,6 @@ def _summary_json(d: MmpDiagram, args) -> dict:
         doc["strong"] = {"admits_strong_set": rep.admits}
         if rep.witness_pair:
             doc["strong"]["failing_pair"] = [e.label() for e in rep.witness_pair]
-    if args.classical:
-        doc["admits_classically_strong"] = admits_classically_strong(d)
     return doc
 
 
@@ -300,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--strong", action="store_true", help="decide strong-set admission")
     p.add_argument("--zero-one", dest="zero_one", action="store_true", help="count 0-1 states")
-    p.add_argument(
-        "--classical", action="store_true", help="decide classically-strong admission"
-    )
     p.set_defaults(func=cmd_states)
 
     p = sub.add_parser("generate", help="exhaustive isomorph-free generation")

@@ -355,7 +355,8 @@ def _run_tasks(
 def _read_checkpoint(path: str, spec: GenSpec) -> tuple[dict | None, dict, int]:
     """Header, finished tasks and the byte length of the complete lines of a
     checkpoint.  A missing or empty file has no header; a last line without
-    its newline was torn by an interrupted run and is ignored."""
+    its newline was torn by an interrupted run and is ignored.  A header or
+    record of the wrong shape or types raises ``BadCheckpoint``."""
     data = Path(path).read_bytes() if Path(path).exists() else b""
     if not data:
         return None, {}, 0
@@ -366,7 +367,17 @@ def _read_checkpoint(path: str, spec: GenSpec) -> tuple[dict | None, dict, int]:
             raise BadCheckpoint(f"{path}: written for another spec, {header['spec']}")
         if not type(header["depth"]) is type(header["tasks"]) is int:
             raise ValueError("depth and task count must be integers")
-        done = {r["task"]: (r["lines"], GenStats(**r["stats"])) for r in records}
+        done = {}
+        for r in records:
+            stats = GenStats(**r["stats"])
+            counts = [v for k, v in asdict(stats).items() if k != "wall_time"]
+            if not (
+                type(r["task"]) is int and 0 <= r["task"] < header["tasks"]
+                and type(r["lines"]) is list and all(type(x) is str for x in r["lines"])
+                and all(type(c) is int for c in counts)
+            ):
+                raise ValueError(f"task {r['task']!r}: a task index, lines and integer counts expected")
+            done[r["task"]] = (r["lines"], stats)
     except (KeyError, TypeError, ValueError) as exc:
         raise BadCheckpoint(f"{path}: not a readable checkpoint ({exc!r})") from None
     return header, done, len(complete)

@@ -17,7 +17,7 @@ from .diagram import MmpDiagram
 from .errors import Infeasible, LengthMismatch
 from .lattice import ATOM, COATOM, ONE, ZERO, OmlElement, OmlPoset, build_oml
 from .linprog import vertices
-from .structure import require_admissible, require_mmp
+from .structure import require_mmp
 
 StateVector = tuple[Fraction, ...]
 
@@ -261,14 +261,3 @@ def admits_strong_01_set(d: MmpDiagram) -> StrongReport:
     poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
     return _strong_over(poset, _enumerate_01(d))
 
-
-def admits_classically_strong(d: MmpDiagram) -> bool:
-    """Literal reading of the single-state strong condition.
-
-    A single state m must satisfy (m(a)=1 implies m(b)=1) iff a <= b for
-    every ordered pair.  Two mutually incomparable elements already make
-    that contradictory, and any two atoms of one block are incomparable,
-    so only the blockless diagram (the chain 0 < 1) qualifies.
-    """
-    require_admissible(d)
-    return d.block_count == 0

@@ -1,8 +1,12 @@
 """Structural checks and transforms on MMP diagrams.
 
 Covers the three MMP hypergraph conditions, loop/girth analysis,
-connectivity, incidence duality, block dropping, and the element count
-of the pasted lattice.
+connected components, incidence duality, block dropping, and the element
+count of the pasted lattice.
+
+Every block overlap is read from one pass over block bitmasks
+(``_meeting_pairs``), and all connectivity, the canonical search's
+included, from one union-find (``components``).
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .diagram import MmpDiagram
 from .errors import IndexOutOfRange, NotAdmissible, NotValidated, PreconditionViolated
@@ -63,33 +68,35 @@ class ValidationReport:
     greechie_admissible: bool
 
 
-def _pairwise_ok(d: MmpDiagram) -> CheckResult:
-    bad = []
-    sets = [set(b) for b in d.blocks]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if len(sets[i] & sets[j]) >= 2:
-                bad.append((i, j))
-    return CheckResult(not bad, tuple(bad))
+def _meeting_pairs(blocks: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, int, int]]:
+    """Every two blocks i < j that share an atom, in pair order, with the
+    bitmask of the atoms they share."""
+    masks = [sum(1 << a for a in b) for b in blocks]
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if mi & masks[j]:
+                yield i, j, mi & masks[j]
+
+
+def _checks(d: MmpDiagram) -> tuple[CheckResult, CheckResult, CheckResult, CheckResult]:
+    """MMP conditions (i)-(iii), then the check that no two blocks share
+    two or more atoms; one pass over the meeting pairs serves the last two."""
+    missing = tuple(sorted(set(range(d.atom_count)) - d.used_atoms()))
+    small = tuple(i for i, b in enumerate(d.blocks) if len(b) < 3)
+    bad_iii, bad_pairs = [], []
+    for i, j, shared in _meeting_pairs(d.blocks):
+        t = shared.bit_count()
+        if min(len(d.blocks[i]), len(d.blocks[j])) < t + 2:
+            bad_iii.append((i, j))
+        if t >= 2:
+            bad_pairs.append((i, j))
+    found = (missing, small, tuple(bad_iii), tuple(bad_pairs))
+    return tuple(CheckResult(not f, f) for f in found)
 
 
 def mmp_checks(d: MmpDiagram) -> tuple[CheckResult, CheckResult, CheckResult]:
     """The results of MMP conditions (i), (ii) and (iii), in that order."""
-    missing = tuple(sorted(set(range(d.atom_count)) - d.used_atoms()))
-    mmp_i = CheckResult(not missing, missing)
-
-    small = tuple(i for i, b in enumerate(d.blocks) if len(b) < 3)
-    mmp_ii = CheckResult(not small, small)
-
-    bad_iii = []
-    sets = [set(b) for b in d.blocks]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            t = len(sets[i] & sets[j])
-            if t and min(len(sets[i]), len(sets[j])) < t + 2:
-                bad_iii.append((i, j))
-    mmp_iii = CheckResult(not bad_iii, tuple(bad_iii))
-    return mmp_i, mmp_ii, mmp_iii
+    return _checks(d)[:3]
 
 
 def validate(d: MmpDiagram) -> ValidationReport:
@@ -100,15 +107,11 @@ def validate(d: MmpDiagram) -> ValidationReport:
     diagram is Greechie-admissible when all three hold, any two blocks
     share at most one atom, and every loop has order at least five.
     """
-    mmp_i, mmp_ii, mmp_iii = mmp_checks(d)
+    mmp_i, mmp_ii, mmp_iii, pairwise = _checks(d)
     used = d.used_atoms()
-    if used:
-        gaps = tuple(sorted(set(range(max(used) + 1)) - used))
-    else:
-        gaps = ()
+    gaps = tuple(sorted(set(range(max(used, default=-1) + 1)) - used))
     contiguous = CheckResult(not gaps, gaps)
 
-    pairwise = _pairwise_ok(d)
     if pairwise.passed:
         cycle = _shortest_incidence_cycle(d)
         g = None if cycle is None else len(cycle) // 2
@@ -142,21 +145,14 @@ def require_admissible(d: MmpDiagram) -> None:
         raise NotAdmissible("operation requires a Greechie-admissible diagram")
 
 
-def _require_linear(d: MmpDiagram) -> None:
-    check = _pairwise_ok(d)
-    if not check.passed:
-        raise PreconditionViolated(f"blocks share two or more atoms: {check.offenders[:3]}")
-
-
-def _incidence_adjacency(d: MmpDiagram) -> list[list[int]]:
-    """Adjacency of the bipartite incidence graph: atoms 0..n-1, blocks n..n+m-1."""
-    n = d.atom_count
-    adj: list[list[int]] = [[] for _ in range(n + d.block_count)]
-    for i, b in enumerate(d.blocks):
-        for a in b:
-            adj[a].append(n + i)
-            adj[n + i].append(a)
-    return adj
+def _require_linear(d: MmpDiagram) -> list[tuple[int, int, int]]:
+    """The meeting pairs (``_meeting_pairs``) of a diagram in which no two
+    blocks share two or more atoms; raise ``PreconditionViolated`` otherwise."""
+    pairs = list(_meeting_pairs(d.blocks))
+    bad = tuple((i, j) for i, j, shared in pairs if shared & (shared - 1))
+    if bad:
+        raise PreconditionViolated(f"blocks share two or more atoms: {bad[:3]}")
+    return pairs
 
 
 def girth(d: MmpDiagram) -> int | None:
@@ -194,8 +190,10 @@ def _cycle_to_profile(d: MmpDiagram, cycle: list[int]) -> LoopProfile:
 
 
 def _shortest_incidence_cycle(d: MmpDiagram) -> list[int] | None:
-    """Shortest cycle of the incidence graph as a vertex list, or None."""
-    adj = _incidence_adjacency(d)
+    """Shortest cycle of the incidence graph (atoms 0..n-1, then the
+    blocks) as a vertex list, or None."""
+    n = d.atom_count
+    adj = [[n + i for i in inc] for inc in d.incident_blocks()] + list(d.blocks)
     size = len(adj)
     best: list[int] | None = None
     # Atom roots suffice: every incidence cycle alternates atoms and blocks.
@@ -259,22 +257,17 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
     one, so a search that completes within the budget returns the same
     profile as the unbudgeted one.
     """
-    _require_linear(d)
+    pairs = _require_linear(d)
     if any(len(b) < 3 for b in d.blocks):
         raise PreconditionViolated("max_loop needs blocks of three or more atoms")
     n, m = d.atom_count, d.block_count
-    block_masks = [0] * m
-    for i, b in enumerate(d.blocks):
-        for a in b:
-            block_masks[i] |= 1 << a
-    # per block, (neighbor, junction atom, neighbor's mask)
+    block_masks = [sum(1 << a for a in b) for b in d.blocks]
+    # per block, (neighbor, junction atom, neighbor's mask), neighbors ascending
     neighbors: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                inter = block_masks[i] & block_masks[j]
-                if inter:
-                    neighbors[i].append((j, inter.bit_length() - 1, block_masks[j]))
+    for i, j, shared in pairs:
+        x = shared.bit_length() - 1
+        neighbors[i].append((j, x, block_masks[j]))
+        neighbors[j].append((i, x, block_masks[i]))
     hard_cap = min(m, n // 2)
 
     best: LoopProfile | None = None
@@ -328,24 +321,40 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
     return best
 
 
+def components(
+    blocks: tuple[tuple[int, ...], ...], n: int
+) -> list[tuple[list[int], list[tuple[int, ...]]]]:
+    """Connected components of a diagram on atoms 0..n-1, ordered by least atom.
+
+    Each is a pair (ascending atoms, its blocks in input order).  An atom
+    in no block is a component without blocks; empty blocks belong to no
+    component.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    blocks = tuple(b for b in blocks if b)
+    for b in blocks:
+        r = find(b[0])
+        for a in b[1:]:
+            parent[find(a)] = r
+    comps: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+    for a in range(n):
+        comps.setdefault(find(a), ([], []))[0].append(a)
+    for b in blocks:
+        comps[find(b[0])][1].append(b)
+    return list(comps.values())
+
+
 def is_connected(d: MmpDiagram) -> bool:
-    """True iff the atom-block incidence graph has one component."""
-    total = d.atom_count + d.block_count
-    if total == 0:
-        return True
-    adj = _incidence_adjacency(d)
-    seen = [False] * total
-    queue = deque([0])
-    seen[0] = True
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == total
+    """True iff the atom-block incidence graph, in which an empty block is
+    a component of its own, has at most one component."""
+    return len(components(d.blocks, d.atom_count)) + sum(not b for b in d.blocks) <= 1
 
 
 def dual(d: MmpDiagram) -> MmpDiagram:

@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 
 from .diagram import ALPHABET, MmpDiagram, serialize_mmp
 from .errors import SizeMismatch
-from .structure import dual, mmp_checks, require_mmp
+from .structure import components, dual, mmp_checks, require_mmp
 
 Code = tuple[tuple[int, ...], ...]
 Gens = tuple[tuple[int, ...], ...]  # generators of a permutation group
@@ -136,63 +136,38 @@ def _canonical_search(
 
     The permutation maps original atom -> canonical index.  The generators
     are atom permutations of the input that generate its automorphism
-    group.  Isolated atoms take the trailing indices in input order and
-    never influence the code, so a diagram and its atom-compacted version
-    share one code; they add nothing to the automorphism count, and every
-    generator fixes them.
+    group.
+
+    Each connected component (``structure.components``) is canonicalized
+    on its own, and the components are recombined in sorted-code order;
+    the result is still a relabeled copy of the input.  An automorphism
+    permutes the components within each isomorphism class and acts on
+    each one by a component automorphism, so |Aut| is the product of the
+    component orders times k! for each run of k components with equal
+    codes.  The group is generated by the component generators and, for
+    each two neighbours in such a run, the swap that matches their
+    canonical labelings.
+
+    Isolated atoms are the components without blocks.  They are not
+    searched: they take the trailing indices in input order and never
+    influence the code, so a diagram and its atom-compacted version share
+    one code; they add nothing to the automorphism count, and every
+    generator fixes them.  Empty blocks stay empty blocks of the code.
     """
-    if not blocks:
-        return (), tuple(range(n)), 1, ()
-    used = sorted({a for b in blocks for a in b})
-    if len(used) < n:
-        comp = {a: i for i, a in enumerate(used)}
-        cblocks = tuple(tuple(comp[a] for a in b) for b in blocks)
-        code, cperm, order, cgens = _search_dense(cblocks, len(used))
-        perm = [0] * n
-        nxt = len(used)
-        for a in range(n):
-            if a in comp:
-                perm[a] = cperm[comp[a]]
-            else:
-                perm[a] = nxt
-                nxt += 1
-        return code, tuple(perm), order, tuple(_lift(g, used, n) for g in cgens)
-    return _search_dense(blocks, n)
-
-
-def _lift(g: tuple[int, ...], atoms: list[int], n: int) -> tuple[int, ...]:
-    """Extend a permutation of ``atoms`` (given by local index) to range(n)."""
-    full = list(range(n))
-    for j, a in enumerate(atoms):
-        full[a] = atoms[g[j]]
-    return tuple(full)
-
-
-def _search_dense(
-    blocks: tuple[tuple[int, ...], ...], n: int
-) -> tuple[Code, tuple[int, ...], int, Gens]:
-    """Canonical search over a diagram in which every atom is used.
-
-    Disconnected diagrams are canonicalized one component at a time and
-    recombined in sorted-code order; the result is still a relabeled copy
-    of the input.  An automorphism permutes the components within each
-    isomorphism class and acts on each one by a component automorphism,
-    so |Aut| is the product of the component orders times k! for each run
-    of k components with equal codes.  The group is generated by the
-    component generators and, for each two neighbours in such a run, the
-    swap that matches their canonical labelings.
-    """
-    comps = _components(blocks, n)
-    if len(comps) <= 1:
+    comps = components(blocks, n)
+    if len(comps) == 1 and len(comps[0][1]) == len(blocks) > 0:  # every atom and block in one
         return _search_connected(blocks, n)
-    pieces = []
+    pieces, isolated = [], []
     for atoms, comp_blocks in comps:
+        if not comp_blocks:
+            isolated += atoms
+            continue
         index = {a: i for i, a in enumerate(atoms)}
         local = tuple(tuple(index[a] for a in b) for b in comp_blocks)
         pieces.append((*_search_connected(local, len(atoms)), atoms))
     pieces.sort(key=lambda p: (p[0], p[4][0]))
     perm_out = [0] * n
-    code_out: list[tuple[int, ...]] = []
+    code_out: list[tuple[int, ...]] = [b for b in blocks if not b]
     order_out = 1
     gens_out: list[tuple[int, ...]] = []
     offset = 0
@@ -201,7 +176,11 @@ def _search_dense(
         for j, a in enumerate(atoms):
             perm_out[a] = offset + perm[j]
         code_out.extend(tuple(offset + x for x in b) for b in code)
-        gens_out.extend(_lift(g, atoms, n) for g in gens)
+        for g in gens:  # lifted to range(n), fixing the other atoms
+            lifted = list(range(n))
+            for j, a in enumerate(atoms):
+                lifted[a] = atoms[g[j]]
+            gens_out.append(tuple(lifted))
         run = run + 1 if i and code == pieces[i - 1][0] else 1
         if run > 1:
             at = {perm_out[b]: b for b in atoms}
@@ -212,34 +191,9 @@ def _search_dense(
             gens_out.append(tuple(swap))
         offset += len(atoms)
         order_out *= order * run
+    for k, a in enumerate(isolated, offset):
+        perm_out[a] = k
     return tuple(sorted(code_out)), tuple(perm_out), order_out, tuple(gens_out)
-
-
-def _components(
-    blocks: tuple[tuple[int, ...], ...], n: int
-) -> list[tuple[list[int], list[tuple[int, ...]]]]:
-    """Connected components as (sorted atom list, block list) pairs."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for b in blocks:
-        r = find(b[0])
-        for a in b[1:]:
-            parent[find(a)] = r
-    atoms_by_root: dict[int, list[int]] = {}
-    for a in range(n):
-        atoms_by_root.setdefault(find(a), []).append(a)
-    blocks_by_root: dict[int, list[tuple[int, ...]]] = {r: [] for r in atoms_by_root}
-    for b in blocks:
-        blocks_by_root[find(b[0])].append(b)
-    return [
-        (sorted(atoms_by_root[r]), blocks_by_root[r]) for r in sorted(atoms_by_root)
-    ]
 
 
 def _search_connected(

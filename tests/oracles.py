@@ -112,6 +112,40 @@ def brute_max_loop_order(d: MmpDiagram) -> int | None:
     return orders[-1] if orders else None
 
 
+def pair_offenders(d: MmpDiagram) -> tuple[tuple, tuple]:
+    """Offenders of MMP condition (iii) and of the at-most-one-shared-atom
+    check, by intersecting the atom sets of every two blocks."""
+    bad_iii, bad_pairs = [], []
+    for i, j in combinations(range(d.block_count), 2):
+        a, b = set(d.blocks[i]), set(d.blocks[j])
+        t = len(a & b)
+        if t and min(len(a), len(b)) < t + 2:
+            bad_iii.append((i, j))
+        if t >= 2:
+            bad_pairs.append((i, j))
+    return tuple(bad_iii), tuple(bad_pairs)
+
+
+def incidence_connected(d: MmpDiagram) -> bool:
+    """Connectivity by breadth-first search of the incidence graph, whose
+    vertices are the atoms and the blocks (empty ones included)."""
+    vertices = [("atom", a) for a in range(d.atom_count)] + [("block", i) for i in range(d.block_count)]
+    if not vertices:
+        return True
+    seen, todo = {vertices[0]}, [vertices[0]]
+    while todo:
+        kind, x = todo.pop()
+        if kind == "atom":
+            nexts = [("block", i) for i, b in enumerate(d.blocks) if x in b]
+        else:
+            nexts = [("atom", a) for a in d.blocks[x]]
+        for v in nexts:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return len(seen) == len(vertices)
+
+
 def polytope_vertices(d: MmpDiagram) -> set[tuple[Fraction, ...]]:
     """All vertices of {x >= 0, block sums = 1} by basic-solution enumeration."""
     n = d.atom_count

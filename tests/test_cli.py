@@ -72,12 +72,15 @@ def test_states_json_lines(tmp_path, capsys):
 
 def test_states_flags(tmp_path, capsys):
     f = write(tmp_path, "d.mmp", "123.\n")
-    assert main(["states", f, "--strong", "--zero-one", "--classical"]) == 0
+    assert main(["states", f, "--strong", "--zero-one"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["strong"]["admits_strong_set"] is True
     assert doc["zero_one"]["count"] == 3
     assert doc["zero_one"]["admits_strong_01_set"] is True
-    assert doc["admits_classically_strong"] is False
+    # --classical is removed (its answer was block_count == 0): a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["states", f, "--classical"])
+    assert exc.value.code == 2
 
 
 def test_states_json_interchange_input(tmp_path, capsys):
@@ -89,12 +92,11 @@ def test_states_json_interchange_input(tmp_path, capsys):
 
 def test_states_degenerate_two_element_lattice(tmp_path, capsys):
     # only the JSON form can express the blockless diagram; its lattice is
-    # the 0 < 1 chain, the one classically-strong case
+    # the 0 < 1 chain
     f = write(tmp_path, "chain.json", '{"atoms": 0, "blocks": []}\n')
-    assert main(["states", f, "--classical"]) == 0
+    assert main(["states", f]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["classification"] == "ExactlyOne"
-    assert doc["admits_classically_strong"] is True
 
 
 def test_states_parse_error_carries_file(tmp_path, capsys):
@@ -104,7 +106,7 @@ def test_states_parse_error_carries_file(tmp_path, capsys):
     assert doc == {"file": f, "line": 1, "error": "MMP line must end with a full stop"}
 
 
-@pytest.mark.parametrize("flag", ["--strong", "--zero-one", "--classical"])
+@pytest.mark.parametrize("flag", ["--strong", "--zero-one"])
 def test_states_requirement_errors(tmp_path, capsys, flag):
     # blocks below 3 atoms fail (i)-(iii); the square is MMP but has a loop of order 4
     f = write(tmp_path, "e.mmp", "12,34.\n" + SQUARE + "\n")

@@ -161,6 +161,11 @@ def test_checkpoint_for_another_spec_or_unreadable_is_refused(tmp_path):
     generate(spec, lambda line: None, workers=1, checkpoint=str(cp))
     finished = cp.read_text()
     header, record = finished.splitlines()[:2]
+    fields = json.loads(record)
+
+    def with_record(**changes):
+        return header + "\n" + json.dumps({**fields, **changes}) + "\n"
+
     cases = [
         (GenSpec(12, 6), finished),
         (spec, "not json\n"),
@@ -169,6 +174,13 @@ def test_checkpoint_for_another_spec_or_unreadable_is_refused(tmp_path):
         (spec, json.dumps({**json.loads(header), "depth": "4"}) + "\n"),
         (spec, json.dumps({**json.loads(header), "tasks": 3}) + "\n"),
         (spec, header + "\n" + record.replace('"stats"', '"counts"') + "\n"),
+        # a string count crashed in GenStats.merge; a string of lines printed
+        # one line per character; a bool read as task 1; an index past the
+        # task count was ignored
+        (spec, with_record(stats={**fields["stats"], "nodes_explored": "x"})),
+        (spec, with_record(lines="abc")),
+        (spec, with_record(task=True)),
+        (spec, with_record(task=json.loads(header)["tasks"])),
     ]
     for other, text in cases:
         cp.write_text(text)

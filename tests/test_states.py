@@ -2,7 +2,6 @@ import json
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -16,7 +15,6 @@ from greechie.linprog import gauss_affine
 from greechie.states import (
     Classification,
     _block_rows,
-    admits_classically_strong,
     admits_strong_01_set,
     admits_strong_set,
     atom_range,
@@ -444,21 +442,6 @@ def test_full_state_set_is_strong_when_decision_is_positive(rng):
             assert _subset_is_strong(d, sorted(polytope_vertices(d)))
             checked += 1
     assert checked > 0
-
-
-def test_admits_classically_strong(rng):
-    assert admits_classically_strong(MmpDiagram(0, ()))  # the 0 < 1 chain
-    assert not admits_classically_strong(parse_mmp("123."))
-    assert not admits_classically_strong(corpus.diagram("35-35e"))
-    # the closed form rests on any two atoms of one block being incomparable
-    for d in [MmpDiagram(0, ())] + [random_admissible(rng) for _ in range(20)]:
-        poset = build_oml(d)
-        atom = {e.atom: e for e in poset.elements if e.kind == ATOM}
-        for block in d.blocks:
-            for a, b in combinations(block, 2):
-                assert not poset.leq(atom[a], atom[b])
-                assert not poset.leq(atom[b], atom[a])
-        assert admits_classically_strong(d) == (d.block_count == 0)
 
 
 def test_every_witness_is_exact(rng):

@@ -18,7 +18,7 @@ from greechie.structure import (
 )
 from greechie.symmetry import Permutation, relabel
 from conftest import random_admissible, random_diagram, random_mmp
-from oracles import brute_girth, brute_max_loop_order
+from oracles import brute_girth, brute_max_loop_order, incidence_connected, pair_offenders
 
 PENTAGON = "123,345,567,789,9A1."
 SQUARE = "123,345,567,781."
@@ -62,6 +62,23 @@ def test_condition_iii_equivalent_to_linearity_for_3_uniform(rng):
             for j in range(i + 1, d.block_count)
         )
         assert rep.mmp_iii.passed == pairwise
+
+
+def test_pair_offenders_match_all_pairs_intersections(rng):
+    # blocks of 2-5 atoms over few atoms, so that many pairs share two or more
+    found_iii = found_pairs = 0
+    for _ in range(400):
+        n = rng.randrange(4, 11)
+        blocks = [rng.sample(range(n), rng.randrange(2, min(5, n) + 1)) for _ in range(rng.randrange(1, 8))]
+        d = MmpDiagram(n, tuple(blocks))
+        rep = validate(d)
+        bad_iii, bad_pairs = pair_offenders(d)
+        assert rep.mmp_iii.offenders == bad_iii and rep.mmp_iii.passed == (not bad_iii)
+        assert rep.pairwise_intersections.offenders == bad_pairs
+        assert rep.pairwise_intersections.passed == (not bad_pairs)
+        found_iii += bool(bad_iii)
+        found_pairs += bool(bad_pairs)
+    assert found_iii > 50 and found_pairs > 50
 
 
 def test_girth_pentagon():
@@ -199,6 +216,23 @@ def test_is_connected():
     assert not is_connected(parse_mmp("123,456."))
     assert is_connected(MmpDiagram(0, ()))
     assert not is_connected(MmpDiagram(4, ((0, 1, 2),)))  # isolated atom
+
+
+def test_is_connected_matches_incidence_search(rng):
+    cases = [MmpDiagram(0, ()), MmpDiagram(1, ()), MmpDiagram(2, ())]
+    # only the JSON form can express empty blocks
+    for text in ('{"atoms": 0, "blocks": [[]]}', '{"atoms": 0, "blocks": [[], []]}',
+                 '{"atoms": 3, "blocks": [[0, 1, 2], []]}', '{"atoms": 1, "blocks": [[]]}'):
+        cases.append(MmpDiagram.from_json(text))
+    for _ in range(300):
+        n = rng.randrange(1, 10)
+        blocks = [rng.sample(range(n), rng.randrange(0, min(3, n) + 1)) for _ in range(rng.randrange(0, 5))]
+        cases.append(MmpDiagram(n, tuple(blocks)))
+    outcomes = set()
+    for d in cases:
+        assert is_connected(d) == incidence_connected(d), d
+        outcomes.add(is_connected(d))
+    assert outcomes == {True, False}
 
 
 def test_dual_small_example():

@@ -133,6 +133,14 @@ def test_are_isomorphic_witness(rng):
     assert sorted(relabel(d, pi).blocks) == sorted(r.blocks)
 
 
+def test_are_isomorphic_with_an_empty_block():
+    # an empty block belongs to no component (JSON input can hold one)
+    d = MmpDiagram(3, ((0, 1, 2), ()))
+    assert are_isomorphic(d, d) == Permutation.identity(3)
+    assert are_isomorphic(d, MmpDiagram(3, ((), (0, 1, 2)))) is not None
+    assert are_isomorphic(d, MmpDiagram(3, ((0, 1, 2), (0,)))) is None
+
+
 def test_are_isomorphic_negative_cases():
     assert are_isomorphic(corpus.diagram("35-35a"), corpus.diagram("35-35b")) is None
     assert are_isomorphic(corpus.diagram("73-73"), corpus.diagram("44-44")) is None
