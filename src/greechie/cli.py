@@ -22,13 +22,7 @@ from .errors import BadCheckpoint, InvalidSpec, MmpError, NotAdmissible, NotVali
 from .generate import GenSpec, brute_force_generate, generate
 from .lattice import build_oml
 from .render import LOOP_BUDGET, render_dot
-from .states import (
-    Classification,
-    _enumerate_01,
-    _strong_over,
-    classify_states,
-    is_state,
-)
+from .states import Classification, _enumerate_01, _strong_over, classify_states, is_state
 from .structure import validate
 from .symmetry import canonical_form, is_self_dual
 
@@ -103,17 +97,20 @@ def _summary_json(d: MmpDiagram, args) -> dict:
             [str(v) for v in summary.second_witness],
         ]
     poset = build_oml(d) if args.zero_one or args.strong else None
+    strong = _strong_over(poset, summary.zero_masks) if args.strong else None
     if args.zero_one:
-        states = _enumerate_01(d)
-        rep = _strong_over(poset, states)
-        doc["zero_one"] = {"count": len(states), "admits_strong_01_set": rep.admits}
+        zeros = _enumerate_01(d)
+        # A 0-1 state is a vertex of any polytope inside the unit cube: as
+        # many 0-1 states as vertices means the same set, so the same report
+        same = strong is not None and len(zeros) == len(summary.zero_masks)
+        rep = strong if same else _strong_over(poset, zeros)
+        doc["zero_one"] = {"count": len(zeros), "admits_strong_01_set": rep.admits}
         if rep.witness_pair:
             doc["zero_one"]["failing_pair"] = [e.label() for e in rep.witness_pair]
-    if args.strong:
-        rep = _strong_over(poset, summary.vertices)
-        doc["strong"] = {"admits_strong_set": rep.admits}
-        if rep.witness_pair:
-            doc["strong"]["failing_pair"] = [e.label() for e in rep.witness_pair]
+    if strong is not None:
+        doc["strong"] = {"admits_strong_set": strong.admits}
+        if strong.witness_pair:
+            doc["strong"]["failing_pair"] = [e.label() for e in strong.witness_pair]
     return doc
 
 
@@ -244,7 +241,7 @@ def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
         if sd != entry.self_dual:
             problems.append(f"self_dual {sd} != {entry.self_dual}")
     if entry.admits_strong_set is not None:
-        rep_strong = _strong_over(poset, (summary or classify_states(d)).vertices)
+        rep_strong = _strong_over(poset, (summary or classify_states(d)).zero_masks)
         if rep_strong.admits != entry.admits_strong_set:
             problems.append(f"admits_strong_set {rep_strong.admits} != {entry.admits_strong_set}")
     if entry.name in corpus.KNOWN_STATES:

@@ -98,8 +98,9 @@ def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, in
 
 def vertices(
     rows: list[list[int | Fraction]], rhs: list[int | Fraction]
-) -> list[tuple[Fraction, ...]]:
-    """The vertices of {x >= 0 : rows · x = rhs}, in lexicographic order.
+) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """The vertices of {x >= 0 : rows · x = rhs} in lexicographic order, and
+    beside them their zero sets, the masks of the j with x_j = 0.
 
     By the double-description method (Motzkin, Raiffa, Thompson & Thrall
     1953; Fukuda & Prodon 1996).  :func:`gauss_affine` writes the solutions
@@ -116,7 +117,7 @@ def vertices(
     """
     affine = gauss_affine(rows, rhs)
     if affine is None:
-        return []
+        return [], []
     x0, basis = affine
     n = len(x0)
     rays = [_integral(v + [ZERO]) for v in basis] + [_integral(x0 + [ONE])]
@@ -162,11 +163,12 @@ def vertices(
                         new_zeros.append(common | tight)
         rays, zeros = new_rays, new_zeros
 
-    points = [r for r in rays if r[n]]
-    den = lcm(*(r[n] for r in points))  # sorted over one denominator, in integers
-    points.sort(key=lambda r: [v * (den // r[n]) for v in r[:n]])
-    value = {pair: Fraction(*pair) for pair in {(v, r[n]) for r in points for v in r[:n]}}
-    return [tuple(value[v, r[n]] for v in r[:n]) for r in points]
+    # s > 0; each mask is exact on every imposed coordinate, s among them
+    points = [(r, z) for r, z in zip(rays, zeros) if r[n]]
+    den = lcm(*(r[n] for r, _ in points))  # sorted over one denominator, in integers
+    points.sort(key=lambda p: [v * (den // p[0][n]) for v in p[0][:n]])
+    value = {pair: Fraction(*pair) for pair in {(v, r[n]) for r, _ in points for v in r[:n]}}
+    return [tuple(value[v, r[n]] for v in r[:n]) for r, _ in points], [z for _, z in points]
 
 
 def _integral(vector: list[Fraction]) -> tuple[int, ...]:

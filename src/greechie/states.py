@@ -3,7 +3,9 @@
 A state assigns each atom a rational in [0,1] so that every block sums
 to one.  The set of states is a polytope cut out by those equations;
 everything below (classification, per-atom ranges, 0-1 states, strong
-set decisions) is decided in exact arithmetic, never with floats.
+set decisions) is decided in exact arithmetic, never with floats.  The
+strong-set tests see each state as its zero mask, bit a set when m(a) = 0;
+``Fraction`` tuples are built only for the values handed out.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from fractions import Fraction
 
 from .diagram import MmpDiagram
 from .errors import Infeasible, LengthMismatch
-from .lattice import ATOM, COATOM, ONE, ZERO, OmlElement, OmlPoset, build_oml
+from .lattice import OmlElement, OmlPoset, build_oml
 from .linprog import vertices
 from .structure import require_mmp
 
 StateVector = tuple[Fraction, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# the value of an atom whose zero-mask digit is "0" or "1", one object each
+_DIGIT_VALUE = {"0": Fraction(1), "1": Fraction(0)}
 
 
 class Classification(Enum):
@@ -39,7 +41,8 @@ class PolytopeSummary:
     one state for ``ExactlyOne``, two or more for ``MoreThanOne``.  Each
     atom's (min, max) range is the least and greatest value it takes on a
     vertex; the two ``MoreThanOne`` witnesses are the least and the
-    greatest vertex.
+    greatest vertex.  ``zero_masks[k]`` has bit a set when ``vertices[k]``
+    puts 0 on atom a.
     """
 
     classification: Classification
@@ -48,6 +51,7 @@ class PolytopeSummary:
     witness_state: StateVector | None = None
     second_witness: StateVector | None = None
     vertices: tuple[StateVector, ...] = field(default=(), repr=False)
+    zero_masks: tuple[int, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -96,22 +100,20 @@ def classify_states(d: MmpDiagram) -> PolytopeSummary:
 
 def _classify(d: MmpDiagram) -> PolytopeSummary:
     """:func:`classify_states` on a diagram already known to pass (i)-(iii)."""
-    found = tuple(vertices(*_block_rows(d)))
+    found, zero_masks = vertices(*_block_rows(d))
     if not found:
         return PolytopeSummary(Classification.NONE)
     # ``vertices`` shares one Fraction per value: compare each column's few distinct objects
     distinct = ({id(v): v for v in column}.values() for column in zip(*found))
-    ranges = tuple((min(values), max(values)) for values in distinct)
-    if len(found) == 1:
-        return PolytopeSummary(
-            Classification.EXACTLY_ONE, unique_state=found[0], atom_ranges=ranges, vertices=found
-        )
+    one = len(found) == 1
     return PolytopeSummary(
-        Classification.MORE_THAN_ONE,
-        atom_ranges=ranges,
-        witness_state=found[0],
-        second_witness=found[-1],
-        vertices=found,
+        Classification.EXACTLY_ONE if one else Classification.MORE_THAN_ONE,
+        unique_state=found[0] if one else None,
+        atom_ranges=tuple((min(values), max(values)) for values in distinct),
+        witness_state=None if one else found[0],
+        second_witness=None if one else found[-1],
+        vertices=tuple(found),
+        zero_masks=tuple(zero_masks),
     )
 
 
@@ -133,11 +135,15 @@ def enumerate_01_states(d: MmpDiagram) -> list[StateVector]:
     out in lexicographic order.  The list may be empty.
     """
     require_mmp(d)
-    return _enumerate_01(d)
+    n = d.atom_count
+    # each zero mask's n binary digits from atom 0 on (bit n pads, the slice
+    # drops it); a digit 1 is a value 0, so the digits sort backwards
+    digits = sorted((format(z | 1 << n, "b")[:0:-1] for z in _enumerate_01(d)), reverse=True)
+    return [tuple(map(_DIGIT_VALUE.__getitem__, s)) for s in digits]
 
 
-def _enumerate_01(d: MmpDiagram) -> list[StateVector]:
-    """:func:`enumerate_01_states` on a diagram already known to pass (i)-(iii).
+def _enumerate_01(d: MmpDiagram) -> list[int]:
+    """The 0-1 states as zero masks, unsorted, on a diagram known to pass (i)-(iii).
 
     Setting atom a to 1 closes every block holding a and sets every atom of
     those blocks to 0; a branch dies when an open block has no live atom.
@@ -150,11 +156,12 @@ def _enumerate_01(d: MmpDiagram) -> list[StateVector]:
         for a in block:
             blocks_of[a] |= 1 << bi
             mates[a] |= members[bi]
+    full = (1 << n) - 1
     found: list[int] = []
 
     def cover(live: int, open_blocks: int, ones: int) -> None:
         if not open_blocks:
-            found.append(ones)
+            found.append(full & ~ones)
             return
         best = -1
         rest = open_blocks
@@ -172,8 +179,8 @@ def _enumerate_01(d: MmpDiagram) -> list[StateVector]:
             a = low.bit_length() - 1
             cover(live & ~mates[a], open_blocks & ~blocks_of[a], ones | low)
 
-    cover((1 << n) - 1, (1 << len(members)) - 1, 0)
-    return sorted(tuple(_ONE if ones >> a & 1 else _ZERO for a in range(n)) for ones in found)
+    cover(full, (1 << len(members)) - 1, 0)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -181,53 +188,42 @@ def _enumerate_01(d: MmpDiagram) -> list[StateVector]:
 # ---------------------------------------------------------------------------
 
 
-def _unit_zeros(poset: OmlPoset) -> list[tuple[int, ...] | None]:
-    """Per element e but 0 (``None``), the atoms Z with m(e) = 1 - m(Z): the
-    rest of its block for an atom or a block interior, {a} for a coatom a'.
-    Atom values are nonnegative, so m(e) = 1 exactly when m is 0 on Z."""
-    blocks = poset.source.blocks
-    home = {a: block for block in reversed(blocks) for a in block}
-    out: list[tuple[int, ...] | None] = []
-    for e in poset.elements:
-        if e.kind == ZERO:
-            out.append(None)
-        elif e.kind == ONE:
-            out.append(())
-        elif e.kind == ATOM:
-            out.append(tuple(a for a in home[e.atom] if a != e.atom))
-        elif e.kind == COATOM:
-            out.append((e.atom,))
-        else:
-            out.append(tuple(a for a in blocks[e.block] if a not in e.subset))
-    return out
-
-
-def _ones(zeros: list[tuple[int, ...] | None], n: int, states: Sequence[StateVector]) -> list[int]:
-    """Per element, the bitmask of the k with m(e) = 1 in ``states[k]``."""
-    at_zero = [
-        int("".join("0" if s[a] else "1" for s in reversed(states)) or "0", 2) for a in range(n)
-    ]
-    out = []
-    for need in zeros:
-        mask = 0 if need is None else (1 << len(states)) - 1
-        for a in need or ():
-            mask &= at_zero[a]
-        out.append(mask)
-    return out
-
-
-def _strong_over(poset: OmlPoset, states: Sequence[StateVector]) -> StrongReport:
-    """The strong-set test over a finite list of states, exactly as given.
+def _strong_over(poset: OmlPoset, zero_masks: Sequence[int]) -> StrongReport:
+    """The strong-set test over a finite list of states, given by their zero
+    masks in any order.
 
     Sweeps the pairs (x, y) with x not below y, x-major in element order.
     A pair fails when no state puts 1 on x (reported against the zero
     element) or every state with m(x) = 1 has m(y) = 1.
     """
-    ones = _ones(_unit_zeros(poset), poset.source.atom_count, states)
+    n = poset.source.atom_count
+    everyone = (1 << len(zero_masks)) - 1
+    # per atom, the k with state k at 0 there: cleared along each state's
+    # support, the short side of a vertex
+    at_zero = [everyone] * n
+    for k, z in enumerate(zero_masks):
+        rest = ((1 << n) - 1) & ~z
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            at_zero[low.bit_length() - 1] ^= 1 << k
+    # per element x, the k with m(x) = 1 in state k.  m(x) = 1 - m(x'), and
+    # atom values are nonnegative, so m(x) = 1 exactly when m is 0 on every
+    # atom a below x', that is every a with x <= a'; coatom a' is element 2 + n + a
     elements = poset.elements
+    ups = [poset.up_mask(x) for x in elements]
+    ones = []
+    for up in ups:
+        mask = everyone
+        coatoms = up >> (2 + n) & ((1 << n) - 1)
+        while coatoms:
+            low = coatoms & -coatoms
+            coatoms ^= low
+            mask &= at_zero[low.bit_length() - 1]
+        ones.append(mask)
     everything = (1 << len(elements)) - 1
     for i, x in enumerate(elements):
-        rest = everything & ~poset.up_mask(x)
+        rest = everything & ~ups[i]
         if rest and not ones[i]:
             return StrongReport(False, (x, elements[0]))
         rest &= ~1  # (x, 0) passes: m(0) = 0 wherever m(x) = 1
@@ -253,7 +249,7 @@ def admits_strong_set(d: MmpDiagram) -> StrongReport:
     the vertex list decides every pair.
     """
     poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
-    return _strong_over(poset, _classify(d).vertices)
+    return _strong_over(poset, _classify(d).zero_masks)
 
 
 def admits_strong_01_set(d: MmpDiagram) -> StrongReport:

@@ -193,7 +193,10 @@ def _shortest_incidence_cycle(d: MmpDiagram) -> list[int] | None:
     """Shortest cycle of the incidence graph (atoms 0..n-1, then the
     blocks) as a vertex list, or None."""
     n = d.atom_count
-    adj = [[n + i for i in inc] for inc in d.incident_blocks()] + list(d.blocks)
+    adj = [[] for _ in range(n)] + list(d.blocks)
+    for i, block in enumerate(d.blocks):
+        for a in block:
+            adj[a].append(n + i)
     size = len(adj)
     best: list[int] | None = None
     # Atom roots suffice: every incidence cycle alternates atoms and blocks.

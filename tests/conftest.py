@@ -70,6 +70,30 @@ def random_admissible(rng: random.Random, max_blocks: int = 6, sizes=(3,)) -> Mm
     return MmpDiagram(n, tuple(blocks))
 
 
+def random_looped(rng: random.Random, max_atoms: int = 12) -> MmpDiagram:
+    """A random Greechie-admissible diagram of 3-atom blocks with loops.
+
+    :func:`random_admissible` only grows forests, whose state polytopes
+    have 0-1 vertices alone.  Here a small forest is grown on by blocks
+    with two or three old atoms, which close loops, and blocks with one
+    old atom, each kept while the diagram stays admissible and within
+    ``max_atoms`` atoms.
+    """
+    from greechie.structure import validate
+
+    d = random_admissible(rng, max_blocks=3)
+    blocks, n = list(d.blocks), d.atom_count
+    for _ in range(40):
+        new_atoms = rng.randrange(0, 3)
+        if n + new_atoms > max_atoms:
+            continue
+        cand = tuple(sorted(rng.sample(range(n), 3 - new_atoms) + list(range(n, n + new_atoms))))
+        trial = MmpDiagram(n + new_atoms, tuple(blocks + [cand]))
+        if validate(trial).greechie_admissible:
+            blocks, n = blocks + [cand], n + new_atoms
+    return MmpDiagram(n, tuple(blocks))
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

@@ -4,16 +4,16 @@ import time
 
 import pytest
 
-from greechie import corpus
+from greechie import cli, corpus
 from greechie.cli import main
 from greechie.diagram import load_diagram_line, serialize_mmp
 from greechie.generate import GenSpec, generate
 from greechie.lattice import build_oml
 from greechie.render import LOOP_BUDGET, render_dot
-from greechie.states import enumerate_01_states
+from greechie.states import classify_states, enumerate_01_states
 from greechie.structure import drop_blocks
-from conftest import random_admissible
-from oracles import brute_01_states, first_failing_pair
+from conftest import random_admissible, random_looped
+from oracles import brute_01_states, first_failing_pair, strong_set_by_vertices
 
 PENTAGON = "123,345,567,789,9A1."
 SQUARE = "123,345,567,781."
@@ -158,6 +158,58 @@ def test_states_zero_one_matches_the_enumerations(tmp_path, capsys, rng):
         if pair is not None:
             expected["failing_pair"] = [e.label() for e in pair]
         assert doc["zero_one"] == expected, serialize_mmp(d)
+
+
+def _strong_doc(key: str, pair) -> dict:
+    doc = {key: pair is None}
+    if pair is not None:
+        doc["failing_pair"] = [e.label() for e in pair]
+    return doc
+
+
+def test_states_strong_zero_one_match_the_oracles(tmp_path, capsys, monkeypatch, rng):
+    # strong against the vertex oracle (on up to 10 atoms, else the sweep of
+    # the vertex list), zero_one against the brute-force 0-1 states (on up
+    # to 12 atoms, else the exact cover's).  Where every vertex is a 0-1
+    # state, one strong-set sweep serves both results; otherwise, as on the
+    # pentagon's 12 vertices and 11 0-1 states, the 0-1 states get a sweep
+    # of their own.
+    sweeps = []
+    sweep = cli._strong_over
+    monkeypatch.setattr(cli, "_strong_over", lambda *a: sweeps.append(1) or sweep(*a))
+    past_the_zero_pair = (  # every state with m(1) = 1 has m(I) = 0
+        "2EP,39W,OPU,5FK,GHO,6HK,BJM,78C,DOT,8GI,NVX,FPW,1CU,EJV,IRZ,9AQ,BFI,"
+        "6NR,5AL,28A,3SY,EYZ,9HJ,CKY,QTZ,7MT,LMS,1QX,5DV,246,34D,LRU,7NW."
+    )
+    diagrams = [load_diagram_line(line) for line in ("123.", PENTAGON, past_the_zero_pair)]
+    diagrams += [corpus.diagram("35-35a")]
+    diagrams += [random_looped(rng, max_atoms=10) for _ in range(60)]
+    diagrams += [random_looped(rng, max_atoms=12) for _ in range(20)]
+    seen = {"one sweep": 0, "two sweeps": 0, "strong fails": 0, "zero_one fails": 0}
+    for d in diagrams:
+        poset = build_oml(d)
+        s = classify_states(d)
+        if d.atom_count <= 10:
+            strong_pair = strong_set_by_vertices(d)
+        else:
+            strong_pair = first_failing_pair(poset, s.vertices)
+        states01 = brute_01_states(d) if d.atom_count <= 12 else enumerate_01_states(d)
+        zero_one_pair = first_failing_pair(poset, states01)
+        f = write(tmp_path, "d.mmp", serialize_mmp(d) + "\n")
+        sweeps.clear()
+        assert main(["states", "--strong", "--zero-one", f]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["strong"] == _strong_doc("admits_strong_set", strong_pair), serialize_mmp(d)
+        assert doc["zero_one"] == {
+            "count": len(states01),
+            **_strong_doc("admits_strong_01_set", zero_one_pair),
+        }, serialize_mmp(d)
+        reused = len(states01) == len(s.vertices)
+        assert len(sweeps) == (1 if reused else 2)
+        seen["one sweep" if reused else "two sweeps"] += 1
+        seen["strong fails"] += strong_pair is not None
+        seen["zero_one fails"] += zero_one_pair is not None
+    assert min(seen.values()) >= 2, seen
 
 
 def test_states_strong_zero_one_on_a_73_atom_sub_diagram(tmp_path, capsys):

@@ -6,43 +6,49 @@ from oracles import basic_solutions, dense_gauss_affine
 F = Fraction
 
 
+def _zero_mask(vertex) -> int:
+    """Bit j set where the vertex has coordinate j equal to 0."""
+    return sum(1 << j for j, v in enumerate(vertex) if not v)
+
+
 def test_min_max_over_segment():
-    # x + y = 1: the segment between its two vertices, in lexicographic order
-    assert vertices([[1, 1]], [1]) == [(F(0), F(1)), (F(1), F(0))]
+    # x + y = 1: the segment between its two vertices, in lexicographic
+    # order, beside their zero sets {x} and {y}
+    assert vertices([[1, 1]], [1]) == ([(F(0), F(1)), (F(1), F(0))], [0b01, 0b10])
 
 
 def test_negative_rhs_rows_are_normalized():
     # -x - y = -1 is the same segment
-    assert vertices([[-1, -1]], [-1]) == [(F(0), F(1)), (F(1), F(0))]
+    assert vertices([[-1, -1]], [-1])[0] == [(F(0), F(1)), (F(1), F(0))]
 
 
 def test_duplicate_rows_are_redundant_not_fatal():
-    assert vertices([[F(1), F(1)], [F(1), F(1)]], [F(1), F(1)]) == [(F(0), F(1)), (F(1), F(0))]
+    assert vertices([[F(1), F(1)], [F(1), F(1)]], [F(1), F(1)])[0] == [(F(0), F(1)), (F(1), F(0))]
 
 
 def test_infeasible_systems():
-    assert vertices([[1]], [-1]) == []  # x = -1 has no solution x >= 0
-    assert vertices([[1, 1], [1, 1]], [1, 2]) == []  # inconsistent
-    assert vertices([[1, 1, 0], [0, 1, 1]], [1, -1]) == []  # consistent, nothing x >= 0
+    assert vertices([[1]], [-1])[0] == []  # x = -1 has no solution x >= 0
+    assert vertices([[1, 1], [1, 1]], [1, 2])[0] == []  # inconsistent
+    assert vertices([[1, 1, 0], [0, 1, 1]], [1, -1])[0] == []  # consistent, nothing x >= 0
 
 
 def test_unbounded_polyhedra_keep_their_vertices():
     # x = y >= 0 is a ray from its one vertex; x - y = 1 a ray from (1, 0)
-    assert vertices([[1, -1]], [0]) == [(F(0), F(0))]
-    assert vertices([[1, -1]], [1]) == [(F(1), F(0))]
+    assert vertices([[1, -1]], [0])[0] == [(F(0), F(0))]
+    assert vertices([[1, -1]], [1])[0] == [(F(1), F(0))]
 
 
 def test_points_and_empty_systems():
-    assert vertices([], []) == [()]  # the one point of R^0
-    assert vertices([[2, 0], [0, 3]], [1, 1]) == [(F(1, 2), F(1, 3))]
-    assert vertices([[1, 1]], [0]) == [(F(0), F(0))]
+    assert vertices([], [])[0] == [()]  # the one point of R^0
+    assert vertices([[2, 0], [0, 3]], [1, 1])[0] == [(F(1, 2), F(1, 3))]
+    assert vertices([[1, 1]], [0])[0] == [(F(0), F(0))]
 
 
 def test_vertices_match_basic_solution_enumeration(rng):
     # Integer systems with negative and non-unit entries, bounded (the first
     # row fixing the coordinate sum) or not; the vertices are the
     # nonnegative solutions unique on their support, listed once each in
-    # lexicographic order.
+    # lexicographic order, each with the mask of its zero coordinates.
     kinds = {"none": 0, "one": 0, "many": 0}
     for _ in range(300):
         n = rng.randrange(1, 7)
@@ -51,9 +57,10 @@ def test_vertices_match_basic_solution_enumeration(rng):
         if rng.random() < 0.5:
             rows[0] = [1] * n
         rhs = [rng.randrange(-1, 4) for _ in rows]
-        found = vertices(rows, rhs)
+        found, zero_masks = vertices(rows, rhs)
         want = basic_solutions([[F(v) for v in row] for row in rows], [F(b) for b in rhs])
         assert found == sorted(want), (rows, rhs)
+        assert zero_masks == [_zero_mask(v) for v in found], (rows, rhs)
         kinds["none" if not want else "one" if len(want) == 1 else "many"] += 1
     assert min(kinds.values()) > 30, kinds
 
@@ -74,9 +81,10 @@ def test_vertices_of_rational_systems_match_basic_solution_enumeration(rng):
         if rng.random() < 0.5:
             rows[0] = [F(1, rng.choice((2, 3, 5, 7)))] * n
         rhs = [F(rng.randrange(-1, 4), rng.choice((2, 3, 5, 7))) for _ in rows]
-        found = vertices(rows, rhs)
+        found, zero_masks = vertices(rows, rhs)
         want = basic_solutions(rows, rhs)
         assert found == sorted(want), (rows, rhs)
+        assert zero_masks == [_zero_mask(v) for v in found], (rows, rhs)
         kinds["none" if not want else "one" if len(want) == 1 else "many"] += 1
     assert min(kinds.values()) > 5, kinds
 

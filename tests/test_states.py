@@ -23,7 +23,7 @@ from greechie.states import (
     is_state,
 )
 from greechie.structure import drop_blocks, validate
-from conftest import random_admissible, random_diagram, random_mmp
+from conftest import random_admissible, random_diagram, random_looped, random_mmp
 from oracles import (
     block_order_01_states,
     brute_01_states,
@@ -269,6 +269,28 @@ def test_zero_one_states_follow_the_classification(rng):
     assert seen[Classification.NONE, 0] > 0
     assert seen[Classification.EXACTLY_ONE, 0] > 0
     assert seen[Classification.EXACTLY_ONE, 1] > 0
+
+
+def test_zero_one_states_are_the_zero_one_vertices(rng):
+    # Every atom lies in a block, so the state polytope lies in the unit
+    # cube, and a 0-1 state, a corner of the cube, is one of its vertices.
+    # The 0-1 vertices are then exactly the 0-1 states, and as many 0-1
+    # states as vertices means the same set, as states --strong --zero-one
+    # assumes when it runs one strong-set sweep for both.
+    inputs = [e.diagram() for e in corpus.ENTRIES]
+    inputs += [random_looped(rng, max_atoms=12) for _ in range(70)]
+    inputs += [random_mmp(rng) for _ in range(40)]
+    seen = Counter()
+    for d in inputs:
+        s = classify_states(d)
+        zero_one = [v for v in s.vertices if set(v) <= {0, 1}]
+        assert zero_one == enumerate_01_states(d)
+        if d.atom_count <= 12:
+            assert set(brute_01_states(d)) <= set(s.vertices)
+        masks = tuple(sum(1 << a for a, x in enumerate(v) if not x) for v in s.vertices)
+        assert s.zero_masks == masks
+        seen[len(zero_one) == len(s.vertices)] += 1
+    assert seen[True] > 20 and seen[False] > 20, seen
 
 
 def test_enumerate_01_states_matches_brute_force(rng):
