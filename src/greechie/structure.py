@@ -6,7 +6,7 @@ count of the pasted lattice.
 
 Every block overlap is read from one pass over block bitmasks
 (``_meeting_pairs``), and all connectivity, the canonical search's
-included, from one union-find (``components``).
+included, from one breadth-first labelling (``components``).
 """
 
 from __future__ import annotations
@@ -333,25 +333,28 @@ def components(
     in no block is a component without blocks; empty blocks belong to no
     component.
     """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    blocks = tuple(b for b in blocks if b)
+    through: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # blocks per atom
     for b in blocks:
-        r = find(b[0])
-        for a in b[1:]:
-            parent[find(a)] = r
-    comps: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-    for a in range(n):
-        comps.setdefault(find(a), ([], []))[0].append(a)
+        for a in b:
+            through[a].append(b)
+    label = [-1] * n
+    comps: list[tuple[list[int], list[tuple[int, ...]]]] = []
+    for root in range(n):
+        if label[root] < 0:  # breadth-first from the least unlabelled atom
+            k = label[root] = len(comps)
+            atoms = [root]
+            for a in atoms:
+                for b in through[a]:
+                    for x in b:
+                        if label[x] < 0:
+                            label[x] = k
+                            atoms.append(x)
+            atoms.sort()
+            comps.append((atoms, []))
     for b in blocks:
-        comps[find(b[0])][1].append(b)
-    return list(comps.values())
+        if b:
+            comps[label[b[0]]][1].append(b)
+    return comps
 
 
 def is_connected(d: MmpDiagram) -> bool:

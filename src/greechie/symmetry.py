@@ -12,9 +12,12 @@ they are isomorphic.
 Refinement is incremental: each round re-examines only the cells next to
 an atom that changed cell in the round before, and it keys each incident
 block by one int whose order is that of the (size, colors) tuple it
-encodes (see ``_refiner``).  Besides the code, the search returns |Aut|
-and generators of Aut.  Generation uses them to try one augmenting block
-per orbit and in the deletion rule's orbit test (``generate._accepts``).
+encodes (see ``_refiner``).  Twins, atoms on exactly the same blocks,
+are swapped by automorphisms known before the search starts, so the
+search individualizes one atom of each twin class per node.  Besides the
+code, the search returns |Aut| and generators of Aut.  Generation uses
+them to try one augmenting block per orbit and in the deletion rule's
+orbit test (``generate._accepts``).
 """
 
 from __future__ import annotations
@@ -201,31 +204,46 @@ def _search_connected(
 ) -> tuple[Code, tuple[int, ...], int, Gens]:
     """Individualization-refinement search over a connected diagram.
 
-    Leaves with equal codes yield automorphisms, which prune branches in
-    the orbit of an explored sibling.  |Aut| comes from orbit-stabilizer
-    along the first path (McKay 1981): once the children of a first-path
-    node are explored, the automorphisms found that fix its individualized
-    prefix generate that prefix's stabilizer, so the orbit of the node's
-    first child under them is exact, and |Aut| is the product of these
-    orbit sizes (the stabilizer of the first leaf is trivial).  At the
-    root the prefix is empty, so the automorphisms found generate Aut.
+    Known automorphisms prune each child in the orbit of an explored
+    sibling.  Twins, atoms on exactly the same blocks, are known before
+    the search: the swap of each two neighbours in a twin class is a
+    generator from the start (McKay & Piperno 2014), so a node
+    individualizes one atom per twin class.  The rest are found at leaves
+    with equal codes.
+
+    |Aut| comes from orbit-stabilizer along the first path (McKay 1981).
+    Let a be the first child of a first-path node with prefix P, and let
+    the known automorphisms fixing P + (a,) generate its stabilizer (at
+    the first leaf it is trivial).  A child c in the orbit of a under the
+    stabilizer of P is either pruned as an image of an explored child by
+    a known automorphism fixing P, or explored, and then a leaf below it
+    repeats the first leaf's code and yields an automorphism fixing P
+    that takes a to c.  So the known automorphisms fixing P generate its
+    stabilizer, the orbit of a under them is exact, and |Aut| is the
+    product of these orbit sizes; at the root P is empty, so the
+    generators returned generate Aut.  Nothing here asks how an
+    automorphism became known, so the twin swaps keep |Aut| exact, and
+    pruning drops only leaves whose codes an explored leaf repeats, so the
+    code is unchanged.  Only the leaf that attains it (the permutation,
+    up to an automorphism) and the generator list depend on the seeds.
     """
     refine = _refiner(blocks, n)
-
-    def initial_colors() -> list[int]:
-        profile: list[list[int]] = [[] for _ in range(n)]  # incident block sizes
-        for b in blocks:
-            for a in b:
-                profile[a].append(len(b))
-        sigs = [(len(p), tuple(sorted(p))) for p in profile]
-        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        return refine([ranking[s] for s in sigs], range(n))
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, b in enumerate(blocks):
+        for a in b:
+            incident[a].append(i)
+    sigs = [(len(inc), tuple(sorted(len(blocks[i]) for i in inc))) for inc in incident]
+    ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    twins: dict[tuple[int, ...], list[int]] = {}  # atoms per set of blocks
+    for a, inc in enumerate(incident):
+        twins.setdefault(tuple(inc), []).append(a)
+    gens = [tuple(y if i == x else x if i == y else i for i in range(n))
+            for cls in twins.values() for x, y in zip(cls, cls[1:])]
 
     def code_of(perm: list[int]) -> Code:
         return tuple(sorted(tuple(sorted(perm[a] for a in b)) for b in blocks))
 
     best: dict = {"code": None, "perm": None, "first_code": None, "first_perm": None}
-    gens: list[tuple[int, ...]] = []
 
     def record_leaf(colors: list[int]) -> None:
         perm = colors  # discrete coloring: color value == canonical position
@@ -284,7 +302,7 @@ def _search_connected(
         if first:
             order *= len(_close({cell[0]}, valid))
 
-    search(initial_colors(), (), True)
+    search(refine([ranking[s] for s in sigs], range(n)), (), True)
     return best["code"], best["perm"], order, tuple(gens)
 
 

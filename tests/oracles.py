@@ -7,7 +7,7 @@ library, so that agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -144,6 +144,31 @@ def incidence_connected(d: MmpDiagram) -> bool:
                 seen.add(v)
                 todo.append(v)
     return len(seen) == len(vertices)
+
+
+def bfs_components(blocks, n: int) -> list[tuple[list[int], list[tuple[int, ...]]]]:
+    """Components by breadth-first search of the incidence graph from each
+    unseen atom in turn: (ascending atoms, blocks in input order) each;
+    empty blocks, which touch no atom, are left out."""
+    seen: set[int] = set()
+    found = []
+    for start in range(n):
+        if start in seen:
+            continue
+        atoms, block_ids = {start}, set()
+        queue = deque([start])
+        while queue:
+            a = queue.popleft()
+            for i, b in enumerate(blocks):
+                if a in b and i not in block_ids:
+                    block_ids.add(i)
+                    for x in b:
+                        if x not in atoms:
+                            atoms.add(x)
+                            queue.append(x)
+        seen |= atoms
+        found.append((sorted(atoms), [tuple(blocks[i]) for i in sorted(block_ids)]))
+    return found
 
 
 def polytope_vertices(d: MmpDiagram) -> set[tuple[Fraction, ...]]:

@@ -6,6 +6,7 @@ from greechie.errors import IndexOutOfRange, NotAdmissible, PreconditionViolated
 from greechie.lattice import build_oml
 from greechie.structure import (
     MIN_GREECHIE_GIRTH,
+    components,
     drop_atom_from_block,
     drop_blocks,
     dual,
@@ -18,7 +19,7 @@ from greechie.structure import (
 )
 from greechie.symmetry import Permutation, relabel
 from conftest import random_admissible, random_diagram, random_mmp
-from oracles import brute_girth, brute_max_loop_order, incidence_connected, pair_offenders
+from oracles import bfs_components, brute_girth, brute_max_loop_order, incidence_connected, pair_offenders
 
 PENTAGON = "123,345,567,789,9A1."
 SQUARE = "123,345,567,781."
@@ -233,6 +234,25 @@ def test_is_connected_matches_incidence_search(rng):
         assert is_connected(d) == incidence_connected(d), d
         outcomes.add(is_connected(d))
     assert outcomes == {True, False}
+
+
+def test_components_match_breadth_first_oracle(rng):
+    # atoms in no block and empty blocks among them; block order and the
+    # atom order inside a block kept as given
+    cases = [((), 0), ((), 3), (((),), 2), (((2, 0, 1), ()), 4)]
+    for _ in range(400):
+        n = rng.randrange(1, 14)
+        blocks = tuple(tuple(rng.sample(range(n), rng.randrange(0, min(4, n) + 1)))
+                       for _ in range(rng.randrange(0, 7)))
+        cases.append((blocks, n))
+    isolated = empty = split = 0
+    for blocks, n in cases:
+        got = components(blocks, n)
+        assert got == bfs_components(blocks, n), (blocks, n)
+        isolated += any(not bs for _, bs in got)
+        empty += () in blocks
+        split += len(got) > 1
+    assert min(isolated, empty, split) > 50
 
 
 def test_dual_small_example():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from greechie import corpus
+from greechie import corpus, symmetry
 from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import NotValidated, SizeMismatch
 from greechie.structure import dual, girth, is_connected, validate
@@ -245,3 +245,82 @@ def test_search_generators_generate_the_automorphism_group(rng):
         repeated += copies > 1
         isolated += extra > 0
     assert repeated >= 10 and isolated >= 10
+
+
+def counted_refines(monkeypatch) -> list[int]:
+    """Patch the search's refiner to count its calls into the returned list."""
+    calls = [0]
+    make = symmetry._refiner
+
+    def counting(blocks, n):
+        refine = make(blocks, n)
+
+        def wrapped(colors, moved):
+            calls[0] += 1
+            return refine(colors, moved)
+
+        return wrapped
+
+    monkeypatch.setattr(symmetry, "_refiner", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_twins_of_one_block_cost_one_refine_each(monkeypatch, k):
+    # the k atoms of one block are twins, whose swaps are known before the
+    # search: the initial refinement and one individualization per level of
+    # the first path, k - 1 of them, instead of one subtree per twin
+    calls = counted_refines(monkeypatch)
+    code, _, order, gens = _canonical_search((tuple(range(k)),), k)
+    assert calls[0] <= k
+    assert code == (tuple(range(k)),) and order == math.factorial(k)
+    assert closure_order(gens, k) == order
+
+
+def twin_rich(rng, max_atoms: int) -> MmpDiagram:
+    """Blocks of 3-6 atoms, each after the first through one or two earlier
+    atoms, so that most blocks hold two or more pendant atoms, which are
+    twins; relabelled at random."""
+    blocks, n = [], 0
+    while True:
+        size = rng.randrange(3, 7)
+        old = rng.sample(range(n), rng.choice((1, 1, 2))) if blocks else []
+        if n + size - len(old) > max_atoms:
+            break
+        blocks.append(old + list(range(n, n + size - len(old))))
+        n += size - len(old)
+    pi = list(range(n))
+    rng.shuffle(pi)
+    rng.shuffle(blocks)
+    return MmpDiagram(n, tuple(tuple(sorted(pi[a] for a in b)) for b in blocks))
+
+
+def star(k: int) -> MmpDiagram:
+    """k blocks through one centre; the other two atoms of each are twins."""
+    return MmpDiagram(2 * k + 1, tuple((2 * i, 2 * i + 1, 2 * k) for i in range(k)))
+
+
+def test_twin_rich_search_matches_brute_force(rng):
+    # code, |Aut| and generators where twin classes abound, on random twin-rich
+    # diagrams and on the k-spoke stars, checked by backtracking, by listing
+    # the group the generators generate and under relabelling
+    pool = [twin_rich(rng, max_atoms=rng.randrange(5, 10)) for _ in range(60)]
+    pool += [star(k) for k in (2, 3, 4)]
+    twins = 0
+    for d in pool:
+        n = d.atom_count
+        code, perm, order, gens = _canonical_search(d.blocks, n)
+        assert tuple(sorted(tuple(sorted(perm[a] for a in b)) for b in d.blocks)) == code
+        target = sorted(tuple(sorted(b)) for b in d.blocks)
+        for g in gens:
+            assert sorted(tuple(sorted(g[a] for a in b)) for b in d.blocks) == target
+        assert order == brute_automorphism_count(d) == closure_order(gens, n)
+        for _ in range(3):
+            r, _ = shuffled(d, rng)
+            assert _canonical_search(r.blocks, n)[::2] == (code, order)
+        on = [tuple(i for i, b in enumerate(d.blocks) if a in b) for a in range(n)]
+        twins += len(set(on)) < n
+    assert twins > 0.9 * len(pool)
+    # the 5-spoke star, too large for the backtracking: the group its
+    # generators make has the closed-form order 5! 2^5
+    assert closure_order(_canonical_search(star(5).blocks, 11)[3], 11) == 3840
