@@ -162,11 +162,8 @@ def girth(d: MmpDiagram) -> int | None:
     atom-block incidence graph, so the girth is half the incidence girth.
     Requires pairwise block intersections of at most one atom.
     """
-    _require_linear(d)
-    cycle = _shortest_incidence_cycle(d)
-    if cycle is None:
-        return None
-    return len(cycle) // 2
+    loop = min_loop(d)
+    return None if loop is None else loop.order
 
 
 def min_loop(d: MmpDiagram) -> LoopProfile | None:
@@ -191,9 +188,15 @@ def _cycle_to_profile(d: MmpDiagram, cycle: list[int]) -> LoopProfile:
 
 def _shortest_incidence_cycle(d: MmpDiagram) -> list[int] | None:
     """Shortest cycle of the incidence graph (atoms 0..n-1, then the
-    blocks) as a vertex list, or None."""
+    blocks) as a vertex list, or None.
+
+    A breadth-first search from each atom (Itai & Rodeh 1978), deleting
+    each root once its search is done.  That keeps the girth exact: no atom
+    deleted before the least atom r of a shortest cycle lies on that cycle,
+    so the search from r still finds a cycle no longer than it.
+    """
     n = d.atom_count
-    adj = [[] for _ in range(n)] + list(d.blocks)
+    adj = [[] for _ in range(n)] + [list(b) for b in d.blocks]
     for i, block in enumerate(d.blocks):
         for a in block:
             adj[a].append(n + i)
@@ -232,7 +235,8 @@ def _shortest_incidence_cycle(d: MmpDiagram) -> list[int] | None:
                     cycle = path_u[:iu] + [common] + path_w[:iw][::-1]
                     if len(cycle) >= 6:
                         best = cycle
-        # dist/parent discarded per root
+        for v in adj[root]:
+            adj[v].remove(root)
     return best
 
 
@@ -259,65 +263,76 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
     loop if it found none yet).  A loop is replaced only by a strictly longer
     one, so a search that completes within the budget returns the same
     profile as the unbudgeted one.
+
+    The chains grow from a table, built once per call, of the moves on from
+    each block and entry junction.  A child's budget, cap and bound checks
+    run in its parent's loop in the order the child would run them, so any
+    budget meets the same nodes in the same order as one call per node.
     """
     pairs = _require_linear(d)
     if any(len(b) < 3 for b in d.blocks):
         raise PreconditionViolated("max_loop needs blocks of three or more atoms")
+    if budget is not None and budget < 0:
+        raise PreconditionViolated(f"max_loop budget must be at least 0, not {budget}")
     n, m = d.atom_count, d.block_count
     block_masks = [sum(1 << a for a in b) for b in d.blocks]
-    # per block, (neighbor, junction atom, neighbor's mask), neighbors ascending
-    neighbors: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    # moves[b][e]: the steps out of block b entered at junction e, by
+    # ascending j: (block j, junction x, j's atoms but x, their count,
+    # moves[j][x]).  x is in the chain, so j extends it if no other atom is.
+    steps: list[list[tuple]] = [[] for _ in range(m)]
+    moves: list[dict[int, list]] = [{} for _ in range(m)]
     for i, j, shared in pairs:
         x = shared.bit_length() - 1
-        neighbors[i].append((j, x, block_masks[j]))
-        neighbors[j].append((i, x, block_masks[i]))
+        into_i, into_j = moves[i].setdefault(x, []), moves[j].setdefault(x, [])
+        steps[i].append((j, x, block_masks[j] ^ shared, len(d.blocks[j]) - 1, into_j))
+        steps[j].append((i, x, block_masks[i] ^ shared, len(d.blocks[i]) - 1, into_i))
+    for b, out in enumerate(moves):
+        for e, into in out.items():
+            into += [s for s in steps[b] if s[1] != e]
     hard_cap = min(m, n // 2)
 
     best: LoopProfile | None = None
+    best_order = 0  # best's order, 0 before any loop
     nodes_left = math.inf if budget is None else budget
     # the chain being extended: path[i] and path[i + 1] share junctions[i]
-    path: list[int] = []
-    junctions: list[int] = []
+    path = [0] * m
+    junctions = [0] * m
 
-    def extend(last: int, last_junction: int, used_mask: int, used_count: int):
-        # start and first_mask belong to the chain's first block, set below
-        nonlocal best, nodes_left
-        if nodes_left == 0:
-            raise _BudgetSpent
-        nodes_left -= 1
-        if best is not None and best.order >= hard_cap:
-            return
-        k = len(path)
-        if best is not None and k + (n - used_count + 1) // 2 <= best.order:
-            return
-        for j, x, bm in neighbors[last]:
-            if j <= start or x == last_junction:
-                continue
-            extra = (bm & used_mask) & ~(1 << x)
+    def extend(out: list, used_mask: int, atoms_left: int, k: int):
+        # each chain extension is one node: its budget, cap and bound checks
+        # run here, in the order of a node's own entry, before any call
+        nonlocal best, best_order, nodes_left
+        for j, x, rest, fresh, onward in out:
+            extra = rest & used_mask
             if extra == 0:
-                path.append(j)
-                junctions.append(x)
-                extend(j, x, used_mask | bm, used_count + (bm & ~used_mask).bit_count())
-                path.pop()
-                junctions.pop()
-            elif extra & (extra - 1) == 0 and extra & first_mask == extra:
+                if nodes_left == 0:
+                    raise _BudgetSpent
+                nodes_left -= 1
+                if best_order >= hard_cap or k + 1 + (atoms_left - fresh + 1) // 2 <= best_order:
+                    continue
+                path[k] = j
+                junctions[k - 1] = x
+                extend(onward, used_mask | rest, atoms_left - fresh, k + 1)
+            elif extra & (extra - 1) == 0 and extra & closing == extra and k >= best_order:
                 # j touches exactly the last block (at x) and the first block
-                # (at one further atom y): it closes a loop of order k+1.
-                y = extra.bit_length() - 1
-                if y != junctions[0] and (best is None or k + 1 > best.order):
-                    best = LoopProfile(k + 1, (*path, j), (*junctions, x, y))
+                # (at one atom y but junctions[0]): a loop of order k+1
+                best_order, y = k + 1, extra.bit_length() - 1
+                best = LoopProfile(k + 1, (*path[:k], j), (*junctions[: k - 1], x, y))
 
     try:
         for start in range(m):
-            if best is not None and best.order >= hard_cap:
+            if best_order >= hard_cap:
                 break
-            first_mask = block_masks[start]
-            for j, x, bm in neighbors[start]:
-                if j > start:
-                    path[:] = [start, j]
-                    junctions[:] = [x]
-                    used = first_mask | bm
-                    extend(j, x, used, used.bit_count())
+            # a chain's first block is its least, so moves into start go
+            for b, *_ in steps[start]:
+                for into in moves[b].values():
+                    if into and into[0][0] == start:
+                        del into[0]
+            path[0] = start
+            for step in steps[start]:
+                if step[0] > start:  # the chain's second block, one node as any later one
+                    closing = block_masks[start] ^ (1 << step[1])
+                    extend([step], block_masks[start], n - len(d.blocks[start]), 1)
     except _BudgetSpent:
         found = best or min_loop(d)
         return None if found is None else replace(found, exact=False)

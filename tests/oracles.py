@@ -112,6 +112,78 @@ def brute_max_loop_order(d: MmpDiagram) -> int | None:
     return orders[-1] if orders else None
 
 
+SPENT = "spent before any loop"
+
+
+def recursive_max_loop(d: MmpDiagram, budget: int | None = None):
+    """``structure.max_loop``'s chain search as one recursive call per node.
+
+    Each call extends the chain by one block and counts as one node: it
+    stops the search when the budget is spent, then returns early when the
+    best loop has the cap order min(blocks, atoms // 2), or when the chain
+    plus half the atoms not yet used cannot beat it.  Chains start at their
+    least block and grow through blocks meeting the last one in a new
+    junction.  Returns ``(loop, nodes)``: the loop is ``(order, blocks,
+    junctions, exact)``, ``None`` for an acyclic diagram, or ``SPENT`` when
+    the budget ran out before any loop; ``nodes`` counts the calls made.
+    """
+    n, m = d.atom_count, d.block_count
+    masks = [sum(1 << a for a in b) for b in d.blocks]
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for i, j in combinations(range(m), 2):
+        if masks[i] & masks[j]:
+            x = (masks[i] & masks[j]).bit_length() - 1
+            neighbors[i].append((j, x))
+            neighbors[j].append((i, x))
+    for nb in neighbors:
+        nb.sort()
+    cap = min(m, n // 2)
+    best = None
+    nodes = 0
+    path: list[int] = []
+    junctions: list[int] = []
+
+    class Spent(Exception):
+        pass
+
+    def extend(start: int, last: int, last_junction: int, used: int) -> None:
+        nonlocal best, nodes
+        if nodes == budget:
+            raise Spent
+        nodes += 1
+        if best is not None and best[0] >= cap:
+            return
+        if best is not None and len(path) + (n - used.bit_count() + 1) // 2 <= best[0]:
+            return
+        for j, x in neighbors[last]:
+            if j <= start or x == last_junction:
+                continue
+            extra = masks[j] & used & ~(1 << x)
+            if extra == 0:
+                path.append(j)
+                junctions.append(x)
+                extend(start, j, x, used | masks[j])
+                path.pop()
+                junctions.pop()
+            elif extra & (extra - 1) == 0 and extra & masks[start]:
+                y = extra.bit_length() - 1
+                if y != junctions[0] and (best is None or len(path) + 1 > best[0]):
+                    best = (len(path) + 1, (*path, j), (*junctions, x, y))
+
+    try:
+        for start in range(m):
+            if best is not None and best[0] >= cap:
+                break
+            for j, x in neighbors[start]:
+                if j > start:
+                    path[:] = [start, j]
+                    junctions[:] = [x]
+                    extend(start, j, x, masks[start] | masks[j])
+    except Spent:
+        return (SPENT if best is None else (*best, False)), nodes
+    return (None if best is None else (*best, True)), nodes
+
+
 def pair_offenders(d: MmpDiagram) -> tuple[tuple, tuple]:
     """Offenders of MMP condition (iii) and of the at-most-one-shared-atom
     check, by intersecting the atom sets of every two blocks."""

@@ -343,6 +343,20 @@ def test_render_notes_a_loop_not_proven_longest(tmp_path, capsys):
     )
 
 
+def test_render_notes_over_the_corpus(tmp_path, capsys):
+    f = write(tmp_path, "corpus.mmp", "".join(e.mmp_line + "\n" for e in corpus.ENTRIES))
+    assert main(["render", f]) == 0
+    # the nine lattices whose longest loop is not proven within the budget:
+    # the five 35-35s, 38-38h, 73-78-ngv, 73-78-single and 73-73
+    unproven = {"35-35a": 16, "35-35b": 16, "35-35c": 16, "35-35d": 16, "35-35e": 16,
+                "38-38h": 18, "73-78-ngv": 30, "73-78-single": 32, "73-73": 30}
+    assert capsys.readouterr().err == "".join(
+        f"{f}:{lineno}: note: the outer loop, of order {unproven[e.name]}, is the longest "
+        f"found within {LOOP_BUDGET} search nodes\n"
+        for lineno, e in enumerate(corpus.ENTRIES, start=1) if e.name in unproven
+    )
+
+
 def test_canon_output(tmp_path, capsys):
     f = write(tmp_path, "c.mmp", "123.\n123,345.\n")
     assert main(["canon", f]) == 0

@@ -57,6 +57,20 @@ def test_render_matches_recorded_corpus_outputs():
         assert hashlib.sha256(dot.encode()).hexdigest() == digest, name
 
 
+#: the recorded corpus outputs pin the other fifteen lattices
+RENDER_73_SHA256 = {
+    "73-78-ngv": "40ccc1c765d3be845f3b8a099e93efaa04ae25a44593bf9e68d1639bf4953933",
+    "73-78-single": "65cdaf6d71b5985578adc8e364d0d7f442e23999e217522ad6c21dcaa18c665c",
+    "73-73": "201c5761e92aaa850da5e53e7d7642b6015022e239fd0fe0fdbeb78940bdcf90",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_73_SHA256))
+def test_render_73_atom_lattices_match_their_pinned_digests(name):
+    dot = render_dot(corpus.diagram(name))
+    assert hashlib.sha256(dot.encode()).hexdigest() == RENDER_73_SHA256[name]
+
+
 class _Overran(BaseException):
     pass
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from greechie import corpus
@@ -18,8 +20,16 @@ from greechie.structure import (
     validate,
 )
 from greechie.symmetry import Permutation, relabel
-from conftest import random_admissible, random_diagram, random_mmp
-from oracles import bfs_components, brute_girth, brute_max_loop_order, incidence_connected, pair_offenders
+from conftest import random_admissible, random_diagram, random_looped, random_mmp
+from oracles import (
+    SPENT,
+    bfs_components,
+    brute_girth,
+    brute_max_loop_order,
+    incidence_connected,
+    pair_offenders,
+    recursive_max_loop,
+)
 
 PENTAGON = "123,345,567,789,9A1."
 SQUARE = "123,345,567,781."
@@ -107,15 +117,47 @@ def test_max_loop_needs_blocks_of_three_atoms():
         max_loop(MmpDiagram(3, ((0, 1), (1, 2), (0, 2))))
 
 
+def _random_linear(rng, max_atoms=14, sizes=(3, 4, 5)) -> MmpDiagram:
+    """Blocks of the given sizes over up to ``max_atoms`` atoms, each kept
+    while it meets every block before it in at most one atom."""
+    n = rng.randrange(6, max_atoms + 1)
+    blocks: list[tuple[int, ...]] = []
+    for _ in range(30):
+        cand = tuple(sorted(rng.sample(range(n), rng.choice(sizes))))
+        if all(len(set(cand) & set(b)) <= 1 for b in blocks):
+            blocks.append(cand)
+    used = sorted({a for b in blocks for a in b})
+    remap = {a: i for i, a in enumerate(used)}
+    return MmpDiagram(len(used), tuple(tuple(remap[a] for a in b) for b in blocks))
+
+
+def _disjoint_union(*parts: MmpDiagram) -> MmpDiagram:
+    blocks, n = [], 0
+    for p in parts:
+        blocks += [tuple(a + n for a in b) for b in p.blocks]
+        n += p.atom_count
+    return MmpDiagram(n, tuple(blocks))
+
+
 def test_girth_agrees_with_brute_force(rng):
+    sources = [
+        lambda: random_diagram(rng, max_atoms=11, max_blocks=6),
+        lambda: _random_linear(rng),
+        lambda: random_looped(rng, max_atoms=12),
+        lambda: _disjoint_union(random_looped(rng, max_atoms=10), _random_linear(rng, max_atoms=8)),
+    ]
+    cyclic = [0] * len(sources)
     for _ in range(200):
-        d = random_diagram(rng, max_atoms=11, max_blocks=6)
-        if not validate(d).pairwise_intersections:
-            continue
-        assert girth(d) == brute_girth(d)
-        prof = max_loop(d)
-        want = brute_max_loop_order(d)
-        assert (prof.order if prof else None) == want
+        for k, source in enumerate(sources):
+            d = source()
+            if d.block_count > 8 or not validate(d).pairwise_intersections:
+                continue  # the oracle tries every block order
+            assert girth(d) == brute_girth(d)
+            prof = max_loop(d)
+            want = brute_max_loop_order(d)
+            assert (prof.order if prof else None) == want
+            cyclic[k] += want is not None
+    assert min(cyclic[1:]) >= 80  # the first, 3-uniform source rarely closes a loop
 
 
 def test_loop_profile_invariants(rng):
@@ -187,6 +229,51 @@ def test_budget_spent_gives_a_valid_loop_marked_inexact(rng):
     prof = max_loop(corpus.diagram("35-35a"), budget=100)
     _assert_loop_profile(corpus.diagram("35-35a"), prof)
     assert not prof.exact and prof.order == 16
+
+
+def test_max_loop_rejects_a_negative_budget():
+    # a negative budget is never counted down to 0, so it would not bound
+    # the search at all
+    with pytest.raises(PreconditionViolated):
+        max_loop(corpus.diagram("73-73"), budget=-1)
+
+
+def _assert_max_loop_is_the_recursive_search(d, budget):
+    want, nodes = recursive_max_loop(d, budget)
+    got = max_loop(d, budget=budget)
+    if want == SPENT:
+        shortest = min_loop(d)
+        assert got == (None if shortest is None else replace(shortest, exact=False))
+    else:
+        assert (got and (got.order, got.blocks, got.junction_atoms, got.exact)) == want
+    return nodes
+
+
+def test_max_loop_counts_nodes_as_the_recursive_search(rng):
+    """At every budget up to the whole search, the same loop and the same
+    verdict on exactness."""
+    cyclic = spent = 0
+    for _ in range(120):
+        d = _random_linear(rng)
+        total = _assert_max_loop_is_the_recursive_search(d, None)
+        for budget in range(total + 1):
+            _assert_max_loop_is_the_recursive_search(d, budget)
+        cyclic += max_loop(d) is not None
+        spent += recursive_max_loop(d, total // 2)[0] == SPENT
+    assert cyclic >= 60 and spent >= 10
+
+
+def test_max_loop_counts_nodes_as_the_recursive_search_on_the_corpus(rng):
+    for name in corpus.names():
+        d = corpus.diagram(name)
+        copies = [d]
+        for _ in range(2):
+            pi = list(range(d.atom_count))
+            rng.shuffle(pi)
+            copies.append(relabel(d, Permutation(tuple(pi))))
+        for c in copies:
+            for budget in (0, 1, 100, 1000, 20_000):
+                _assert_max_loop_is_the_recursive_search(c, budget)
 
 
 def test_girth_of_corpus_lattices_and_relabellings(rng):
