@@ -9,6 +9,11 @@ over all leaves of that search, is a deterministic relabeling-invariant
 representative: two diagrams get the same canonical text exactly when
 they are isomorphic.
 
+Isomorphism needs one leaf, not two canonical codes: the set of leaf
+codes is an isomorphism invariant that pruning keeps whole, so
+``are_isomorphic`` (and ``is_self_dual`` through it) searches one
+connected diagram only until a leaf repeats the other's first leaf code.
+
 Refinement is incremental: each round re-examines only the cells next to
 an atom that changed cell in the round before, and it keys each incident
 block by one int whose order is that of the (size, colors) tuple it
@@ -97,13 +102,29 @@ def canonical_form(d: MmpDiagram) -> CanonicalForm:
 
 
 def are_isomorphic(d1: MmpDiagram, d2: MmpDiagram) -> Permutation | None:
-    """A witness permutation with relabel(d1, pi) == d2 up to block order, or None."""
+    """A witness permutation with relabel(d1, pi) == d2 up to block order, or None.
+
+    Two connected diagrams take the first leaf of d2's search, then
+    search d1 until a leaf repeats its code.  Such a leaf exists exactly
+    when they are isomorphic: equal codes are equal relabelled block
+    multisets, and the codes a pruned search reaches are an isomorphism
+    invariant, since pruning drops only automorphic images of explored
+    subtrees.  Other pairs compare canonical codes.
+    """
     if d1.atom_count != d2.atom_count:
         return None
     if sorted(len(b) for b in d1.blocks) != sorted(len(b) for b in d2.blocks):
         return None
-    code1, p1, _, _ = _canonical_search(d1.blocks, d1.atom_count)
-    code2, p2, _, _ = _canonical_search(d2.blocks, d2.atom_count)
+    n = d1.atom_count
+    connected = _connected(d1.blocks, n)
+    if connected != _connected(d2.blocks, n):
+        return None
+    if connected:
+        code2, p2, _, _ = _search_connected(d2.blocks, n, lambda code: True)
+        code1, p1, _, _ = _search_connected(d1.blocks, n, code2.__eq__)
+    else:
+        code1, p1, _, _ = _canonical_search(d1.blocks, n)
+        code2, p2, _, _ = _canonical_search(d2.blocks, n)
     if code1 != code2:
         return None
     pi = Permutation(p2).inverse().compose(Permutation(p1))
@@ -157,11 +178,10 @@ def _canonical_search(
     one code; they add nothing to the automorphism count, and every
     generator fixes them.  Empty blocks stay empty blocks of the code.
     """
-    comps = components(blocks, n)
-    if len(comps) == 1 and len(comps[0][1]) == len(blocks) > 0:  # every atom and block in one
+    if _connected(blocks, n):
         return _search_connected(blocks, n)
     pieces, isolated = [], []
-    for atoms, comp_blocks in comps:
+    for atoms, comp_blocks in components(blocks, n):
         if not comp_blocks:
             isolated += atoms
             continue
@@ -199,8 +219,14 @@ def _canonical_search(
     return tuple(sorted(code_out)), tuple(perm_out), order_out, tuple(gens_out)
 
 
+def _connected(blocks: tuple[tuple[int, ...], ...], n: int) -> bool:
+    """True iff one component holds every atom and every block, and there is one."""
+    comps = components(blocks, n)
+    return len(comps) == 1 and len(comps[0][1]) == len(blocks) > 0
+
+
 def _search_connected(
-    blocks: tuple[tuple[int, ...], ...], n: int
+    blocks: tuple[tuple[int, ...], ...], n: int, until: Callable[[Code], bool] | None = None
 ) -> tuple[Code, tuple[int, ...], int, Gens]:
     """Individualization-refinement search over a connected diagram.
 
@@ -226,6 +252,10 @@ def _search_connected(
     pruning drops only leaves whose codes an explored leaf repeats, so the
     code is unchanged.  Only the leaf that attains it (the permutation,
     up to an automorphism) and the generator list depend on the seeds.
+
+    With ``until``, the search stops at the first leaf whose code
+    satisfies it and returns that leaf's code and permutation; the count
+    and generators are then partial.
     """
     refine = _refiner(blocks, n)
     incident: list[list[int]] = [[] for _ in range(n)]
@@ -245,9 +275,12 @@ def _search_connected(
 
     best: dict = {"code": None, "perm": None, "first_code": None, "first_perm": None}
 
-    def record_leaf(colors: list[int]) -> None:
+    def record_leaf(colors: list[int]) -> bool:
         perm = colors  # discrete coloring: color value == canonical position
         code = code_of(perm)
+        if until is not None and until(code):
+            best["code"], best["perm"] = code, tuple(perm)
+            return True
         if best["first_code"] is None:
             best["first_code"] = code
             best["first_perm"] = tuple(perm)
@@ -258,6 +291,7 @@ def _search_connected(
             best["perm"] = tuple(perm)
         elif code == best["code"]:
             _harvest(perm, best["perm"])
+        return False
 
     def _harvest(leaf_perm: list[int], ref_perm: tuple[int, ...]) -> None:
         inv_leaf = [0] * n
@@ -283,12 +317,11 @@ def _search_connected(
 
     order = 1
 
-    def search(colors: list[int], fixed: tuple[int, ...], first: bool) -> None:
+    def search(colors: list[int], fixed: tuple[int, ...], first: bool) -> bool:
         nonlocal order
         cell = target_cell(colors)
         if cell is None:
-            record_leaf(colors)
-            return
+            return record_leaf(colors)
         explored: set[int] = set()  # the orbits of the atoms searched so far
         # the known automorphisms that fix ``fixed``
         valid = [g for g in gens if all(g[x] == x for x in fixed)]
@@ -297,10 +330,12 @@ def _search_connected(
                 continue
             explored.add(a)
             known = len(gens)
-            search(refine(individualize(colors, a), [a]), fixed + (a,), first and a == cell[0])
+            if search(refine(individualize(colors, a), [a]), fixed + (a,), first and a == cell[0]):
+                return True
             valid += [g for g in gens[known:] if all(g[x] == x for x in fixed)]
         if first:
             order *= len(_close({cell[0]}, valid))
+        return False
 
     search(refine([ranking[s] for s in sigs], range(n)), (), True)
     return best["code"], best["perm"], order, tuple(gens)

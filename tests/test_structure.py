@@ -19,7 +19,7 @@ from greechie.structure import (
     min_loop,
     validate,
 )
-from greechie.symmetry import Permutation, relabel
+from greechie.symmetry import Permutation, are_isomorphic, relabel
 from conftest import random_admissible, random_diagram, random_looped, random_mmp
 from oracles import (
     SPENT,
@@ -355,6 +355,16 @@ def test_dual_dual_isomorphic_on_corpus():
     for entry in corpus.ENTRIES:
         d = entry.diagram()
         assert are_isomorphic(dual(dual(d)), d) is not None, entry.name
+
+
+def test_35_35_dual_pairs():
+    # 35-35a and 35-35c are dual, as are 35-35b and 35-35d; 35-35a's dual is
+    # neither 35-35b nor 35-35d
+    a, b, c, d = (corpus.diagram(f"35-35{x}") for x in "abcd")
+    assert are_isomorphic(dual(a), c) is not None
+    assert are_isomorphic(dual(b), d) is not None
+    assert are_isomorphic(dual(a), b) is None
+    assert are_isomorphic(dual(a), d) is None
 
 
 def test_drop_blocks_identity():

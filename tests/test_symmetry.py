@@ -6,7 +6,7 @@ import pytest
 from greechie import corpus, symmetry
 from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import NotValidated, SizeMismatch
-from greechie.structure import dual, girth, is_connected, validate
+from greechie.structure import dual, girth, is_connected, mmp_checks, validate
 from greechie.symmetry import (
     Permutation,
     _canonical_search,
@@ -16,7 +16,7 @@ from greechie.symmetry import (
     is_self_dual,
     relabel,
 )
-from conftest import random_diagram
+from conftest import random_diagram, random_mmp
 from oracles import brute_automorphism_count, closure_order, refine_by_signatures
 
 PENTAGON = "123,345,567,789,9A1."
@@ -146,7 +146,7 @@ def test_are_isomorphic_negative_cases():
     assert are_isomorphic(corpus.diagram("73-73"), corpus.diagram("44-44")) is None
 
 
-def test_canonical_equality_is_isomorphism(rng):
+def test_canonical_equality_is_isomorphism(rng, monkeypatch):
     # equal canonical text <=> witness exists, on random pairs
     pool = []
     while len(pool) < 12:
@@ -158,15 +158,91 @@ def test_canonical_equality_is_isomorphism(rng):
         for d2 in pool[i:]:
             same = canonical_form(d1).canonical_text == canonical_form(d2).canonical_text
             assert same == (are_isomorphic(d1, d2) is not None)
+    # connected MMP diagrams, where are_isomorphic takes one leaf of the
+    # second diagram's search: each paired with a relabelled copy of itself,
+    # of itself with one block moved off an atom onto another (non-isomorphic,
+    # since the degrees change), or of itself with two blocks trading atoms
+    # (the degrees stay, so only the search tells)
+    pairs, moved = [], 0
+    while len(pairs) < 360:
+        d = random_mmp(rng, sizes=rng.choice(((3,), (3, 4), (3, 4, 5))))
+        if d.block_count < 3 or not is_connected(d):
+            continue
+        kind = len(pairs) % 3
+        e = rewired(d, rng, keep_degrees=kind == 2) if kind else d
+        if e is None or (kind == 1 and degrees(e) == degrees(d)):
+            continue
+        pairs.append((d, shuffled(e, rng)[0]))
+        moved += kind == 1
+    # blocks {i, i + 1, i + 3} mod k: self-dual, as atom i to block -i maps
+    # the dual onto the diagram
+    for k in range(7, 13):
+        c = MmpDiagram(k, tuple(tuple(sorted((i, (i + 1) % k, (i + 3) % k))) for i in range(k)))
+        pairs.append((shuffled(c, rng)[0], shuffled(c, rng)[0]))
+    differ = self_dual = 0
+    for d, e in pairs:
+        same = canonical_form(d).canonical_text == canonical_form(e).canonical_text
+        pi = are_isomorphic(d, e)
+        assert same == (pi is not None)
+        if pi is not None:
+            assert sorted(relabel(d, pi).blocks) == sorted(e.blocks)
+        dd = dual(d)
+        claim = all(mmp_checks(dd)) and canonical_form(d) == canonical_form(dd)
+        assert is_self_dual(d) == claim
+        differ += not same
+        self_dual += claim
+    assert moved >= 100 and differ > moved and self_dual >= 6
+    # a connected and a disconnected diagram of 9 atoms and 4 blocks: told
+    # apart before any search
+    calls = counted_refines(monkeypatch)
+    path, split = parse_mmp("123,345,567,789."), parse_mmp("123,345,561,789.")
+    assert are_isomorphic(path, split) is None and are_isomorphic(split, path) is None
+    assert calls[0] == 0
 
 
-def test_is_self_dual_corpus_claims():
-    assert is_self_dual(corpus.diagram("35-35e"))
-    assert is_self_dual(corpus.diagram("36-36"))
-    for x in "abcdefgh":
-        assert is_self_dual(corpus.diagram(f"38-38{x}"))
-    for x in "abcd":
-        assert not is_self_dual(corpus.diagram(f"35-35{x}"))
+def degrees(d: MmpDiagram) -> list[int]:
+    return sorted(sum(a in b for b in d.blocks) for a in range(d.atom_count))
+
+
+def rewired(d: MmpDiagram, rng, keep_degrees: bool) -> MmpDiagram | None:
+    """d with atom y of one block replaced by an atom x outside it and, with
+    ``keep_degrees``, x replaced by y in a second block; None unless the
+    result is a connected MMP diagram without repeated blocks."""
+    blocks = [list(b) for b in d.blocks]
+    i, j = rng.sample(range(len(blocks)), 2)
+    y = rng.choice(blocks[i])
+    x = rng.choice([a for a in range(d.atom_count) if a not in blocks[i]])
+    blocks[i] = [x if a == y else a for a in blocks[i]]
+    if keep_degrees:
+        if y in blocks[j] or x not in blocks[j]:
+            return None
+        blocks[j] = [y if a == x else a for a in blocks[j]]
+    e = MmpDiagram(d.atom_count, tuple(tuple(sorted(b)) for b in blocks))
+    if len(set(e.blocks)) < len(e.blocks) or not all(mmp_checks(e)) or not is_connected(e):
+        return None
+    return e
+
+
+def test_is_self_dual_corpus_claims(monkeypatch):
+    # at most one canonical search of d plus the first path of its dual's
+    # search (the refines up to its first leaf); two whole searches would
+    # take 78 refines on 38-38a, where this bound is 41
+    calls = counted_refines(monkeypatch)
+    claims = {"35-35e": True, "36-36": True}
+    claims.update({f"38-38{x}": True for x in "abcdefgh"})
+    claims.update({f"35-35{x}": False for x in "abcd"})
+    for name, claim in claims.items():
+        d = corpus.diagram(name)
+        dd = dual(d)
+        calls[:] = [0]
+        _canonical_search(dd.blocks, dd.atom_count)
+        first_path = calls[1]
+        calls[:] = [0]
+        _canonical_search(d.blocks, d.atom_count)
+        bound = calls[0] + first_path
+        calls[:] = [0]
+        assert is_self_dual(d) is claim, name
+        assert calls[0] <= bound, name
 
 
 def test_is_self_dual_invalid_dual_is_false():
@@ -248,7 +324,9 @@ def test_search_generators_generate_the_automorphism_group(rng):
 
 
 def counted_refines(monkeypatch) -> list[int]:
-    """Patch the search's refiner to count its calls into the returned list."""
+    """Patch the search's refiner to count its calls into the returned list:
+    the count is its first item, and each call that returns a discrete
+    coloring (a leaf) appends the count so far."""
     calls = [0]
     make = symmetry._refiner
 
@@ -257,7 +335,10 @@ def counted_refines(monkeypatch) -> list[int]:
 
         def wrapped(colors, moved):
             calls[0] += 1
-            return refine(colors, moved)
+            out = refine(colors, moved)
+            if len(set(out)) == len(out):
+                calls.append(calls[0])
+            return out
 
         return wrapped
 
