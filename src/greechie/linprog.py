@@ -98,9 +98,10 @@ def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, in
 
 def vertices(
     rows: list[list[int | Fraction]], rhs: list[int | Fraction]
-) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """The vertices of {x >= 0 : rows · x = rhs} in lexicographic order, and
-    beside them their zero sets, the masks of the j with x_j = 0.
+) -> tuple[list[tuple[int, ...]], int, list[int]]:
+    """The vertices p / den of {x >= 0 : rows · x = rhs} as (points, den,
+    zero masks): integer points p, in lexicographic order, over one common
+    denominator, each with the mask of its j with x_j = 0; ([], 1, []) if none.
 
     By the double-description method (Motzkin, Raiffa, Thompson & Thrall
     1953; Fukuda & Prodon 1996).  :func:`gauss_affine` writes the solutions
@@ -117,7 +118,7 @@ def vertices(
     """
     affine = gauss_affine(rows, rhs)
     if affine is None:
-        return [], []
+        return [], 1, []
     x0, basis = affine
     n = len(x0)
     rays = [_integral(v + [ZERO]) for v in basis] + [_integral(x0 + [ONE])]
@@ -164,11 +165,10 @@ def vertices(
         rays, zeros = new_rays, new_zeros
 
     # s > 0; each mask is exact on every imposed coordinate, s among them
-    points = [(r, z) for r, z in zip(rays, zeros) if r[n]]
-    den = lcm(*(r[n] for r, _ in points))  # sorted over one denominator, in integers
-    points.sort(key=lambda p: [v * (den // p[0][n]) for v in p[0][:n]])
-    value = {pair: Fraction(*pair) for pair in {(v, r[n]) for r, _ in points for v in r[:n]}}
-    return [tuple(value[v, r[n]] for v in r[:n]) for r, _ in points], [z for _, z in points]
+    kept = [(r, z) for r, z in zip(rays, zeros) if r[n]]
+    den = lcm(*(r[n] for r, _ in kept))
+    points = sorted((tuple(v * (den // r[n]) for v in r[:n]), z) for r, z in kept)
+    return [p for p, _ in points], den, [z for _, z in points]
 
 
 def _integral(vector: list[Fraction]) -> tuple[int, ...]:

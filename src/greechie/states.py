@@ -10,10 +10,11 @@ strong-set tests see each state as its zero mask, bit a set when m(a) = 0;
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .diagram import MmpDiagram
 from .errors import Infeasible, LengthMismatch
@@ -38,11 +39,11 @@ class PolytopeSummary:
     """The state polytope, read off its vertices.
 
     ``vertices`` lists them in lexicographic order: none for ``None``, the
-    one state for ``ExactlyOne``, two or more for ``MoreThanOne``.  Each
-    atom's (min, max) range is the least and greatest value it takes on a
-    vertex; the two ``MoreThanOne`` witnesses are the least and the
-    greatest vertex.  ``zero_masks[k]`` has bit a set when ``vertices[k]``
-    puts 0 on atom a.
+    one state for ``ExactlyOne``, two or more for ``MoreThanOne``.  It is
+    built from ``_vertex`` on first access; ``zero_masks[k]`` has bit a set
+    when ``vertices[k]`` puts 0 on atom a.  Each atom's (min, max) range is
+    the least and greatest value it takes on a vertex; the two
+    ``MoreThanOne`` witnesses are the least and the greatest vertex.
     """
 
     classification: Classification
@@ -50,8 +51,12 @@ class PolytopeSummary:
     atom_ranges: tuple[tuple[Fraction, Fraction], ...] | None = None
     witness_state: StateVector | None = None
     second_witness: StateVector | None = None
-    vertices: tuple[StateVector, ...] = field(default=(), repr=False)
     zero_masks: tuple[int, ...] = field(default=(), repr=False)
+    _vertex: Callable[[int], StateVector] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def vertices(self) -> tuple[StateVector, ...]:
+        return tuple(map(self._vertex, range(len(self.zero_masks)))) if self._vertex else ()
 
 
 @dataclass(frozen=True)
@@ -65,12 +70,6 @@ class StrongReport:
 
     admits: bool
     witness_pair: tuple[OmlElement, OmlElement] | None
-
-
-def _block_rows(d: MmpDiagram) -> tuple[list[list[int]], list[int]]:
-    """The system A x = 1 of the block sums, in integers."""
-    rows = [[int(a in b) for a in range(d.atom_count)] for b in map(set, d.blocks)]
-    return rows, [1] * len(rows)
 
 
 def is_state(d: MmpDiagram, values) -> bool:
@@ -92,28 +91,68 @@ def classify_states(d: MmpDiagram) -> PolytopeSummary:
     solution.  Every atom lies in a block summing to 1, so the polytope
     is bounded and is the convex hull of those vertices: no vertex means no
     state, one means exactly one, and the atom ranges are the vertices'
-    column extremes.  The run time grows with the vertex count.
+    column extremes.  Twin atoms share one column (see ``_classify``): the
+    double description grows with the vertices of that reduced system, and
+    only their expansion with the full vertex count.
     """
     require_mmp(d)
     return _classify(d)
 
 
 def _classify(d: MmpDiagram) -> PolytopeSummary:
-    """:func:`classify_states` on a diagram already known to pass (i)-(iii)."""
-    found, zero_masks = vertices(*_block_rows(d))
-    if not found:
+    """:func:`classify_states` on a diagram already known to pass (i)-(iii).
+
+    Twins, atoms on the same blocks, have equal columns in A x = 1, so the
+    vertices are listed with one column per twin class T, for y_T the sum
+    over T, and expanded: y_T > 0 goes on one of the |T| atoms, y_T = 0 puts
+    0 on all.  This is exact.  The fibre over a reduced point y is the
+    product of the simplices y_T Δ_T, affine in y, so the polytope is the
+    hull of the expansions of the reduced vertices; and each expansion is a
+    vertex, as its support columns are y's, independent since y is a vertex.
+    """
+    n = d.atom_count
+    classes: dict[tuple[int, ...], int] = {}  # each atom's blocks, numbered from the first atom on
+    class_of = [classes.setdefault(tuple(held), len(classes)) for held in d.incident_blocks()]
+    members: list[list[int]] = [[] for _ in classes]
+    for a, t in enumerate(class_of):
+        members[t].append(a)
+    rows = [[0] * len(classes) for _ in d.blocks]  # A x = 1 on one column per class
+    for t, held in enumerate(classes):
+        for bi in held:
+            rows[bi][t] = 1
+    points, den, _ = vertices(rows, [1] * len(rows))
+    if not points:
         return PolytopeSummary(Classification.NONE)
-    # ``vertices`` shares one Fraction per value: compare each column's few distinct objects
-    distinct = ({id(v): v for v in column}.values() for column in zip(*found))
-    one = len(found) == 1
+    # each value as its rank among the distinct ones: the lexicographic order
+    # is then that of one integer, with atom a at digit n - 1 - a
+    rank = {v: r for r, v in enumerate(sorted({0}.union(*points)))}
+    shift = [len(rank).bit_length() * (n - 1 - a) for a in range(n)]
+    expanded: list[tuple[int, int, int]] = []  # (key, zero mask, reduced point)
+    for k, p in enumerate(points):
+        found = [(0, (1 << n) - 1)]
+        for v, atoms in zip(p, members):
+            if v:
+                found = [(key | rank[v] << shift[a], z ^ 1 << a) for key, z in found for a in atoms]
+        expanded += [(key, z, k) for key, z in found]
+    expanded.sort()
+    _, masks, owners = zip(*expanded)
+    value = cache(lambda v: Fraction(v, den))  # one object per value, built when handed out
+
+    def vertex(k: int) -> StateVector:
+        p, z = points[owners[k]], masks[k]
+        return tuple(value(0 if z >> a & 1 else p[class_of[a]]) for a in range(n))
+
+    # an atom with a twin is 0 on some vertex; its class total is its maximum
+    extremes = [(min(c) if len(t) == 1 else 0, max(c)) for c, t in zip(zip(*points), members)]
+    one = len(masks) == 1
     return PolytopeSummary(
         Classification.EXACTLY_ONE if one else Classification.MORE_THAN_ONE,
-        unique_state=found[0] if one else None,
-        atom_ranges=tuple((min(values), max(values)) for values in distinct),
-        witness_state=None if one else found[0],
-        second_witness=None if one else found[-1],
-        vertices=tuple(found),
-        zero_masks=tuple(zero_masks),
+        unique_state=vertex(0) if one else None,
+        atom_ranges=tuple((value(lo), value(hi)) for lo, hi in map(extremes.__getitem__, class_of)),
+        witness_state=None if one else vertex(0),
+        second_witness=None if one else vertex(-1),
+        zero_masks=masks,
+        _vertex=vertex,
     )
 
 

@@ -243,6 +243,12 @@ def bfs_components(blocks, n: int) -> list[tuple[list[int], list[tuple[int, ...]
     return found
 
 
+def block_rows(d: MmpDiagram) -> tuple[list[list[int]], list[int]]:
+    """The system A x = 1 of the block sums in integers, one column per atom."""
+    rows = [[int(a in b) for a in range(d.atom_count)] for b in map(set, d.blocks)]
+    return rows, [1] * len(rows)
+
+
 def polytope_vertices(d: MmpDiagram) -> set[tuple[Fraction, ...]]:
     """All vertices of {x >= 0, block sums = 1} by basic-solution enumeration."""
     n = d.atom_count

@@ -11,10 +11,9 @@ from greechie.errors import Infeasible, LengthMismatch, NotAdmissible, NotValida
 from greechie.lattice import ATOM, ZERO, build_oml
 from greechie.cli import main
 from greechie.diagram import serialize_mmp
-from greechie.linprog import gauss_affine
+from greechie.linprog import gauss_affine, vertices
 from greechie.states import (
     Classification,
-    _block_rows,
     admits_strong_01_set,
     admits_strong_set,
     atom_range,
@@ -26,6 +25,7 @@ from greechie.structure import drop_blocks, validate
 from conftest import random_admissible, random_diagram, random_looped, random_mmp
 from oracles import (
     block_order_01_states,
+    block_rows,
     brute_01_states,
     dense_gauss_affine,
     first_failing_pair,
@@ -138,6 +138,93 @@ def test_atom_ranges_and_witnesses_match_the_vertex_oracle(rng):
     assert checked > 40
 
 
+def _twin_rich(rng) -> MmpDiagram:
+    """A random admissible diagram with many twins, atoms on the same blocks.
+
+    A forest or a looped diagram of 3- to 6-atom blocks gets pendant blocks,
+    each on one old atom with two to five new ones, which are twins, and
+    some blocks get one more new atom, a twin of their other new atoms.
+    """
+    if rng.random() < 0.5:
+        d = random_admissible(rng, max_blocks=4, sizes=(3, 4, 5, 6))
+    else:
+        d = random_looped(rng, max_atoms=10)
+    blocks, n = [list(b) for b in d.blocks], d.atom_count
+    for _ in range(rng.randrange(0, 3)):
+        fresh = rng.randrange(2, 6)
+        blocks.append([rng.randrange(n)] + list(range(n, n + fresh)))
+        n += fresh
+    for b in blocks:
+        if rng.random() < 0.3:
+            b.append(n)
+            n += 1
+    return MmpDiagram(n, tuple(tuple(b) for b in blocks))
+
+
+def _unreduced(d):
+    """The vertices and zero masks of the whole block system, one column per atom."""
+    points, den, zero_masks = vertices(*block_rows(d))
+    return [tuple(F(v, den) for v in p) for p in points], zero_masks
+
+
+def _disjoint(k: int) -> MmpDiagram:
+    return MmpDiagram(3 * k, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)))
+
+
+def _star(k: int) -> MmpDiagram:
+    # k spokes (2i, 2i + 1, 2k) on one hub: the two ends of a spoke are twins
+    return MmpDiagram(2 * k + 1, tuple((2 * i, 2 * i + 1, 2 * k) for i in range(k)))
+
+
+def test_twin_reduction_matches_the_unreduced_system(rng):
+    # classify_states lists the vertices on one column per twin class and
+    # expands them; the whole system, one column per atom, and at 12 atoms or
+    # fewer the basic-solution oracle must give the same vertices, zero
+    # masks, ranges and witnesses
+    inputs = [_twin_rich(rng) for _ in range(120)]
+    inputs += [_star(k) for k in range(1, 7)] + [_disjoint(k) for k in range(1, 7)]
+    inputs.append(parse_mmp("1234,4567,789A,ABCD,DEF1."))  # the pentagon, two pendant twins a block
+    twinned = oracle_checked = 0
+    for d in inputs:
+        s = classify_states(d)
+        found, zero_masks = _unreduced(d)
+        assert s.vertices == tuple(found)
+        assert s.zero_masks == tuple(zero_masks)
+        assert s.atom_ranges == tuple((min(c), max(c)) for c in zip(*found))
+        if len(found) == 1:
+            assert s.classification is Classification.EXACTLY_ONE and s.unique_state == found[0]
+        else:
+            assert s.classification is Classification.MORE_THAN_ONE
+            assert (s.witness_state, s.second_witness) == (found[0], found[-1])
+        if d.atom_count <= 12:
+            assert s.vertices == tuple(sorted(polytope_vertices(d)))
+            oracle_checked += 1
+        twinned += len({tuple(b for b in d.blocks if a in b) for a in range(d.atom_count)}) < d.atom_count
+    assert twinned > 120 and oracle_checked > 40, (twinned, oracle_checked)
+    pentagon = classify_states(inputs[-1])
+    assert len(pentagon.vertices) == 83 and len(enumerate_01_states(inputs[-1])) == 82
+
+
+def test_twin_reduction_eliminates_one_column_per_class(monkeypatch):
+    # ten disjoint blocks are ten twin classes: one reduced vertex, all ones,
+    # that expands to 3^10 vertices; the k-spoke star is k + 1 classes
+    seen = []
+
+    def counted(rows, rhs):
+        out = vertices(rows, rhs)
+        seen.append((len(rows[0]), len(out[0])))
+        return out
+
+    monkeypatch.setattr("greechie.states.vertices", counted)
+    s = classify_states(_disjoint(10))
+    assert seen == [(10, 1)] and len(s.zero_masks) == 3**10
+    assert "vertices" not in vars(s)  # built on first access
+    assert len(s.vertices) == 3**10 and s.vertices[0] == (F(0), F(0), F(1)) * 10
+    seen.clear()
+    assert len(classify_states(_star(5)).zero_masks) == 2**5 + 1
+    assert seen == [(6, 2)]
+
+
 #: admissible sub-diagrams (lattice, dropped blocks) whose state polytopes
 #: have dimension 2 to 5
 CLIFF = [
@@ -162,7 +249,7 @@ def _case_id(value):
 )
 def test_block_systems_agree_with_the_dense_oracle(name, dropped):
     d, _ = drop_blocks(corpus.diagram(name), dropped)
-    rows, rhs = _block_rows(d)
+    rows, rhs = block_rows(d)
     assert gauss_affine(rows, rhs) == dense_gauss_affine(rows, rhs)
 
 
@@ -173,7 +260,7 @@ def test_block_systems_agree_with_the_dense_oracle(name, dropped):
 )
 def test_affine_hull_of_a_73_atom_system_within_a_tenth_of_a_second(name, dropped):
     d, _ = drop_blocks(corpus.diagram(name), dropped)
-    rows, rhs = _block_rows(d)
+    rows, rhs = block_rows(d)
     t0 = time.perf_counter()
     gauss_affine(rows, rhs)
     dt = time.perf_counter() - t0
@@ -200,7 +287,7 @@ def test_cliff_sub_diagrams_take_their_vertices_in_a_few_seconds(
     # a scan of two simplex optimizations per atom took 3.4 to 67 s on these
     d, _ = drop_blocks(corpus.diagram(name), dropped)
     dim, count = shape
-    assert len(gauss_affine(*_block_rows(d))[1]) == dim
+    assert len(gauss_affine(*block_rows(d))[1]) == dim
     s = classify_states(d)
     assert s.classification is Classification.MORE_THAN_ONE and len(s.vertices) == count
     assert all(is_state(d, v) for v in s.vertices)
