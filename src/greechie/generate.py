@@ -10,9 +10,10 @@ sorted atom weights, both isomorphism invariants), the one whose
 canonical image comes last.  A child whose new block has a smaller key
 than some other block is rejected before any canonical search, and one
 whose new block alone has the largest key is kept before any; its own
-search waits until its group or its code is needed.  Every isomorphism
-class matching the spec is emitted exactly once, in canonical form, in
-a deterministic order independent of the worker count.
+search waits until its group or its code is needed.  Both orbit tests run
+over twin forms of blocks (``_block_orbit``), as twins permute freely.
+Every isomorphism class matching the spec is emitted exactly once, in
+canonical form, in a deterministic order independent of the worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Iterator
 from .diagram import MmpDiagram, serialize_mmp
 from .errors import BadCheckpoint, InvalidSpec, TooLarge
 from .structure import is_connected, validate
-from .symmetry import CanonicalForm, Gens, canonical_code, canonical_form, _canonical_search
+from .symmetry import CanonicalForm, Gens, canonical_code, canonical_form, _canonical_search, _twins
 
 Blocks = tuple[tuple[int, ...], ...]
 # blocks, atoms used, canonical code, Aut generators (the last two None until searched)
@@ -145,6 +146,7 @@ def _candidates(blocks: Blocks, n_used: int, spec: GenSpec, stats: GenStats, inv
                 stats.budget_prunes += 1
             else:
                 out.append(core + tail)
+    del pick  # it holds itself through its closure cell
     out.sort()
     return out
 
@@ -180,7 +182,8 @@ def _children(node: Node, spec: GenSpec, stats: GenStats) -> Iterator[Node]:
     ``gens`` generate the node's automorphism group, acting on its own
     labels (None until the node's search runs, at the first candidate that
     needs them).  Candidates in one orbit of that group give isomorphic
-    children, so only the first candidate of each orbit is tried.  A child
+    children, so only the first candidate of each orbit is tried; a
+    candidate is told by its twin form (``_block_orbit``).  A child
     whose new block's key is beaten (``_child_keys``) is rejected unsearched;
     one whose new block alone has the largest key is kept unsearched; any
     other is searched and kept when its new block lies in the orbit of b*
@@ -189,16 +192,18 @@ def _children(node: Node, spec: GenSpec, stats: GenStats) -> Iterator[Node]:
     """
     blocks, n_used, _, gens = node
     invariants = _invariants(blocks, n_used)
+    twins = _twins(invariants[1])
     top = max(invariants[3], default=())
-    covered: set[tuple[int, ...]] = set()
+    covered: set[tuple[int, ...]] = set()  # twin forms of the tried orbits
     for cand in _candidates(blocks, n_used, spec, stats, invariants):
-        child_keys = None if cand in covered else _child_keys(blocks, cand, invariants, top)
+        seen = covered and _twin_form(cand, twins) in covered
+        child_keys = None if seen else _child_keys(blocks, cand, invariants, top)
         if child_keys is None:
             stats.canonical_rejections += 1
             continue
         if gens is None:
             gens = _canonical_search(blocks, n_used)[3]
-        covered |= _block_orbit(cand, gens)
+        covered |= _block_orbit(cand, gens, twins)
         child = blocks + (cand,)
         child_used = max(n_used, cand[-1] + 1)
         if child_keys.count(child_keys[-1]) == 1:  # b* is the new block
@@ -263,22 +268,49 @@ def _child_keys(blocks: Blocks, cand: tuple[int, ...], invariants: tuple, top: t
 def _accepts(child: Blocks, keys: list[tuple[int, ...]], perm: tuple[int, ...], gens: Gens) -> bool:
     """Is the last block in the Aut(child)-orbit (``gens``) of b*, the block
     of largest key whose image under the canonical labelling ``perm`` is
-    last in the code?"""
+    last in the code?  Blocks are compared by twin form in the child."""
     top = keys[-1]
     star = max((b for b, k in zip(child, keys) if k == top), key=lambda b: sorted(perm[a] for a in b))
-    return star == child[-1] or child[-1] in _block_orbit(star, gens)
+    if star == child[-1]:
+        return True
+    twins = _twins(_invariants(child, len(perm))[1])
+    return _twin_form(child[-1], twins) in _block_orbit(star, gens, twins)
 
 
-def _block_orbit(block: tuple[int, ...], gens: Gens) -> set[tuple[int, ...]]:
-    """Images of a block under the group generated by ``gens``; atoms
-    beyond the generators' range (new atoms) are fixed."""
-    gens = [g + tuple(range(len(g), block[-1] + 1)) for g in gens]
-    orbit = {block}
-    todo = [block]
+def _twin_form(block: tuple[int, ...], twins: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The block with, in each twin class, its atoms replaced by the class's
+    least ones, as many; atoms beyond ``twins`` (new atoms) stay."""
+    out: list[int] = []
+    for a in block:
+        cls = twins[a] if a < len(twins) else (a,)
+        i = 0
+        while cls[i] in out:  # taken by an earlier atom of the class
+            i += 1
+        out.append(cls[i])
+    return tuple(sorted(out))
+
+
+def _block_orbit(block: tuple[int, ...], gens: Gens, twins: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Twin forms (``_twin_form``) of the images of a block under the group
+    that ``gens`` generate, atoms past their range (new atoms) fixed: a
+    block is in the orbit exactly when its twin form is in the set.
+
+    The permutations within twin classes are automorphisms, and an
+    automorphism g maps twin classes onto twin classes, so they form a
+    normal subgroup S (g S g^-1 = S).  The blocks of one twin form are one
+    S-orbit and g maps S-orbits onto S-orbits, so a search over twin forms
+    needs only the generators outside S, which move an atom out of its class.
+    """
+    n = len(twins)
+    pad = tuple(range(n, block[-1] + 1))
+    gens = [g + pad for g in gens if any(twins[g[a]] is not twins[a] for a in range(n))]
+    start = _twin_form(block, twins)
+    orbit = {start}
+    todo = [start]
     while todo:
         b = todo.pop()
         for g in gens:
-            image = tuple(sorted([g[a] for a in b]))
+            image = _twin_form([g[a] for a in b], twins)
             if image not in orbit:
                 orbit.add(image)
                 todo.append(image)

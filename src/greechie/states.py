@@ -219,6 +219,7 @@ def _enumerate_01(d: MmpDiagram) -> list[int]:
             cover(live & ~mates[a], open_blocks & ~blocks_of[a], ones | low)
 
     cover(full, (1 << len(members)) - 1, 0)
+    del cover  # it holds itself through its closure cell
     return found
 
 

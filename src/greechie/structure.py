@@ -336,6 +336,13 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
     except _BudgetSpent:
         found = best or min_loop(d)
         return None if found is None else replace(found, exact=False)
+    finally:
+        # extend holds itself through its closure cell, and each move list
+        # the next ones through its steps: break both cycles
+        del extend
+        for out in moves:
+            for into in out.values():
+                into.clear()
     return best
 
 

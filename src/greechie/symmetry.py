@@ -18,16 +18,18 @@ Refinement is incremental: each round re-examines only the cells next to
 an atom that changed cell in the round before, and it keys each incident
 block by one int whose order is that of the (size, colors) tuple it
 encodes (see ``_refiner``).  Twins, atoms on exactly the same blocks,
-are swapped by automorphisms known before the search starts, so the
-search individualizes one atom of each twin class per node.  Besides the
-code, the search returns |Aut| and generators of Aut.  Generation uses
-them to try one augmenting block per orbit and in the deletion rule's
-orbit test (``generate._accepts``).
+are swapped by automorphisms known before the search starts, and a cell
+of twins alone is split in one step.  A leaf that repeats the first or
+the least code returns the search to the node where its path parts from
+that leaf's (McKay 1981).  Besides the code, the search returns |Aut| and
+generators of Aut.  Generation uses them to try one augmenting block per
+orbit and in the deletion rule's orbit test (``generate._accepts``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -233,9 +235,27 @@ def _search_connected(
     Known automorphisms prune each child in the orbit of an explored
     sibling.  Twins, atoms on exactly the same blocks, are known before
     the search: the swap of each two neighbours in a twin class is a
-    generator from the start (McKay & Piperno 2014), so a node
-    individualizes one atom per twin class.  The rest are found at leaves
-    with equal codes.
+    generator from the start (McKay & Piperno 2014).  The rest are found
+    at leaves with equal codes.
+
+    A target cell of twins alone (k atoms) is split in one step: its atoms
+    take consecutive colors in atom order, the coloring that individualizing
+    them one at a time, least first, reaches.  No refinement runs: it would
+    move nothing, since every block through a twin holds the whole class.
+    Each other child of that one-at-a-time search is the least one's image
+    under a twin transposition fixing the path, so its leaves repeat codes
+    found before.  On the first path the step counts k! (orbits k, k - 1,
+    ..., 2), and the twin swaps, which generate every permutation within a
+    class, keep the generators generating Aut.
+
+    A leaf that repeats the first leaf's code yields an automorphism g,
+    and since a leaf's ordered partition determines its path, g maps the
+    first path onto the leaf's.  The search returns at once to the node
+    where the two paths part (McKay 1981): the rest of the abandoned
+    branches is g's image of a part already searched, so each code in it
+    appeared earlier.  So does a leaf that repeats the least code so far,
+    against that leaf's path.  The first leaf to reach the least code, and
+    so the code and the permutation, are those of the whole search.
 
     |Aut| comes from orbit-stabilizer along the first path (McKay 1981).
     Let a be the first child of a first-path node with prefix P, and let
@@ -243,15 +263,15 @@ def _search_connected(
     the first leaf it is trivial).  A child c in the orbit of a under the
     stabilizer of P is either pruned as an image of an explored child by
     a known automorphism fixing P, or explored, and then a leaf below it
-    repeats the first leaf's code and yields an automorphism fixing P
-    that takes a to c.  So the known automorphisms fixing P generate its
-    stabilizer, the orbit of a under them is exact, and |Aut| is the
-    product of these orbit sizes; at the root P is empty, so the
-    generators returned generate Aut.  Nothing here asks how an
-    automorphism became known, so the twin swaps keep |Aut| exact, and
-    pruning drops only leaves whose codes an explored leaf repeats, so the
-    code is unchanged.  Only the leaf that attains it (the permutation,
-    up to an automorphism) and the generator list depend on the seeds.
+    repeats the first leaf's code, or the least code of a leaf below a
+    (one below another child would put that child in a's orbit, and a's
+    branch would have reached its code first).  Either yields an
+    automorphism fixing P that takes a to c, and the return lands on P's
+    node, which goes on; no return leaves a first-path node unfinished.
+    So the known automorphisms fixing P generate its stabilizer, the orbit
+    of a under them is exact, and |Aut| is the product of these orbit
+    sizes; at the root P is empty, so the generators returned generate
+    Aut.  Only the generator list depends on the seeds.
 
     With ``until``, the search stops at the first leaf whose code
     satisfies it and returns that leaf's code and permutation; the count
@@ -264,42 +284,41 @@ def _search_connected(
             incident[a].append(i)
     sigs = [(len(inc), tuple(sorted(len(blocks[i]) for i in inc))) for inc in incident]
     ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-    twins: dict[tuple[int, ...], list[int]] = {}  # atoms per set of blocks
-    for a, inc in enumerate(incident):
-        twins.setdefault(tuple(inc), []).append(a)
+    twins = _twins(incident)
     gens = [tuple(y if i == x else x if i == y else i for i in range(n))
-            for cls in twins.values() for x, y in zip(cls, cls[1:])]
+            for cls in dict.fromkeys(twins) for x, y in zip(cls, cls[1:])]
 
     def code_of(perm: list[int]) -> Code:
         return tuple(sorted(tuple(sorted(perm[a] for a in b)) for b in blocks))
 
-    best: dict = {"code": None, "perm": None, "first_code": None, "first_perm": None}
+    # (code, permutation, path) of the first leaf and of the first leaf with
+    # the least code so far; a path lists the individualized atoms
+    first = best = None
 
-    def record_leaf(colors: list[int]) -> bool:
-        perm = colors  # discrete coloring: color value == canonical position
+    def record_leaf(perm: list[int], path: tuple[int, ...]) -> int:
+        """Record a leaf (a discrete coloring: color value == canonical
+        position); return the depth the search goes on at."""
+        nonlocal first, best
         code = code_of(perm)
         if until is not None and until(code):
-            best["code"], best["perm"] = code, tuple(perm)
-            return True
-        if best["first_code"] is None:
-            best["first_code"] = code
-            best["first_perm"] = tuple(perm)
-        elif code == best["first_code"]:
-            _harvest(perm, best["first_perm"])
-        if best["code"] is None or code < best["code"]:
-            best["code"] = code
-            best["perm"] = tuple(perm)
-        elif code == best["code"]:
-            _harvest(perm, best["perm"])
-        return False
-
-    def _harvest(leaf_perm: list[int], ref_perm: tuple[int, ...]) -> None:
+            best = (code, tuple(perm), path)
+            return -1
+        if first is None:
+            first = best = (code, tuple(perm), path)
+            return len(path)
+        ref = first if code == first[0] else best if code == best[0] else None
+        if ref is None:
+            if code < best[0]:
+                best = (code, tuple(perm), path)
+            return len(path)
         inv_leaf = [0] * n
-        for i, v in enumerate(leaf_perm):
+        for i, v in enumerate(perm):
             inv_leaf[v] = i
-        g = tuple(inv_leaf[ref_perm[i]] for i in range(n))
+        g = tuple(inv_leaf[ref[1][i]] for i in range(n))
         if any(g[i] != i for i in range(n)) and g not in gens:
             gens.append(g)
+        # the node where this path leaves the reference path
+        return next((d for d, (x, y) in enumerate(zip(path, ref[2])) if x != y), len(path))
 
     def target_cell(colors: list[int]) -> list[int] | None:
         cells: dict[int, list[int]] = {}
@@ -317,11 +336,22 @@ def _search_connected(
 
     order = 1
 
-    def search(colors: list[int], fixed: tuple[int, ...], first: bool) -> bool:
+    def search(colors: list[int], fixed: tuple[int, ...], on_first: bool) -> int:
+        """Search below one node; return the depth (length of ``fixed``) of
+        the node the search goes on at: this node's own when it is done."""
         nonlocal order
         cell = target_cell(colors)
         if cell is None:
-            return record_leaf(colors)
+            return record_leaf(colors, fixed)
+        if all(twins[a] is twins[cell[0]] for a in cell):  # twins: split at once
+            c, k = colors[cell[0]], len(cell)
+            colors = [x + k - 1 if x > c else x for x in colors]
+            for i, a in enumerate(cell):
+                colors[a] = c + i
+            if on_first:
+                order *= math.factorial(k)
+            return search(colors, fixed + tuple(cell), on_first)
+        depth = len(fixed)
         explored: set[int] = set()  # the orbits of the atoms searched so far
         # the known automorphisms that fix ``fixed``
         valid = [g for g in gens if all(g[x] == x for x in fixed)]
@@ -330,15 +360,28 @@ def _search_connected(
                 continue
             explored.add(a)
             known = len(gens)
-            if search(refine(individualize(colors, a), [a]), fixed + (a,), first and a == cell[0]):
-                return True
+            back = search(refine(individualize(colors, a), [a]), fixed + (a,), on_first and a == cell[0])
+            if back < depth:
+                return back
             valid += [g for g in gens[known:] if all(g[x] == x for x in fixed)]
-        if first:
+        if on_first:
             order *= len(_close({cell[0]}, valid))
-        return False
+        return depth
 
     search(refine([ranking[s] for s in sigs], range(n)), (), True)
-    return best["code"], best["perm"], order, tuple(gens)
+    del search  # it holds itself through its closure cell
+    return best[0], best[1], order, tuple(gens)
+
+
+def _twins(incident: list[list[int]]) -> list[tuple[int, ...]]:
+    """Per atom, its twin class (the atoms on exactly its blocks) in
+    ascending order, one tuple per class.  ``incident[a]`` lists the
+    blocks through a."""
+    on: dict[tuple[int, ...], list[int]] = {}
+    for a, inc in enumerate(incident):
+        on.setdefault(tuple(inc), []).append(a)
+    classes = {key: tuple(atoms) for key, atoms in on.items()}
+    return [classes[tuple(inc)] for inc in incident]
 
 
 def _refiner(

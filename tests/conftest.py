@@ -94,6 +94,24 @@ def random_looped(rng: random.Random, max_atoms: int = 12) -> MmpDiagram:
     return MmpDiagram(n, tuple(blocks))
 
 
+def twin_rich(rng: random.Random, max_atoms: int) -> MmpDiagram:
+    """Blocks of 3-6 atoms, each after the first through one or two earlier
+    atoms, so that most blocks hold two or more pendant atoms, which are
+    twins; relabelled at random."""
+    blocks, n = [], 0
+    while True:
+        size = rng.randrange(3, 7)
+        old = rng.sample(range(n), rng.choice((1, 1, 2))) if blocks else []
+        if n + size - len(old) > max_atoms:
+            break
+        blocks.append(old + list(range(n, n + size - len(old))))
+        n += size - len(old)
+    pi = list(range(n))
+    rng.shuffle(pi)
+    rng.shuffle(blocks)
+    return MmpDiagram(n, tuple(tuple(sorted(pi[a] for a in b)) for b in blocks))
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

@@ -469,6 +469,12 @@ def refine_by_signatures(blocks, n: int, colors: list[int]) -> list[int]:
 def closure_order(gens, n: int) -> int:
     """Order of the permutation group on range(n) generated by ``gens``,
     by listing every element."""
+    return len(closure(gens, n))
+
+
+def closure(gens, n: int) -> set[tuple[int, ...]]:
+    """Every element of the permutation group on range(n) that ``gens``
+    generate."""
     identity = tuple(range(n))
     group = {identity}
     frontier = [identity]
@@ -479,7 +485,7 @@ def closure_order(gens, n: int) -> int:
             if q not in group:
                 group.add(q)
                 frontier.append(q)
-    return len(group)
+    return group
 
 
 def deletion_keys(blocks) -> list[tuple[int, ...]]:

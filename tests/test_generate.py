@@ -3,6 +3,7 @@ import math
 import re
 import sys
 from dataclasses import asdict
+from itertools import combinations
 
 import pytest
 
@@ -18,8 +19,9 @@ from greechie.generate import (
     membership_probe,
 )
 from greechie.structure import validate
-from greechie.symmetry import _canonical_search, are_isomorphic, canonical_code, canonical_form
-from oracles import deletion_keys
+from greechie.symmetry import _canonical_search, _twins, are_isomorphic, canonical_code, canonical_form
+from conftest import twin_rich
+from oracles import closure, deletion_keys
 
 PENTAGON = "123,345,567,789,9A1."
 
@@ -346,3 +348,33 @@ def test_generate_stats_accounting():
     assert stats.emitted_count == len(lines)
     assert stats.nodes_explored > 0
     assert stats.wall_time >= 0
+
+
+def test_block_orbit_over_twin_classes_matches_the_listed_group(rng):
+    # _block_orbit walks twin forms with only the generators that move an
+    # atom out of its twin class; the brute orbit applies every element of
+    # the listed group.  A block (some with a new atom, which every
+    # automorphism fixes) is in the brute orbit exactly when its twin form
+    # is in the set _block_orbit returns, and a twin form is a block of the
+    # orbit.
+    module = sys.modules["greechie.generate"]
+    checked = listed = 0
+    while checked < 40:
+        d = twin_rich(rng, max_atoms=rng.randrange(6, 10))
+        n = d.atom_count
+        _, _, order, gens = _canonical_search(d.blocks, n)
+        if order > 20000:
+            continue
+        group = closure(gens, n)
+        assert len(group) == order
+        twins = _twins([[i for i, b in enumerate(d.blocks) if a in b] for a in range(n)])
+        pool = list(combinations(range(n + 1), 3))
+        for block in rng.sample(pool, 8) + [d.blocks[0][:3]]:
+            orbit = module._block_orbit(block, gens, twins)
+            brute = {tuple(sorted(g[a] if a < n else a for a in block)) for g in group}
+            assert orbit == {module._twin_form(b, twins) for b in brute} <= brute
+            for b in pool:
+                assert (b in brute) == (module._twin_form(b, twins) in orbit)
+            listed += len(brute) > len(orbit)
+        checked += 1
+    assert listed > 100

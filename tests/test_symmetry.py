@@ -1,12 +1,14 @@
+import gc
 import math
 import time
 
 import pytest
 
-from greechie import corpus, symmetry
+from greechie import corpus, states, symmetry
 from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import NotValidated, SizeMismatch
-from greechie.structure import dual, girth, is_connected, mmp_checks, validate
+from greechie.generate import GenSpec, generate
+from greechie.structure import dual, girth, is_connected, max_loop, mmp_checks, validate
 from greechie.symmetry import (
     Permutation,
     _canonical_search,
@@ -16,7 +18,7 @@ from greechie.symmetry import (
     is_self_dual,
     relabel,
 )
-from conftest import random_diagram, random_mmp
+from conftest import random_diagram, random_mmp, twin_rich
 from oracles import brute_automorphism_count, closure_order, refine_by_signatures
 
 PENTAGON = "123,345,567,789,9A1."
@@ -348,32 +350,14 @@ def counted_refines(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_twins_of_one_block_cost_one_refine_each(monkeypatch, k):
-    # the k atoms of one block are twins, whose swaps are known before the
-    # search: the initial refinement and one individualization per level of
-    # the first path, k - 1 of them, instead of one subtree per twin
+    # the k atoms of one block are twins, one cell of the initial coloring,
+    # which is split in one step with no refinement: the initial refinement
+    # is the only one
     calls = counted_refines(monkeypatch)
     code, _, order, gens = _canonical_search((tuple(range(k)),), k)
-    assert calls[0] <= k
+    assert calls[0] == 1
     assert code == (tuple(range(k)),) and order == math.factorial(k)
     assert closure_order(gens, k) == order
-
-
-def twin_rich(rng, max_atoms: int) -> MmpDiagram:
-    """Blocks of 3-6 atoms, each after the first through one or two earlier
-    atoms, so that most blocks hold two or more pendant atoms, which are
-    twins; relabelled at random."""
-    blocks, n = [], 0
-    while True:
-        size = rng.randrange(3, 7)
-        old = rng.sample(range(n), rng.choice((1, 1, 2))) if blocks else []
-        if n + size - len(old) > max_atoms:
-            break
-        blocks.append(old + list(range(n, n + size - len(old))))
-        n += size - len(old)
-    pi = list(range(n))
-    rng.shuffle(pi)
-    rng.shuffle(blocks)
-    return MmpDiagram(n, tuple(tuple(sorted(pi[a] for a in b)) for b in blocks))
 
 
 def star(k: int) -> MmpDiagram:
@@ -381,27 +365,84 @@ def star(k: int) -> MmpDiagram:
     return MmpDiagram(2 * k + 1, tuple((2 * i, 2 * i + 1, 2 * k) for i in range(k)))
 
 
+def disjoint_blocks(k: int) -> MmpDiagram:
+    return MmpDiagram(3 * k, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)))
+
+
+def block_cycle(k: int) -> MmpDiagram:
+    """k blocks in a ring, each sharing one atom with the next: |Aut| = 2k."""
+    return MmpDiagram(2 * k, tuple((2 * i, 2 * i + 1, (2 * i + 2) % (2 * k)) for i in range(k)))
+
+
 def test_twin_rich_search_matches_brute_force(rng):
-    # code, |Aut| and generators where twin classes abound, on random twin-rich
-    # diagrams and on the k-spoke stars, checked by backtracking, by listing
-    # the group the generators generate and under relabelling
-    pool = [twin_rich(rng, max_atoms=rng.randrange(5, 10)) for _ in range(60)]
-    pool += [star(k) for k in (2, 3, 4)]
-    twins = 0
-    for d in pool:
+    # code, |Aut| and generators where twin classes abound, so that cells of
+    # twins split in one step and leaves repeat codes.  On random twin-rich
+    # diagrams and the small stars |Aut| is checked by backtracking; on the
+    # larger stars, disjoint blocks and block cycles against its closed form;
+    # on corpus lattices, which are too large for either, only as below.
+    # Everywhere the generators must be automorphisms that generate a group
+    # of order |Aut| (where it is small enough to list), and code and |Aut|
+    # must stay under relabelling.
+    pool = [(twin_rich(rng, max_atoms=rng.randrange(5, 10)), "brute") for _ in range(60)]
+    pool += [(star(k), "brute") for k in (2, 3, 4)]
+    pool += [(star(k), math.factorial(k) * 2**k) for k in (5, 6, 7)]
+    pool += [(disjoint_blocks(k), math.factorial(k) * 6**k) for k in (2, 3, 4, 8)]
+    pool += [(block_cycle(k), 2 * k) for k in (3, 5, 8, 12, 20)]
+    pool += [(corpus.diagram(name), None) for name in ("35-35a", "35-35e", "36-36", "38-38c", "44-44", "73-73")]
+    twins = listed = 0
+    for d, count in pool:
         n = d.atom_count
         code, perm, order, gens = _canonical_search(d.blocks, n)
         assert tuple(sorted(tuple(sorted(perm[a] for a in b)) for b in d.blocks)) == code
         target = sorted(tuple(sorted(b)) for b in d.blocks)
         for g in gens:
             assert sorted(tuple(sorted(g[a] for a in b)) for b in d.blocks) == target
-        assert order == brute_automorphism_count(d) == closure_order(gens, n)
+        if count == "brute":
+            assert order == brute_automorphism_count(d)
+        elif count is not None:
+            assert order == count
+        if count == "brute" or order <= 5000:
+            assert closure_order(gens, n) == order
+            listed += 1
         for _ in range(3):
             r, _ = shuffled(d, rng)
             assert _canonical_search(r.blocks, n)[::2] == (code, order)
         on = [tuple(i for i, b in enumerate(d.blocks) if a in b) for a in range(n)]
         twins += len(set(on)) < n
-    assert twins > 0.9 * len(pool)
-    # the 5-spoke star, too large for the backtracking: the group its
-    # generators make has the closed-form order 5! 2^5
-    assert closure_order(_canonical_search(star(5).blocks, 11)[3], 11) == 3840
+    assert twins > 0.8 * len(pool) and listed > 70
+
+
+def test_refines_of_the_7_spoke_star_and_35_35a(monkeypatch):
+    # the pairs of spoke-end twins split in one step, and a leaf that
+    # repeats a code returns the search to where its path parted from the
+    # earlier leaf's; individualizing the twins one at a time and searching
+    # on below such leaves takes 85 and 34 refines
+    calls = counted_refines(monkeypatch)
+    _canonical_search(star(7).blocks, 15)
+    assert calls[0] <= 28
+    calls[:] = [0]
+    _canonical_search(corpus.diagram("35-35a").blocks, 35)
+    assert calls[0] <= 23
+
+
+def test_recursive_searches_leave_no_garbage():
+    # each of these searches recurses through a nested function, which holds
+    # itself through its closure cell unless the cell is cleared; nothing
+    # may be left for the cyclic collector
+    d = corpus.diagram("35-35a")
+    calls = [
+        lambda: canonical_form(d),
+        lambda: is_self_dual(d),
+        lambda: states._enumerate_01(d),
+        lambda: max_loop(d, budget=100),  # the budget runs out
+        lambda: max_loop(corpus.diagram("36-36")),  # the search finishes
+        lambda: generate(GenSpec(12, 6), lambda line: None),  # generate._candidates
+    ]
+    gc.disable()
+    try:
+        gc.collect()
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
