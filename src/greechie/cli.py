@@ -22,7 +22,7 @@ from .errors import BadCheckpoint, InvalidSpec, MmpError, NotAdmissible, NotVali
 from .generate import GenSpec, brute_force_generate, generate
 from .lattice import build_oml
 from .render import LOOP_BUDGET, render_dot
-from .states import Classification, _enumerate_01, _strong_over, classify_states, is_state
+from .states import Classification, _classify, _strong_over, classify_states, is_state
 from .structure import validate
 from .symmetry import canonical_form, is_self_dual
 
@@ -99,9 +99,9 @@ def _summary_json(d: MmpDiagram, args) -> dict:
     poset = build_oml(d) if args.zero_one or args.strong else None
     strong = _strong_over(poset, summary.zero_masks) if args.strong else None
     if args.zero_one:
-        zeros = _enumerate_01(d)
-        # A 0-1 state is a vertex of any polytope inside the unit cube: as
-        # many 0-1 states as vertices means the same set, so the same report
+        zeros = summary.zero_one_masks
+        # the 0-1 states are the 0-1 vertices: as many of them as vertices
+        # means the same set, so the same report
         same = strong is not None and len(zeros) == len(summary.zero_masks)
         rep = strong if same else _strong_over(poset, zeros)
         doc["zero_one"] = {"count": len(zeros), "admits_strong_01_set": rep.admits}
@@ -224,7 +224,7 @@ def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
         return ["not greechie-admissible"]
     summary = None
     if entry.state_classification is not None:
-        summary = classify_states(d)
+        summary = _classify(d)
         if summary.classification.value != entry.state_classification:
             problems.append(
                 f"classification {summary.classification.value} != {entry.state_classification}"
@@ -241,7 +241,7 @@ def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
         if sd != entry.self_dual:
             problems.append(f"self_dual {sd} != {entry.self_dual}")
     if entry.admits_strong_set is not None:
-        rep_strong = _strong_over(poset, (summary or classify_states(d)).zero_masks)
+        rep_strong = _strong_over(poset, (summary or _classify(d)).zero_masks)
         if rep_strong.admits != entry.admits_strong_set:
             problems.append(f"admits_strong_set {rep_strong.admits} != {entry.admits_strong_set}")
     if entry.name in corpus.KNOWN_STATES:

@@ -73,19 +73,11 @@ class MmpDiagram:
         return used
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.atom_count
-        for b in self.blocks:
-            for a in b:
-                deg[a] += 1
-        return deg
+        return [len(inc) for inc in self.incident_blocks()]
 
     def incident_blocks(self) -> list[list[int]]:
         """For each atom, the indices of the blocks containing it."""
-        inc: list[list[int]] = [[] for _ in range(self.atom_count)]
-        for i, b in enumerate(self.blocks):
-            for a in b:
-                inc[a].append(i)
-        return inc
+        return incidence(self.blocks, self.atom_count)
 
     def to_json(self) -> str:
         return json.dumps({"atoms": self.atom_count, "blocks": [list(b) for b in self.blocks]})
@@ -110,6 +102,28 @@ class MmpDiagram:
             return cls(atoms, tuple(tuple(b) for b in blocks))
         except ValueError as exc:
             raise BadJson(str(exc)) from exc
+
+
+def incidence(blocks: tuple[tuple[int, ...], ...], n: int) -> list[list[int]]:
+    """For each of atoms 0..n-1, the indices of the blocks containing it, ascending."""
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for i, b in enumerate(blocks):
+        for a in b:
+            inc[a].append(i)
+    return inc
+
+
+def twin_classes(incident: list[list[int]]) -> list[tuple[int, ...]]:
+    """Per atom, its twin class: the atoms on exactly its blocks, ascending.
+
+    ``incident`` is :func:`incidence` of the blocks.  The atoms of one class
+    share one tuple object, so a class is told by identity.
+    """
+    on: dict[tuple[int, ...], list[int]] = {}
+    for a, inc in enumerate(incident):
+        on.setdefault(tuple(inc), []).append(a)
+    classes = {key: tuple(atoms) for key, atoms in on.items()}
+    return [classes[tuple(inc)] for inc in incident]
 
 
 def parse_mmp(text: str) -> MmpDiagram:

@@ -29,10 +29,10 @@ from itertools import combinations
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .diagram import MmpDiagram, serialize_mmp
+from .diagram import MmpDiagram, incidence, serialize_mmp, twin_classes
 from .errors import BadCheckpoint, InvalidSpec, TooLarge
 from .structure import is_connected, validate
-from .symmetry import CanonicalForm, Gens, canonical_code, canonical_form, _canonical_search, _twins
+from .symmetry import CanonicalForm, Gens, canonical_code, canonical_form, _canonical_search
 
 Blocks = tuple[tuple[int, ...], ...]
 # blocks, atoms used, canonical code, Aut generators (the last two None until searched)
@@ -192,7 +192,7 @@ def _children(node: Node, spec: GenSpec, stats: GenStats) -> Iterator[Node]:
     """
     blocks, n_used, _, gens = node
     invariants = _invariants(blocks, n_used)
-    twins = _twins(invariants[1])
+    twins = twin_classes(invariants[1])
     top = max(invariants[3], default=())
     covered: set[tuple[int, ...]] = set()  # twin forms of the tried orbits
     for cand in _candidates(blocks, n_used, spec, stats, invariants):
@@ -223,12 +223,8 @@ def _invariants(blocks: Blocks, n: int) -> tuple[list[int], list[list[int]], lis
     degree total; the key of a block is its sorted atom degrees followed
     by its sorted atom weights.  Isomorphisms preserve all of them.
     """
-    degree = [0] * n
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, b in enumerate(blocks):
-        for a in b:
-            degree[a] += 1
-            incident[a].append(i)
+    incident = incidence(blocks, n)
+    degree = [len(inc) for inc in incident]
     total = [sum(degree[a] for a in b) for b in blocks]
     weight = [sum(total[i] for i in incident[a]) for a in range(n)]
     return degree, incident, weight, [_key(b, degree, weight) for b in blocks]
@@ -273,7 +269,7 @@ def _accepts(child: Blocks, keys: list[tuple[int, ...]], perm: tuple[int, ...], 
     star = max((b for b, k in zip(child, keys) if k == top), key=lambda b: sorted(perm[a] for a in b))
     if star == child[-1]:
         return True
-    twins = _twins(_invariants(child, len(perm))[1])
+    twins = twin_classes(incidence(child, len(perm)))
     return _twin_form(child[-1], twins) in _block_orbit(star, gens, twins)
 
 
@@ -478,7 +474,7 @@ def brute_force_generate(spec: GenSpec, guard: int = 10**8) -> list[CanonicalFor
     if a < s or s * m < a:
         return []
     all_blocks = list(combinations(range(a), s))
-    masks = {b: _mask(b) for b in all_blocks}
+    masks = {b: sum(1 << x for x in b) for b in all_blocks}
     first = tuple(range(s))
     rest_pool = [b for b in all_blocks if b != first]
     full = (1 << a) - 1
@@ -509,10 +505,3 @@ def brute_force_generate(spec: GenSpec, guard: int = 10**8) -> list[CanonicalFor
             classes[key] = d
     forms = [canonical_form(d) for d in classes.values()]
     return sorted(forms, key=lambda f: f.canonical_text)
-
-
-def _mask(block: tuple[int, ...]) -> int:
-    m = 0
-    for x in block:
-        m |= 1 << x
-    return m

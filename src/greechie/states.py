@@ -1,11 +1,13 @@
 """Exact analysis of the state space of a diagram.
 
 A state assigns each atom a rational in [0,1] so that every block sums
-to one.  The set of states is a polytope cut out by those equations;
+to one.  The set of states is a polytope cut out by those equations, and
 everything below (classification, per-atom ranges, 0-1 states, strong
-set decisions) is decided in exact arithmetic, never with floats.  The
-strong-set tests see each state as its zero mask, bit a set when m(a) = 0;
-``Fraction`` tuples are built only for the values handed out.
+set decisions) is read off its vertices in exact arithmetic, never with
+floats.  The polytope lies in the unit cube, so the 0-1 states are
+exactly its 0-1 vertices.  The strong-set tests see each state as its
+zero mask, bit a set when m(a) = 0; ``Fraction`` tuples are built only
+for the values handed out.
 """
 
 from __future__ import annotations
@@ -16,16 +18,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .diagram import MmpDiagram
+from .diagram import MmpDiagram, twin_classes
 from .errors import Infeasible, LengthMismatch
 from .lattice import OmlElement, OmlPoset, build_oml
 from .linprog import vertices
 from .structure import require_mmp
 
 StateVector = tuple[Fraction, ...]
-
-# the value of an atom whose zero-mask digit is "0" or "1", one object each
-_DIGIT_VALUE = {"0": Fraction(1), "1": Fraction(0)}
 
 
 class Classification(Enum):
@@ -41,9 +40,11 @@ class PolytopeSummary:
     ``vertices`` lists them in lexicographic order: none for ``None``, the
     one state for ``ExactlyOne``, two or more for ``MoreThanOne``.  It is
     built from ``_vertex`` on first access; ``zero_masks[k]`` has bit a set
-    when ``vertices[k]`` puts 0 on atom a.  Each atom's (min, max) range is
-    the least and greatest value it takes on a vertex; the two
-    ``MoreThanOne`` witnesses are the least and the greatest vertex.
+    when ``vertices[k]`` puts 0 on atom a.  ``zero_one_masks`` are the zero
+    masks of the 0-1 vertices, the 0-1 states, in the same order, built from
+    ``_zero_one`` on first access.  Each atom's (min, max) range is the least
+    and greatest value it takes on a vertex; the two ``MoreThanOne``
+    witnesses are the least and the greatest vertex.
     """
 
     classification: Classification
@@ -53,10 +54,15 @@ class PolytopeSummary:
     second_witness: StateVector | None = None
     zero_masks: tuple[int, ...] = field(default=(), repr=False)
     _vertex: Callable[[int], StateVector] | None = field(default=None, repr=False, compare=False)
+    _zero_one: Callable[[], tuple[int, ...]] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def vertices(self) -> tuple[StateVector, ...]:
         return tuple(map(self._vertex, range(len(self.zero_masks)))) if self._vertex else ()
+
+    @cached_property
+    def zero_one_masks(self) -> tuple[int, ...]:
+        return self._zero_one() if self._zero_one else ()
 
 
 @dataclass(frozen=True)
@@ -111,14 +117,14 @@ def _classify(d: MmpDiagram) -> PolytopeSummary:
     vertex, as its support columns are y's, independent since y is a vertex.
     """
     n = d.atom_count
-    classes: dict[tuple[int, ...], int] = {}  # each atom's blocks, numbered from the first atom on
-    class_of = [classes.setdefault(tuple(held), len(classes)) for held in d.incident_blocks()]
-    members: list[list[int]] = [[] for _ in classes]
-    for a, t in enumerate(class_of):
-        members[t].append(a)
-    rows = [[0] * len(classes) for _ in d.blocks]  # A x = 1 on one column per class
-    for t, held in enumerate(classes):
-        for bi in held:
+    incident = d.incident_blocks()
+    twins = twin_classes(incident)
+    members = list(dict.fromkeys(twins))  # the classes, numbered from the first atom on
+    number = {cls: t for t, cls in enumerate(members)}
+    class_of = [number[cls] for cls in twins]
+    rows = [[0] * len(members) for _ in d.blocks]  # A x = 1 on one column per class
+    for t, cls in enumerate(members):
+        for bi in incident[cls[0]]:
             rows[bi][t] = 1
     points, den, _ = vertices(rows, [1] * len(rows))
     if not points:
@@ -142,6 +148,11 @@ def _classify(d: MmpDiagram) -> PolytopeSummary:
         p, z = points[owners[k]], masks[k]
         return tuple(value(0 if z >> a & 1 else p[class_of[a]]) for a in range(n))
 
+    def zero_one() -> tuple[int, ...]:
+        # a vertex is 0-1 when its reduced point is: every class total 0 or 1
+        flat = [set(p) <= {0, den} for p in points]
+        return tuple(z for z, k in zip(masks, owners) if flat[k])
+
     # an atom with a twin is 0 on some vertex; its class total is its maximum
     extremes = [(min(c) if len(t) == 1 else 0, max(c)) for c, t in zip(zip(*points), members)]
     one = len(masks) == 1
@@ -153,6 +164,7 @@ def _classify(d: MmpDiagram) -> PolytopeSummary:
         second_witness=None if one else vertex(-1),
         zero_masks=masks,
         _vertex=vertex,
+        _zero_one=zero_one,
     )
 
 
@@ -169,58 +181,13 @@ def atom_range(d: MmpDiagram, p: int) -> tuple[Fraction, Fraction]:
 def enumerate_01_states(d: MmpDiagram) -> list[StateVector]:
     """All dispersion-free states: exactly one atom of each block at 1.
 
-    An exact cover of the blocks by atoms, searched on bitmasks: each step
-    branches on the open block with the fewest live atoms.  Results come
-    out in lexicographic order.  The list may be empty.
+    They are the 0-1 vertices of the state polytope (``zero_one_masks``),
+    in the lexicographic order of ``vertices``, so this lists every vertex
+    first (:func:`classify_states`).  The list may be empty.
     """
-    require_mmp(d)
-    n = d.atom_count
-    # each zero mask's n binary digits from atom 0 on (bit n pads, the slice
-    # drops it); a digit 1 is a value 0, so the digits sort backwards
-    digits = sorted((format(z | 1 << n, "b")[:0:-1] for z in _enumerate_01(d)), reverse=True)
-    return [tuple(map(_DIGIT_VALUE.__getitem__, s)) for s in digits]
-
-
-def _enumerate_01(d: MmpDiagram) -> list[int]:
-    """The 0-1 states as zero masks, unsorted, on a diagram known to pass (i)-(iii).
-
-    Setting atom a to 1 closes every block holding a and sets every atom of
-    those blocks to 0; a branch dies when an open block has no live atom.
-    """
-    n = d.atom_count
-    members = [sum(1 << a for a in block) for block in d.blocks]
-    blocks_of = [0] * n  # per atom, the mask of the blocks holding it
-    mates = [0] * n  # per atom, the atoms sharing a block with it, itself included
-    for bi, block in enumerate(d.blocks):
-        for a in block:
-            blocks_of[a] |= 1 << bi
-            mates[a] |= members[bi]
-    full = (1 << n) - 1
-    found: list[int] = []
-
-    def cover(live: int, open_blocks: int, ones: int) -> None:
-        if not open_blocks:
-            found.append(full & ~ones)
-            return
-        best = -1
-        rest = open_blocks
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            choices = members[low.bit_length() - 1] & live
-            if not choices:
-                return
-            if best < 0 or choices.bit_count() < best.bit_count():
-                best = choices
-        while best:
-            low = best & -best
-            best ^= low
-            a = low.bit_length() - 1
-            cover(live & ~mates[a], open_blocks & ~blocks_of[a], ones | low)
-
-    cover(full, (1 << len(members)) - 1, 0)
-    del cover  # it holds itself through its closure cell
-    return found
+    zero, one = Fraction(0), Fraction(1)
+    masks = classify_states(d).zero_one_masks
+    return [tuple(zero if z >> a & 1 else one for a in range(d.atom_count)) for z in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -295,5 +262,5 @@ def admits_strong_set(d: MmpDiagram) -> StrongReport:
 def admits_strong_01_set(d: MmpDiagram) -> StrongReport:
     """Strong-set test restricted to the 0-1 states (the Kochen-Specker test)."""
     poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
-    return _strong_over(poset, _enumerate_01(d))
+    return _strong_over(poset, _classify(d).zero_one_masks)
 

@@ -4,9 +4,11 @@ Covers the three MMP hypergraph conditions, loop/girth analysis,
 connected components, incidence duality, block dropping, and the element
 count of the pasted lattice.
 
-Every block overlap is read from one pass over block bitmasks
-(``_meeting_pairs``), and all connectivity, the canonical search's
-included, from one breadth-first labelling (``components``).
+The checks read every block overlap from one pass over the pairs of
+block bitmasks (``_checks``), ``max_loop`` reads it from the blocks
+through each atom (``diagram.incidence``), and all connectivity, the
+canonical search's included, comes from one breadth-first labelling
+(``components``).
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterator
+from itertools import combinations
 
-from .diagram import MmpDiagram
+from .diagram import MmpDiagram, incidence
 from .errors import IndexOutOfRange, NotAdmissible, NotValidated, PreconditionViolated
 
 #: Loops shorter than this cannot occur in a Greechie diagram of a lattice.
@@ -68,28 +70,22 @@ class ValidationReport:
     greechie_admissible: bool
 
 
-def _meeting_pairs(blocks: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, int, int]]:
-    """Every two blocks i < j that share an atom, in pair order, with the
-    bitmask of the atoms they share."""
-    masks = [sum(1 << a for a in b) for b in blocks]
+def _checks(d: MmpDiagram) -> tuple[CheckResult, CheckResult, CheckResult, CheckResult]:
+    """MMP conditions (i)-(iii), then the check that no two blocks share
+    two or more atoms; one pass over the pairs of block bitmasks serves the
+    last two."""
+    missing = tuple(sorted(set(range(d.atom_count)) - d.used_atoms()))
+    small = tuple(i for i, b in enumerate(d.blocks) if len(b) < 3)
+    masks = [sum(1 << a for a in b) for b in d.blocks]
+    bad_iii, bad_pairs = [], []
     for i, mi in enumerate(masks):
         for j in range(i + 1, len(masks)):
             if mi & masks[j]:
-                yield i, j, mi & masks[j]
-
-
-def _checks(d: MmpDiagram) -> tuple[CheckResult, CheckResult, CheckResult, CheckResult]:
-    """MMP conditions (i)-(iii), then the check that no two blocks share
-    two or more atoms; one pass over the meeting pairs serves the last two."""
-    missing = tuple(sorted(set(range(d.atom_count)) - d.used_atoms()))
-    small = tuple(i for i, b in enumerate(d.blocks) if len(b) < 3)
-    bad_iii, bad_pairs = [], []
-    for i, j, shared in _meeting_pairs(d.blocks):
-        t = shared.bit_count()
-        if min(len(d.blocks[i]), len(d.blocks[j])) < t + 2:
-            bad_iii.append((i, j))
-        if t >= 2:
-            bad_pairs.append((i, j))
+                t = (mi & masks[j]).bit_count()
+                if min(len(d.blocks[i]), len(d.blocks[j])) < t + 2:
+                    bad_iii.append((i, j))
+                if t >= 2:
+                    bad_pairs.append((i, j))
     found = (missing, small, tuple(bad_iii), tuple(bad_pairs))
     return tuple(CheckResult(not f, f) for f in found)
 
@@ -145,16 +141,6 @@ def require_admissible(d: MmpDiagram) -> None:
         raise NotAdmissible("operation requires a Greechie-admissible diagram")
 
 
-def _require_linear(d: MmpDiagram) -> list[tuple[int, int, int]]:
-    """The meeting pairs (``_meeting_pairs``) of a diagram in which no two
-    blocks share two or more atoms; raise ``PreconditionViolated`` otherwise."""
-    pairs = list(_meeting_pairs(d.blocks))
-    bad = tuple((i, j) for i, j, shared in pairs if shared & (shared - 1))
-    if bad:
-        raise PreconditionViolated(f"blocks share two or more atoms: {bad[:3]}")
-    return pairs
-
-
 def girth(d: MmpDiagram) -> int | None:
     """Minimal loop order, or ``None`` if the diagram is acyclic.
 
@@ -168,7 +154,9 @@ def girth(d: MmpDiagram) -> int | None:
 
 def min_loop(d: MmpDiagram) -> LoopProfile | None:
     """A witness loop of minimal order, or ``None`` if acyclic."""
-    _require_linear(d)
+    pairwise = _checks(d)[3]
+    if not pairwise:
+        raise PreconditionViolated(f"blocks share two or more atoms: {pairwise.offenders[:3]}")
     cycle = _shortest_incidence_cycle(d)
     if cycle is None:
         return None
@@ -196,10 +184,7 @@ def _shortest_incidence_cycle(d: MmpDiagram) -> list[int] | None:
     so the search from r still finds a cycle no longer than it.
     """
     n = d.atom_count
-    adj = [[] for _ in range(n)] + [list(b) for b in d.blocks]
-    for i, block in enumerate(d.blocks):
-        for a in block:
-            adj[a].append(n + i)
+    adj = [[n + i for i in inc] for inc in d.incident_blocks()] + [list(b) for b in d.blocks]
     size = len(adj)
     best: list[int] | None = None
     # Atom roots suffice: every incidence cycle alternates atoms and blocks.
@@ -269,23 +254,29 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
     run in its parent's loop in the order the child would run them, so any
     budget meets the same nodes in the same order as one call per node.
     """
-    pairs = _require_linear(d)
-    if any(len(b) < 3 for b in d.blocks):
-        raise PreconditionViolated("max_loop needs blocks of three or more atoms")
-    if budget is not None and budget < 0:
-        raise PreconditionViolated(f"max_loop budget must be at least 0, not {budget}")
     n, m = d.atom_count, d.block_count
     block_masks = [sum(1 << a for a in b) for b in d.blocks]
     # moves[b][e]: the steps out of block b entered at junction e, by
     # ascending j: (block j, junction x, j's atoms but x, their count,
     # moves[j][x]).  x is in the chain, so j extends it if no other atom is.
+    # Each two blocks through an atom meet there; a j met twice from b
+    # shares two atoms with it.
     steps: list[list[tuple]] = [[] for _ in range(m)]
     moves: list[dict[int, list]] = [{} for _ in range(m)]
-    for i, j, shared in pairs:
-        x = shared.bit_length() - 1
-        into_i, into_j = moves[i].setdefault(x, []), moves[j].setdefault(x, [])
-        steps[i].append((j, x, block_masks[j] ^ shared, len(d.blocks[j]) - 1, into_j))
-        steps[j].append((i, x, block_masks[i] ^ shared, len(d.blocks[i]) - 1, into_i))
+    for x, through in enumerate(incidence(d.blocks, n)):
+        for i, j in combinations(through, 2):
+            into_i, into_j = moves[i].setdefault(x, []), moves[j].setdefault(x, [])
+            steps[i].append((j, x, block_masks[j] ^ 1 << x, len(d.blocks[j]) - 1, into_j))
+            steps[j].append((i, x, block_masks[i] ^ 1 << x, len(d.blocks[i]) - 1, into_i))
+    for i, out in enumerate(steps):
+        out.sort(key=lambda step: step[0])
+        for s, t in zip(out, out[1:]):
+            if s[0] == t[0]:
+                raise PreconditionViolated(f"blocks {i} and {s[0]} share two or more atoms")
+    if any(len(b) < 3 for b in d.blocks):
+        raise PreconditionViolated("max_loop needs blocks of three or more atoms")
+    if budget is not None and budget < 0:
+        raise PreconditionViolated(f"max_loop budget must be at least 0, not {budget}")
     for b, out in enumerate(moves):
         for e, into in out.items():
             into += [s for s in steps[b] if s[1] != e]

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .diagram import ALPHABET, MmpDiagram, serialize_mmp
+from .diagram import ALPHABET, MmpDiagram, incidence, serialize_mmp, twin_classes
 from .errors import SizeMismatch
 from .structure import components, dual, mmp_checks, require_mmp
 
@@ -278,13 +278,10 @@ def _search_connected(
     and generators are then partial.
     """
     refine = _refiner(blocks, n)
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, b in enumerate(blocks):
-        for a in b:
-            incident[a].append(i)
+    incident = incidence(blocks, n)
     sigs = [(len(inc), tuple(sorted(len(blocks[i]) for i in inc))) for inc in incident]
     ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-    twins = _twins(incident)
+    twins = twin_classes(incident)
     gens = [tuple(y if i == x else x if i == y else i for i in range(n))
             for cls in dict.fromkeys(twins) for x, y in zip(cls, cls[1:])]
 
@@ -371,17 +368,6 @@ def _search_connected(
     search(refine([ranking[s] for s in sigs], range(n)), (), True)
     del search  # it holds itself through its closure cell
     return best[0], best[1], order, tuple(gens)
-
-
-def _twins(incident: list[list[int]]) -> list[tuple[int, ...]]:
-    """Per atom, its twin class (the atoms on exactly its blocks) in
-    ascending order, one tuple per class.  ``incident[a]`` lists the
-    blocks through a."""
-    on: dict[tuple[int, ...], list[int]] = {}
-    for a, inc in enumerate(incident):
-        on.setdefault(tuple(inc), []).append(a)
-    classes = {key: tuple(atoms) for key, atoms in on.items()}
-    return [classes[tuple(inc)] for inc in incident]
 
 
 def _refiner(

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from greechie import corpus
-from greechie.diagram import parse_mmp
+from greechie.diagram import incidence, parse_mmp, twin_classes
 from greechie.errors import BadCheckpoint, InvalidSpec, TooLarge
 from greechie.generate import (
     TASKS_PER_WORKER,
@@ -19,7 +19,7 @@ from greechie.generate import (
     membership_probe,
 )
 from greechie.structure import validate
-from greechie.symmetry import _canonical_search, _twins, are_isomorphic, canonical_code, canonical_form
+from greechie.symmetry import _canonical_search, are_isomorphic, canonical_code, canonical_form
 from conftest import twin_rich
 from oracles import closure, deletion_keys
 
@@ -367,7 +367,7 @@ def test_block_orbit_over_twin_classes_matches_the_listed_group(rng):
             continue
         group = closure(gens, n)
         assert len(group) == order
-        twins = _twins([[i for i, b in enumerate(d.blocks) if a in b] for a in range(n)])
+        twins = twin_classes(incidence(d.blocks, n))
         pool = list(combinations(range(n + 1), 3))
         for block in rng.sample(pool, 8) + [d.blocks[0][:3]]:
             orbit = module._block_orbit(block, gens, twins)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from greechie import corpus
-from greechie.diagram import MmpDiagram, parse_mmp
+from greechie.diagram import MmpDiagram, incidence, parse_mmp, twin_classes
 from greechie.errors import Infeasible, LengthMismatch, NotAdmissible, NotValidated
 from greechie.lattice import ATOM, ZERO, build_oml
 from greechie.cli import main
@@ -22,7 +22,7 @@ from greechie.states import (
     is_state,
 )
 from greechie.structure import drop_blocks, validate
-from conftest import random_admissible, random_diagram, random_looped, random_mmp
+from conftest import random_admissible, random_diagram, random_looped, random_mmp, twin_rich
 from oracles import (
     block_order_01_states,
     block_rows,
@@ -174,6 +174,25 @@ def _disjoint(k: int) -> MmpDiagram:
 def _star(k: int) -> MmpDiagram:
     # k spokes (2i, 2i + 1, 2k) on one hub: the two ends of a spoke are twins
     return MmpDiagram(2 * k + 1, tuple((2 * i, 2 * i + 1, 2 * k) for i in range(k)))
+
+
+def test_twin_classes_are_the_atoms_on_equal_block_sets(rng):
+    # the one twin-class helper against its definition; the atoms of one
+    # class share one tuple object, which the canonical search and
+    # generation compare by identity
+    inputs = [twin_rich(rng, max_atoms=rng.randrange(6, 16)) for _ in range(60)]
+    inputs += [_star(k) for k in range(1, 7)] + [_disjoint(k) for k in range(1, 7)]
+    inputs += [e.diagram() for e in corpus.ENTRIES]
+    twinned = 0
+    for d in inputs:
+        n = d.atom_count
+        on = [{i for i, b in enumerate(d.blocks) if a in b} for a in range(n)]
+        twins = twin_classes(incidence(d.blocks, n))
+        for a in range(n):
+            assert twins[a] == tuple(x for x in range(n) if on[x] == on[a])
+            assert all(twins[x] is twins[a] for x in twins[a])
+        twinned += len(set(twins)) < n
+    assert twinned > 60
 
 
 def test_twin_reduction_matches_the_unreduced_system(rng):
@@ -395,6 +414,22 @@ def test_enumerate_01_states_matches_block_order_backtracking():
         d = entry.diagram()
         if d.atom_count <= 44:
             assert enumerate_01_states(d) == block_order_01_states(d), entry.name
+
+
+def test_zero_one_states_through_the_twin_expansion(rng):
+    # the 0-1 states are the expanded vertices whose reduced point is 0-1;
+    # twins spread a class total of 1 over several atoms, so most 0-1
+    # states here come from expanding one reduced vertex
+    inputs = [_twin_rich(rng) for _ in range(40)]
+    inputs += [_star(k) for k in range(1, 7)] + [_disjoint(k) for k in range(1, 7)]
+    brute = 0
+    for d in inputs:
+        states = enumerate_01_states(d)
+        assert states == block_order_01_states(d)
+        if d.atom_count <= 12:
+            assert states == brute_01_states(d)
+            brute += 1
+    assert brute > 10
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,12 @@ import time
 
 import pytest
 
-from greechie import corpus, states, symmetry
+from greechie import corpus, symmetry
 from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import NotValidated, SizeMismatch
 from greechie.generate import GenSpec, generate
+from greechie.render import render_dot
+from greechie.states import enumerate_01_states
 from greechie.structure import dual, girth, is_connected, max_loop, mmp_checks, validate
 from greechie.symmetry import (
     Permutation,
@@ -433,8 +435,9 @@ def test_recursive_searches_leave_no_garbage():
     calls = [
         lambda: canonical_form(d),
         lambda: is_self_dual(d),
-        lambda: states._enumerate_01(d),
+        lambda: enumerate_01_states(d),
         lambda: max_loop(d, budget=100),  # the budget runs out
+        lambda: render_dot(d),  # the budgeted max_loop of render
         lambda: max_loop(corpus.diagram("36-36")),  # the search finishes
         lambda: generate(GenSpec(12, 6), lambda line: None),  # generate._candidates
     ]
