@@ -162,28 +162,29 @@ def _final_ok(blocks: Blocks, n_used: int, spec: GenSpec) -> bool:
     return True
 
 
-def _expand(node: Node, spec: GenSpec, stats: GenStats, emit: Callable[[str], None]) -> None:
-    """Depth-first canonical augmentation below one node."""
+def _expand(node: Node, spec: GenSpec, stats: GenStats, emit: Callable[[str], None], memo: dict) -> None:
+    """Depth-first canonical augmentation below one node, with the run's ``memo``."""
     blocks, n_used, own_code, _ = node
     stats.nodes_explored += 1
     if len(blocks) == spec.block_count:
         if _final_ok(blocks, n_used, spec):
             stats.emitted_count += 1
-            code = _canonical_search(blocks, n_used)[0] if own_code is None else own_code
+            code = _canonical_search(blocks, n_used, memo)[0] if own_code is None else own_code
             emit(serialize_mmp(MmpDiagram(n_used, code)))
         return
-    for child in _children(node, spec, stats):
-        _expand(child, spec, stats, emit)
+    for child in _children(node, spec, stats, memo):
+        _expand(child, spec, stats, emit, memo)
 
 
-def _children(node: Node, spec: GenSpec, stats: GenStats) -> Iterator[Node]:
+def _children(node: Node, spec: GenSpec, stats: GenStats, memo: dict) -> Iterator[Node]:
     """The node's accepted children, in search order.
 
     ``gens`` generate the node's automorphism group, acting on its own
     labels (None until the node's search runs, at the first candidate that
     needs them).  Candidates in one orbit of that group give isomorphic
     children, so only the first candidate of each orbit is tried; a
-    candidate is told by its twin form (``_block_orbit``).  A child
+    candidate is told by its twin form (``_block_orbit``): its old atoms share
+    no block, so no two are twins, and each stands for its class.  A child
     whose new block's key is beaten (``_child_keys``) is rejected unsearched;
     one whose new block alone has the largest key is kept unsearched; any
     other is searched and kept when its new block lies in the orbit of b*
@@ -196,20 +197,20 @@ def _children(node: Node, spec: GenSpec, stats: GenStats) -> Iterator[Node]:
     top = max(invariants[3], default=())
     covered: set[tuple[int, ...]] = set()  # twin forms of the tried orbits
     for cand in _candidates(blocks, n_used, spec, stats, invariants):
-        seen = covered and _twin_form(cand, twins) in covered
+        seen = covered and tuple(sorted(twins[a][0] if a < n_used else a for a in cand)) in covered
         child_keys = None if seen else _child_keys(blocks, cand, invariants, top)
         if child_keys is None:
             stats.canonical_rejections += 1
             continue
         if gens is None:
-            gens = _canonical_search(blocks, n_used)[3]
+            gens = _canonical_search(blocks, n_used, memo)[3]
         covered |= _block_orbit(cand, gens, twins)
         child = blocks + (cand,)
         child_used = max(n_used, cand[-1] + 1)
         if child_keys.count(child_keys[-1]) == 1:  # b* is the new block
             yield child, child_used, None, None
             continue
-        code, perm, _, child_gens = _canonical_search(child, child_used)
+        code, perm, _, child_gens = _canonical_search(child, child_used, memo)
         if not _accepts(child, child_keys, perm, child_gens):
             stats.canonical_rejections += 1
             continue
@@ -255,9 +256,11 @@ def _child_keys(blocks: Blocks, cand: tuple[int, ...], invariants: tuple, top: t
     new_key = _key(cand, degree, weight)
     if top > new_key:
         return None
-    keys = [_key(b, degree, weight) for b in blocks]
-    if max(keys, default=()) > new_key:
-        return None
+    keys = []
+    for b in blocks:
+        if (key := _key(b, degree, weight)) > new_key:
+            return None
+        keys.append(key)
     return keys + [new_key]
 
 
@@ -315,7 +318,7 @@ def _block_orbit(block: tuple[int, ...], gens: Gens, twins: list[tuple[int, ...]
 
 def _run_subtree(spec: GenSpec, node: Node) -> tuple[list[str], GenStats]:
     stats, lines = GenStats(), []
-    _expand(node, spec, stats, lines.append)
+    _expand(node, spec, stats, lines.append, {})
     return lines, stats
 
 
@@ -340,7 +343,7 @@ def generate(
             stats.emitted_count = 1
             sink(".")
     elif workers == 1 and checkpoint is None:
-        _expand(((), 0, (), ()), spec, stats, sink)
+        _expand(((), 0, (), ()), spec, stats, sink, {})
     else:
         _run_tasks(spec, sink, stats, workers, checkpoint)
     stats.wall_time = time.perf_counter() - start
@@ -355,11 +358,11 @@ def _run_tasks(
     until it holds ``TASKS_PER_WORKER`` tasks per worker or lies just above
     the leaves; a resumed run deepens it to the recorded depth."""
     header, done, size = _read_checkpoint(checkpoint, spec) if checkpoint else (None, {}, 0)
-    tasks, depth = [((), 0, (), ())], 0
+    tasks, depth, memo = [((), 0, (), ())], 0, {}
     last = spec.block_count - 1 if header is None else header["depth"]
     while depth < last and (header or len(tasks) < TASKS_PER_WORKER * workers):
         stats.nodes_explored += len(tasks)
-        tasks = [child for task in tasks for child in _children(task, spec, stats)]
+        tasks = [child for task in tasks for child in _children(task, spec, stats, memo)]
         depth += 1
     if header and header["tasks"] != len(tasks):
         raise BadCheckpoint(f"{checkpoint}: records {header['tasks']} tasks, not {len(tasks)}")

@@ -118,15 +118,16 @@ def are_isomorphic(d1: MmpDiagram, d2: MmpDiagram) -> Permutation | None:
     if sorted(len(b) for b in d1.blocks) != sorted(len(b) for b in d2.blocks):
         return None
     n = d1.atom_count
-    connected = _connected(d1.blocks, n)
-    if connected != _connected(d2.blocks, n):
+    comps1, comps2 = components(d1.blocks, n), components(d2.blocks, n)
+    connected = _connected(comps1, d1.blocks)
+    if connected != _connected(comps2, d2.blocks):
         return None
     if connected:
         code2, p2, _, _ = _search_connected(d2.blocks, n, lambda code: True)
         code1, p1, _, _ = _search_connected(d1.blocks, n, code2.__eq__)
     else:
-        code1, p1, _, _ = _canonical_search(d1.blocks, n)
-        code2, p2, _, _ = _canonical_search(d2.blocks, n)
+        code1, p1, _, _ = _search_components(d1.blocks, n, comps1, None)
+        code2, p2, _, _ = _search_components(d2.blocks, n, comps2, None)
     if code1 != code2:
         return None
     pi = Permutation(p2).inverse().compose(Permutation(p1))
@@ -156,17 +157,28 @@ def canonical_code(blocks: tuple[tuple[int, ...], ...], atom_count: int) -> Code
 
 
 def _canonical_search(
-    blocks: tuple[tuple[int, ...], ...], n: int
+    blocks: tuple[tuple[int, ...], ...], n: int, memo: dict | None = None
 ) -> tuple[Code, tuple[int, ...], int, Gens]:
     """Return (canonical code, a permutation achieving it, |Aut|, generators).
 
     The permutation maps original atom -> canonical index.  The generators
     are atom permutations of the input that generate its automorphism
-    group.
+    group.  Calls that share a ``memo`` share their component searches
+    (``_search_components``).
+    """
+    comps = components(blocks, n)
+    if _connected(comps, blocks):
+        return _search_connected(blocks, n)
+    return _search_components(blocks, n, comps, memo)
 
-    Each connected component (``structure.components``) is canonicalized
-    on its own, and the components are recombined in sorted-code order;
-    the result is still a relabeled copy of the input.  An automorphism
+
+def _search_components(
+    blocks: tuple[tuple[int, ...], ...], n: int, comps: list, memo: dict | None
+) -> tuple[Code, tuple[int, ...], int, Gens]:
+    """``_canonical_search`` of a diagram that is not connected, whose
+    ``components`` are ``comps``.  Each component is canonicalized on its
+    own, and the components are recombined in sorted-code order; the
+    result is still a relabeled copy of the input.  An automorphism
     permutes the components within each isomorphism class and acts on
     each one by a component automorphism, so |Aut| is the product of the
     component orders times k! for each run of k components with equal
@@ -179,17 +191,25 @@ def _canonical_search(
     influence the code, so a diagram and its atom-compacted version share
     one code; they add nothing to the automorphism count, and every
     generator fixes them.  Empty blocks stay empty blocks of the code.
+
+    ``memo``, when given, maps a component, as its blocks on atoms 0..k-1
+    and k, to its ``_search_connected`` result, which depends on nothing
+    else.  Generation keeps a node's untouched components in its children,
+    and so meets each one many times.
     """
-    if _connected(blocks, n):
-        return _search_connected(blocks, n)
     pieces, isolated = [], []
-    for atoms, comp_blocks in components(blocks, n):
+    for atoms, comp_blocks in comps:
         if not comp_blocks:
             isolated += atoms
             continue
         index = {a: i for i, a in enumerate(atoms)}
-        local = tuple(tuple(index[a] for a in b) for b in comp_blocks)
-        pieces.append((*_search_connected(local, len(atoms)), atoms))
+        key = (tuple(tuple(index[a] for a in b) for b in comp_blocks), len(atoms))
+        found = memo.get(key) if memo is not None else None
+        if found is None:
+            found = _search_connected(*key)
+            if memo is not None:
+                memo[key] = found
+        pieces.append((*found, atoms))
     pieces.sort(key=lambda p: (p[0], p[4][0]))
     perm_out = [0] * n
     code_out: list[tuple[int, ...]] = [b for b in blocks if not b]
@@ -221,9 +241,8 @@ def _canonical_search(
     return tuple(sorted(code_out)), tuple(perm_out), order_out, tuple(gens_out)
 
 
-def _connected(blocks: tuple[tuple[int, ...], ...], n: int) -> bool:
-    """True iff one component holds every atom and every block, and there is one."""
-    comps = components(blocks, n)
+def _connected(comps: list, blocks: tuple[tuple[int, ...], ...]) -> bool:
+    """True iff ``comps``, the components of ``blocks``, are one, holding every atom and block."""
     return len(comps) == 1 and len(comps[0][1]) == len(blocks) > 0
 
 
@@ -317,29 +336,20 @@ def _search_connected(
         # the node where this path leaves the reference path
         return next((d for d, (x, y) in enumerate(zip(path, ref[2])) if x != y), len(path))
 
-    def target_cell(colors: list[int]) -> list[int] | None:
-        cells: dict[int, list[int]] = {}
-        for a, c in enumerate(colors):
-            cells.setdefault(c, []).append(a)
-        nonsingleton = [(len(v), c) for c, v in cells.items() if len(v) > 1]
-        if not nonsingleton:
-            return None
-        _, c = min(nonsingleton)
-        return sorted(cells[c])
-
     def individualize(colors: list[int], a: int) -> list[int]:
         ca = colors[a]
         return [c + 1 if (c > ca or (c == ca and x != a)) else c for x, c in enumerate(colors)]
 
     order = 1
 
-    def search(colors: list[int], fixed: tuple[int, ...], on_first: bool) -> int:
-        """Search below one node; return the depth (length of ``fixed``) of
-        the node the search goes on at: this node's own when it is done."""
+    def search(colors: list[int], cells: list[list[int]], fixed: tuple[int, ...], on_first: bool) -> int:
+        """Search below one node (``cells`` in color order); return the depth
+        (length of ``fixed``) of the node the search goes on at: this node's
+        own when it is done."""
         nonlocal order
-        cell = target_cell(colors)
-        if cell is None:
+        if len(cells) == n:
             return record_leaf(colors, fixed)
+        cell = min((c for c in cells if len(c) > 1), key=len)  # the first smallest
         if all(twins[a] is twins[cell[0]] for a in cell):  # twins: split at once
             c, k = colors[cell[0]], len(cell)
             colors = [x + k - 1 if x > c else x for x in colors]
@@ -347,7 +357,8 @@ def _search_connected(
                 colors[a] = c + i
             if on_first:
                 order *= math.factorial(k)
-            return search(colors, fixed + tuple(cell), on_first)
+            cells = cells[:c] + [[a] for a in cell] + cells[c + 1 :]
+            return search(colors, cells, fixed + tuple(cell), on_first)
         depth = len(fixed)
         explored: set[int] = set()  # the orbits of the atoms searched so far
         # the known automorphisms that fix ``fixed``
@@ -357,7 +368,7 @@ def _search_connected(
                 continue
             explored.add(a)
             known = len(gens)
-            back = search(refine(individualize(colors, a), [a]), fixed + (a,), on_first and a == cell[0])
+            back = search(*refine(individualize(colors, a), [a]), fixed + (a,), on_first and a == cell[0])
             if back < depth:
                 return back
             valid += [g for g in gens[known:] if all(g[x] == x for x in fixed)]
@@ -365,18 +376,19 @@ def _search_connected(
             order *= len(_close({cell[0]}, valid))
         return depth
 
-    search(refine([ranking[s] for s in sigs], range(n)), (), True)
+    search(*refine([ranking[s] for s in sigs], range(n)), (), True)
     del search  # it holds itself through its closure cell
     return best[0], best[1], order, tuple(gens)
 
 
 def _refiner(
     blocks: tuple[tuple[int, ...], ...], n: int
-) -> Callable[[list[int], Iterable[int]], list[int]]:
+) -> Callable[[list[int], Iterable[int]], tuple[list[int], list[list[int]]]]:
     """The refinement function of one connected diagram on atoms 0..n-1.
 
     ``refine(colors, moved)`` returns the equitable refinement of
-    ``colors`` (cell indices, dense, in cell order).  ``moved`` lists the
+    ``colors`` (cell indices, dense, in cell order) and its cells, as
+    ascending atom lists in cell order.  ``moved`` lists the
     atoms that left their cell since the coloring was last equitable:
     every atom for a fresh coloring, the individualized atom after an
     individualization.
@@ -410,7 +422,7 @@ def _refiner(
             around[a].append([x for x in b if x != a])
     nbrs = [{x for xs in around[a] for x in xs} for a in range(n)]
 
-    def refine(colors: list[int], moved: Iterable[int]) -> list[int]:
+    def refine(colors: list[int], moved: Iterable[int]) -> tuple[list[int], list[list[int]]]:
         colors = list(colors)
         cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
         for a, c in enumerate(colors):
@@ -438,7 +450,7 @@ def _refiner(
                 if len(by_sig) > 1:
                     parts[c] = [by_sig[sig] for sig in sorted(by_sig)]
             if not parts:
-                return colors
+                return colors, cells
             moved = []
             new_cells: list[list[int]] = []
             for c, cell in enumerate(cells):

@@ -120,6 +120,22 @@ def _counts(stats):
     return counts
 
 
+@pytest.mark.parametrize(
+    "spec, counts",
+    [(GenSpec(12, 6), (35, 484, 3165, 10, 3)), (GenSpec(13, 6), (55, 950, 1996, 29, 19)),
+     (GenSpec(14, 7), (88, 1769, 12362, 27, 14)), (GenSpec(15, 7), (134, 3298, 7771, 74, 48))],
+    ids=["12-6", "13-6", "14-7", "15-7"],
+)
+def test_census_counts(spec, counts):
+    # the four census specs of the benchmark: nodes, canonical rejections,
+    # girth prunes, budget prunes and emitted classes, which a change to the
+    # search order, the candidate filters or the deletion rule would move
+    lines = []
+    stats = generate(spec, lines.append)
+    assert tuple(_counts(stats).values()) == counts
+    assert len(lines) == counts[-1]
+
+
 def test_worker_determinism():
     for spec, worker_counts in ((GenSpec(11, 5), (1, 4)), (GenSpec(13, 6), (1, 2))):
         baseline = []
@@ -212,9 +228,9 @@ def test_task_roots_prune_by_their_automorphisms(monkeypatch, tmp_path):
     module = sys.modules["greechie.generate"]  # the package exports the function by this name
     real = module._canonical_search
 
-    def counted(blocks, n):
+    def counted(blocks, n, memo=None):
         calls.append(len(blocks))
-        return real(blocks, n)
+        return real(blocks, n, memo)
 
     monkeypatch.setattr(module, "_canonical_search", counted)
     spec = GenSpec(13, 6)
@@ -317,8 +333,8 @@ def test_no_duplicates_and_unchanged_class_sets(name):
 
 def test_n3_configuration_counts():
     # (n_3) configurations: 3-regular, 3-uniform, girth >= 3 (OEIS A001403)
-    counts = [census(GenSpec(n, n, min_girth=3, min_atom_degree=3)) for n in range(7, 11)]
-    assert counts == [1, 1, 3, 10]
+    counts = [census(GenSpec(n, n, min_girth=3, min_atom_degree=3)) for n in range(7, 12)]
+    assert counts == [1, 1, 3, 10, 31]
 
 
 def test_membership_probe_examples():

@@ -274,20 +274,27 @@ def test_incremental_refine_matches_full_signature_oracle(rng):
         sigs = [(len(p), tuple(p)) for p in profiles]
         initial = [sorted(set(sigs)).index(s) for s in sigs]
         colors = refine_by_signatures(d.blocks, n, initial)
-        assert refine(initial, range(n)) == colors
-        cells = {}
-        for a, c in enumerate(colors):
-            cells.setdefault(c, []).append(a)
-        big = [(len(v), c) for c, v in cells.items() if len(v) > 1]
+        cells = cells_of(colors)
+        assert refine(initial, range(n)) == (colors, cells)
+        big = [(len(v), c) for c, v in enumerate(cells) if len(v) > 1]
         if not big:
             continue
         cell = cells[min(big)[1]]
         for a in cell:
             ca = colors[a]
             ind = [c + 1 if (c > ca or (c == ca and x != a)) else c for x, c in enumerate(colors)]
-            assert refine(ind, [a]) == refine_by_signatures(d.blocks, n, ind)
+            want = refine_by_signatures(d.blocks, n, ind)
+            assert refine(ind, [a]) == (want, cells_of(want))
             branched += 1
     assert branched > 200
+
+
+def cells_of(colors: list[int]) -> list[list[int]]:
+    """The cells of a dense coloring, as ascending atom lists in color order."""
+    cells = [[] for _ in range(max(colors) + 1)]
+    for a, c in enumerate(colors):
+        cells[c].append(a)
+    return cells
 
 
 def test_search_generators_generate_the_automorphism_group(rng):
@@ -339,10 +346,10 @@ def counted_refines(monkeypatch) -> list[int]:
 
         def wrapped(colors, moved):
             calls[0] += 1
-            out = refine(colors, moved)
-            if len(set(out)) == len(out):
+            out, cells = refine(colors, moved)
+            if len(cells) == len(out):
                 calls.append(calls[0])
-            return out
+            return out, cells
 
         return wrapped
 
@@ -412,6 +419,52 @@ def test_twin_rich_search_matches_brute_force(rng):
         on = [tuple(i for i, b in enumerate(d.blocks) if a in b) for a in range(n)]
         twins += len(set(on)) < n
     assert twins > 0.8 * len(pool) and listed > 70
+
+
+def test_component_memo_returns_the_memo_free_search(rng):
+    # one memo shared by every search below, as generation shares one per
+    # run: on disconnected diagrams whose components repeat, in the same or
+    # another local labelling, with isolated atoms and empty blocks, and on
+    # the inputs of the canon workload (each corpus lattice relabelled five
+    # times, stars, disjoint blocks and block cycles), every search returns
+    # exactly what a search without the memo returns
+    pool = [parse_mmp("123."), parse_mmp("123,345."), parse_mmp("124,135,236.")]
+    while len(pool) < 12:
+        d = random_diagram(rng, max_atoms=8, max_blocks=4, sizes=(3, 4))
+        if is_connected(d):
+            pool.append(d)
+    inputs, searched, extras = [], 0, {"repeated": 0, "isolated": 0, "empty": 0}
+    while len(inputs) < 400:
+        parts = [rng.choice(pool) for _ in range(rng.randrange(2, 5))]
+        parts = [shuffled(c, rng)[0] if rng.random() < 0.5 else c for c in parts]
+        isolated = rng.choice((0, 0, 1, 2))
+        n = sum(c.atom_count for c in parts) + isolated
+        place = list(range(n))
+        if rng.random() < 0.5:  # else each part keeps its atoms' order
+            rng.shuffle(place)
+        blocks, offset = [], 0
+        for c in parts:
+            blocks += [tuple(place[offset + a] for a in b) for b in c.blocks]
+            offset += c.atom_count
+        if rng.random() < 0.25:
+            blocks.append(())
+        if rng.random() < 0.5:
+            rng.shuffle(blocks)
+        inputs.append(MmpDiagram(n, tuple(blocks)))
+        searched += len(parts)
+        extras["repeated"] += len({c.blocks for c in parts}) < len(parts)
+        extras["isolated"] += isolated > 0
+        extras["empty"] += () in blocks
+    for d in [corpus.diagram(name) for name in corpus.names()]:
+        inputs += [shuffled(d, rng)[0] for _ in range(5)]
+    inputs += [star(k) for k in (4, 5, 6, 7)] + [disjoint_blocks(k) for k in (2, 3, 4, 8)]
+    inputs += [block_cycle(k) for k in (5, 8, 12, 20)]
+    assert len(inputs) == 502 and min(extras.values()) > 60
+    memo = {}
+    for d in inputs:
+        assert _canonical_search(d.blocks, d.atom_count, memo) == _canonical_search(d.blocks, d.atom_count)
+    # most components were met before
+    assert 0 < len(memo) < searched / 2
 
 
 def test_refines_of_the_7_spoke_star_and_35_35a(monkeypatch):
