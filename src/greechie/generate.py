@@ -12,6 +12,10 @@ than some other block is rejected before any canonical search, and one
 whose new block alone has the largest key is kept before any; its own
 search waits until its group or its code is needed.  Both orbit tests run
 over twin forms of blocks (``_block_orbit``), as twins permute freely.
+A parent hands each child it keeps the bookkeeping it worked out while
+judging it (degrees, incidence, weights, keys, twin classes) and the
+child's chain balls, grown from its own around the new block, which the
+girth filter on candidates reads; nothing is counted from scratch.
 Every isomorphism class matching the spec is emitted exactly once, in
 canonical form, in a deterministic order independent of the worker count.
 """
@@ -35,8 +39,12 @@ from .structure import is_connected, validate
 from .symmetry import CanonicalForm, Gens, canonical_code, canonical_form, _canonical_search
 
 Blocks = tuple[tuple[int, ...], ...]
-# blocks, atoms used, canonical code, Aut generators (the last two None until searched)
-Node = tuple[Blocks, int, Blocks | None, Gens | None]
+# blocks, atoms used, canonical code, Aut generators (the last two None until
+# searched), and the bookkeeping the node's parent hands down: its
+# ``_invariants`` (degrees, incidence, weights, keys), its twin classes and,
+# per radius r = 1..min_girth - 2, each atom's ball, the bitmask of the atoms
+# joined to it by a chain of at most r blocks (None at a leaf)
+Node = tuple[Blocks, int, Blocks | None, Gens | None, tuple]
 TASKS_PER_WORKER = 8  # subtree tasks per worker that a partitioned run aims for
 
 
@@ -85,68 +93,77 @@ class GenStats:
         self.emitted_count += other.emitted_count
 
 
-def _far_masks(blocks: Blocks, incident: list[list[int]], sep: int) -> list[int]:
-    """Per atom x, the bitmask of the atoms y joined by no chain of fewer
-    than ``sep`` blocks; a new block over x and y would close a loop of
-    order chain length + 1.  ``incident[a]`` lists the blocks through a."""
-    n = len(incident)
-    step = [sum(1 << y for y in {y for i in incident[x] for y in blocks[i]}) for x in range(n)]
-    far = []
+def _grow_balls(balls: list[list[int]], block: tuple[int, ...], n: int) -> list[list[int]]:
+    """The balls of a diagram on ``n`` atoms plus ``block``, from its own.
+
+    A shortest chain uses the new block at most once: it reaches the block
+    within j old blocks, crosses it, and goes on from any of its atoms.  So
+    an atom within j of the block, for the least such j, gains at radius r
+    the old ball of radius r - 1 - j around the block; atoms farther than
+    r - 1 from it keep their ball of radius r.
+    """
+    mask = sum(1 << a for a in block)
+    around = [mask]  # around[j]: the atoms within j old blocks of the block
+    for ring in balls[:-1]:
+        near = mask
+        for a in block:
+            if a < n:
+                near |= ring[a]
+        around.append(near)
+    # a new atom's ball of radius r is the block's old ball of radius r - 1
+    grown = [ring + [outer] * (block[-1] + 1 - n) for ring, outer in zip(balls, around)]
     for x in range(n):
-        near = frontier = 1 << x
-        for _ in range(sep - 1):
-            grown = near
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grown |= step[low.bit_length() - 1]
-            near, frontier = grown, grown & ~near
-        far.append((1 << n) - 1 & ~near)
-    return far
+        for j, near in enumerate(around):
+            if near >> x & 1:
+                for r in range(j, len(balls)):
+                    grown[r][x] |= around[r - j]
+                break
+    return grown
 
 
-def _candidates(blocks: Blocks, n_used: int, spec: GenSpec, stats: GenStats, invariants: tuple) -> list:
+def _candidates(
+    blocks: Blocks, n_used: int, spec: GenSpec, stats: GenStats, degree: list[int], ball: list[int]
+) -> list:
     """Valid augmenting blocks in lexicographic order.
 
     New atoms are appended densely; a candidate survives if it cannot
     close a loop shorter than min_girth and leaves the atom budget
     reachable for the remaining blocks.  Old atoms are picked in
-    increasing order, each among the atoms far enough from all picked.
+    increasing order, each outside the ``ball`` of radius min_girth - 2
+    of all picked: a block over x and y closes a loop of order one more
+    than the shortest chain joining them.
     """
     s, md = spec.block_size, spec.min_atom_degree
-    degree, incident = invariants[:2]
     remaining_after = spec.block_count - len(blocks) - 1
-    far = _far_masks(blocks, incident, spec.min_girth - 1)
     shortfall = sum(max(0, md - d) for d in degree)  # incidences the old atoms lack
     out: list[tuple[int, ...]] = []
-
-    def pick(core: tuple[int, ...], allowed: int, size: int, found: list) -> None:
-        if len(core) == size:
-            found.append(core)
-            return
-        while allowed:
-            bit = allowed & -allowed
-            allowed ^= bit
-            a = bit.bit_length() - 1
-            pick(core + (a,), allowed & far[a], size, found)
-
+    # levels[k]: the k-atom cores in lexicographic order, each with the atoms
+    # above its last that are far from all of it
+    levels = [[((), (1 << n_used) - 1)]]
     for new in range(min(s, spec.atom_count - n_used) + 1):
         # enough room must remain to reach atom_count with later blocks
         if n_used + new + s * remaining_after < spec.atom_count:
             stats.budget_prunes += 1
             continue
-        cores: list[tuple[int, ...]] = []
-        pick((), (1 << n_used) - 1, s - new, cores)
+        while len(levels) <= s - new:
+            grown = []
+            for core, allowed in levels[-1]:
+                while allowed:
+                    bit = allowed & -allowed
+                    allowed ^= bit
+                    a = bit.bit_length() - 1
+                    grown.append((core + (a,), allowed & ~ball[a]))
+            levels.append(grown)
+        cores = levels[s - new]
         stats.girth_prunes += math.comb(n_used, s - new) - len(cores)
         # new atoms in this block already start at degree 1
         spare = s * remaining_after - (spec.atom_count - n_used - new) * md - new * (md - 1)
         tail = tuple(range(n_used, n_used + new))
-        for core in cores:
+        for core, _ in cores:
             if md > 1 and shortfall - sum(degree[a] < md for a in core) > spare:
                 stats.budget_prunes += 1
             else:
                 out.append(core + tail)
-    del pick  # it holds itself through its closure cell
     out.sort()
     return out
 
@@ -164,7 +181,7 @@ def _final_ok(blocks: Blocks, n_used: int, spec: GenSpec) -> bool:
 
 def _expand(node: Node, spec: GenSpec, stats: GenStats, emit: Callable[[str], None], memo: dict) -> None:
     """Depth-first canonical augmentation below one node, with the run's ``memo``."""
-    blocks, n_used, own_code, _ = node
+    blocks, n_used, own_code = node[:3]
     stats.nodes_explored += 1
     if len(blocks) == spec.block_count:
         if _final_ok(blocks, n_used, spec):
@@ -177,7 +194,8 @@ def _expand(node: Node, spec: GenSpec, stats: GenStats, emit: Callable[[str], No
 
 
 def _children(node: Node, spec: GenSpec, stats: GenStats, memo: dict) -> Iterator[Node]:
-    """The node's accepted children, in search order.
+    """The node's accepted children, in search order, each with the
+    bookkeeping that ``Node`` lists.
 
     ``gens`` generate the node's automorphism group, acting on its own
     labels (None until the node's search runs, at the first candidate that
@@ -191,30 +209,31 @@ def _children(node: Node, spec: GenSpec, stats: GenStats, memo: dict) -> Iterato
     (``_accepts``).  Each rejection counts as a canonical rejection.  As
     Aut(node) is complete, kept children are pairwise non-isomorphic.
     """
-    blocks, n_used, _, gens = node
-    invariants = _invariants(blocks, n_used)
-    twins = twin_classes(invariants[1])
-    top = max(invariants[3], default=())
+    blocks, n_used, _, gens, book = node
+    twins, balls = book[4:]
+    top = max(book[3], default=())
     covered: set[tuple[int, ...]] = set()  # twin forms of the tried orbits
-    for cand in _candidates(blocks, n_used, spec, stats, invariants):
+    for cand in _candidates(blocks, n_used, spec, stats, book[0], balls[-1]):
         seen = covered and tuple(sorted(twins[a][0] if a < n_used else a for a in cand)) in covered
-        child_keys = None if seen else _child_keys(blocks, cand, invariants, top)
-        if child_keys is None:
+        grown = None if seen else _child_keys(blocks, cand, book, top)
+        if grown is None:
             stats.canonical_rejections += 1
             continue
         if gens is None:
             gens = _canonical_search(blocks, n_used, memo)[3]
         covered |= _block_orbit(cand, gens, twins)
         child = blocks + (cand,)
-        child_used = max(n_used, cand[-1] + 1)
-        if child_keys.count(child_keys[-1]) == 1:  # b* is the new block
-            yield child, child_used, None, None
-            continue
-        code, perm, _, child_gens = _canonical_search(child, child_used, memo)
-        if not _accepts(child, child_keys, perm, child_gens):
-            stats.canonical_rejections += 1
-            continue
-        yield child, child_used, code, child_gens
+        child_used = len(grown[0])
+        keys, child_twins = grown[3], twin_classes(grown[1])
+        code = child_gens = None
+        if keys.count(keys[-1]) > 1:  # b* may be another block
+            code, perm, _, child_gens = _canonical_search(child, child_used, memo)
+            if not _accepts(child, keys, perm, child_gens, child_twins):
+                stats.canonical_rejections += 1
+                continue
+        leaf = len(child) == spec.block_count  # a leaf picks no candidates
+        child_balls = None if leaf else _grow_balls(balls, cand, n_used)
+        yield child, child_used, code, child_gens, (*grown, child_twins, child_balls)
 
 
 def _invariants(blocks: Blocks, n: int) -> tuple[list[int], list[list[int]], list[int], list]:
@@ -235,17 +254,20 @@ def _key(block: tuple[int, ...], degree: list[int], weight: list[int]) -> tuple[
     return tuple(sorted(degree[a] for a in block)) + tuple(sorted(weight[a] for a in block))
 
 
-def _child_keys(blocks: Blocks, cand: tuple[int, ...], invariants: tuple, top: tuple) -> list | None:
-    """The keys of ``blocks + (cand,)`` from the parent's ``_invariants``,
-    or None when some block's key beats the new block's.  Only the
-    candidate's atoms gain a degree, and only the blocks through them a
-    degree total (no two candidate atoms share a block).  Keys never fall,
-    so the parent's largest key ``top`` above the new one already rejects.
+def _child_keys(blocks: Blocks, cand: tuple[int, ...], invariants: tuple, top: tuple) -> tuple | None:
+    """``_invariants`` of ``blocks + (cand,)`` from the parent's, or None
+    when some block's key beats the new block's.  Only the candidate's
+    atoms gain a degree, and only the blocks through them a degree total
+    (no two candidate atoms share a block).  Keys start with their block's
+    sorted degrees and never fall, so the parent's largest key ``top``
+    rejects first on the new block's degrees alone, then on its whole key.
     """
-    degree, incident, weight, _ = invariants
+    degree, incident, weight = invariants[:3]
     n = len(degree)
-    degree = degree + [0] * (cand[-1] + 1 - n)
-    weight = weight + [0] * (cand[-1] + 1 - n)
+    if top[: len(cand)] > tuple(sorted(degree[a] + 1 if a < n else 1 for a in cand)):
+        return None
+    pad = [0] * (cand[-1] + 1 - n)
+    degree, weight = degree + pad, weight + pad
     total = len(cand) + sum(degree[a] for a in cand)
     for a in cand:
         degree[a] += 1
@@ -261,19 +283,20 @@ def _child_keys(blocks: Blocks, cand: tuple[int, ...], invariants: tuple, top: t
         if (key := _key(b, degree, weight)) > new_key:
             return None
         keys.append(key)
-    return keys + [new_key]
+    incident = incident + [[] for _ in pad]
+    for a in cand:
+        incident[a] = incident[a] + [len(blocks)]
+    return degree, incident, weight, keys + [new_key]
 
 
-def _accepts(child: Blocks, keys: list[tuple[int, ...]], perm: tuple[int, ...], gens: Gens) -> bool:
+def _accepts(child: Blocks, keys: list, perm: tuple[int, ...], gens: Gens, twins: list) -> bool:
     """Is the last block in the Aut(child)-orbit (``gens``) of b*, the block
     of largest key whose image under the canonical labelling ``perm`` is
-    last in the code?  Blocks are compared by twin form in the child."""
+    last in the code?  Blocks are compared by twin form in the child, whose
+    twin classes are ``twins``."""
     top = keys[-1]
     star = max((b for b, k in zip(child, keys) if k == top), key=lambda b: sorted(perm[a] for a in b))
-    if star == child[-1]:
-        return True
-    twins = twin_classes(incidence(child, len(perm)))
-    return _twin_form(child[-1], twins) in _block_orbit(star, gens, twins)
+    return star == child[-1] or _twin_form(child[-1], twins) in _block_orbit(star, gens, twins)
 
 
 def _twin_form(block: tuple[int, ...], twins: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -316,6 +339,11 @@ def _block_orbit(block: tuple[int, ...], gens: Gens, twins: list[tuple[int, ...]
     return orbit
 
 
+def _root(spec: GenSpec) -> Node:
+    """The empty diagram, the root of every search."""
+    return (), 0, (), (), ([], [], [], [], [], [[]] * (spec.min_girth - 2))
+
+
 def _run_subtree(spec: GenSpec, node: Node) -> tuple[list[str], GenStats]:
     stats, lines = GenStats(), []
     _expand(node, spec, stats, lines.append, {})
@@ -343,7 +371,7 @@ def generate(
             stats.emitted_count = 1
             sink(".")
     elif workers == 1 and checkpoint is None:
-        _expand(((), 0, (), ()), spec, stats, sink, {})
+        _expand(_root(spec), spec, stats, sink, {})
     else:
         _run_tasks(spec, sink, stats, workers, checkpoint)
     stats.wall_time = time.perf_counter() - start
@@ -356,9 +384,10 @@ def _run_tasks(
     """Run the search as subtree tasks, each finished one recorded in the
     line-buffered ``checkpoint``.  The frontier deepens one block at a time
     until it holds ``TASKS_PER_WORKER`` tasks per worker or lies just above
-    the leaves; a resumed run deepens it to the recorded depth."""
+    the leaves; a resumed run deepens it to the recorded depth.  No more
+    worker processes start than there are tasks left, and none for one."""
     header, done, size = _read_checkpoint(checkpoint, spec) if checkpoint else (None, {}, 0)
-    tasks, depth, memo = [((), 0, (), ())], 0, {}
+    tasks, depth, memo = [_root(spec)], 0, {}
     last = spec.block_count - 1 if header is None else header["depth"]
     while depth < last and (header or len(tasks) < TASKS_PER_WORKER * workers):
         stats.nodes_explored += len(tasks)
@@ -367,6 +396,7 @@ def _run_tasks(
     if header and header["tasks"] != len(tasks):
         raise BadCheckpoint(f"{checkpoint}: records {header['tasks']} tasks, not {len(tasks)}")
     todo = [task for i, task in enumerate(tasks) if i not in done]
+    workers = min(workers, len(todo))  # a forked pool starts all its workers at once
     pool = ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
     with pool as pool, open(checkpoint, "a", buffering=1) if checkpoint else nullcontext() as log:
         if log:
@@ -444,10 +474,12 @@ def membership_probe(d: MmpDiagram, spec: GenSpec) -> bool:
         cand = tuple(sorted(pperm[a] for a in code[star]))
         p_used = 1 + max((a for b in pcode for a in b), default=-1)
         invariants = _invariants(pcode, p_used)
-        keys = _child_keys(pcode, cand, invariants, max(invariants[3], default=()))
+        grown = _child_keys(pcode, cand, invariants, max(invariants[3], default=()))
         child = pcode + (cand,)
         ccode, cperm, _, cgens = _canonical_search(child, max(p_used, cand[-1] + 1))
-        if keys is None or ccode != code or not _accepts(child, keys, cperm, cgens):
+        if grown is None or ccode != code:
+            return False
+        if not _accepts(child, grown[3], cperm, cgens, twin_classes(grown[1])):
             return False
         code = pcode
     return True

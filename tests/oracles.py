@@ -496,3 +496,23 @@ def deletion_keys(blocks) -> list[tuple[int, ...]]:
     total = {b: sum(degree[a] for a in b) for b in blocks}
     weight = {a: sum(total[b] for b in blocks if a in b) for a in degree}
     return [tuple(sorted(degree[a] for a in b)) + tuple(sorted(weight[a] for a in b)) for b in blocks]
+
+
+def chain_balls(blocks, n: int, radius: int) -> list[list[int]]:
+    """Per radius r = 1..radius, per atom x, the bitmask of the atoms joined
+    to x by a chain of at most r blocks: distances by breadth-first search
+    from each atom over the atom graph, scanning every block at each step."""
+    balls = [[0] * n for _ in range(radius)]
+    for x in range(n):
+        dist, queue = {x: 0}, deque([x])
+        while queue:
+            y = queue.popleft()
+            for b in blocks:
+                for z in b if y in b else ():
+                    if z not in dist:
+                        dist[z] = dist[y] + 1
+                        queue.append(z)
+        for y, d in dist.items():
+            for r in range(max(d, 1), radius + 1):
+                balls[r - 1][x] |= 1 << y
+    return balls

@@ -21,7 +21,7 @@ from greechie.generate import (
 from greechie.structure import validate
 from greechie.symmetry import _canonical_search, are_isomorphic, canonical_code, canonical_form
 from conftest import twin_rich
-from oracles import closure, deletion_keys
+from oracles import chain_balls, closure, deletion_keys
 
 PENTAGON = "123,345,567,789,9A1."
 
@@ -123,13 +123,18 @@ def _counts(stats):
 @pytest.mark.parametrize(
     "spec, counts",
     [(GenSpec(12, 6), (35, 484, 3165, 10, 3)), (GenSpec(13, 6), (55, 950, 1996, 29, 19)),
-     (GenSpec(14, 7), (88, 1769, 12362, 27, 14)), (GenSpec(15, 7), (134, 3298, 7771, 74, 48))],
-    ids=["12-6", "13-6", "14-7", "15-7"],
+     (GenSpec(14, 7), (88, 1769, 12362, 27, 14)), (GenSpec(15, 7), (134, 3298, 7771, 74, 48)),
+     (GenSpec(16, 16, min_atom_degree=3), (236, 7138, 107131, 218, 0)),
+     (GenSpec(10, 10, min_girth=3, min_atom_degree=3), (590, 5069, 59369, 2813, 10)),
+     (GenSpec(18, 8, require_connected=False), (296, 10293, 14217, 319, 97))],
+    ids=["12-6", "13-6", "14-7", "15-7", "16-16-degree-3", "10_3", "18-8-disconnected"],
 )
 def test_census_counts(spec, counts):
-    # the four census specs of the benchmark: nodes, canonical rejections,
-    # girth prunes, budget prunes and emitted classes, which a change to the
-    # search order, the candidate filters or the deletion rule would move
+    # the four census specs of the benchmark, a regular spec with no class,
+    # (10_3) and a spec whose classes are all disconnected: nodes, canonical
+    # rejections, girth prunes, budget prunes and emitted classes, which a
+    # change to the search order, the candidate filters or the deletion rule
+    # would move
     lines = []
     stats = generate(spec, lines.append)
     assert tuple(_counts(stats).values()) == counts
@@ -220,6 +225,46 @@ def test_split_gives_several_tasks_per_worker(tmp_path):
         assert json.loads(cp.read_text().splitlines()[0])["tasks"] >= 2 * TASKS_PER_WORKER
 
 
+def test_no_more_workers_start_than_tasks_are_left(monkeypatch, tmp_path):
+    # a forked pool starts all its workers at once, so a run asks for at most
+    # one per unfinished task and for no pool when one is left.  A pool
+    # stand-in records the count asked for and runs the tasks here, so no
+    # large worker count ever starts a process.
+    module = sys.modules["greechie.generate"]
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(module, "ProcessPoolExecutor", SerialPool)
+    spec = GenSpec(13, 6)
+    baseline = []
+    generate(spec, baseline.append)
+    cp = tmp_path / "cp.jsonl"
+    lines = []
+    generate(spec, lines.append, workers=1000, checkpoint=str(cp))
+    tasks = json.loads(cp.read_text().splitlines()[0])["tasks"]
+    assert lines == baseline and asked == [tasks] and 3 < tasks < 1000
+    # rerun with the last `left` task records forgotten
+    for left, workers, expected in ((3, 1000, [3]), (3, 2, [2]), (1, 1000, []), (0, 1000, [])):
+        header, *records = cp.read_text().splitlines()
+        cp.write_text("\n".join([header] + records[: tasks - left]) + "\n")
+        asked.clear()
+        lines = []
+        generate(spec, lines.append, workers=workers, checkpoint=str(cp))
+        assert lines == baseline and asked == expected
+
+
 def test_task_roots_prune_by_their_automorphisms(monkeypatch, tmp_path):
     # a subtree task starts from its root's generators, so a partitioned run
     # (in this process: one worker with a checkpoint) makes exactly the
@@ -281,13 +326,14 @@ def test_deletion_rule_agrees_with_the_full_rule(monkeypatch, spec, by_keys, by_
             rejected["keys"] += 1
             assert not full_rule(blocks + (cand,))
         else:
-            assert got == deletion_keys(blocks + (cand,))
-            if got.count(got[-1]) == 1:
+            keys = got[3]
+            assert keys == deletion_keys(blocks + (cand,))
+            if keys.count(keys[-1]) == 1:
                 assert full_rule(blocks + (cand,))
         return got
 
-    def accepts_checked(child, keys, perm, gens):
-        got = real_accepts(child, keys, perm, gens)
+    def accepts_checked(child, keys, *search):
+        got = real_accepts(child, keys, *search)
         rejected["orbit"] += not got
         assert got == full_rule(child)
         return got
@@ -296,6 +342,38 @@ def test_deletion_rule_agrees_with_the_full_rule(monkeypatch, spec, by_keys, by_
     monkeypatch.setattr(module, "_accepts", accepts_checked)
     generate(spec, lambda line: None)
     assert rejected == {"keys": by_keys, "orbit": by_orbit}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GenSpec(15, 7), GenSpec(16, 9), GenSpec(10, 10, min_girth=3, min_atom_degree=3),
+     GenSpec(18, 8, require_connected=False)],
+    ids=["15-7", "16-9", "10_3", "18-8-disconnected"],
+)
+def test_handed_down_bookkeeping_matches_a_recount(monkeypatch, spec):
+    # every node gets its degrees, incidence, weights, keys, twin classes and
+    # chain balls from its parent's; at every node they must equal the same
+    # counted from scratch (a leaf picks no candidates and gets no balls)
+    module = sys.modules["greechie.generate"]
+    real = module._expand
+    checked = 0
+
+    def expand_checked(node, *args):
+        nonlocal checked
+        blocks, n = node[:2]
+        degree, incident, weight, keys, twins, balls = node[4]
+        assert (degree, incident, weight, keys) == module._invariants(blocks, n)
+        assert keys == deletion_keys(blocks)
+        assert twins == twin_classes(incidence(blocks, n))
+        assert all(twins[a] is twins[cls[0]] for cls in twins for a in cls)
+        leaf = len(blocks) == spec.block_count
+        assert balls == (None if leaf else chain_balls(blocks, n, spec.min_girth - 2))
+        checked += 1
+        real(node, *args)
+
+    monkeypatch.setattr(module, "_expand", expand_checked)
+    stats = generate(spec, lambda line: None)
+    assert checked == stats.nodes_explored
 
 
 # class sets recorded before the deletion rule replaced the canonical-tail
