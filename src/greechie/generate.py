@@ -35,7 +35,7 @@ from typing import Callable, Iterator
 
 from .diagram import MmpDiagram, incidence, serialize_mmp, twin_classes
 from .errors import BadCheckpoint, InvalidSpec, TooLarge
-from .structure import is_connected, validate
+from .structure import blocks_connected, validate
 from .symmetry import CanonicalForm, Gens, canonical_code, canonical_form, _canonical_search
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -168,23 +168,23 @@ def _candidates(
     return out
 
 
-def _final_ok(blocks: Blocks, n_used: int, spec: GenSpec) -> bool:
-    if n_used != spec.atom_count:
+def _final_ok(blocks: Blocks, degree: list[int], spec: GenSpec) -> bool:
+    """Does a leaf meet the spec?  ``degree`` lists its atoms' degrees."""
+    if len(degree) != spec.atom_count:
         return False
-    d = MmpDiagram(n_used, blocks)
-    if spec.require_connected and not is_connected(d):
+    if spec.require_connected and not blocks_connected(blocks, len(degree)):
         return False
-    if spec.min_atom_degree > 1 and min(d.degrees(), default=0) < spec.min_atom_degree:
+    if spec.min_atom_degree > 1 and min(degree, default=0) < spec.min_atom_degree:
         return False
     return True
 
 
 def _expand(node: Node, spec: GenSpec, stats: GenStats, emit: Callable[[str], None], memo: dict) -> None:
     """Depth-first canonical augmentation below one node, with the run's ``memo``."""
-    blocks, n_used, own_code = node[:3]
+    blocks, n_used, own_code, _, book = node
     stats.nodes_explored += 1
     if len(blocks) == spec.block_count:
-        if _final_ok(blocks, n_used, spec):
+        if _final_ok(blocks, book[0], spec):
             stats.emitted_count += 1
             code = _canonical_search(blocks, n_used, memo)[0] if own_code is None else own_code
             emit(serialize_mmp(MmpDiagram(n_used, code)))
@@ -462,7 +462,7 @@ def membership_probe(d: MmpDiagram, spec: GenSpec) -> bool:
         and all(len(b) == spec.block_size for b in d.blocks)
         and rep.mmp_i and rep.mmp_ii and rep.mmp_iii and rep.pairwise_intersections
         and (rep.girth is None or rep.girth >= spec.min_girth)
-        and _final_ok(d.blocks, d.atom_count, spec)
+        and _final_ok(d.blocks, d.degrees(), spec)
     ):
         return False
     code = canonical_code(d.blocks, d.atom_count)

@@ -253,6 +253,10 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
     each block and entry junction.  A child's budget, cap and bound checks
     run in its parent's loop in the order the child would run them, so any
     budget meets the same nodes in the same order as one call per node.
+    A move that is not free can only close a loop, of order k + 1 for a
+    chain of k blocks, and only a longer loop replaces the best one, whose
+    order never falls.  So the closing test runs only while k is at least
+    the best order, which on most nodes of a long search it is not.
     """
     n, m = d.atom_count, d.block_count
     block_masks = [sum(1 << a for a in b) for b in d.blocks]
@@ -294,8 +298,7 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
         # run here, in the order of a node's own entry, before any call
         nonlocal best, best_order, nodes_left
         for j, x, rest, fresh, onward in out:
-            extra = rest & used_mask
-            if extra == 0:
+            if not rest & used_mask:
                 if nodes_left == 0:
                     raise _BudgetSpent
                 nodes_left -= 1
@@ -304,11 +307,13 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
                 path[k] = j
                 junctions[k - 1] = x
                 extend(onward, used_mask | rest, atoms_left - fresh, k + 1)
-            elif extra & (extra - 1) == 0 and extra & closing == extra and k >= best_order:
-                # j touches exactly the last block (at x) and the first block
-                # (at one atom y but junctions[0]): a loop of order k+1
-                best_order, y = k + 1, extra.bit_length() - 1
-                best = LoopProfile(k + 1, (*path[:k], j), (*junctions[: k - 1], x, y))
+            elif k >= best_order:
+                extra = rest & used_mask
+                if extra & (extra - 1) == 0 and extra & closing == extra:
+                    # j touches exactly the last block (at x) and the first
+                    # block (at one atom y but junctions[0]): a loop of order k+1
+                    best_order, y = k + 1, extra.bit_length() - 1
+                    best = LoopProfile(k + 1, (*path[:k], j), (*junctions[: k - 1], x, y))
 
     try:
         for start in range(m):
@@ -373,7 +378,12 @@ def components(
 def is_connected(d: MmpDiagram) -> bool:
     """True iff the atom-block incidence graph, in which an empty block is
     a component of its own, has at most one component."""
-    return len(components(d.blocks, d.atom_count)) + sum(not b for b in d.blocks) <= 1
+    return blocks_connected(d.blocks, d.atom_count)
+
+
+def blocks_connected(blocks: tuple[tuple[int, ...], ...], n: int) -> bool:
+    """:func:`is_connected` of the blocks on atoms 0..n-1, with no diagram built."""
+    return len(components(blocks, n)) + sum(not b for b in blocks) <= 1
 
 
 def dual(d: MmpDiagram) -> MmpDiagram:

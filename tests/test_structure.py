@@ -270,6 +270,9 @@ def test_max_loop_counts_nodes_as_the_recursive_search(rng):
 
 
 def test_max_loop_counts_nodes_as_the_recursive_search_on_the_corpus(rng):
+    """Also at one node short of the whole search and at the whole search,
+    where ``exact`` flips, on the nine lattices whose search finishes."""
+    finishing = 0
     for name in corpus.names():
         d = corpus.diagram(name)
         copies = [d]
@@ -278,8 +281,13 @@ def test_max_loop_counts_nodes_as_the_recursive_search_on_the_corpus(rng):
             rng.shuffle(pi)
             copies.append(relabel(d, Permutation(tuple(pi))))
         for c in copies:
-            for budget in (0, 1, 100, 1000, 20_000):
+            # a search that stops short of its budget has finished
+            total = _assert_max_loop_is_the_recursive_search(c, 20_000)
+            finished = total < 20_000
+            for budget in (0, 1, 100, 1000) + ((total - 1, total) if finished else ()):
                 _assert_max_loop_is_the_recursive_search(c, budget)
+            finishing += finished
+    assert finishing == 9 * 3
 
 
 def test_girth_of_corpus_lattices_and_relabellings(rng):
