@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import permutations
 
 from .diagram import MmpDiagram, incidence
 from .errors import IndexOutOfRange, NotAdmissible, NotValidated, PreconditionViolated
@@ -232,46 +232,44 @@ def _path_to_root(parent: list[int], v: int) -> list[int]:
     return path
 
 
-class _BudgetSpent(Exception):
-    pass
-
-
 def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
     """A witness loop of maximal order, or ``None`` if acyclic.
 
-    Branch-and-bound over simple block chains.  A loop of order k uses 2k
-    distinct atoms, which caps the search at atom_count // 2 and lets the
-    first full-length loop terminate it on structured inputs.
+    Branch-and-bound over simple block chains, each grown from its least
+    block.  With a ``budget``, the search stops after that many chain
+    extensions and returns the longest loop found so far, with ``exact``
+    false (a shortest loop if it found none yet).  A search that completes
+    within the budget returns the same profile as the unbudgeted one.
 
-    With a ``budget``, the search stops after that many chain extensions and
-    returns the longest loop found so far, with ``exact`` false (a shortest
-    loop if it found none yet).  A loop is replaced only by a strictly longer
-    one, so a search that completes within the budget returns the same
-    profile as the unbudgeted one.
-
-    The chains grow from a table, built once per call, of the moves on from
-    each block and entry junction.  A child's budget, cap and bound checks
-    run in its parent's loop in the order the child would run them, so any
-    budget meets the same nodes in the same order as one call per node.
-    A move that is not free can only close a loop, of order k + 1 for a
-    chain of k blocks, and only a longer loop replaces the best one, whose
-    order never falls.  So the closing test runs only while k is at least
-    the best order, which on most nodes of a long search it is not.
+    One loop extends an explicit chain, so no chain length meets a
+    recursion limit.  Depth k keeps its moves left, in ascending order, with
+    the atoms the chain uses and the count it leaves free.  Each free move
+    is one node: counted, bounded, then entered, and a spent depth returns
+    to the one below, so any budget meets the nodes in the order of a
+    recursive depth-first search.  A move that is not free can only close a
+    loop, of order k + 1 for a chain of k blocks, and only a longer loop
+    replaces the best, whose order never falls; so the closing test runs
+    only while k is at least the best order.  A loop of order k uses 2k
+    distinct atoms, so none is longer than min(blocks, atoms // 2): the
+    first loop of that order ends the search, exact at any budget.
     """
     n, m = d.atom_count, d.block_count
     block_masks = [sum(1 << a for a in b) for b in d.blocks]
-    # moves[b][e]: the steps out of block b entered at junction e, by
-    # ascending j: (block j, junction x, j's atoms but x, their count,
-    # moves[j][x]).  x is in the chain, so j extends it if no other atom is.
-    # Each two blocks through an atom meet there; a j met twice from b
-    # shares two atoms with it.
+    # steps[b]: the steps out of block b by ascending j: (block j, junction
+    # x, j's atoms but x, their count, moves[j][x]).  x is in the chain, so j
+    # extends it if no other atom is.  Each two blocks through an atom meet
+    # there; a j met twice from b shares two atoms with it.  tables[moves[b][e]]
+    # lists the steps out of b entered at e: by number, so no list holds itself.
     steps: list[list[tuple]] = [[] for _ in range(m)]
-    moves: list[dict[int, list]] = [{} for _ in range(m)]
+    moves: list[dict[int, int]] = [{} for _ in range(m)]
+    tables: list[list[tuple]] = []
     for x, through in enumerate(incidence(d.blocks, n)):
-        for i, j in combinations(through, 2):
-            into_i, into_j = moves[i].setdefault(x, []), moves[j].setdefault(x, [])
-            steps[i].append((j, x, block_masks[j] ^ 1 << x, len(d.blocks[j]) - 1, into_j))
-            steps[j].append((i, x, block_masks[i] ^ 1 << x, len(d.blocks[i]) - 1, into_i))
+        if len(through) > 1:
+            for b in through:
+                moves[b][x] = len(tables)
+                tables.append([])
+        for i, j in permutations(through, 2):
+            steps[i].append((j, x, block_masks[j] ^ 1 << x, len(d.blocks[j]) - 1, moves[j][x]))
     for i, out in enumerate(steps):
         out.sort(key=lambda step: step[0])
         for s, t in zip(out, out[1:]):
@@ -282,63 +280,64 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
     if budget is not None and budget < 0:
         raise PreconditionViolated(f"max_loop budget must be at least 0, not {budget}")
     for b, out in enumerate(moves):
-        for e, into in out.items():
-            into += [s for s in steps[b] if s[1] != e]
+        for e, t in out.items():
+            tables[t] += [s for s in steps[b] if s[1] != e]
     hard_cap = min(m, n // 2)
 
     best: LoopProfile | None = None
     best_order = 0  # best's order, 0 before any loop
     nodes_left = math.inf if budget is None else budget
-    # the chain being extended: path[i] and path[i + 1] share junctions[i]
+    # depth k: the chain's block path[k] and, while a deeper block is tried,
+    # the moves left out of it, the atoms used and the count left free
     path = [0] * m
-    junctions = [0] * m
-
-    def extend(out: list, used_mask: int, atoms_left: int, k: int):
-        # each chain extension is one node: its budget, cap and bound checks
-        # run here, in the order of a node's own entry, before any call
-        nonlocal best, best_order, nodes_left
-        for j, x, rest, fresh, onward in out:
-            if not rest & used_mask:
-                if nodes_left == 0:
-                    raise _BudgetSpent
-                nodes_left -= 1
-                if best_order >= hard_cap or k + 1 + (atoms_left - fresh + 1) // 2 <= best_order:
-                    continue
-                path[k] = j
-                junctions[k - 1] = x
-                extend(onward, used_mask | rest, atoms_left - fresh, k + 1)
-            elif k >= best_order:
-                extra = rest & used_mask
-                if extra & (extra - 1) == 0 and extra & closing == extra:
-                    # j touches exactly the last block (at x) and the first
-                    # block (at one atom y but junctions[0]): a loop of order k+1
-                    best_order, y = k + 1, extra.bit_length() - 1
-                    best = LoopProfile(k + 1, (*path[:k], j), (*junctions[: k - 1], x, y))
-
-    try:
-        for start in range(m):
-            if best_order >= hard_cap:
-                break
-            # a chain's first block is its least, so moves into start go
-            for b, *_ in steps[start]:
-                for into in moves[b].values():
-                    if into and into[0][0] == start:
-                        del into[0]
-            path[0] = start
-            for step in steps[start]:
-                if step[0] > start:  # the chain's second block, one node as any later one
-                    closing = block_masks[start] ^ (1 << step[1])
-                    extend([step], block_masks[start], n - len(d.blocks[start]), 1)
-    except _BudgetSpent:
-        found = best or min_loop(d)
-        return None if found is None else replace(found, exact=False)
-    finally:
-        # extend holds itself through its closure cell, and each move list
-        # the next ones through its steps: break both cycles
-        del extend
-        for out in moves:
-            for into in out.values():
-                into.clear()
+    pending: list = [None] * m
+    used_at = [0] * m
+    left_at = [0] * m
+    for start in range(m):
+        # a chain's first block is its least, so moves into start go
+        for b, *_ in steps[start]:
+            for t in moves[b].values():
+                into = tables[t]
+                if into and into[0][0] == start:
+                    del into[0]
+        path[0] = start
+        for second in steps[start]:
+            if second[0] <= start:
+                continue
+            # the second block is one node as any later one
+            closing = block_masks[start] ^ (1 << second[1])
+            k, it, used, left = 1, iter((second,)), block_masks[start], n - len(d.blocks[start])
+            while k:
+                for j, x, rest, fresh, onward in it:
+                    if not rest & used:
+                        if nodes_left == 0:
+                            found = best or min_loop(d)
+                            return None if found is None else replace(found, exact=False)
+                        nodes_left -= 1
+                        if k + 1 + (left - fresh + 1) // 2 <= best_order:
+                            continue
+                        path[k] = j
+                        pending[k], used_at[k], left_at[k] = it, used, left
+                        it = iter(tables[onward])
+                        used |= rest
+                        left -= fresh
+                        k += 1
+                        break
+                    elif k >= best_order:
+                        extra = rest & used
+                        if extra & (extra - 1) == 0 and extra & closing == extra:
+                            # j touches exactly the last block (at x) and the
+                            # first (at one atom y but the first junction): a
+                            # loop of order k + 1, its junctions read off its blocks
+                            best_order, y = k + 1, extra.bit_length() - 1
+                            blocks = (*path[:k], j)
+                            meets = [block_masks[a] & block_masks[b] for a, b in zip(blocks, blocks[1:])]
+                            best = LoopProfile(k + 1, blocks, (*(c.bit_length() - 1 for c in meets), y))
+                            if best_order == hard_cap:
+                                return best
+                else:
+                    k -= 1
+                    it, used, left = pending[k], used_at[k], left_at[k]
     return best
 
 

@@ -22,6 +22,11 @@ def random_diagram(rng: random.Random, max_atoms: int = 13, max_blocks: int = 5,
     return MmpDiagram(len(used), tuple(tuple(remap[a] for a in b) for b in blocks))
 
 
+def block_cycle(k: int) -> MmpDiagram:
+    """k blocks in a ring, each sharing one atom with the next: |Aut| = 2k."""
+    return MmpDiagram(2 * k, tuple((2 * i, 2 * i + 1, (2 * i + 2) % (2 * k)) for i in range(k)))
+
+
 def random_mmp(rng: random.Random, max_atoms: int = 12, sizes=(3, 4, 5), tries: int = 60) -> MmpDiagram:
     """A random diagram passing MMP conditions (i)-(iii), often with as many
     blocks as atoms, so that all three state classifications occur.

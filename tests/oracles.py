@@ -118,14 +118,16 @@ SPENT = "spent before any loop"
 def recursive_max_loop(d: MmpDiagram, budget: int | None = None):
     """``structure.max_loop``'s chain search as one recursive call per node.
 
-    Each call extends the chain by one block and counts as one node: it
-    stops the search when the budget is spent, then returns early when the
-    best loop has the cap order min(blocks, atoms // 2), or when the chain
-    plus half the atoms not yet used cannot beat it.  Chains start at their
-    least block and grow through blocks meeting the last one in a new
-    junction.  Returns ``(loop, nodes)``: the loop is ``(order, blocks,
-    junctions, exact)``, ``None`` for an acyclic diagram, or ``SPENT`` when
-    the budget ran out before any loop; ``nodes`` counts the calls made.
+    Each call extends the chain by one block and counts as one node.  Once
+    the best loop has the cap order min(blocks, atoms // 2), which no loop
+    exceeds, every call returns before it counts, so that loop is exact at
+    any budget that reaches it.  Otherwise a call stops the search when the
+    budget is spent, then returns early when the chain plus half the atoms
+    not yet used cannot beat the best loop.  Chains start at their least
+    block and grow through blocks meeting the last one in a new junction.
+    Returns ``(loop, nodes)``: the loop is ``(order, blocks, junctions,
+    exact)``, ``None`` for an acyclic diagram, or ``SPENT`` when the budget
+    ran out before any loop; ``nodes`` counts the calls that were counted.
     """
     n, m = d.atom_count, d.block_count
     masks = [sum(1 << a for a in b) for b in d.blocks]
@@ -148,11 +150,11 @@ def recursive_max_loop(d: MmpDiagram, budget: int | None = None):
 
     def extend(start: int, last: int, last_junction: int, used: int) -> None:
         nonlocal best, nodes
+        if best is not None and best[0] >= cap:
+            return
         if nodes == budget:
             raise Spent
         nodes += 1
-        if best is not None and best[0] >= cap:
-            return
         if best is not None and len(path) + (n - used.bit_count() + 1) // 2 <= best[0]:
             return
         for j, x in neighbors[last]:

@@ -9,6 +9,7 @@ from greechie import corpus
 from greechie.diagram import load_diagram_line, parse_mmp
 from greechie.errors import NotAdmissible
 from greechie.render import render_dot
+from conftest import block_cycle
 
 RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus.json"
 
@@ -102,3 +103,21 @@ def test_render_73_atom_lattices_in_bounded_time(name):
     assert not loop.exact and loop.order >= 30
     pinned = [ln for ln in nodes if "pos=" in ln]  # every atom of the loop's blocks
     assert len(pinned) == sum(len(d.blocks[b]) - 1 for b in loop.blocks)
+
+
+def test_render_a_long_block_cycle_in_bounded_time():
+    # the loop search follows one chain of 1,200 blocks and stops at the cap
+    drawn = []
+    old = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        dot = render_dot(block_cycle(1200), on_loop=drawn.append)
+    except _Overran:
+        pytest.fail("render_dot of the 1,200-block cycle ran over 5 s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    nodes = [ln for ln in dot.splitlines() if ln.startswith('  "') and "--" not in ln]
+    assert len(nodes) == 2400 and all("pos=" in ln for ln in nodes)
+    (loop,) = drawn
+    assert (loop.order, loop.exact) == (1200, True)

@@ -20,7 +20,7 @@ from greechie.structure import (
     validate,
 )
 from greechie.symmetry import Permutation, are_isomorphic, relabel
-from conftest import random_admissible, random_diagram, random_looped, random_mmp
+from conftest import block_cycle, random_admissible, random_diagram, random_looped, random_mmp
 from oracles import (
     SPENT,
     bfs_components,
@@ -311,6 +311,19 @@ def test_max_loop_published_examples():
     assert max_loop(corpus.diagram("44-44")).order == 22
     assert max_loop(corpus.diagram("38-38a")).order == 19
     assert max_loop(corpus.diagram("38-38h")).order == 18
+    # each first closes a loop at its cap min(blocks, atoms // 2), which ends
+    # the search exact; a node fewer leaves a shortest loop, inexact
+    for name, budget, order in (("36-36", 16, 18), ("38-38a", 17, 19), ("44-44", 20, 22)):
+        d = corpus.diagram(name)
+        prof = max_loop(d, budget=budget)
+        assert (prof.order, prof.exact) == (order, True)
+        assert not max_loop(d, budget=budget - 1).exact
+
+
+def test_max_loop_of_a_long_block_cycle():
+    # one chain of 3,000 blocks, three times the default recursion limit
+    prof = max_loop(block_cycle(3000))
+    assert (prof.order, prof.exact) == (3000, True)
 
 
 def test_is_connected():

@@ -20,7 +20,7 @@ from greechie.symmetry import (
     is_self_dual,
     relabel,
 )
-from conftest import random_diagram, random_mmp, twin_rich
+from conftest import block_cycle, random_diagram, random_mmp, twin_rich
 from oracles import brute_automorphism_count, closure_order, refine_by_signatures
 
 PENTAGON = "123,345,567,789,9A1."
@@ -376,11 +376,6 @@ def star(k: int) -> MmpDiagram:
 
 def disjoint_blocks(k: int) -> MmpDiagram:
     return MmpDiagram(3 * k, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)))
-
-
-def block_cycle(k: int) -> MmpDiagram:
-    """k blocks in a ring, each sharing one atom with the next: |Aut| = 2k."""
-    return MmpDiagram(2 * k, tuple((2 * i, 2 * i + 1, (2 * i + 2) % (2 * k)) for i in range(k)))
 
 
 def test_twin_rich_search_matches_brute_force(rng):
