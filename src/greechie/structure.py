@@ -4,19 +4,18 @@ Covers the three MMP hypergraph conditions, loop/girth analysis,
 connected components, incidence duality, block dropping, and the element
 count of the pasted lattice.
 
-The checks read every block overlap from one pass over the pairs of
-block bitmasks (``_checks``), ``max_loop`` reads it from the blocks
-through each atom (``diagram.incidence``), and all connectivity, the
-canonical search's included, comes from one breadth-first labelling
-(``components``).
+The checks (``_checks``) and ``max_loop`` read every block overlap from
+the blocks through each atom (``diagram.incidence``), and all
+connectivity, the canonical search's included, comes from one
+breadth-first labelling (``components``).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .diagram import MmpDiagram, incidence
 from .errors import IndexOutOfRange, NotAdmissible, NotValidated, PreconditionViolated
@@ -72,20 +71,17 @@ class ValidationReport:
 
 def _checks(d: MmpDiagram) -> tuple[CheckResult, CheckResult, CheckResult, CheckResult]:
     """MMP conditions (i)-(iii), then the check that no two blocks share
-    two or more atoms; one pass over the pairs of block bitmasks serves the
-    last two."""
+    two or more atoms.  The last two read the block pairs through each atom:
+    one sharing t atoms is met t times, and sorted they keep scan order."""
     missing = tuple(sorted(set(range(d.atom_count)) - d.used_atoms()))
     small = tuple(i for i, b in enumerate(d.blocks) if len(b) < 3)
-    masks = [sum(1 << a for a in b) for b in d.blocks]
+    shared = Counter(pair for inc in d.incident_blocks() for pair in combinations(inc, 2))
     bad_iii, bad_pairs = [], []
-    for i, mi in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            if mi & masks[j]:
-                t = (mi & masks[j]).bit_count()
-                if min(len(d.blocks[i]), len(d.blocks[j])) < t + 2:
-                    bad_iii.append((i, j))
-                if t >= 2:
-                    bad_pairs.append((i, j))
+    for (i, j), t in sorted(shared.items()):
+        if min(len(d.blocks[i]), len(d.blocks[j])) < t + 2:
+            bad_iii.append((i, j))
+        if t >= 2:
+            bad_pairs.append((i, j))
     found = (missing, small, tuple(bad_iii), tuple(bad_pairs))
     return tuple(CheckResult(not f, f) for f in found)
 
@@ -182,14 +178,34 @@ def _shortest_incidence_cycle(d: MmpDiagram) -> list[int] | None:
     each root once its search is done.  That keeps the girth exact: no atom
     deleted before the least atom r of a shortest cycle lies on that cycle,
     so the search from r still finds a cycle no longer than it.
+
+    A search stops at the first vertex u with 2 dist[u] + 2 >= len(best).
+    The graph is bipartite, so an edge from u to a vertex w seen before
+    closes a walk of length 2 dist[u] + 2, or of 2 dist[u] if w is one
+    level up; but then u was seen when w was searched, which closed that
+    walk already.  The roots stop once the 2-core of the graph left (what
+    deleting vertices of degree below 2 in turn leaves) is empty: every
+    cycle lies in it.  Roots outside it are searched, as the cycle a
+    search finds need not pass through its root.
     """
     n = d.atom_count
     adj = [[n + i for i in inc] for inc in d.incident_blocks()] + [list(b) for b in d.blocks]
     size = len(adj)
     best: list[int] | None = None
+    # the 2-core has ``core`` vertices, those of degree 2 or more; ``peel``
+    # holds the vertices out of it whose edges ``degree`` still counts
+    degree = [len(vs) for vs in adj]
+    peel = [v for v in range(size) if degree[v] < 2]
+    core = size - len(peel)
     # Atom roots suffice: every incidence cycle alternates atoms and blocks.
     for root in range(d.atom_count):
-        if best is not None and len(best) <= 6:
+        while peel:
+            for w in adj[peel.pop()]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    core -= 1
+                    peel.append(w)
+        if not core or (best is not None and len(best) <= 6):
             break  # 6 is the minimum possible (loops of order >= 3)
         dist = [-1] * size
         parent = [-1] * size
@@ -197,7 +213,7 @@ def _shortest_incidence_cycle(d: MmpDiagram) -> list[int] | None:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            if best is not None and 2 * dist[u] >= len(best):
+            if best is not None and 2 * dist[u] + 2 >= len(best):
                 break
             for w in adj[u]:
                 if dist[w] == -1:
@@ -207,29 +223,21 @@ def _shortest_incidence_cycle(d: MmpDiagram) -> list[int] | None:
                 elif parent[u] != w and parent[w] != u and (
                     best is None or dist[u] + dist[w] + 1 < len(best)
                 ):
-                    # A closed walk through the root of length dist[u]+dist[w]+1
-                    # (even: the graph is bipartite) holds a cycle no longer
-                    # than it.  Longer walks are skipped: a shorter cycle inside
-                    # one is found at its true length from its own vertices.
-                    path_u = _path_to_root(parent, u)
-                    path_w = _path_to_root(parent, w)
-                    set_u = set(path_u)
-                    common = next(x for x in path_w if x in set_u)
-                    iu = path_u.index(common)
-                    iw = path_w.index(common)
-                    cycle = path_u[:iu] + [common] + path_w[:iw][::-1]
+                    # the walk closed through the root, shorter than the best,
+                    # holds the cycle of u, w and their tree paths to where they meet
+                    cycle, back = [u], [w]
+                    while cycle[-1] != back[-1]:
+                        deeper = cycle if dist[cycle[-1]] >= dist[back[-1]] else back
+                        deeper.append(parent[deeper[-1]])
+                    cycle += back[-2::-1]
                     if len(cycle) >= 6:
                         best = cycle
         for v in adj[root]:
             adj[v].remove(root)
+        if degree[root] >= 2:
+            core -= 1
+            peel.append(root)
     return best
-
-
-def _path_to_root(parent: list[int], v: int) -> list[int]:
-    path = [v]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    return path
 
 
 def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:

@@ -19,11 +19,13 @@ an atom that changed cell in the round before, and it keys each incident
 block by one int whose order is that of the (size, colors) tuple it
 encodes (see ``_refiner``).  Twins, atoms on exactly the same blocks,
 are swapped by automorphisms known before the search starts, and a cell
-of twins alone is split in one step.  A leaf that repeats the first or
-the least code returns the search to the node where its path parts from
-that leaf's (McKay 1981).  Besides the code, the search returns |Aut| and
-generators of Aut.  Generation uses them to try one augmenting block per
-orbit and in the deletion rule's orbit test (``generate._accepts``).
+of twins alone is split in one step.  Each node keeps the orbits of the
+automorphisms known to fix its path, as a union-find partition.  A leaf
+that repeats the first or the least code returns the search to the node
+where its path parts from that leaf's (McKay 1981).  Besides the code,
+the search returns |Aut| and generators of Aut.  Generation uses them to
+try one augmenting block per orbit and in the deletion rule's orbit test
+(``generate._accepts``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .diagram import ALPHABET, MmpDiagram, incidence, serialize_mmp, twin_classes
@@ -257,6 +260,15 @@ def _search_connected(
     generator from the start (McKay & Piperno 2014).  The rest are found
     at leaves with equal codes.
 
+    Each generator is kept with its support, the atoms it moves, as a list
+    and as a bitmask; it fixes a node's path P, a bitmask too, when the two
+    are disjoint.  A node keeps the orbits of the generators fixing P as a
+    union-find partition, joining each atom of a support with its image in
+    the target cell alone: such an automorphism fixes P's coloring, so it
+    maps the cell onto itself.  The partition starts once the first child
+    is searched and grows with each generator found later; it is never
+    built while no generator fixing P moves an atom of the cell.
+
     A target cell of twins alone (k atoms) is split in one step: its atoms
     take consecutive colors in atom order, the coloring that individualizing
     them one at a time, least first, reaches.  No refinement runs: it would
@@ -301,11 +313,15 @@ def _search_connected(
     sigs = [(len(inc), tuple(sorted(len(blocks[i]) for i in inc))) for inc in incident]
     ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
     twins = twin_classes(incident)
-    gens = [tuple(y if i == x else x if i == y else i for i in range(n))
-            for cls in dict.fromkeys(twins) for x, y in zip(cls, cls[1:])]
+    # moves[i]: gens[i], with the bitmask and the list of the atoms it moves
+    moves = [(tuple(y if i == x else x if i == y else i for i in range(n)), 1 << x | 1 << y, (x, y))
+             for cls in dict.fromkeys(twins) for x, y in zip(cls, cls[1:])]
+    gens = [g for g, _, _ in moves]
+    # one per block; a 1-atom block's takes a slice, so it too returns a sequence
+    getters = [itemgetter(*b) if len(b) > 1 else itemgetter(slice(b[0], b[0] + 1)) for b in blocks]
 
     def code_of(perm: list[int]) -> Code:
-        return tuple(sorted(tuple(sorted(perm[a] for a in b)) for b in blocks))
+        return tuple(sorted([tuple(sorted(get(perm))) for get in getters]))
 
     # (code, permutation, path) of the first leaf and of the first leaf with
     # the least code so far; a path lists the individualized atoms
@@ -327,25 +343,23 @@ def _search_connected(
             if code < best[0]:
                 best = (code, tuple(perm), path)
             return len(path)
-        inv_leaf = [0] * n
-        for i, v in enumerate(perm):
-            inv_leaf[v] = i
-        g = tuple(inv_leaf[ref[1][i]] for i in range(n))
-        if any(g[i] != i for i in range(n)) and g not in gens:
+        inv_leaf = sorted(range(n), key=perm.__getitem__)
+        g = tuple([inv_leaf[v] for v in ref[1]])
+        support = [i for i in range(n) if g[i] != i]
+        if support and g not in gens:
             gens.append(g)
+            moves.append((g, sum(1 << i for i in support), support))
         # the node where this path leaves the reference path
         return next((d for d, (x, y) in enumerate(zip(path, ref[2])) if x != y), len(path))
 
-    def individualize(colors: list[int], a: int) -> list[int]:
-        ca = colors[a]
-        return [c + 1 if (c > ca or (c == ca and x != a)) else c for x, c in enumerate(colors)]
-
     order = 1
 
-    def search(colors: list[int], cells: list[list[int]], fixed: tuple[int, ...], on_first: bool) -> int:
-        """Search below one node (``cells`` in color order); return the depth
-        (length of ``fixed``) of the node the search goes on at: this node's
-        own when it is done."""
+    def search(
+        colors: list[int], cells: list[list[int]], fixed: tuple[int, ...], mask: int, on_first: bool
+    ) -> int:
+        """Search below one node (``cells`` in color order, ``mask`` the
+        bitmask of ``fixed``); return the depth (length of ``fixed``) of the
+        node the search goes on at: this node's own when it is done."""
         nonlocal order
         if len(cells) == n:
             return record_leaf(colors, fixed)
@@ -355,30 +369,59 @@ def _search_connected(
             colors = [x + k - 1 if x > c else x for x in colors]
             for i, a in enumerate(cell):
                 colors[a] = c + i
+                mask |= 1 << a
             if on_first:
                 order *= math.factorial(k)
             cells = cells[:c] + [[a] for a in cell] + cells[c + 1 :]
-            return search(colors, cells, fixed + tuple(cell), on_first)
-        depth = len(fixed)
-        explored: set[int] = set()  # the orbits of the atoms searched so far
-        # the known automorphisms that fix ``fixed``
-        valid = [g for g in gens if all(g[x] == x for x in fixed)]
+            return search(colors, cells, fixed + tuple(cell), mask, on_first)
+        depth, c = len(fixed), colors[cell[0]]
+        # union-find parents: the orbits in ``cell`` of the first ``merged``
+        # generators that fix ``fixed``, None while none moves an atom of it
+        orbits, merged, explored, roots = None, 0, [], set()  # roots: of the explored atoms
         for a in cell:
-            if a in _close(explored, valid):
+            if orbits is not None and _find(orbits, a) in roots:
                 continue
-            explored.add(a)
-            known = len(gens)
-            back = search(*refine(individualize(colors, a), [a]), fixed + (a,), on_first and a == cell[0])
+            ind = [x + 1 if x > c or x == c and i != a else x for i, x in enumerate(colors)]
+            back = search(*refine(ind, [a]), fixed + (a,), mask | 1 << a, on_first and a == cell[0])
             if back < depth:
                 return back
-            valid += [g for g in gens[known:] if all(g[x] == x for x in fixed)]
-        if on_first:
-            order *= len(_close({cell[0]}, valid))
+            explored.append(a)
+            if merged < len(gens):
+                orbits, merged = _merge_moves(orbits, moves[merged:], mask, colors, c), len(gens)
+            if orbits is not None:
+                roots = {_find(orbits, x) for x in explored}
+        if on_first and orbits is not None:
+            root = _find(orbits, cell[0])
+            order *= sum(_find(orbits, x) == root for x in cell)
         return depth
 
-    search(*refine([ranking[s] for s in sigs], range(n)), (), True)
+    search(*refine([ranking[s] for s in sigs], range(n)), (), 0, True)
     del search  # it holds itself through its closure cell
     return best[0], best[1], order, tuple(gens)
+
+
+def _merge_moves(
+    orbits: list[int] | None, moves: list, mask: int, colors: list[int], c: int
+) -> list[int] | None:
+    """Join in the union-find parents ``orbits`` (None: each atom alone) each
+    atom of color c and its image under each of ``moves`` that fixes ``mask``."""
+    for g, moved, support in moves:
+        if not moved & mask:
+            for x in support:
+                if colors[x] == c:
+                    if orbits is None:
+                        orbits = list(range(len(colors)))
+                    rx, ry = _find(orbits, x), _find(orbits, g[x])
+                    if rx != ry:
+                        orbits[max(rx, ry)] = min(rx, ry)
+    return orbits
+
+
+def _find(orbits: list[int], x: int) -> int:
+    """The root of x's class in the union-find parents ``orbits``, halving its path."""
+    while orbits[x] != x:
+        orbits[x] = x = orbits[orbits[x]]
+    return x
 
 
 def _refiner(
@@ -411,16 +454,17 @@ def _refiner(
     order-preserving map, so their signatures stay equal (McKay 1981).
     When a cell splits, the atoms of every part but its largest count as
     moved for the next round.  The rounds, and so the result, are those
-    of recomputing every signature every round.
+    of recomputing every signature every round.  A round rebuilds the
+    cell list and renumbers the colors only from the first cell that split.
     """
     base = n + 2
     uniform = all(len(b) == 3 for b in blocks)
     # per atom: the other atoms of each incident block, and its neighbours
-    around: list[list[list[int]]] = [[] for _ in range(n)]
+    around: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for b in blocks:
-        for a in b:
-            around[a].append([x for x in b if x != a])
-    nbrs = [{x for xs in around[a] for x in xs} for a in range(n)]
+        for i, a in enumerate(b):
+            around[a].append(b[:i] + b[i + 1 :])
+    nbrs = [tuple({x for xs in around[a] for x in xs}) for a in range(n)]
 
     def refine(colors: list[int], moved: Iterable[int]) -> tuple[list[int], list[list[int]]]:
         colors = list(colors)
@@ -452,30 +496,18 @@ def _refiner(
             if not parts:
                 return colors, cells
             moved = []
-            new_cells: list[list[int]] = []
-            for c, cell in enumerate(cells):
+            split = min(parts)  # the cells before it keep their place and colour
+            new_cells = cells[:split]
+            for c in range(split, len(cells)):
                 if c in parts:
-                    new_cells.extend(parts[c])
+                    new_cells += parts[c]
                     largest = max(parts[c], key=len)
-                    moved.extend(a for part in parts[c] if part is not largest for a in part)
+                    moved += [a for part in parts[c] if part is not largest for a in part]
                 else:
-                    new_cells.append(cell)
+                    new_cells.append(cells[c])
             cells = new_cells
-            for c in range(min(parts), len(cells)):
+            for c in range(split, len(cells)):
                 for a in cells[c]:
                     colors[a] = c
 
     return refine
-
-
-def _close(orbit: set[int], gens: list[tuple[int, ...]]) -> set[int]:
-    """Extend ``orbit`` in place to its orbit under the group ``gens`` generate."""
-    frontier = list(orbit)
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = g[p]
-            if q not in orbit:
-                orbit.add(q)
-                frontier.append(q)
-    return orbit

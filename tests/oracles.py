@@ -200,6 +200,50 @@ def pair_offenders(d: MmpDiagram) -> tuple[tuple, tuple]:
     return tuple(bad_iii), tuple(bad_pairs)
 
 
+def bfs_incidence_cycle(d: MmpDiagram) -> list[int] | None:
+    """``structure._shortest_incidence_cycle`` as a breadth-first search
+    from every atom in turn, each root deleted once searched, and each
+    search stopped only at the first vertex u with 2 dist[u] >= len(best):
+    no early stop of the roots but at a shortest possible cycle.  It is the
+    witness reference: the cycle it returns, vertex for vertex, is the one
+    the library must return."""
+    n = d.atom_count
+    adj = [[n + i for i, b in enumerate(d.blocks) if a in b] for a in range(n)]
+    adj += [list(b) for b in d.blocks]
+    best = None
+    for root in range(n):
+        if best is not None and len(best) <= 6:
+            break
+        dist = [-1] * len(adj)
+        parent = [-1] * len(adj)
+        dist[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            if best is not None and 2 * dist[u] >= len(best):
+                break
+            for w in adj[u]:
+                if dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w and parent[w] != u and (
+                    best is None or dist[u] + dist[w] + 1 < len(best)
+                ):
+                    path_u, path_w = [u], [w]
+                    while parent[path_u[-1]] != -1:
+                        path_u.append(parent[path_u[-1]])
+                    while parent[path_w[-1]] != -1:
+                        path_w.append(parent[path_w[-1]])
+                    common = next(x for x in path_w if x in path_u)
+                    cycle = path_u[: path_u.index(common)] + path_w[path_w.index(common) :: -1]
+                    if len(cycle) >= 6:
+                        best = cycle
+        for v in adj[root]:
+            adj[v].remove(root)
+    return best
+
+
 def incidence_connected(d: MmpDiagram) -> bool:
     """Connectivity by breadth-first search of the incidence graph, whose
     vertices are the atoms and the blocks (empty ones included)."""

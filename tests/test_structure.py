@@ -1,3 +1,4 @@
+import signal
 from dataclasses import replace
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from greechie import corpus
 from greechie.diagram import MmpDiagram, parse_mmp, serialize_mmp
 from greechie.errors import IndexOutOfRange, NotAdmissible, PreconditionViolated
+from greechie.generate import GenSpec, generate
 from greechie.lattice import build_oml
 from greechie.structure import (
     MIN_GREECHIE_GIRTH,
@@ -19,11 +21,13 @@ from greechie.structure import (
     min_loop,
     validate,
 )
+from greechie.structure import _shortest_incidence_cycle
 from greechie.symmetry import Permutation, are_isomorphic, relabel
 from conftest import block_cycle, random_admissible, random_diagram, random_looped, random_mmp
 from oracles import (
     SPENT,
     bfs_components,
+    bfs_incidence_cycle,
     brute_girth,
     brute_max_loop_order,
     incidence_connected,
@@ -303,6 +307,62 @@ def test_girth_of_corpus_lattices_and_relabellings(rng):
             prof = min_loop(c)
             assert prof.order == 5
             _assert_loop_profile(c, prof)
+
+
+def test_shortest_cycle_is_the_reference_witness(rng):
+    # the same cycle, vertex for vertex, as a search that stops neither a
+    # level early nor once the graph left holds no cycle: on the corpus, the
+    # 84 classes the benchmark's census specs emit and random diagrams
+    # whose blocks share at most one atom, some of them acyclic
+    pool = [corpus.diagram(name) for name in corpus.names()]
+    for spec in (GenSpec(12, 6), GenSpec(13, 6), GenSpec(14, 7), GenSpec(15, 7)):
+        lines = []
+        generate(spec, lines.append)
+        pool += [parse_mmp(line) for line in lines]
+    assert len(pool) == 18 + 84
+    sources = [
+        lambda: _random_linear(rng, max_atoms=14),
+        lambda: random_looped(rng, max_atoms=14),
+        lambda: random_admissible(rng, max_blocks=10),
+        lambda: _disjoint_union(random_looped(rng, max_atoms=10), _random_linear(rng, max_atoms=8)),
+        lambda: random_diagram(rng, max_atoms=16, max_blocks=10, sizes=(3, 4, 5)),
+    ]
+    randoms = acyclic = 0
+    while randoms < 500:
+        d = rng.choice(sources)()
+        if validate(d).pairwise_intersections:
+            pool.append(d)
+            randoms += 1
+    for d in pool:
+        cycle = _shortest_incidence_cycle(d)
+        assert cycle == bfs_incidence_cycle(d)
+        acyclic += cycle is None
+    assert 50 < acyclic < 400
+
+
+def test_validate_a_ring_of_3000_blocks_in_bounded_time():
+    # one incidence cycle of 6,000 vertices: once the first root is deleted
+    # no cycle is left, and the search of the roots stops
+    old = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    report = None
+    try:
+        report = validate(block_cycle(3000))
+    except _Overran:
+        pass  # failed below, outside the handler, so the report has no interrupted frame
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert report is not None, "validate of the 3,000-block cycle ran over 2 s"
+    assert report.girth == 3000 and report.greechie_admissible
+
+
+class _Overran(BaseException):
+    pass
+
+
+def _overran(signum, frame):
+    raise _Overran()
 
 
 def test_max_loop_published_examples():

@@ -1,5 +1,6 @@
 import gc
 import math
+import signal
 import time
 
 import pytest
@@ -372,6 +373,39 @@ def test_twins_of_one_block_cost_one_refine_each(monkeypatch, k):
 def star(k: int) -> MmpDiagram:
     """k blocks through one centre; the other two atoms of each are twins."""
     return MmpDiagram(2 * k + 1, tuple((2 * i, 2 * i + 1, 2 * k) for i in range(k)))
+
+
+class _Overran(BaseException):
+    pass
+
+
+def _overran(signum, frame):
+    raise _Overran()
+
+
+@pytest.mark.parametrize("k", [40, 80])
+def test_canon_of_a_large_star_in_bounded_time(monkeypatch, k):
+    # the first path takes k refines, its last cell being two twins.  Each
+    # of its other nodes, at depth i, searches one child more, whose path
+    # takes k - 1 - i refines to a leaf that repeats the first leaf's code;
+    # the automorphism found puts the spoke ends left in one orbit.  That
+    # makes k(k + 1) / 2 refines.  With the orbits of the known
+    # automorphisms recomputed per child, k = 80 took 5 s
+    calls = counted_refines(monkeypatch)
+    d = star(k)
+    old = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, 1.5)
+    form = None
+    try:
+        form = canonical_form(d)
+    except _Overran:
+        pass  # failed below, outside the handler, so the report has no interrupted frame
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert form is not None, f"canon of the {k}-spoke star ran over 1.5 s"
+    assert form.automorphism_count == math.factorial(k) * 2**k
+    assert calls[0] == k * (k + 1) // 2
 
 
 def disjoint_blocks(k: int) -> MmpDiagram:
