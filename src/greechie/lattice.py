@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -60,7 +61,8 @@ class OmlPoset:
     """Order + orthocomplement of the pasted lattice of ``source``.
 
     Elements are held in a fixed order (zero, one, atoms, coatoms, block
-    interiors); ``leq`` and ``ortho`` answer from precomputed tables.
+    interiors); bit j of ``ups[i]`` is ``elements[i] <= elements[j]``.
+    ``leq`` and ``ortho`` answer from tables built on first use.
     """
 
     def __init__(self, source: MmpDiagram):
@@ -97,12 +99,18 @@ class OmlPoset:
                     if set(self.elements[i].subset) < set(self.elements[j].subset):
                         up[i] |= 1 << j  # S < T
         up[0] = (1 << len(self.elements)) - 1  # 0 <= everything
-        self._up = up
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        self._ortho = [self._orthocomplement(e) for e in self.elements]
+        self.ups = up
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def _index(self) -> dict[OmlElement, int]:
+        return {e: i for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def _ortho(self) -> list[OmlElement]:
+        return [self._orthocomplement(e) for e in self.elements]
 
     def index(self, x: OmlElement) -> int:
         try:
@@ -111,13 +119,10 @@ class OmlPoset:
             raise ForeignElement(f"{x!r} is not an element of this poset") from None
 
     def leq(self, x: OmlElement, y: OmlElement) -> bool:
-        return bool(self._up[self.index(x)] >> self.index(y) & 1)
+        return bool(self.ups[self.index(x)] >> self.index(y) & 1)
 
     def ortho(self, x: OmlElement) -> OmlElement:
         return self._ortho[self.index(x)]
-
-    def up_mask(self, x: OmlElement) -> int:
-        return self._up[self.index(x)]
 
     def _orthocomplement(self, x: OmlElement) -> OmlElement:
         if x.kind == ZERO:
@@ -173,11 +178,11 @@ class OmlPoset:
         n = len(self.elements)
         out = []
         for i in range(n):
-            strict_up = self._up[i] & ~(1 << i)
+            strict_up = self.ups[i] & ~(1 << i)
             for j in range(n):
                 if strict_up >> j & 1:
                     others = strict_up & ~(1 << j)
-                    if all(not (self._up[k] >> j & 1) for k in _bits(others)):
+                    if all(not (self.ups[k] >> j & 1) for k in _bits(others)):
                         out.append((self.elements[i].label(), self.elements[j].label()))
         return out
 

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 
 import pytest
 
@@ -115,6 +116,34 @@ def twin_rich(rng: random.Random, max_atoms: int) -> MmpDiagram:
     rng.shuffle(pi)
     rng.shuffle(blocks)
     return MmpDiagram(n, tuple(tuple(sorted(pi[a] for a in b)) for b in blocks))
+
+
+class _Overran(BaseException):
+    pass
+
+
+def _overran(signum, frame):
+    raise _Overran()
+
+
+def within(seconds: float, call, what: str):
+    """``call()``'s result, or a test failure when it runs over ``seconds``.
+
+    A ``SIGALRM`` timer interrupts a call that runs away, where a bound
+    checked after the call would never be reached.  The failure is raised
+    once the timer is cleared and the old handler is back, outside the
+    handler of the interrupt, so that the report has no interrupted frame.
+    """
+    old = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    except _Overran:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    pytest.fail(f"{what} ran over {seconds:g} s")
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 from greechie import lattice
 from greechie.diagram import MmpDiagram
 from greechie.lattice import OmlElement, OmlPoset, build_oml
+from greechie.states import StrongReport
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -488,6 +489,38 @@ def strong_set_by_vertices(d: MmpDiagram):
     decides every pair.
     """
     return first_failing_pair(build_oml(d), sorted(polytope_vertices(d)))
+
+
+def pairwise_strong_sweep(poset: OmlPoset, zero_masks) -> StrongReport:
+    """``states._strong_over`` as one XOR per (state, support atom) and one
+    test per pair: each state clears its bit from the column of every atom
+    it puts above 0, and each x tests the elements not above it one at a
+    time, lowest first, for the first y with m(y) = 1 on every state with
+    m(x) = 1 (against the zero element when no state has m(x) = 1).
+    """
+    n = poset.source.atom_count
+    everyone = (1 << len(zero_masks)) - 1
+    at_zero = [everyone] * n
+    for k, z in enumerate(zero_masks):
+        for a in range(n):
+            if not z >> a & 1:
+                at_zero[a] ^= 1 << k
+    ones = []
+    for up in poset.ups:
+        mask = everyone
+        for a in range(n):
+            if up >> (2 + n + a) & 1:  # x <= a', so m(x) = 1 needs m(a) = 0
+                mask &= at_zero[a]
+        ones.append(mask)
+    elements = poset.elements
+    for i, x in enumerate(elements):
+        rest = [j for j in range(len(elements)) if not poset.ups[i] >> j & 1]
+        if rest and not ones[i]:
+            return StrongReport(False, (x, elements[0]))
+        for j in rest:
+            if j and not ones[i] & ~ones[j]:
+                return StrongReport(False, (x, elements[j]))
+    return StrongReport(True, None)
 
 
 def refine_by_signatures(blocks, n: int, colors: list[int]) -> list[int]:

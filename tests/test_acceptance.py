@@ -226,7 +226,7 @@ def test_criterion_9_property_suites(rng):
                 vals[i] > vals[j]
                 for i in range(n)
                 for j in range(n)
-                if poset._up[i] >> j & 1
+                if poset.ups[i] >> j & 1
             ):
                 failures += 1
     # orthocomplement involution and order reversal, exhaustively
@@ -239,7 +239,7 @@ def test_criterion_9_property_suites(rng):
         if any(orth[orth[i]] != i for i in range(n)):
             failures += 1
         if any(
-            (poset._up[i] >> j & 1) != (poset._up[orth[j]] >> orth[i] & 1)
+            (poset.ups[i] >> j & 1) != (poset.ups[orth[j]] >> orth[i] & 1)
             for i in range(n)
             for j in range(n)
         ):

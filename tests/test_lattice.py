@@ -63,7 +63,7 @@ def test_order_matches_block_containment_oracle():
         poset = build_oml(d)
         for i, x in enumerate(poset.elements):
             for j, y in enumerate(poset.elements):
-                assert bool(poset._up[i] >> j & 1) == brute_leq(d, x, y), (d, x, y)
+                assert bool(poset.ups[i] >> j & 1) == brute_leq(d, x, y), (d, x, y)
 
 
 def test_foreign_element_rejected():
@@ -85,9 +85,9 @@ def test_ortho_involution_and_order_reversal_exhaustive():
 
 def _join(poset, i, j):
     """Least upper bound by brute force over the up-set intersection."""
-    inter = poset._up[i] & poset._up[j]
+    inter = poset.ups[i] & poset.ups[j]
     members = [k for k in range(len(poset)) if inter >> k & 1]
-    least = [k for k in members if all(poset._up[k] >> other & 1 for other in members)]
+    least = [k for k in members if all(poset.ups[k] >> other & 1 for other in members)]
     assert len(least) <= 1
     return least[0] if least else None
 
@@ -99,10 +99,10 @@ def test_orthomodularity_by_brute_force_joins():
         ortho_idx = [poset.index(poset.ortho(e)) for e in poset.elements]
         for i in range(n):
             for j in range(n):
-                if i != j and poset._up[i] >> j & 1:
+                if i != j and poset.ups[i] >> j & 1:
                     # x <= y: some z <= x' with x v z = y
                     down_xp = [
-                        k for k in range(n) if poset._up[k] >> ortho_idx[i] & 1
+                        k for k in range(n) if poset.ups[k] >> ortho_idx[i] & 1
                     ]
                     assert any(_join(poset, i, k) == j for k in down_xp), (entry.name, i, j)
 

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import signal
 from pathlib import Path
 
 import pytest
@@ -9,7 +8,7 @@ from greechie import corpus
 from greechie.diagram import load_diagram_line, parse_mmp
 from greechie.errors import NotAdmissible
 from greechie.render import render_dot
-from conftest import block_cycle
+from conftest import block_cycle, within
 
 RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus.json"
 
@@ -72,30 +71,13 @@ def test_render_73_atom_lattices_match_their_pinned_digests(name):
     assert hashlib.sha256(dot.encode()).hexdigest() == RENDER_73_SHA256[name]
 
 
-class _Overran(BaseException):
-    pass
-
-
-def _overran(signum, frame):
-    raise _Overran()
-
-
 @pytest.mark.parametrize("name", ["73-73", "73-78-ngv", "73-78-single"])
 def test_render_73_atom_lattices_in_bounded_time(name):
     d = corpus.diagram(name)
     drawn = []
-    # the alarm interrupts a search that runs away; a bound checked after
-    # the call would never be reached
-    old = signal.signal(signal.SIGALRM, _overran)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        first = render_dot(d, on_loop=drawn.append)
-        second = render_dot(d)
-    except _Overran:
-        pytest.fail(f"render_dot({name}) ran over 1 s")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
+    first, second = within(
+        1.0, lambda: (render_dot(d, on_loop=drawn.append), render_dot(d)), f"render_dot({name})"
+    )
     assert first == second
     nodes = [ln for ln in first.splitlines() if ln.startswith('  "') and "--" not in ln]
     assert len(nodes) == d.atom_count
@@ -108,15 +90,11 @@ def test_render_73_atom_lattices_in_bounded_time(name):
 def test_render_a_long_block_cycle_in_bounded_time():
     # the loop search follows one chain of 1,200 blocks and stops at the cap
     drawn = []
-    old = signal.signal(signal.SIGALRM, _overran)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
-        dot = render_dot(block_cycle(1200), on_loop=drawn.append)
-    except _Overran:
-        pytest.fail("render_dot of the 1,200-block cycle ran over 5 s")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
+    dot = within(
+        5.0,
+        lambda: render_dot(block_cycle(1200), on_loop=drawn.append),
+        "render_dot of the 1,200-block cycle",
+    )
     nodes = [ln for ln in dot.splitlines() if ln.startswith('  "') and "--" not in ln]
     assert len(nodes) == 2400 and all("pos=" in ln for ln in nodes)
     (loop,) = drawn

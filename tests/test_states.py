@@ -8,12 +8,15 @@ import pytest
 from greechie import corpus
 from greechie.diagram import MmpDiagram, incidence, parse_mmp, twin_classes
 from greechie.errors import Infeasible, LengthMismatch, NotAdmissible, NotValidated
-from greechie.lattice import ATOM, ZERO, build_oml
+from greechie.lattice import ATOM, COATOM, ZERO, build_oml
 from greechie.cli import main
 from greechie.diagram import serialize_mmp
 from greechie.linprog import gauss_affine, vertices
+from greechie.generate import GenSpec, generate
 from greechie.states import (
     Classification,
+    _classify,
+    _strong_over,
     admits_strong_01_set,
     admits_strong_set,
     atom_range,
@@ -22,13 +25,21 @@ from greechie.states import (
     is_state,
 )
 from greechie.structure import drop_blocks, validate
-from conftest import random_admissible, random_diagram, random_looped, random_mmp, twin_rich
+from conftest import (
+    random_admissible,
+    random_diagram,
+    random_looped,
+    random_mmp,
+    twin_rich,
+    within,
+)
 from oracles import (
     block_order_01_states,
     block_rows,
     brute_01_states,
     dense_gauss_affine,
     first_failing_pair,
+    pairwise_strong_sweep,
     polytope_vertices,
     strong_set_by_vertices,
 )
@@ -490,6 +501,66 @@ def test_strong_sets_with_block_interiors_match_oracles(rng):
         assert rep01.admits == (rep01.witness_pair is None)
         interiors += any(len(b) >= 4 for b in d.blocks)
     assert interiors > 10
+
+
+def _with_pendants(d: MmpDiagram, rng) -> MmpDiagram:
+    """``d`` with one or two new atoms added to each of up to three random
+    blocks: admissible if ``d`` is, as a new atom lies on one block only."""
+    blocks, n = [list(b) for b in d.blocks], d.atom_count
+    for b in rng.sample(blocks, min(len(blocks), rng.randrange(4))):
+        k = rng.randrange(1, 3)
+        b += range(n, n + k)
+        n += k
+    return MmpDiagram(n, tuple(map(tuple, blocks)))
+
+
+def test_strong_sweep_matches_the_pairwise_reference(rng):
+    # the same report as one test per pair, on the corpus, the 84 classes
+    # the benchmark's census specs emit and 400 random admissible diagrams of
+    # 3- to 5-atom blocks: forests, diagrams with loops and sub-diagrams of
+    # the corpus lattices, a third of which admit no strong set.  Each is
+    # swept over its vertices, also shuffled, its 0-1 states, a random subset
+    # of its vertices, on which pairs past the zero element fail, and no
+    # state at all
+    pool = [corpus.diagram(name) for name in corpus.names()]
+    for spec in (GenSpec(12, 6), GenSpec(13, 6), GenSpec(14, 7), GenSpec(15, 7)):
+        generate(spec, lambda line: pool.append(parse_mmp(line)))
+    assert len(pool) == 18 + 84
+    lattices = [name for name in corpus.names() if not name.startswith("73")]
+    sources = [
+        lambda: random_admissible(rng, max_blocks=6, sizes=(3, 4, 5)),
+        lambda: _with_pendants(random_looped(rng, max_atoms=12), rng),
+        lambda: _with_pendants(
+            drop_blocks(corpus.diagram(rng.choice(lattices)), {rng.randrange(35)})[0], rng
+        ),
+    ]
+    randoms = [sources[i % 3]() for i in range(400)]
+    decided, failing = Counter(), Counter()
+    for i, d in enumerate(pool + randoms):
+        assert validate(d).greechie_admissible
+        poset = build_oml(d)
+        s = _classify(d)
+        rep = pairwise_strong_sweep(poset, s.zero_masks)
+        assert _strong_over(poset, s.zero_masks) == rep, serialize_mmp(d)
+        shuffled = list(s.zero_masks)
+        rng.shuffle(shuffled)
+        assert _strong_over(poset, shuffled) == rep, serialize_mmp(d)
+        decided[rep.admits] += i >= len(pool)
+        subset = rng.sample(shuffled, rng.randrange(len(shuffled) + 1))
+        for masks in (s.zero_one_masks, subset, ()):
+            rep = pairwise_strong_sweep(poset, masks)
+            assert _strong_over(poset, masks) == rep, serialize_mmp(d)
+            failing[None if rep.admits else rep.witness_pair[1].kind] += 1
+    assert min(decided[True], decided[False]) > 100, decided
+    assert failing[ATOM] + failing[COATOM] > 200, failing
+
+
+def test_admits_strong_set_on_eleven_disjoint_blocks_in_bounded_time():
+    # 3^11 = 177,147 vertices, all 0-1 states.  One XOR per state and
+    # support atom, and one bit extraction per pair, took 3 s for the sweep
+    d = MmpDiagram(33, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(11)))
+    rep = within(1.0, lambda: admits_strong_set(d), "admits_strong_set on 11 disjoint blocks")
+    assert rep.admits and rep.witness_pair is None
 
 
 def test_admits_strong_set_fails_past_the_zero_pair():

@@ -1,4 +1,3 @@
-import signal
 from dataclasses import replace
 
 import pytest
@@ -23,7 +22,14 @@ from greechie.structure import (
 )
 from greechie.structure import _shortest_incidence_cycle
 from greechie.symmetry import Permutation, are_isomorphic, relabel
-from conftest import block_cycle, random_admissible, random_diagram, random_looped, random_mmp
+from conftest import (
+    block_cycle,
+    random_admissible,
+    random_diagram,
+    random_looped,
+    random_mmp,
+    within,
+)
 from oracles import (
     SPENT,
     bfs_components,
@@ -343,26 +349,8 @@ def test_shortest_cycle_is_the_reference_witness(rng):
 def test_validate_a_ring_of_3000_blocks_in_bounded_time():
     # one incidence cycle of 6,000 vertices: once the first root is deleted
     # no cycle is left, and the search of the roots stops
-    old = signal.signal(signal.SIGALRM, _overran)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    report = None
-    try:
-        report = validate(block_cycle(3000))
-    except _Overran:
-        pass  # failed below, outside the handler, so the report has no interrupted frame
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-    assert report is not None, "validate of the 3,000-block cycle ran over 2 s"
+    report = within(2.0, lambda: validate(block_cycle(3000)), "validate of the 3,000-block cycle")
     assert report.girth == 3000 and report.greechie_admissible
-
-
-class _Overran(BaseException):
-    pass
-
-
-def _overran(signum, frame):
-    raise _Overran()
 
 
 def test_max_loop_published_examples():

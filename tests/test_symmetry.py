@@ -1,6 +1,5 @@
 import gc
 import math
-import signal
 import time
 
 import pytest
@@ -10,7 +9,7 @@ from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import NotValidated, SizeMismatch
 from greechie.generate import GenSpec, generate
 from greechie.render import render_dot
-from greechie.states import enumerate_01_states
+from greechie.states import admits_strong_set, enumerate_01_states
 from greechie.structure import dual, girth, is_connected, max_loop, mmp_checks, validate
 from greechie.symmetry import (
     Permutation,
@@ -21,7 +20,7 @@ from greechie.symmetry import (
     is_self_dual,
     relabel,
 )
-from conftest import block_cycle, random_diagram, random_mmp, twin_rich
+from conftest import block_cycle, random_diagram, random_mmp, twin_rich, within
 from oracles import brute_automorphism_count, closure_order, refine_by_signatures
 
 PENTAGON = "123,345,567,789,9A1."
@@ -375,14 +374,6 @@ def star(k: int) -> MmpDiagram:
     return MmpDiagram(2 * k + 1, tuple((2 * i, 2 * i + 1, 2 * k) for i in range(k)))
 
 
-class _Overran(BaseException):
-    pass
-
-
-def _overran(signum, frame):
-    raise _Overran()
-
-
 @pytest.mark.parametrize("k", [40, 80])
 def test_canon_of_a_large_star_in_bounded_time(monkeypatch, k):
     # the first path takes k refines, its last cell being two twins.  Each
@@ -393,17 +384,7 @@ def test_canon_of_a_large_star_in_bounded_time(monkeypatch, k):
     # automorphisms recomputed per child, k = 80 took 5 s
     calls = counted_refines(monkeypatch)
     d = star(k)
-    old = signal.signal(signal.SIGALRM, _overran)
-    signal.setitimer(signal.ITIMER_REAL, 1.5)
-    form = None
-    try:
-        form = canonical_form(d)
-    except _Overran:
-        pass  # failed below, outside the handler, so the report has no interrupted frame
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-    assert form is not None, f"canon of the {k}-spoke star ran over 1.5 s"
+    form = within(1.5, lambda: canonical_form(d), f"canon of the {k}-spoke star")
     assert form.automorphism_count == math.factorial(k) * 2**k
     assert calls[0] == k * (k + 1) // 2
 
@@ -510,18 +491,21 @@ def test_refines_of_the_7_spoke_star_and_35_35a(monkeypatch):
 
 
 def test_recursive_searches_leave_no_garbage():
-    # each of these searches recurses through a nested function, which holds
-    # itself through its closure cell unless the cell is cleared; nothing
-    # may be left for the cyclic collector
+    # nothing may be left for the cyclic collector.  The canonical search
+    # recurses through a nested function, which holds itself through its
+    # closure cell unless the cell is cleared; the loop search and the states
+    # layer run loops over explicit lists, and are checked for cycles all the
+    # same
     d = corpus.diagram("35-35a")
     calls = [
         lambda: canonical_form(d),
         lambda: is_self_dual(d),
         lambda: enumerate_01_states(d),
+        lambda: admits_strong_set(d),
         lambda: max_loop(d, budget=100),  # the budget runs out
         lambda: render_dot(d),  # the budgeted max_loop of render
         lambda: max_loop(corpus.diagram("36-36")),  # the search finishes
-        lambda: generate(GenSpec(12, 6), lambda line: None),  # generate._candidates
+        lambda: generate(GenSpec(12, 6), lambda line: None),  # a canonical search per node
     ]
     gc.disable()
     try:
