@@ -20,10 +20,10 @@ from . import corpus
 from .diagram import MmpDiagram, iter_mmp_lines, load_diagram_line
 from .errors import BadCheckpoint, InvalidSpec, MmpError, NotAdmissible, NotValidated, TooLarge
 from .generate import GenSpec, brute_force_generate, generate
-from .lattice import build_oml
+from .lattice import OmlPoset, build_oml
 from .render import LOOP_BUDGET, render_dot
 from .states import Classification, _classify, _strong_over, classify_states, is_state
-from .structure import validate
+from .structure import _require_mmp_then_admissible, validate
 from .symmetry import canonical_form, is_self_dual
 
 OK, CLAIM_MISMATCH, FORMAT_ERROR, BAD_SPEC = 0, 1, 2, 3
@@ -82,7 +82,11 @@ def cmd_validate(args) -> int:
 
 
 def _summary_json(d: MmpDiagram, args) -> dict:
-    summary = classify_states(d)
+    pasted = args.zero_one or args.strong
+    if pasted:
+        # classify_states's check and build_oml's, in that order, from one validation
+        _require_mmp_then_admissible(d)
+    summary = _classify(d) if pasted else classify_states(d)
     doc: dict = {"classification": summary.classification.value}
     if summary.classification is Classification.EXACTLY_ONE:
         doc["unique_state"] = [str(v) for v in summary.unique_state]
@@ -96,7 +100,7 @@ def _summary_json(d: MmpDiagram, args) -> dict:
             [str(v) for v in summary.witness_state],
             [str(v) for v in summary.second_witness],
         ]
-    poset = build_oml(d) if args.zero_one or args.strong else None
+    poset = OmlPoset._pasted(d) if pasted else None
     strong = _strong_over(poset, summary.zero_masks) if args.strong else None
     if args.zero_one:
         zeros = summary.zero_one_masks
@@ -233,7 +237,7 @@ def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
             if set(summary.unique_state) != {entry.unique_state_value}:
                 problems.append("unique state is not uniformly the claimed value")
     if entry.element_count is not None:
-        ec = len(poset.elements)
+        ec = len(poset)
         if ec != entry.element_count:
             problems.append(f"element count {ec} != {entry.element_count}")
     if entry.self_dual is not None:

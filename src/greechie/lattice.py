@@ -60,20 +60,31 @@ def _atom_name(a: int) -> str:
 class OmlPoset:
     """Order + orthocomplement of the pasted lattice of ``source``.
 
-    Elements are held in a fixed order (zero, one, atoms, coatoms, block
-    interiors); bit j of ``ups[i]`` is ``elements[i] <= elements[j]``.
-    ``leq`` and ``ortho`` answer from tables built on first use.
+    The order is ``ups``, over the elements in a fixed order (zero, one,
+    atoms, coatoms, block interiors): bit j of ``ups[i]`` is element i <=
+    element j.  The element objects are built only when named: ``element(i)``
+    builds one, and ``elements`` all of them on first access.  ``leq`` and
+    ``ortho`` answer from tables built on first use.
     """
 
     def __init__(self, source: MmpDiagram):
         require_admissible(source)
+        self._paste(source)
+
+    @classmethod
+    def _pasted(cls, source: MmpDiagram) -> OmlPoset:
+        """The lattice of ``source``, which the caller has found admissible."""
+        poset = cls.__new__(cls)
+        poset._paste(source)
+        return poset
+
+    def _paste(self, source: MmpDiagram) -> None:
         self.source = source
         n = source.atom_count
-        self.elements: list[OmlElement] = [OmlElement(ZERO), OmlElement(ONE)]
-        self.elements += [OmlElement(ATOM, atom=a) for a in range(n)]
-        self.elements += [OmlElement(COATOM, atom=a) for a in range(n)]
-        # Bit j of up[i] is elements[i] <= elements[j]: the union of the
-        # block orders.  Atom a sits at 2 + a, coatom a' at 2 + n + a, and a
+        # (block, subset) of each interior, element 2 + 2n + k for the k-th
+        self._interiors: list[tuple[int, tuple[int, ...]]] = []
+        # Bit j of up[i] is element i <= element j: the union of the block
+        # orders.  Atom a sits at 2 + a, coatom a' at 2 + n + a, and a
         # coatom lies below only itself and 1.
         up = [1 << i | 1 << 1 for i in range(2 + 2 * n)]  # x <= x <= 1
         for bi, block in enumerate(source.blocks):
@@ -81,11 +92,13 @@ class OmlPoset:
                 for b in block:
                     if b != a:
                         up[2 + a] |= 1 << (2 + n + b)  # a <= b'
-            first = len(self.elements)
+            first = len(up)
+            subsets = []
             for size in range(2, len(block) - 1):
                 for sub in combinations(block, size):
-                    i = len(self.elements)
-                    self.elements.append(OmlElement(MID, block=bi, subset=sub))
+                    i = len(up)
+                    self._interiors.append((bi, sub))
+                    subsets.append(set(sub))
                     up.append(1 << i | 1 << 1)
                     for a in block:
                         if a in sub:
@@ -94,15 +107,28 @@ class OmlPoset:
                             up[i] |= 1 << (2 + n + a)  # S <= a'
             # Interiors come in ascending size, so every strict superset of
             # an interior S of this block comes after it.
-            for i in range(first, len(self.elements)):
-                for j in range(i + 1, len(self.elements)):
-                    if set(self.elements[i].subset) < set(self.elements[j].subset):
-                        up[i] |= 1 << j  # S < T
-        up[0] = (1 << len(self.elements)) - 1  # 0 <= everything
+            for i, s in enumerate(subsets):
+                for j in range(i + 1, len(subsets)):
+                    if s < subsets[j]:
+                        up[first + i] |= 1 << (first + j)  # S < T
+        up[0] = (1 << len(up)) - 1  # 0 <= everything
         self.ups = up
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.ups)
+
+    def element(self, i: int) -> OmlElement:
+        """Element i of the order, built on its own."""
+        n = self.source.atom_count
+        if i < 2:
+            return OmlElement(ONE if i else ZERO)
+        if i < 2 + 2 * n:
+            return OmlElement(ATOM if i < 2 + n else COATOM, atom=(i - 2) % n)
+        return OmlElement(MID, None, *self._interiors[i - 2 - 2 * n])
+
+    @cached_property
+    def elements(self) -> list[OmlElement]:
+        return [self.element(i) for i in range(len(self.ups))]
 
     @cached_property
     def _index(self) -> dict[OmlElement, int]:

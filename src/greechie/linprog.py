@@ -1,19 +1,16 @@
-"""Exact rational linear algebra over polyhedra.
+"""Exact linear algebra over polyhedra, in integers; nothing is rounded.
 
-Nothing here is ever rounded.  :func:`gauss_affine`, the one elimination
-routine, solves a linear system over the integers on sparse rows and
-divides by its pivots only at the end; :func:`vertices` lists the vertices
-of {x >= 0 : A x = b} from that solution by double description, with
-integer rays and bitmask zero sets.
+:func:`_reduce`, the one elimination core, reduces a linear system over the
+integers on sparse rows, and :func:`_rays` reads its solutions off as coprime
+integer rays.  :func:`vertices` lists the vertices of {x >= 0 : A x = b} from
+them by double description, with bitmask zero sets; :func:`gauss_affine`
+divides them out into ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def gauss_affine(
@@ -24,23 +21,34 @@ def gauss_affine(
     Returns (particular solution, nullspace basis) with free variables set
     to zero and each basis vector 1 in its own free column, or ``None`` if
     the system is inconsistent.  Both are read off the reduced row echelon
-    form, which is unique, so any elimination order gives the same answer.
+    form, which is unique, so any elimination order gives the same answer:
+    each is a ray of :func:`_rays` divided by its entry in its own column.
+    """
+    solved = _rays(rows, rhs)
+    if solved is None:
+        return None
+    free, rays = solved  # free[-1] is n, the column of s
+    *basis, x0 = ([Fraction(v, r[k]) for v in r[: free[-1]]] for k, r in zip(free, rays))
+    return x0, basis
+
+
+def _reduce(rows: list[list[int | Fraction]], rhs: list[int | Fraction], n: int):
+    """The reduced echelon rows of ``rows · x = rhs`` on ``n`` columns, as
+    (pivot column, row) in column order, or ``None`` if inconsistent.
 
     The elimination is sparse and fraction-free.  Each row, scaled to
-    integers, is a ``{column: value}`` dict with the right-hand side in
-    column n.  Pivot columns are taken in order; the pivot row is the
-    remaining row with the fewest nonzeros (the first on ties), which keeps
-    fill-in low, and each combined row is divided by its content, the gcd
-    of its entries, which keeps the integers small.  A backward pass clears
-    each pivot column above its pivot, and only then are the pivots divided
-    out.
+    integers, is a ``{column: value}`` dict with -rhs in column n, so that
+    it reads row · (x, s) = 0.  Pivot columns are taken in order; the pivot
+    row is the remaining row with the fewest nonzeros (the first on ties),
+    which keeps fill-in low, and each combined row is divided by its
+    content, the gcd of its entries, which keeps the integers small.  A
+    backward pass clears each pivot column above its pivot.
     """
-    n = len(rows[0]) if rows else 0
     active: list[dict[int, int]] = []
     for row, b in zip(rows, rhs):
         r = {j: v for j, v in enumerate(row) if v}
         if b:
-            r[n] = b
+            r[n] = -b
         if r:
             den = lcm(*(v.denominator for v in r.values()))
             active.append({j: int(v * den) for j, v in r.items()})
@@ -65,20 +73,7 @@ def gauss_affine(
         for i, (c, r) in enumerate(pivots[:k]):
             if col in r:
                 pivots[i] = (c, _cancel(r, prow, col))
-    x0 = [ZERO] * n
-    for col, r in pivots:
-        x0[col] = Fraction(r.get(n, 0), r[col])
-    pivot_cols = {col for col, _ in pivots}
-    basis = []
-    for free in range(n):
-        if free not in pivot_cols:
-            v = [ZERO] * n
-            v[free] = ONE
-            for col, r in pivots:
-                if free in r:
-                    v[col] = Fraction(-r[free], r[col])
-            basis.append(v)
-    return x0, basis
+    return pivots
 
 
 def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
@@ -96,6 +91,33 @@ def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, in
     return {j: v // g for j, v in out.items()} if g > 1 else out
 
 
+def _rays(rows: list[list[int | Fraction]], rhs: list[int | Fraction]):
+    """The solutions (x, s) of ``rows · x = s · rhs`` as (free columns, rays),
+    or ``None`` if ``rows · x = rhs`` is inconsistent.
+
+    The free columns are those without a pivot, in order, then n, that of s.
+    Ray k is the coprime integer solution positive on free column k and 0 on
+    the others: those of x's columns span the nullspace, and the last ray is
+    the particular solution, with s > 0.
+    """
+    n = len(rows[0]) if rows else 0
+    pivots = _reduce(rows, rhs, n)
+    if pivots is None:
+        return None
+    pivot_cols = {col for col, _ in pivots}
+    free = [k for k in range(n + 1) if k not in pivot_cols]
+    rays = []
+    for k in free:
+        held = [(col, r) for col, r in pivots if k in r]
+        ray = [0] * (n + 1)
+        ray[k] = lcm(*(abs(r[col]) for col, r in held))
+        for col, r in held:  # r[col] x_col + r[k] x_k = 0
+            ray[col] = -r[k] * ray[k] // r[col]
+        g = gcd(*ray)
+        rays.append(tuple(v // g for v in ray))
+    return free, rays
+
+
 def vertices(
     rows: list[list[int | Fraction]], rhs: list[int | Fraction]
 ) -> tuple[list[tuple[int, ...]], int, list[int]]:
@@ -104,35 +126,37 @@ def vertices(
     denominator, each with the mask of its j with x_j = 0; ([], 1, []) if none.
 
     By the double-description method (Motzkin, Raiffa, Thompson & Thrall
-    1953; Fukuda & Prodon 1996).  :func:`gauss_affine` writes the solutions
-    as x = x0 + N t with t the values on the free columns.  Homogenized by
-    s >= 0, the points (x, s) with x = s x0 + N t form a cone, which starts
-    as the one where only t >= 0 and s >= 0 are imposed; its extreme rays
-    are (N_i, 0) and (x0, 1), kept in integers.  Each pivot column p then
-    adds the inequality x_p >= 0: the rays with x_p < 0 go, and each ray
-    with x_p > 0 that is adjacent to one of them makes a new ray with
-    x_p = 0.  Two rays are adjacent when no third ray is zero on every
-    coordinate imposed so far on which both are zero, tested on zero-set
-    bitmasks.  The rays with s > 0 are the vertices; any with s = 0 are
-    directions in which the polyhedron is unbounded, and are left out.
+    1953; Fukuda & Prodon 1996), in integers.  The solutions are x = x0 + N t
+    with t the values on the free columns.  Homogenized by s >= 0, the points
+    (x, s) with x = s x0 + N t form a cone, which starts as the one where
+    only t >= 0 and s >= 0 are imposed; its extreme rays are those of
+    :func:`_rays`.  Each pivot column p then adds x_p >= 0: one pass splits
+    the rays by the sign of x_p, those with x_p < 0 go, and each with
+    x_p > 0 that is adjacent to one of them makes a new ray with x_p = 0.
+    Two rays are adjacent when no third ray is zero on every coordinate
+    imposed so far on which both are zero, tested on zero-set bitmasks.  The
+    rays with s > 0 are the vertices; any with s = 0 are directions in which
+    the polyhedron is unbounded, and are left out.
     """
-    affine = gauss_affine(rows, rhs)
-    if affine is None:
+    solved = _rays(rows, rhs)
+    if solved is None:
         return [], 1, []
-    x0, basis = affine
-    n = len(x0)
-    rays = [_integral(v + [ZERO]) for v in basis] + [_integral(x0 + [ONE])]
-    # s >= 0 and t >= 0; in reduced echelon form the last nonzero of a
-    # basis vector is its free column
-    imposed = 1 << n | sum(1 << max(j for j, v in enumerate(b) if v) for b in basis)
-    zeros = [sum(1 << j for j, v in enumerate(r) if imposed >> j & 1 and not v) for r in rays]
+    free, rays = solved
+    n = free[-1]
+    # s >= 0 and t >= 0; each first ray is zero on every free column but its own
+    imposed = sum(1 << k for k in free)
+    zeros = [imposed ^ 1 << k for k in free]
     for col in [c for c in range(n) if not imposed >> c & 1]:  # the pivot columns
         tight = 1 << col
-        kept = [q for q, r in enumerate(rays) if r[col] >= 0]
-        positive = [q for q in kept if rays[q][col]]
-        negative = [q for q, r in enumerate(rays) if r[col] < 0]
-        new_rays = [rays[q] for q in kept]
-        new_zeros = [zeros[q] | tight if not rays[q][col] else zeros[q] for q in kept]
+        new_rays, new_zeros, positive, negative = [], [], [], []
+        for q, r in enumerate(rays):
+            if r[col] < 0:
+                negative.append(q)
+            else:
+                new_rays.append(r)
+                new_zeros.append(zeros[q] if r[col] else zeros[q] | tight)
+                if r[col]:
+                    positive.append(q)
         if negative:
             # per imposed coordinate, the mask of the rays zero on it
             holders = [0] * (n + 1)
@@ -145,9 +169,9 @@ def vertices(
             for p in positive:
                 vp = rays[p][col]
                 for q in negative:
-                    # adjacent rays are both zero on len(basis) - 1 independent coordinates
+                    # adjacent rays are both zero on len(free) - 2 independent coordinates
                     common = zeros[p] & zeros[q]
-                    if common.bit_count() < len(basis) - 1:
+                    if common.bit_count() < len(free) - 2:
                         continue
                     pair = 1 << p | 1 << q
                     shared = everyone
@@ -169,9 +193,3 @@ def vertices(
     den = lcm(*(r[n] for r, _ in kept))
     points = sorted((tuple(v * (den // r[n]) for v in r[:n]), z) for r, z in kept)
     return [p for p, _ in points], den, [z for _, z in points]
-
-
-def _integral(vector: list[Fraction]) -> tuple[int, ...]:
-    """``vector`` times the lcm of its denominators: coprime, as one entry is 1."""
-    den = lcm(*(v.denominator for v in vector))
-    return tuple(v.numerator * (den // v.denominator) for v in vector)

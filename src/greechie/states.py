@@ -216,7 +216,6 @@ def _strong_over(poset: OmlPoset, zero_masks: Sequence[int]) -> StrongReport:
     # per element x, the k with m(x) = 1 in state k.  m(x) = 1 - m(x'), and
     # atom values are nonnegative, so m(x) = 1 exactly when m is 0 on every
     # atom a below x', that is every a with x <= a'; coatom a' is element 2 + n + a
-    elements = poset.elements
     ones = []
     for up in poset.ups:
         mask = everyone
@@ -226,15 +225,16 @@ def _strong_over(poset: OmlPoset, zero_masks: Sequence[int]) -> StrongReport:
             coatoms ^= low
             mask &= at_zero[low.bit_length() - 1]
         ones.append(mask)
-    everything = (1 << len(elements)) - 1
-    for x, up, mask in zip(elements, poset.ups, ones):
+    # element objects are built only for the pair returned
+    everything = (1 << len(ones)) - 1
+    for i, (up, mask) in enumerate(zip(poset.ups, ones)):
         if not mask and everything & ~up:
-            return StrongReport(False, (x, elements[0]))
+            return StrongReport(False, (poset.element(i), poset.element(0)))
         # otherwise the first pair to fail is (x, y) for the first y, not 0
         # and not above x, with m(y) = 1 on every state with m(x) = 1
         for j, other in enumerate(ones):
             if other & mask == mask and j and not up >> j & 1:
-                return StrongReport(False, (x, elements[j]))
+                return StrongReport(False, (poset.element(i), poset.element(j)))
     return StrongReport(True, None)
 
 

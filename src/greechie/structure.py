@@ -125,16 +125,29 @@ def validate(d: MmpDiagram) -> ValidationReport:
     )
 
 
+_NOT_MMP = "diagram fails MMP conditions (i)-(iii)"
+_NOT_ADMISSIBLE = "operation requires a Greechie-admissible diagram"
+
+
 def require_mmp(d: MmpDiagram) -> None:
     """Raise ``NotValidated`` unless the MMP conditions (i)-(iii) hold."""
     if not all(mmp_checks(d)):
-        raise NotValidated("diagram fails MMP conditions (i)-(iii)")
+        raise NotValidated(_NOT_MMP)
 
 
 def require_admissible(d: MmpDiagram) -> None:
     """Raise ``NotAdmissible`` unless the diagram is Greechie-admissible."""
     if not validate(d).greechie_admissible:
-        raise NotAdmissible("operation requires a Greechie-admissible diagram")
+        raise NotAdmissible(_NOT_ADMISSIBLE)
+
+
+def _require_mmp_then_admissible(d: MmpDiagram) -> None:
+    """:func:`require_mmp`, then :func:`require_admissible`, from one :func:`validate`."""
+    rep = validate(d)
+    if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
+        raise NotValidated(_NOT_MMP)
+    if not rep.greechie_admissible:
+        raise NotAdmissible(_NOT_ADMISSIBLE)
 
 
 def girth(d: MmpDiagram) -> int | None:

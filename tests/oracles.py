@@ -337,6 +337,19 @@ def _rank(rows: list[list[Fraction]]) -> int:
     return len(rows[0]) - len(null)
 
 
+def eager_elements(d: MmpDiagram) -> list[OmlElement]:
+    """The elements of the pasted lattice in ``OmlPoset``'s order, all built
+    at once: 0, 1, the atoms, the coatoms, then each block's interiors, its
+    subsets of 2 to size - 2 atoms, in ascending size."""
+    out = [OmlElement(lattice.ZERO), OmlElement(lattice.ONE)]
+    out += [OmlElement(lattice.ATOM, atom=a) for a in range(d.atom_count)]
+    out += [OmlElement(lattice.COATOM, atom=a) for a in range(d.atom_count)]
+    for bi, block in enumerate(d.blocks):
+        for size in range(2, len(block) - 1):
+            out += [OmlElement(lattice.MID, block=bi, subset=s) for s in combinations(block, size)]
+    return out
+
+
 @lru_cache(maxsize=1024)
 def block_forms(d: MmpDiagram, e: OmlElement) -> dict[int, frozenset]:
     """Each block holding lattice element ``e``, mapped to the set of its

@@ -106,16 +106,26 @@ def test_states_parse_error_carries_file(tmp_path, capsys):
     assert doc == {"file": f, "line": 1, "error": "MMP line must end with a full stop"}
 
 
-@pytest.mark.parametrize("flag", ["--strong", "--zero-one"])
-def test_states_requirement_errors(tmp_path, capsys, flag):
-    # blocks below 3 atoms fail (i)-(iii); the square is MMP but has a loop of order 4
-    f = write(tmp_path, "e.mmp", "12,34.\n" + SQUARE + "\n")
-    assert main(["states", flag, f]) == 2
+@pytest.mark.parametrize("flag", ["--strong", "--zero-one", "--strong --zero-one"])
+def test_states_requirement_errors(tmp_path, capsys, monkeypatch, flag):
+    # blocks below 3 atoms fail (i)-(iii); the square is MMP but has a loop
+    # of order 4; the pentagon passes.  Each line runs the checks once, for
+    # the classification and the pasted lattice alike
+    from greechie import structure
+
+    checked = []
+    checks = structure._checks
+    monkeypatch.setattr(structure, "_checks", lambda d: checked.append(d) or checks(d))
+    lines = ["12,34.", SQUARE, PENTAGON]
+    f = write(tmp_path, "e.mmp", "".join(line + "\n" for line in lines))
+    assert main(["states", *flag.split(), f]) == 2
     docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert docs == [
+    assert docs[:2] == [
         {"file": f, "line": 1, "error": "diagram fails MMP conditions (i)-(iii)"},
         {"file": f, "line": 2, "error": "operation requires a Greechie-admissible diagram"},
     ]
+    assert docs[2]["classification"] == "MoreThanOne"
+    assert checked == [load_diagram_line(line) for line in lines]
 
 
 def test_states_internal_errors_surface(tmp_path, monkeypatch):

@@ -10,7 +10,8 @@ from greechie.diagram import MmpDiagram, parse_mmp
 from greechie.errors import ForeignElement, NotAdmissible, NotAState
 from greechie.lattice import ATOM, COATOM, MID, OmlElement, build_oml, extend_state, leq, ortho
 from greechie.states import classify_states
-from oracles import brute_leq
+from greechie.structure import element_count
+from oracles import brute_leq, eager_elements
 
 F = Fraction
 
@@ -64,6 +65,24 @@ def test_order_matches_block_containment_oracle():
         for i, x in enumerate(poset.elements):
             for j, y in enumerate(poset.elements):
                 assert bool(poset.ups[i] >> j & 1) == brute_leq(d, x, y), (d, x, y)
+
+
+def test_elements_are_built_when_named_and_match_the_eager_list():
+    # On the corpus and on random pastings of 3- to 6-atom blocks, whose
+    # interiors come after the coatoms: pasting builds no element object,
+    # and the ones built later, one at a time or all at once, are the eager
+    # list's, as many as the closed-form count
+    rng = random.Random(1972)
+    diagrams = [entry.diagram() for entry in corpus.ENTRIES]
+    for sizes in ((3, 4), (5,), (6,), (3, 4, 5, 6)):
+        diagrams += [random_admissible(rng, max_blocks=5, sizes=sizes) for _ in range(15)]
+    for d in diagrams:
+        poset = build_oml(d)
+        assert "elements" not in vars(poset)
+        want = eager_elements(d)
+        assert len(poset) == len(want) == element_count(d)
+        assert [poset.element(i) for i in range(len(poset))] == want
+        assert poset.elements == want
 
 
 def test_foreign_element_rejected():

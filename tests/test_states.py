@@ -613,13 +613,40 @@ def test_admits_strong_01_set_examples():
 
 
 def test_strong_set_monotonicity(rng):
-    # a subset of the states can only fail more pairs
-    for _ in range(30):
-        d = random_admissible(rng, max_blocks=4)
+    # a subset of the states can only fail more pairs.  The random forests
+    # all admit a strong set; the corpus lattices with one block dropped,
+    # a third of the diagrams here, admit none, so the implication is tested
+    lattices = [name for name in corpus.names() if not name.startswith("73")]
+    diagrams = [random_admissible(rng, max_blocks=4) for _ in range(30)]
+    for _ in range(15):
+        d = corpus.diagram(rng.choice(lattices))
+        diagrams.append(drop_blocks(d, {rng.randrange(d.block_count)})[0])
+    fired = 0
+    for d in diagrams:
         if not validate(d).greechie_admissible:
             continue
         if not admits_strong_set(d).admits:
             assert not admits_strong_01_set(d).admits
+            fired += 1
+    assert fired >= 10, fired
+
+
+def test_strong_sweep_builds_elements_only_to_name_a_failing_pair(rng):
+    # The sweep reads the order alone, so it leaves the element list unbuilt,
+    # whether a strong set exists or not; its answers are the oracle's
+    lattices = [name for name in corpus.names() if not name.startswith("73")]
+    diagrams = [corpus.diagram(name) for name in lattices]
+    diagrams += [random_admissible(rng, max_blocks=5, sizes=(3, 4, 5, 6)) for _ in range(40)]
+    decided = Counter()
+    for d in diagrams:
+        poset = build_oml(d)
+        s = _classify(d)
+        reps = {masks: _strong_over(poset, masks) for masks in (s.zero_masks, s.zero_one_masks)}
+        assert "elements" not in vars(poset), serialize_mmp(d)
+        for masks, rep in reps.items():
+            assert rep == pairwise_strong_sweep(poset, masks), serialize_mmp(d)
+            decided[rep.admits] += 1
+    assert min(decided.values()) > 10, decided
 
 
 def _subset_is_strong(d, states):
