@@ -14,24 +14,27 @@ codes is an isomorphism invariant that pruning keeps whole, so
 ``are_isomorphic`` (and ``is_self_dual`` through it) searches one
 connected diagram only until a leaf repeats the other's first leaf code.
 
-Refinement is incremental: each round re-examines only the cells next to
-an atom that changed cell in the round before, and it keys each incident
-block by one int whose order is that of the (size, colors) tuple it
-encodes (see ``_refiner``).  Twins, atoms on exactly the same blocks,
-are swapped by automorphisms known before the search starts, and a cell
-of twins alone is split in one step.  Each node keeps the orbits of the
-automorphisms known to fix its path, as a union-find partition.  A leaf
-that repeats the first or the least code returns the search to the node
-where its path parts from that leaf's (McKay 1981).  Besides the code,
-the search returns |Aut| and generators of Aut.  Generation uses them to
-try one augmenting block per orbit and in the deletion rule's orbit test
-(``generate._accepts``).
+Refinement is incremental: a cell is colored by the last position it
+takes in the ordered partition (McKay & Piperno 2014), so a split
+recolors only its parts before the last; each round re-examines only the
+cells next to an atom that changed cell in the round before, and it keys
+each incident block by one int whose order is that of the (size, colors)
+tuple it encodes (see ``_refiner``).  Twins, atoms on exactly the same
+blocks, are swapped by automorphisms known before the search starts, and
+a cell of twins alone is split in one step.  Each node keeps the orbits
+of the automorphisms known to fix its path, as a union-find partition.
+A leaf that repeats the first or the least code returns the search to
+the node where its path parts from that leaf's (McKay 1981).  Besides
+the code, the search returns |Aut| and generators of Aut.  Generation
+uses them to try one augmenting block per orbit and in the deletion
+rule's orbit test (``generate._accepts``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable
@@ -42,6 +45,7 @@ from .structure import components, dual, mmp_checks, require_mmp
 
 Code = tuple[tuple[int, ...], ...]
 Gens = tuple[tuple[int, ...], ...]  # generators of a permutation group
+Cells = dict[int, list[int]]  # a coloring's cells: ascending atom lists keyed by color
 
 
 @dataclass(frozen=True)
@@ -269,10 +273,12 @@ def _search_connected(
     is searched and grows with each generator found later; it is never
     built while no generator fixing P moves an atom of the cell.
 
-    A target cell of twins alone (k atoms) is split in one step: its atoms
-    take consecutive colors in atom order, the coloring that individualizing
-    them one at a time, least first, reaches.  No refinement runs: it would
-    move nothing, since every block through a twin holds the whole class.
+    A child gives its atom the first position of the target cell, the first
+    smallest cell of two or more atoms.  A target cell of twins alone (k
+    atoms) is split in one step: its atoms take its k positions in atom
+    order, as individualizing them one at a time, least first, would.  No
+    refinement runs: it would move nothing, since every block through a
+    twin holds the whole class.
     Each other child of that one-at-a-time search is the least one's image
     under a twin transposition fixing the path, so its leaves repeat codes
     found before.  On the first path the step counts k! (orbits k, k - 1,
@@ -311,7 +317,11 @@ def _search_connected(
     refine = _refiner(blocks, n)
     incident = incidence(blocks, n)
     sigs = [(len(inc), tuple(sorted(len(blocks[i]) for i in inc))) for inc in incident]
-    ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    ordered = sorted(sigs)  # a profile's cell is colored by the last position it takes
+    colors = [bisect_right(ordered, s) - 1 for s in sigs]
+    cells: Cells = {}
+    for a, c in enumerate(colors):
+        cells.setdefault(c, []).append(a)
     twins = twin_classes(incident)
     # moves[i]: gens[i], with the bitmask and the list of the atoms it moves
     moves = [(tuple(y if i == x else x if i == y else i for i in range(n)), 1 << x | 1 << y, (x, y))
@@ -355,34 +365,34 @@ def _search_connected(
     order = 1
 
     def search(
-        colors: list[int], cells: list[list[int]], fixed: tuple[int, ...], mask: int, on_first: bool
+        colors: list[int], cells: Cells, fixed: tuple[int, ...], mask: int, on_first: bool
     ) -> int:
-        """Search below one node (``cells`` in color order, ``mask`` the
+        """Search below one node (``cells`` keyed by color, ``mask`` the
         bitmask of ``fixed``); return the depth (length of ``fixed``) of the
         node the search goes on at: this node's own when it is done."""
         nonlocal order
         if len(cells) == n:
             return record_leaf(colors, fixed)
-        cell = min((c for c in cells if len(c) > 1), key=len)  # the first smallest
-        if all(twins[a] is twins[cell[0]] for a in cell):  # twins: split at once
-            c, k = colors[cell[0]], len(cell)
-            colors = [x + k - 1 if x > c else x for x in colors]
-            for i, a in enumerate(cell):
-                colors[a] = c + i
+        c = min((len(cell), end) for end, cell in cells.items() if len(cell) > 1)[1]  # the first smallest
+        cell = cells[c]
+        if all(twins[a] is twins[cell[0]] for a in cell):  # twins: split at once, in place
+            for i, a in enumerate(cell, c + 1 - len(cell)):  # (no other node reads them)
+                colors[a] = i
+                cells[i] = [a]
                 mask |= 1 << a
             if on_first:
-                order *= math.factorial(k)
-            cells = cells[:c] + [[a] for a in cell] + cells[c + 1 :]
+                order *= math.factorial(len(cell))
             return search(colors, cells, fixed + tuple(cell), mask, on_first)
-        depth, c = len(fixed), colors[cell[0]]
+        depth, start = len(fixed), c + 1 - len(cell)  # start: the cell's first position
         # union-find parents: the orbits in ``cell`` of the first ``merged``
         # generators that fix ``fixed``, None while none moves an atom of it
         orbits, merged, explored, roots = None, 0, [], set()  # roots: of the explored atoms
         for a in cell:
             if orbits is not None and _find(orbits, a) in roots:
                 continue
-            ind = [x + 1 if x > c or x == c and i != a else x for i, x in enumerate(colors)]
-            back = search(*refine(ind, [a]), fixed + (a,), mask | 1 << a, on_first and a == cell[0])
+            ind, sub = colors[:], {**cells, start: [a], c: [x for x in cell if x != a]}
+            ind[a] = start
+            back = search(*refine(ind, sub, [a]), fixed + (a,), mask | 1 << a, on_first and a == cell[0])
             if back < depth:
                 return back
             explored.append(a)
@@ -395,7 +405,7 @@ def _search_connected(
             order *= sum(_find(orbits, x) == root for x in cell)
         return depth
 
-    search(*refine([ranking[s] for s in sigs], range(n)), (), 0, True)
+    search(*refine(colors, cells, range(n)), (), 0, True)
     del search  # it holds itself through its closure cell
     return best[0], best[1], order, tuple(gens)
 
@@ -426,15 +436,16 @@ def _find(orbits: list[int], x: int) -> int:
 
 def _refiner(
     blocks: tuple[tuple[int, ...], ...], n: int
-) -> Callable[[list[int], Iterable[int]], tuple[list[int], list[list[int]]]]:
+) -> Callable[[list[int], Cells, Iterable[int]], tuple[list[int], Cells]]:
     """The refinement function of one connected diagram on atoms 0..n-1.
 
-    ``refine(colors, moved)`` returns the equitable refinement of
-    ``colors`` (cell indices, dense, in cell order) and its cells, as
-    ascending atom lists in cell order.  ``moved`` lists the
-    atoms that left their cell since the coloring was last equitable:
-    every atom for a fresh coloring, the individualized atom after an
-    individualization.
+    ``refine(colors, cells, moved)`` refines a coloring and its cells in
+    place to the equitable refinement and returns them, never changing a
+    cell list it was given.  A cell's color is the last position it takes in
+    the ordered partition, and the atoms of a cell share their degree.
+    ``moved`` lists the atoms that left their cell since the coloring was
+    last equitable: every atom for a fresh coloring, the individualized atom
+    after an individualization.
 
     The signature of an atom is the sorted list of (size, sorted colors of
     the other atoms) over its blocks, each entry encoded as one int whose
@@ -445,17 +456,20 @@ def _refiner(
     is strictly order-preserving and cells split into the same parts in
     the same order.  When every block has 3 atoms the size digit is the
     same in every entry, so an entry is just min * base + max of the two
-    partners' colors: the same order without a sort per block.
+    partners' colors: the same order without a sort per block.  An atom
+    of degree 3 there reads its six partners' colors with one getter and
+    orders its three entries by compare-and-swap.
 
-    Each round splits cells by signature, puts the parts in their cell's
-    place in signature order and renumbers the cells, until no cell
-    splits.  Only the cells next to a moved atom are examined: the atoms
-    of any other cell see their neighbours' colors renumbered by one
-    order-preserving map, so their signatures stay equal (McKay 1981).
-    When a cell splits, the atoms of every part but its largest count as
-    moved for the next round.  The rounds, and so the result, are those
-    of recomputing every signature every round.  A round rebuilds the
-    cell list and renumbers the colors only from the first cell that split.
+    Each round splits cells by signature, lays each cell's parts out over
+    its run in signature order and recolors the atoms of all parts but the
+    last, until no cell splits.  The colors of disjoint runs are
+    order-isomorphic to the cells' dense indices, so each round splits the
+    cells into the parts, in the order, that recomputing every signature on
+    those indices would.  Only the cells next to a moved atom are examined:
+    the atoms of every part but the largest count as moved, and an atom of
+    any other cell meets no atom of a split cell outside its largest part,
+    whose atoms take one color that orders as the old one did, so its
+    signature changes by one order-preserving map (McKay 1981).
     """
     base = n + 2
     uniform = all(len(b) == 3 for b in blocks)
@@ -465,49 +479,65 @@ def _refiner(
         for i, a in enumerate(b):
             around[a].append(b[:i] + b[i + 1 :])
     nbrs = [tuple({x for xs in around[a] for x in xs}) for a in range(n)]
+    # per atom of degree 3 when every block has 3 atoms: its six partners' colors
+    six = [itemgetter(*sum(around[a], ())) if uniform and len(around[a]) == 3 else None for a in range(n)]
 
-    def refine(colors: list[int], moved: Iterable[int]) -> tuple[list[int], list[list[int]]]:
-        colors = list(colors)
-        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
-        for a, c in enumerate(colors):
-            cells[c].append(a)
+    def refine(colors: list[int], cells: Cells, moved: Iterable[int]) -> tuple[list[int], Cells]:
         while True:
-            parts: dict[int, list[list[int]]] = {}
+            splits = []
             for c in {colors[x] for a in moved for x in nbrs[a]}:
-                if len(cells[c]) == 1:
+                cell = cells[c]
+                if len(cell) == 1:
+                    continue
+                sigs = []
+                if six[cell[0]] is not None:
+                    for a in cell:
+                        x1, y1, x2, y2, x3, y3 = six[a](colors)
+                        k1 = x1 * base + y1 if x1 < y1 else y1 * base + x1
+                        k2 = x2 * base + y2 if x2 < y2 else y2 * base + x2
+                        k3 = x3 * base + y3 if x3 < y3 else y3 * base + x3
+                        if k1 > k2:
+                            k1, k2 = k2, k1
+                        if k2 > k3:
+                            k2, k3 = k3, k2
+                            if k1 > k2:
+                                k1, k2 = k2, k1
+                        sigs.append((k1, k2, k3))
+                else:
+                    for a in cell:
+                        keys = []
+                        if uniform:
+                            for x, y in around[a]:
+                                cx, cy = colors[x], colors[y]
+                                keys.append(cx * base + cy if cx < cy else cy * base + cx)
+                        else:
+                            for xs in around[a]:
+                                key = len(xs) + 1
+                                for color in sorted([colors[x] for x in xs]):
+                                    key = key * base + color
+                                keys.append(key)
+                        keys.sort()
+                        sigs.append(tuple(keys))
+                if len(cell) == 2:  # no dict, no sort
+                    if sigs[0] != sigs[1]:
+                        splits.append((c, [[a] for a in (cell if sigs[0] < sigs[1] else cell[::-1])]))
                     continue
                 by_sig: dict[tuple[int, ...], list[int]] = {}
-                for a in cells[c]:
-                    keys = []
-                    if uniform:
-                        for x, y in around[a]:
-                            cx, cy = colors[x], colors[y]
-                            keys.append(cx * base + cy if cx < cy else cy * base + cx)
-                    else:
-                        for xs in around[a]:
-                            key = len(xs) + 1
-                            for color in sorted([colors[x] for x in xs]):
-                                key = key * base + color
-                            keys.append(key)
-                    keys.sort()
-                    by_sig.setdefault(tuple(keys), []).append(a)
+                for a, sig in zip(cell, sigs):
+                    by_sig.setdefault(sig, []).append(a)
                 if len(by_sig) > 1:
-                    parts[c] = [by_sig[sig] for sig in sorted(by_sig)]
-            if not parts:
+                    splits.append((c, [by_sig[sig] for sig in sorted(by_sig)]))
+            if not splits:
                 return colors, cells
             moved = []
-            split = min(parts)  # the cells before it keep their place and colour
-            new_cells = cells[:split]
-            for c in range(split, len(cells)):
-                if c in parts:
-                    new_cells += parts[c]
-                    largest = max(parts[c], key=len)
-                    moved += [a for part in parts[c] if part is not largest for a in part]
-                else:
-                    new_cells.append(cells[c])
-            cells = new_cells
-            for c in range(split, len(cells)):
-                for a in cells[c]:
-                    colors[a] = c
+            for c, parts in splits:
+                largest, end = max(parts, key=len), c - len(cells[c])
+                for part in parts:
+                    end += len(part)
+                    cells[end] = part
+                    for a in part if end != c else ():
+                        colors[a] = end
+                    if part is not largest:
+                        moved += part
 
     return refine

@@ -1,6 +1,9 @@
 import gc
+import json
 import math
+import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,7 @@ from conftest import block_cycle, random_diagram, random_mmp, twin_rich, within
 from oracles import brute_automorphism_count, closure_order, refine_by_signatures
 
 PENTAGON = "123,345,567,789,9A1."
+CANON_RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "canon.json"
 
 
 def shuffled(d, rng):
@@ -256,15 +260,31 @@ def test_is_self_dual_invalid_dual_is_false():
 
 def test_incremental_refine_matches_full_signature_oracle(rng):
     # from the initial coloring, then after individualizing each atom of the
-    # first cell the search would branch on; 3-uniform diagrams take the
-    # partner-pair keys, the others the size-prefixed keys up to size 8
-    pool = [corpus.diagram(name) for name in ("35-35a", "36-36", "38-38f")]
-    shapes = [(3,), (3, 4, 5), (3, 5, 8), (4, 6, 7, 8)]
-    while len(pool) < 300:
-        d = random_diagram(rng, max_atoms=16, max_blocks=10, sizes=shapes[len(pool) % len(shapes)])
-        if is_connected(d):
+    # first cell the search would branch on.  Random cubic diagrams (3-uniform,
+    # every atom of degree 3) and the 35- to 44-atom corpus lattices take the
+    # unrolled degree-3 signatures; 3-uniform diagrams of mixed degree, 73-73
+    # and 73-78-single among them, mix them with the partner-pair keys, cell by
+    # cell; the others, 73-78-ngv among them, take the size-prefixed keys, up
+    # to size 8.  The returned colors must be the last positions of their
+    # cells, their dense ranks the oracle's coloring, and no cell list given to
+    # refine may change
+    pool = [corpus.diagram(name) for name in corpus.names()]
+    cubic = mixed = 0
+    while cubic < 100:
+        d = random_cubic(rng, rng.randrange(4, 19))
+        if d is not None:
             pool.append(d)
-    assert sum(all(len(b) == 3 for b in d.blocks) for d in pool) > 60
+            cubic += 1
+    while mixed < 100:
+        d = random_diagram(rng, max_atoms=12, max_blocks=12)
+        if is_connected(d) and 3 in degrees(d) and len(set(degrees(d))) > 1:
+            pool.append(d)
+            mixed += 1
+    shapes = [(3, 4, 5), (3, 5, 8), (4, 6, 7, 8)]
+    for i in range(225):
+        while not is_connected(d := random_diagram(rng, max_atoms=16, max_blocks=10, sizes=shapes[i % 3])):
+            pass
+        pool.append(d)
     assert sum(any(len(b) == 8 for b in d.blocks) for d in pool) > 60
     branched = 0
     for d in pool:
@@ -273,28 +293,57 @@ def test_incremental_refine_matches_full_signature_oracle(rng):
         profiles = [sorted(len(b) for b in d.blocks if a in b) for a in range(n)]
         sigs = [(len(p), tuple(p)) for p in profiles]
         initial = [sorted(set(sigs)).index(s) for s in sigs]
-        colors = refine_by_signatures(d.blocks, n, initial)
-        cells = cells_of(colors)
-        assert refine(initial, range(n)) == (colors, cells)
-        big = [(len(v), c) for c, v in enumerate(cells) if len(v) > 1]
+        want = refine_by_signatures(d.blocks, n, initial)
+        colors, cells = refine(*last_positions(initial), range(n))
+        assert_refined(colors, cells, want)
+        big = [(len(v), c) for c, v in cells.items() if len(v) > 1]
         if not big:
             continue
-        cell = cells[min(big)[1]]
-        for a in cell:
-            ca = colors[a]
-            ind = [c + 1 if (c > ca or (c == ca and x != a)) else c for x, c in enumerate(colors)]
-            want = refine_by_signatures(d.blocks, n, ind)
-            assert refine(ind, [a]) == (want, cells_of(want))
+        c = min(big)[1]
+        cell, start = cells[c], c + 1 - len(cells[c])
+        given = (colors[:], {e: v[:] for e, v in cells.items()})
+        for a in cell:  # individualized as the search does: a takes the cell's first position
+            ind, sub = colors[:], {**cells, start: [a], c: [x for x in cell if x != a]}
+            ind[a] = start
+            assert_refined(*refine(ind, sub, [a]), refine_by_signatures(d.blocks, n, ranks(ind)))
+            assert (colors, cells) == given
             branched += 1
-    assert branched > 200
+    assert branched > 300
 
 
-def cells_of(colors: list[int]) -> list[list[int]]:
-    """The cells of a dense coloring, as ascending atom lists in color order."""
-    cells = [[] for _ in range(max(colors) + 1)]
-    for a, c in enumerate(colors):
-        cells[c].append(a)
-    return cells
+def random_cubic(rng, n: int) -> MmpDiagram | None:
+    """n atoms on n random 3-atom blocks, every atom on three of them, or
+    None when a block repeats an atom or the diagram is not connected."""
+    points = [a for a in range(n) for _ in range(3)]
+    rng.shuffle(points)
+    blocks = tuple(tuple(points[i : i + 3]) for i in range(0, 3 * n, 3))
+    if any(len(set(b)) < 3 for b in blocks):
+        return None
+    d = MmpDiagram(n, blocks)
+    return d if is_connected(d) else None
+
+
+def ranks(colors: list[int]) -> list[int]:
+    """The dense ranks of a coloring's colors."""
+    rank = {c: r for r, c in enumerate(sorted(set(colors)))}
+    return [rank[c] for c in colors]
+
+
+def last_positions(dense: list[int]) -> tuple[list[int], dict[int, list[int]]]:
+    """A dense coloring recolored by the last position of each cell, and its
+    cells keyed by color, as ascending atom lists."""
+    ends = {}
+    for c in sorted(set(dense)):
+        ends[c] = sum(x <= c for x in dense) - 1
+    colors = [ends[c] for c in dense]
+    return colors, {ends[c]: [a for a in range(len(dense)) if dense[a] == c] for c in ends}
+
+
+def assert_refined(colors: list[int], cells: dict[int, list[int]], want: list[int]) -> None:
+    """``colors`` ranks as the dense coloring ``want``, and with ``cells`` it
+    colors each cell of ``want`` by its last position."""
+    assert ranks(colors) == want
+    assert (colors, cells) == last_positions(want)
 
 
 def test_search_generators_generate_the_automorphism_group(rng):
@@ -344,9 +393,9 @@ def counted_refines(monkeypatch) -> list[int]:
     def counting(blocks, n):
         refine = make(blocks, n)
 
-        def wrapped(colors, moved):
+        def wrapped(colors, cells, moved):
             calls[0] += 1
-            out, cells = refine(colors, moved)
+            out, cells = refine(colors, cells, moved)
             if len(cells) == len(out):
                 calls.append(calls[0])
             return out, cells
@@ -488,6 +537,52 @@ def test_refines_of_the_7_spoke_star_and_35_35a(monkeypatch):
     calls[:] = [0]
     _canonical_search(corpus.diagram("35-35a").blocks, 35)
     assert calls[0] <= 23
+
+
+#: refines and leaves of the search of each corpus lattice as published and
+#: under two relabellings (``test_corpus_search_trees_are_pinned``)
+SEARCH_TREES = {
+    "35-35a": ((23, 9), (15, 6), (20, 8)),
+    "35-35b": ((23, 11), (22, 12), (22, 11)),
+    "35-35c": ((17, 8), (15, 7), (19, 9)),
+    "35-35d": ((21, 10), (19, 10), (23, 13)),
+    "35-35e": ((18, 8), (17, 8), (22, 11)),
+    "36-36": ((17, 10), (15, 9), (15, 9)),
+    "38-38a": ((39, 38), (39, 38), (39, 38)),
+    "38-38b": ((23, 17), (16, 12), (16, 12)),
+    "38-38c": ((39, 38), (39, 38), (39, 38)),
+    "38-38d": ((26, 23), (24, 21), (24, 21)),
+    "38-38e": ((19, 16), (23, 20), (18, 15)),
+    "38-38f": ((19, 15), (18, 13), (15, 11)),
+    "38-38g": ((24, 21), (25, 22), (24, 21)),
+    "38-38h": ((22, 19), (21, 18), (18, 15)),
+    "44-44": ((4, 3), (4, 3), (4, 3)),
+    "73-78-ngv": ((1, 1), (1, 1), (1, 1)),
+    "73-78-single": ((1, 1), (1, 1), (1, 1)),
+    "73-73": ((1, 1), (1, 1), (1, 1)),
+}
+
+
+def test_corpus_search_trees_are_pinned(monkeypatch):
+    # the canonical text and |Aut| recorded for the canon workload, and the
+    # refines and leaves of the search, on every corpus lattice and two
+    # relabellings of each: a change to the search tree (the refinement's
+    # splits or part order, the target cell, the child order or a prune)
+    # moves these counts.  The lattices have no twins, so every leaf is
+    # reached through a refine
+    recorded = json.loads(CANON_RECORDED.read_text())
+    calls = counted_refines(monkeypatch)
+    rng = random.Random(35)
+    assert tuple(SEARCH_TREES) == corpus.names()
+    for name, trees in SEARCH_TREES.items():
+        d = corpus.diagram(name)
+        for i, tree in enumerate(trees):
+            r = shuffled(d, rng)[0] if i else d
+            calls[:] = [0]
+            form = canonical_form(r)
+            assert form.canonical_text == recorded[name]["canonical"], name
+            assert form.automorphism_count == recorded[name]["aut"], name
+            assert (calls[0], len(calls) - 1) == tree, (name, i)
 
 
 def test_recursive_searches_leave_no_garbage():
