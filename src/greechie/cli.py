@@ -20,10 +20,10 @@ from . import corpus
 from .diagram import MmpDiagram, iter_mmp_lines, load_diagram_line
 from .errors import BadCheckpoint, InvalidSpec, MmpError, NotAdmissible, NotValidated, TooLarge
 from .generate import GenSpec, brute_force_generate, generate
-from .lattice import OmlPoset, build_oml
+from .lattice import build_oml
 from .render import LOOP_BUDGET, render_dot
-from .states import Classification, _classify, _strong_over, classify_states, is_state
-from .structure import _require_mmp_then_admissible, validate
+from .states import Classification, _strong_over, classify_states, is_state
+from .structure import require_mmp, validate
 from .symmetry import canonical_form, is_self_dual
 
 OK, CLAIM_MISMATCH, FORMAT_ERROR, BAD_SPEC = 0, 1, 2, 3
@@ -82,11 +82,11 @@ def cmd_validate(args) -> int:
 
 
 def _summary_json(d: MmpDiagram, args) -> dict:
-    pasted = args.zero_one or args.strong
-    if pasted:
-        # classify_states's check and build_oml's, in that order, from one validation
-        _require_mmp_then_admissible(d)
-    summary = _classify(d) if pasted else classify_states(d)
+    poset = None
+    if args.zero_one or args.strong:  # checked in this order, before any vertex is listed
+        require_mmp(d)
+        poset = build_oml(d)
+    summary = classify_states(d)
     doc: dict = {"classification": summary.classification.value}
     if summary.classification is Classification.EXACTLY_ONE:
         doc["unique_state"] = [str(v) for v in summary.unique_state]
@@ -100,7 +100,6 @@ def _summary_json(d: MmpDiagram, args) -> dict:
             [str(v) for v in summary.witness_state],
             [str(v) for v in summary.second_witness],
         ]
-    poset = OmlPoset._pasted(d) if pasted else None
     strong = _strong_over(poset, summary.zero_masks) if args.strong else None
     if args.zero_one:
         zeros = summary.zero_one_masks
@@ -228,7 +227,7 @@ def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
         return ["not greechie-admissible"]
     summary = None
     if entry.state_classification is not None:
-        summary = _classify(d)
+        summary = classify_states(d)
         if summary.classification.value != entry.state_classification:
             problems.append(
                 f"classification {summary.classification.value} != {entry.state_classification}"
@@ -245,7 +244,7 @@ def _check_entry(entry: corpus.CorpusEntry) -> list[str]:
         if sd != entry.self_dual:
             problems.append(f"self_dual {sd} != {entry.self_dual}")
     if entry.admits_strong_set is not None:
-        rep_strong = _strong_over(poset, (summary or _classify(d)).zero_masks)
+        rep_strong = _strong_over(poset, (summary or classify_states(d)).zero_masks)
         if rep_strong.admits != entry.admits_strong_set:
             problems.append(f"admits_strong_set {rep_strong.admits} != {entry.admits_strong_set}")
     if entry.name in corpus.KNOWN_STATES:

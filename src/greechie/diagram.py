@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     BadJson,
@@ -43,6 +44,10 @@ class MmpDiagram:
     depend on it).  Structural soundness beyond index bounds -- every atom
     used, block sizes, intersection limits -- is the validator's job, so
     that duals and intermediate fragments stay representable.
+
+    Being immutable, a diagram works out its incidence, checks and
+    validation report each once, when first read, and keeps them apart in
+    its ``__dict__``, out of the fields that ``__eq__`` and ``__hash__`` read.
     """
 
     atom_count: int
@@ -75,9 +80,21 @@ class MmpDiagram:
     def degrees(self) -> list[int]:
         return [len(inc) for inc in self.incident_blocks()]
 
-    def incident_blocks(self) -> list[list[int]]:
-        """For each atom, the indices of the blocks containing it."""
-        return incidence(self.blocks, self.atom_count)
+    def incident_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """For each atom, the indices of the blocks containing it, ascending."""
+        return self._incident
+
+    @cached_property
+    def _incident(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, incidence(self.blocks, self.atom_count)))
+
+    @cached_property
+    def _checked(self):
+        return structure._checks(self)
+
+    @cached_property
+    def _report(self):
+        return structure._validation(self)
 
     def to_json(self) -> str:
         return json.dumps({"atoms": self.atom_count, "blocks": [list(b) for b in self.blocks]})
@@ -113,7 +130,7 @@ def incidence(blocks: tuple[tuple[int, ...], ...], n: int) -> list[list[int]]:
     return inc
 
 
-def twin_classes(incident: list[list[int]]) -> list[tuple[int, ...]]:
+def twin_classes(incident: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Per atom, its twin class: the atoms on exactly its blocks, ascending.
 
     ``incident`` is :func:`incidence` of the blocks.  The atoms of one class
@@ -193,3 +210,6 @@ def load_diagram_line(line: str) -> MmpDiagram:
     if line.lstrip().startswith("{"):
         return MmpDiagram.from_json(line)
     return parse_mmp(line)
+
+
+from . import structure  # noqa: E402  last, as structure imports this module

@@ -64,21 +64,12 @@ class OmlPoset:
     atoms, coatoms, block interiors): bit j of ``ups[i]`` is element i <=
     element j.  The element objects are built only when named: ``element(i)``
     builds one, and ``elements`` all of them on first access.  ``leq`` and
-    ``ortho`` answer from tables built on first use.
+    ``ortho`` answer from tables built on first use.  ``source`` must be
+    Greechie-admissible, as read from the validation it keeps.
     """
 
     def __init__(self, source: MmpDiagram):
         require_admissible(source)
-        self._paste(source)
-
-    @classmethod
-    def _pasted(cls, source: MmpDiagram) -> OmlPoset:
-        """The lattice of ``source``, which the caller has found admissible."""
-        poset = cls.__new__(cls)
-        poset._paste(source)
-        return poset
-
-    def _paste(self, source: MmpDiagram) -> None:
         self.source = source
         n = source.atom_count
         # (block, subset) of each interior, element 2 + 2n + k for the k-th

@@ -97,16 +97,7 @@ def classify_states(d: MmpDiagram) -> PolytopeSummary:
     solution.  Every atom lies in a block summing to 1, so the polytope
     is bounded and is the convex hull of those vertices: no vertex means no
     state, one means exactly one, and the atom ranges are the vertices'
-    column extremes.  Twin atoms share one column (see ``_classify``): the
-    double description grows with the vertices of that reduced system, and
-    only their expansion with the full vertex count.
-    """
-    require_mmp(d)
-    return _classify(d)
-
-
-def _classify(d: MmpDiagram) -> PolytopeSummary:
-    """:func:`classify_states` on a diagram already known to pass (i)-(iii).
+    column extremes.
 
     Twins, atoms on the same blocks, have equal columns in A x = 1, so the
     vertices are listed with one column per twin class T, for y_T the sum
@@ -115,7 +106,12 @@ def _classify(d: MmpDiagram) -> PolytopeSummary:
     product of the simplices y_T Δ_T, affine in y, so the polytope is the
     hull of the expansions of the reduced vertices; and each expansion is a
     vertex, as its support columns are y's, independent since y is a vertex.
+    So the double description grows with the reduced vertices, and only
+    their expansion with the full vertex count.
+    Conditions (i)-(iii) are required, as read from the checks the diagram
+    keeps: one already checked, say by ``build_oml``, is not checked again.
     """
+    require_mmp(d)
     n = d.atom_count
     incident = d.incident_blocks()
     twins = twin_classes(incident)
@@ -251,11 +247,11 @@ def admits_strong_set(d: MmpDiagram) -> StrongReport:
     the vertex list decides every pair.
     """
     poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
-    return _strong_over(poset, _classify(d).zero_masks)
+    return _strong_over(poset, classify_states(d).zero_masks)
 
 
 def admits_strong_01_set(d: MmpDiagram) -> StrongReport:
     """Strong-set test restricted to the 0-1 states (the Kochen-Specker test)."""
     poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
-    return _strong_over(poset, _classify(d).zero_one_masks)
+    return _strong_over(poset, classify_states(d).zero_one_masks)
 

@@ -4,10 +4,12 @@ Covers the three MMP hypergraph conditions, loop/girth analysis,
 connected components, incidence duality, block dropping, and the element
 count of the pasted lattice.
 
-The checks (``_checks``) and ``max_loop`` read every block overlap from
-the blocks through each atom (``diagram.incidence``), and all
-connectivity, the canonical search's included, comes from one
-breadth-first labelling (``components``).
+A diagram keeps its incidence (``incident_blocks``), ``_checks`` and
+``validate`` report, each worked out once: every requirement reads them,
+and ``require_mmp`` never runs the girth search or the connectivity scan.
+The checks, the loop searches and ``dual`` read every block overlap from
+that incidence, and all connectivity, the canonical search's included,
+comes from one breadth-first labelling (``components``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
-from .diagram import MmpDiagram, incidence
+from .diagram import MmpDiagram
 from .errors import IndexOutOfRange, NotAdmissible, NotValidated, PreconditionViolated
 
 #: Loops shorter than this cannot occur in a Greechie diagram of a lattice.
@@ -72,23 +74,21 @@ class ValidationReport:
 def _checks(d: MmpDiagram) -> tuple[CheckResult, CheckResult, CheckResult, CheckResult]:
     """MMP conditions (i)-(iii), then the check that no two blocks share
     two or more atoms.  The last two read the block pairs through each atom:
-    one sharing t atoms is met t times, and sorted they keep scan order."""
+    one sharing t atoms is met t times.  Only the offending pairs are
+    sorted, into scan order."""
     missing = tuple(sorted(set(range(d.atom_count)) - d.used_atoms()))
     small = tuple(i for i, b in enumerate(d.blocks) if len(b) < 3)
     shared = Counter(pair for inc in d.incident_blocks() for pair in combinations(inc, 2))
-    bad_iii, bad_pairs = [], []
-    for (i, j), t in sorted(shared.items()):
-        if min(len(d.blocks[i]), len(d.blocks[j])) < t + 2:
-            bad_iii.append((i, j))
-        if t >= 2:
-            bad_pairs.append((i, j))
+    size = [len(b) for b in d.blocks]
+    bad_iii = sorted(p for p, t in shared.items() if min(size[p[0]], size[p[1]]) < t + 2)
+    bad_pairs = sorted(p for p, t in shared.items() if t >= 2)
     found = (missing, small, tuple(bad_iii), tuple(bad_pairs))
     return tuple(CheckResult(not f, f) for f in found)
 
 
 def mmp_checks(d: MmpDiagram) -> tuple[CheckResult, CheckResult, CheckResult]:
     """The results of MMP conditions (i), (ii) and (iii), in that order."""
-    return _checks(d)[:3]
+    return d._checked[:3]
 
 
 def validate(d: MmpDiagram) -> ValidationReport:
@@ -97,9 +97,15 @@ def validate(d: MmpDiagram) -> ValidationReport:
     (i) every atom lies in some block, (ii) every block has at least three
     atoms, (iii) blocks meeting in n-2 atoms have at least n atoms.  A
     diagram is Greechie-admissible when all three hold, any two blocks
-    share at most one atom, and every loop has order at least five.
+    share at most one atom, and every loop has order at least five.  The
+    report is worked out once per diagram, and kept.
     """
-    mmp_i, mmp_ii, mmp_iii, pairwise = _checks(d)
+    return d._report
+
+
+def _validation(d: MmpDiagram) -> ValidationReport:
+    """:func:`validate`, worked out; the diagram keeps it."""
+    mmp_i, mmp_ii, mmp_iii, pairwise = d._checked
     used = d.used_atoms()
     gaps = tuple(sorted(set(range(max(used, default=-1) + 1)) - used))
     contiguous = CheckResult(not gaps, gaps)
@@ -125,29 +131,16 @@ def validate(d: MmpDiagram) -> ValidationReport:
     )
 
 
-_NOT_MMP = "diagram fails MMP conditions (i)-(iii)"
-_NOT_ADMISSIBLE = "operation requires a Greechie-admissible diagram"
-
-
 def require_mmp(d: MmpDiagram) -> None:
     """Raise ``NotValidated`` unless the MMP conditions (i)-(iii) hold."""
     if not all(mmp_checks(d)):
-        raise NotValidated(_NOT_MMP)
+        raise NotValidated("diagram fails MMP conditions (i)-(iii)")
 
 
 def require_admissible(d: MmpDiagram) -> None:
     """Raise ``NotAdmissible`` unless the diagram is Greechie-admissible."""
     if not validate(d).greechie_admissible:
-        raise NotAdmissible(_NOT_ADMISSIBLE)
-
-
-def _require_mmp_then_admissible(d: MmpDiagram) -> None:
-    """:func:`require_mmp`, then :func:`require_admissible`, from one :func:`validate`."""
-    rep = validate(d)
-    if not (rep.mmp_i and rep.mmp_ii and rep.mmp_iii):
-        raise NotValidated(_NOT_MMP)
-    if not rep.greechie_admissible:
-        raise NotAdmissible(_NOT_ADMISSIBLE)
+        raise NotAdmissible("operation requires a Greechie-admissible diagram")
 
 
 def girth(d: MmpDiagram) -> int | None:
@@ -163,7 +156,7 @@ def girth(d: MmpDiagram) -> int | None:
 
 def min_loop(d: MmpDiagram) -> LoopProfile | None:
     """A witness loop of minimal order, or ``None`` if acyclic."""
-    pairwise = _checks(d)[3]
+    pairwise = d._checked[3]
     if not pairwise:
         raise PreconditionViolated(f"blocks share two or more atoms: {pairwise.offenders[:3]}")
     cycle = _shortest_incidence_cycle(d)
@@ -284,7 +277,7 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
     steps: list[list[tuple]] = [[] for _ in range(m)]
     moves: list[dict[int, int]] = [{} for _ in range(m)]
     tables: list[list[tuple]] = []
-    for x, through in enumerate(incidence(d.blocks, n)):
+    for x, through in enumerate(d.incident_blocks()):
         if len(through) > 1:
             for b in through:
                 moves[b][x] = len(tables)
@@ -414,8 +407,7 @@ def dual(d: MmpDiagram) -> MmpDiagram:
     validation (that is legal); taking the dual twice returns an isomorph of
     the input when blocks and atom neighborhoods are duplicate-free.
     """
-    blocks = tuple(tuple(inc) for inc in d.incident_blocks())
-    return MmpDiagram(d.block_count, blocks)
+    return MmpDiagram(d.block_count, d.incident_blocks())
 
 
 def drop_blocks(d: MmpDiagram, indices: set[int]) -> tuple[MmpDiagram, tuple[int | None, ...]]:

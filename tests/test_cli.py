@@ -106,16 +106,27 @@ def test_states_parse_error_carries_file(tmp_path, capsys):
     assert doc == {"file": f, "line": 1, "error": "MMP line must end with a full stop"}
 
 
-@pytest.mark.parametrize("flag", ["--strong", "--zero-one", "--strong --zero-one"])
-def test_states_requirement_errors(tmp_path, capsys, monkeypatch, flag):
-    # blocks below 3 atoms fail (i)-(iii); the square is MMP but has a loop
-    # of order 4; the pentagon passes.  Each line runs the checks once, for
-    # the classification and the pasted lattice alike
+def record_checks(monkeypatch) -> list:
+    """The diagram objects that reach ``structure._checks``, in call order."""
     from greechie import structure
 
     checked = []
     checks = structure._checks
     monkeypatch.setattr(structure, "_checks", lambda d: checked.append(d) or checks(d))
+    return checked
+
+
+def each_checked_once(checked: list) -> bool:
+    # the list holds every object, so no two share an id
+    return len(set(map(id, checked))) == len(checked)
+
+
+@pytest.mark.parametrize("flag", ["--strong", "--zero-one", "--strong --zero-one"])
+def test_states_requirement_errors(tmp_path, capsys, monkeypatch, flag):
+    # blocks below 3 atoms fail (i)-(iii); the square is MMP but has a loop
+    # of order 4; the pentagon passes.  Each line runs the checks once, for
+    # the classification and the pasted lattice alike
+    checked = record_checks(monkeypatch)
     lines = ["12,34.", SQUARE, PENTAGON]
     f = write(tmp_path, "e.mmp", "".join(line + "\n" for line in lines))
     assert main(["states", *flag.split(), f]) == 2
@@ -126,6 +137,20 @@ def test_states_requirement_errors(tmp_path, capsys, monkeypatch, flag):
     ]
     assert docs[2]["classification"] == "MoreThanOne"
     assert checked == [load_diagram_line(line) for line in lines]
+    assert each_checked_once(checked)
+
+
+@pytest.mark.parametrize("command", ["render", "canon"])
+def test_render_and_canon_check_each_line_once(tmp_path, capsys, monkeypatch, command):
+    # the requirement and render's loop search, budget-spent on 35-35a,
+    # read the checks the diagram keeps
+    checked = record_checks(monkeypatch)
+    lines = ["12,34.", SQUARE, PENTAGON, corpus.get("35-35a").mmp_line]
+    f = write(tmp_path, "e.mmp", "".join(line + "\n" for line in lines))
+    assert main([command, f]) == 2
+    capsys.readouterr()
+    assert checked == [load_diagram_line(line) for line in lines]
+    assert each_checked_once(checked)
 
 
 def test_states_internal_errors_surface(tmp_path, monkeypatch):
@@ -459,6 +484,8 @@ def test_exit_codes_of_every_command(tmp_path, capsys, monkeypatch):
 
 
 def test_corpus_check_validates_each_entry_once(capsys, monkeypatch):
+    # each entry's lattice, states and strong-set claims share one check of
+    # its diagram; a self-duality claim also checks the dual, a second object
     from greechie import structure
 
     calls = []
@@ -469,9 +496,12 @@ def test_corpus_check_validates_each_entry_once(capsys, monkeypatch):
         return validate(d)
 
     monkeypatch.setattr(structure, "validate", counting)
+    checked = record_checks(monkeypatch)
     assert main(["corpus", "--check"]) == 0
     assert capsys.readouterr().out.count(": ok") == 18
     assert len(calls) == 18
+    assert len(checked) == 18 + sum(e.self_dual is not None for e in corpus.ENTRIES)
+    assert each_checked_once(checked)
 
 
 def test_one_parser_serves_every_call_without_carrying_options_over(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import io
 import json
+import pickle
 
 import pytest
 
+from greechie import corpus
 from greechie.diagram import (
     ALPHABET,
     MmpDiagram,
+    incidence,
     iter_mmp_lines,
     load_diagram_line,
     parse_mmp,
@@ -19,7 +22,11 @@ from greechie.errors import (
     TooManyAtoms,
     UnknownCharacter,
 )
+from greechie.structure import drop_blocks, dual, min_loop, validate
+from greechie.symmetry import Permutation, relabel
 from conftest import random_diagram
+
+KEPT = {"_incident", "_checked", "_report"}  # what a diagram works out once and keeps
 
 
 def test_alphabet_is_the_published_90_symbols():
@@ -123,3 +130,27 @@ def test_iter_mmp_lines_skips_comments_and_blanks():
 def test_atom_index_bounds_are_enforced():
     with pytest.raises(ValueError):
         MmpDiagram(2, ((0, 1, 2),))
+
+
+def test_kept_validation_stays_out_of_equality_hashing_and_pickles():
+    # 35-35e, with its incidence, checks and report worked out, is the same
+    # value as a fresh parse; what is derived from it keeps nothing of its own
+    line = corpus.get("35-35e").mmp_line
+    d = parse_mmp(line)
+    report = validate(d)
+    assert min_loop(d).order == 5 and vars(d).keys() >= KEPT
+    assert validate(d) is report
+    fresh = parse_mmp(line)
+    assert not vars(fresh).keys() & KEPT
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == fresh and hash(copy) == hash(fresh) and validate(copy) == validate(fresh)
+    n = d.atom_count
+    derived = [relabel(d, Permutation(tuple(range(1, n)) + (0,))), dual(d), drop_blocks(d, {0})[0]]
+    for e in derived:
+        assert not vars(e).keys() & KEPT
+        assert e.incident_blocks() == tuple(map(tuple, incidence(e.blocks, e.atom_count)))
+        assert validate(e) == validate(MmpDiagram(e.atom_count, e.blocks))
+    incident = d.incident_blocks()
+    assert type(incident) is tuple and all(type(inc) is tuple for inc in incident)
+    assert incident == tuple(map(tuple, incidence(d.blocks, n)))

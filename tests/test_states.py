@@ -15,7 +15,6 @@ from greechie.linprog import gauss_affine, vertices
 from greechie.generate import GenSpec, generate
 from greechie.states import (
     Classification,
-    _classify,
     _strong_over,
     admits_strong_01_set,
     admits_strong_set,
@@ -539,7 +538,7 @@ def test_strong_sweep_matches_the_pairwise_reference(rng):
     for i, d in enumerate(pool + randoms):
         assert validate(d).greechie_admissible
         poset = build_oml(d)
-        s = _classify(d)
+        s = classify_states(d)
         rep = pairwise_strong_sweep(poset, s.zero_masks)
         assert _strong_over(poset, s.zero_masks) == rep, serialize_mmp(d)
         shuffled = list(s.zero_masks)
@@ -640,7 +639,7 @@ def test_strong_sweep_builds_elements_only_to_name_a_failing_pair(rng):
     decided = Counter()
     for d in diagrams:
         poset = build_oml(d)
-        s = _classify(d)
+        s = classify_states(d)
         reps = {masks: _strong_over(poset, masks) for masks in (s.zero_masks, s.zero_one_masks)}
         assert "elements" not in vars(poset), serialize_mmp(d)
         for masks, rep in reps.items():

@@ -18,6 +18,9 @@ from greechie.structure import (
     is_connected,
     max_loop,
     min_loop,
+    mmp_checks,
+    require_admissible,
+    require_mmp,
     validate,
 )
 from greechie.structure import _shortest_incidence_cycle
@@ -507,3 +510,33 @@ def test_corpus_round_trip_respects_block_order():
 
 def test_min_girth_constant():
     assert MIN_GREECHIE_GIRTH == 5
+
+
+def test_every_reader_shares_the_one_check_a_diagram_keeps(monkeypatch):
+    # require_mmp, and canon through it, run neither the girth search nor
+    # the connectivity scan; every reader after validate reaches no check
+    from greechie import structure
+    from greechie.render import render_dot
+    from greechie.states import classify_states
+    from greechie.symmetry import canonical_form
+
+    def refused(*args):
+        raise AssertionError("the MMP requirement ran a search of validate's")
+
+    checked = []
+    checks = structure._checks
+    monkeypatch.setattr(structure, "_checks", lambda d: checked.append(d) or checks(d))
+    d = parse_mmp("123,345,567,789,9A1.")
+    with monkeypatch.context() as m:
+        m.setattr(structure, "_shortest_incidence_cycle", refused)
+        m.setattr(structure, "is_connected", refused)
+        require_mmp(d)
+        assert all(mmp_checks(d)) and canonical_form(d).automorphism_count == 10
+    assert validate(d).greechie_admissible
+    require_admissible(d)
+    assert min_loop(d).order == girth(d) == max_loop(d).order == 5
+    assert d.degrees() == [2, 1] * 5 and dual(d).block_count == 10
+    assert classify_states(d).classification.value == "MoreThanOne"
+    assert len(build_oml(d)) == element_count(d) == 22
+    assert render_dot(d).startswith("graph mmp {")
+    assert len(checked) == 1 and checked[0] is d
