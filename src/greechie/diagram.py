@@ -45,9 +45,10 @@ class MmpDiagram:
     used, block sizes, intersection limits -- is the validator's job, so
     that duals and intermediate fragments stay representable.
 
-    Being immutable, a diagram works out its incidence, checks and
-    validation report each once, when first read, and keeps them apart in
-    its ``__dict__``, out of the fields that ``__eq__`` and ``__hash__`` read.
+    Being immutable, a diagram works out its incidence, checks, shortest
+    incidence cycle and validation report each once, when first read, and
+    keeps them apart in its ``__dict__``, out of the fields that ``__eq__``
+    and ``__hash__`` read.
     """
 
     atom_count: int
@@ -91,6 +92,10 @@ class MmpDiagram:
     @cached_property
     def _checked(self):
         return structure._checks(self)
+
+    @cached_property
+    def _shortest_cycle(self):
+        return structure._shortest_incidence_cycle(self)
 
     @cached_property
     def _report(self):

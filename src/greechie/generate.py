@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .diagram import MmpDiagram, incidence, serialize_mmp, twin_classes
 from .errors import BadCheckpoint, InvalidSpec, TooLarge
@@ -168,13 +168,13 @@ def _candidates(
     return out
 
 
-def _final_ok(blocks: Blocks, degree: list[int], spec: GenSpec) -> bool:
-    """Does a leaf meet the spec?  ``degree`` lists its atoms' degrees."""
-    if len(degree) != spec.atom_count:
+def _final_ok(blocks: Blocks, incident: Sequence[Sequence[int]], spec: GenSpec) -> bool:
+    """Does a leaf meet the spec?  ``incident`` lists the blocks through each atom."""
+    if len(incident) != spec.atom_count:
         return False
-    if spec.require_connected and not blocks_connected(blocks, len(degree)):
+    if spec.require_connected and not blocks_connected(blocks, incident):
         return False
-    if spec.min_atom_degree > 1 and min(degree, default=0) < spec.min_atom_degree:
+    if spec.min_atom_degree > 1 and min(map(len, incident), default=0) < spec.min_atom_degree:
         return False
     return True
 
@@ -184,7 +184,7 @@ def _expand(node: Node, spec: GenSpec, stats: GenStats, emit: Callable[[str], No
     blocks, n_used, own_code, _, book = node
     stats.nodes_explored += 1
     if len(blocks) == spec.block_count:
-        if _final_ok(blocks, book[0], spec):
+        if _final_ok(blocks, book[1], spec):
             stats.emitted_count += 1
             code = _canonical_search(blocks, n_used, memo)[0] if own_code is None else own_code
             emit(serialize_mmp(MmpDiagram(n_used, code)))
@@ -462,7 +462,7 @@ def membership_probe(d: MmpDiagram, spec: GenSpec) -> bool:
         and all(len(b) == spec.block_size for b in d.blocks)
         and rep.mmp_i and rep.mmp_ii and rep.mmp_iii and rep.pairwise_intersections
         and (rep.girth is None or rep.girth >= spec.min_girth)
-        and _final_ok(d.blocks, d.degrees(), spec)
+        and _final_ok(d.blocks, d.incident_blocks(), spec)
     ):
         return False
     code = canonical_code(d.blocks, d.atom_count)

@@ -41,24 +41,24 @@ def render_dot(d: MmpDiagram, on_loop: Callable[[LoopProfile], None] | None = No
     if loop is not None and on_loop is not None:
         on_loop(loop)
     pos: dict[int, tuple[float, float]] = {}
-    loop_blocks: list[int] = []
+    paths: dict[int, list[int]] = {}  # per loop block: junction in, interior, junction out
     if loop is not None:
-        loop_blocks = list(loop.blocks)
         radius = max(2.0, loop.order / 2.0)
         for i, atom in enumerate(loop.junction_atoms):
             angle = 2 * math.pi * i / loop.order - math.pi / 2
             pos[atom] = (radius * math.cos(angle), radius * math.sin(angle))
-        for i, bi in enumerate(loop_blocks):
+        for i, bi in enumerate(loop.blocks):
             # interior atoms of a loop block sit outside the chord between
             # its two junctions
             j_in = loop.junction_atoms[i - 1]
             j_out = loop.junction_atoms[i]
             interior = [a for a in d.blocks[bi] if a not in (j_in, j_out)]
+            paths[bi] = [j_in, *interior, j_out]
             a_in = 2 * math.pi * (i - 1) / loop.order - math.pi / 2
             a_out = 2 * math.pi * i / loop.order - math.pi / 2
             if a_out < a_in:
                 a_out += 2 * math.pi
-            for k, atom in enumerate(sorted(interior), start=1):
+            for k, atom in enumerate(interior, start=1):
                 frac = k / (len(interior) + 1)
                 angle = a_in + (a_out - a_in) * frac
                 r = radius * 1.18
@@ -77,7 +77,7 @@ def render_dot(d: MmpDiagram, on_loop: Callable[[LoopProfile], None] | None = No
         lines.append(f'  "{_node_name(a)}"{suffix};')
     for bi, block in enumerate(d.blocks):
         color = _PALETTE[bi % len(_PALETTE)]
-        path = _block_path(d, bi, loop, loop_blocks)
+        path = paths.get(bi, block)
         for x, y in zip(path, path[1:]):
             lines.append(
                 f'  "{_node_name(x)}" -- "{_node_name(y)}" [color={color}, penwidth=2];'
@@ -85,13 +85,3 @@ def render_dot(d: MmpDiagram, on_loop: Callable[[LoopProfile], None] | None = No
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def _block_path(d: MmpDiagram, bi: int, loop, loop_blocks: list[int]) -> list[int]:
-    block = d.blocks[bi]
-    if loop is not None and bi in loop_blocks:
-        i = loop_blocks.index(bi)
-        j_in = loop.junction_atoms[i - 1]
-        j_out = loop.junction_atoms[i]
-        interior = sorted(a for a in block if a not in (j_in, j_out))
-        return [j_in, *interior, j_out]
-    return list(block)

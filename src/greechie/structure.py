@@ -4,12 +4,14 @@ Covers the three MMP hypergraph conditions, loop/girth analysis,
 connected components, incidence duality, block dropping, and the element
 count of the pasted lattice.
 
-A diagram keeps its incidence (``incident_blocks``), ``_checks`` and
-``validate`` report, each worked out once: every requirement reads them,
-and ``require_mmp`` never runs the girth search or the connectivity scan.
-The checks, the loop searches and ``dual`` read every block overlap from
-that incidence, and all connectivity, the canonical search's included,
-comes from one breadth-first labelling (``components``).
+A diagram keeps its incidence (``incident_blocks``), ``_checks``, shortest
+incidence cycle and ``validate`` report, each worked out once: every
+requirement reads them, ``require_mmp`` never runs the girth search or the
+connectivity scan, and ``validate``, ``min_loop``, ``girth`` and a spent
+``max_loop`` share one girth search.  The checks, the loop searches and
+``dual`` read every block overlap from that incidence, and all
+connectivity, the canonical search's included, comes from one
+breadth-first labelling of it (``components``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
+from typing import Sequence
 
 from .diagram import MmpDiagram
 from .errors import IndexOutOfRange, NotAdmissible, NotValidated, PreconditionViolated
@@ -111,8 +114,7 @@ def _validation(d: MmpDiagram) -> ValidationReport:
     contiguous = CheckResult(not gaps, gaps)
 
     if pairwise.passed:
-        cycle = _shortest_incidence_cycle(d)
-        g = None if cycle is None else len(cycle) // 2
+        g = None if d._shortest_cycle is None else len(d._shortest_cycle) // 2
     else:
         g = 2
     connected = is_connected(d)
@@ -159,10 +161,8 @@ def min_loop(d: MmpDiagram) -> LoopProfile | None:
     pairwise = d._checked[3]
     if not pairwise:
         raise PreconditionViolated(f"blocks share two or more atoms: {pairwise.offenders[:3]}")
-    cycle = _shortest_incidence_cycle(d)
-    if cycle is None:
-        return None
-    return _cycle_to_profile(d, cycle)
+    cycle = d._shortest_cycle
+    return None if cycle is None else _cycle_to_profile(d, cycle)
 
 
 def _cycle_to_profile(d: MmpDiagram, cycle: list[int]) -> LoopProfile:
@@ -356,18 +356,16 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
 
 
 def components(
-    blocks: tuple[tuple[int, ...], ...], n: int
+    blocks: tuple[tuple[int, ...], ...], incident: Sequence[Sequence[int]]
 ) -> list[tuple[list[int], list[tuple[int, ...]]]]:
-    """Connected components of a diagram on atoms 0..n-1, ordered by least atom.
+    """Connected components of a diagram, ordered by least atom.
 
-    Each is a pair (ascending atoms, its blocks in input order).  An atom
-    in no block is a component without blocks; empty blocks belong to no
-    component.
+    ``incident`` is the blocks' :func:`~greechie.diagram.incidence`, one
+    entry per atom.  Each component is a pair (ascending atoms, its blocks
+    in input order).  An atom in no block is a component without blocks;
+    empty blocks belong to no component.
     """
-    through: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # blocks per atom
-    for b in blocks:
-        for a in b:
-            through[a].append(b)
+    n = len(incident)
     label = [-1] * n
     comps: list[tuple[list[int], list[tuple[int, ...]]]] = []
     for root in range(n):
@@ -375,8 +373,8 @@ def components(
             k = label[root] = len(comps)
             atoms = [root]
             for a in atoms:
-                for b in through[a]:
-                    for x in b:
+                for i in incident[a]:
+                    for x in blocks[i]:
                         if label[x] < 0:
                             label[x] = k
                             atoms.append(x)
@@ -391,12 +389,12 @@ def components(
 def is_connected(d: MmpDiagram) -> bool:
     """True iff the atom-block incidence graph, in which an empty block is
     a component of its own, has at most one component."""
-    return blocks_connected(d.blocks, d.atom_count)
+    return blocks_connected(d.blocks, d.incident_blocks())
 
 
-def blocks_connected(blocks: tuple[tuple[int, ...], ...], n: int) -> bool:
-    """:func:`is_connected` of the blocks on atoms 0..n-1, with no diagram built."""
-    return len(components(blocks, n)) + sum(not b for b in blocks) <= 1
+def blocks_connected(blocks: tuple[tuple[int, ...], ...], incident: Sequence[Sequence[int]]) -> bool:
+    """:func:`is_connected` of the blocks with incidence ``incident``, with no diagram built."""
+    return len(components(blocks, incident)) + sum(not b for b in blocks) <= 1
 
 
 def dual(d: MmpDiagram) -> MmpDiagram:

@@ -125,7 +125,8 @@ def are_isomorphic(d1: MmpDiagram, d2: MmpDiagram) -> Permutation | None:
     if sorted(len(b) for b in d1.blocks) != sorted(len(b) for b in d2.blocks):
         return None
     n = d1.atom_count
-    comps1, comps2 = components(d1.blocks, n), components(d2.blocks, n)
+    comps1 = components(d1.blocks, d1.incident_blocks())
+    comps2 = components(d2.blocks, d2.incident_blocks())
     connected = _connected(comps1, d1.blocks)
     if connected != _connected(comps2, d2.blocks):
         return None
@@ -173,7 +174,7 @@ def _canonical_search(
     group.  Calls that share a ``memo`` share their component searches
     (``_search_components``).
     """
-    comps = components(blocks, n)
+    comps = components(blocks, incidence(blocks, n))
     if _connected(comps, blocks):
         return _search_connected(blocks, n)
     return _search_components(blocks, n, comps, memo)
@@ -258,6 +259,19 @@ def _search_connected(
 ) -> tuple[Code, tuple[int, ...], int, Gens]:
     """Individualization-refinement search over a connected diagram.
 
+    The search is one loop over a stack of the branching nodes on its path,
+    as ``structure.max_loop`` extends its chain, so no depth meets a
+    recursion limit.  A node keeps its coloring, cells, path (the
+    individualized atoms) and path bitmask, whether it is on the first
+    path, its target color and cell, the cell's atoms left to try, those
+    explored (the last is the child searched now), and its orbits with the
+    count of generators merged.  A cell of twins alone extends the path in
+    place, with no node; any other target cell pushes a node and searches
+    its first atom.  A leaf gives the depth (path length) to go on at, and
+    every deeper node is popped; the node on top merges the new generators,
+    skips the atoms in an explored one's orbit and searches its next atom,
+    or, with none left, pops itself.
+
     Known automorphisms prune each child in the orbit of an explored
     sibling.  Twins, atoms on exactly the same blocks, are known before
     the search: the swap of each two neighbours in a twin class is a
@@ -330,84 +344,74 @@ def _search_connected(
     # one per block; a 1-atom block's takes a slice, so it too returns a sequence
     getters = [itemgetter(*b) if len(b) > 1 else itemgetter(slice(b[0], b[0] + 1)) for b in blocks]
 
-    def code_of(perm: list[int]) -> Code:
-        return tuple(sorted([tuple(sorted(get(perm))) for get in getters]))
-
     # (code, permutation, path) of the first leaf and of the first leaf with
-    # the least code so far; a path lists the individualized atoms
+    # the least code so far
     first = best = None
-
-    def record_leaf(perm: list[int], path: tuple[int, ...]) -> int:
-        """Record a leaf (a discrete coloring: color value == canonical
-        position); return the depth the search goes on at."""
-        nonlocal first, best
-        code = code_of(perm)
-        if until is not None and until(code):
-            best = (code, tuple(perm), path)
-            return -1
-        if first is None:
-            first = best = (code, tuple(perm), path)
-            return len(path)
-        ref = first if code == first[0] else best if code == best[0] else None
-        if ref is None:
-            if code < best[0]:
-                best = (code, tuple(perm), path)
-            return len(path)
-        inv_leaf = sorted(range(n), key=perm.__getitem__)
-        g = tuple([inv_leaf[v] for v in ref[1]])
-        support = [i for i in range(n) if g[i] != i]
-        if support and g not in gens:
-            gens.append(g)
-            moves.append((g, sum(1 << i for i in support), support))
-        # the node where this path leaves the reference path
-        return next((d for d, (x, y) in enumerate(zip(path, ref[2])) if x != y), len(path))
-
     order = 1
-
-    def search(
-        colors: list[int], cells: Cells, fixed: tuple[int, ...], mask: int, on_first: bool
-    ) -> int:
-        """Search below one node (``cells`` keyed by color, ``mask`` the
-        bitmask of ``fixed``); return the depth (length of ``fixed``) of the
-        node the search goes on at: this node's own when it is done."""
-        nonlocal order
-        if len(cells) == n:
-            return record_leaf(colors, fixed)
-        c = min((len(cell), end) for end, cell in cells.items() if len(cell) > 1)[1]  # the first smallest
-        cell = cells[c]
-        if all(twins[a] is twins[cell[0]] for a in cell):  # twins: split at once, in place
-            for i, a in enumerate(cell, c + 1 - len(cell)):  # (no other node reads them)
-                colors[a] = i
-                cells[i] = [a]
-                mask |= 1 << a
-            if on_first:
-                order *= math.factorial(len(cell))
-            return search(colors, cells, fixed + tuple(cell), mask, on_first)
-        depth, start = len(fixed), c + 1 - len(cell)  # start: the cell's first position
-        # union-find parents: the orbits in ``cell`` of the first ``merged``
-        # generators that fix ``fixed``, None while none moves an atom of it
-        orbits, merged, explored, roots = None, 0, [], set()  # roots: of the explored atoms
-        for a in cell:
-            if orbits is not None and _find(orbits, a) in roots:
+    # the branching nodes on the path, each [colors, cells, path, mask,
+    # on_first, c, cell, atoms left, explored, orbits, merged]
+    stack: list[list] = []
+    colors, cells = refine(colors, cells, range(n))
+    path, mask, on_first = (), 0, True  # of the coloring searched now
+    while True:
+        if len(cells) < n:
+            c = min((len(cell), end) for end, cell in cells.items() if len(cell) > 1)[1]  # the first smallest
+            cell = cells[c]
+            if all(twins[a] is twins[cell[0]] for a in cell):  # twins: split at once, in place
+                for i, a in enumerate(cell, c + 1 - len(cell)):  # (no node holds them)
+                    colors[a] = i
+                    cells[i] = [a]
+                    mask |= 1 << a
+                path += tuple(cell)
+                if on_first:
+                    order *= math.factorial(len(cell))
                 continue
-            ind, sub = colors[:], {**cells, start: [a], c: [x for x in cell if x != a]}
-            ind[a] = start
-            back = search(*refine(ind, sub, [a]), fixed + (a,), mask | 1 << a, on_first and a == cell[0])
-            if back < depth:
-                return back
-            explored.append(a)
-            if merged < len(gens):
-                orbits, merged = _merge_moves(orbits, moves[merged:], mask, colors, c), len(gens)
-            if orbits is not None:
-                roots = {_find(orbits, x) for x in explored}
-        if on_first and orbits is not None:
-            root = _find(orbits, cell[0])
-            order *= sum(_find(orbits, x) == root for x in cell)
-        return depth
-
-    search(*refine(colors, cells, range(n)), (), 0, True)
-    del search  # it holds itself through its closure cell
-    return best[0], best[1], order, tuple(gens)
+            a, atoms = cell[0], iter(cell[1:])
+            stack.append([colors, cells, path, mask, on_first, c, cell, atoms, [a], None, 0])
+        else:  # a leaf: a discrete coloring, color value == canonical position
+            code = tuple(sorted([tuple(sorted(get(colors))) for get in getters]))
+            back = len(path)  # the depth the search goes on at
+            if until is not None and until(code):
+                best, back = (code, tuple(colors), path), -1
+            elif first is None:
+                first = best = (code, tuple(colors), path)
+            elif (ref := first if code == first[0] else best if code == best[0] else None) is None:
+                if code < best[0]:
+                    best = (code, tuple(colors), path)
+            else:
+                inv_leaf = sorted(range(n), key=colors.__getitem__)
+                g = tuple([inv_leaf[v] for v in ref[1]])
+                support = [i for i in range(n) if g[i] != i]
+                if support and g not in gens:
+                    gens.append(g)
+                    moves.append((g, sum(1 << i for i in support), support))
+                # the node where this path leaves the reference path
+                back = next((d for d, (x, y) in enumerate(zip(path, ref[2])) if x != y), back)
+            while stack and len(stack[-1][2]) > back:
+                stack.pop()
+            while stack:  # the node on top goes on with its next atom, or is done
+                node = stack[-1]
+                colors, cells, path, mask, on_first, c, cell, atoms, explored, orbits, merged = node
+                if merged < len(gens):
+                    orbits = node[9] = _merge_moves(orbits, moves[merged:], mask, colors, c)
+                    node[10] = len(gens)
+                roots = set() if orbits is None else {_find(orbits, x) for x in explored}
+                a = next((x for x in atoms if orbits is None or _find(orbits, x) not in roots), None)
+                if a is not None:
+                    explored.append(a)
+                    break
+                if on_first and orbits is not None:
+                    root = _find(orbits, cell[0])
+                    order *= sum(_find(orbits, x) == root for x in cell)
+                stack.pop()
+            else:
+                return best[0], best[1], order, tuple(gens)
+        # the child of the node on top that gives a the cell's first position
+        start = c + 1 - len(cell)
+        colors, cells = colors[:], {**cells, start: [a], c: [x for x in cell if x != a]}
+        colors[a] = start
+        colors, cells = refine(colors, cells, [a])
+        path, mask, on_first = path + (a,), mask | 1 << a, on_first and a == cell[0]
 
 
 def _merge_moves(

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from greechie import corpus
-from greechie.diagram import MmpDiagram, parse_mmp, serialize_mmp
+from greechie.diagram import MmpDiagram, incidence, parse_mmp, serialize_mmp
 from greechie.errors import IndexOutOfRange, NotAdmissible, PreconditionViolated
 from greechie.generate import GenSpec, generate
 from greechie.lattice import build_oml
@@ -412,7 +412,7 @@ def test_components_match_breadth_first_oracle(rng):
         cases.append((blocks, n))
     isolated = empty = split = 0
     for blocks, n in cases:
-        got = components(blocks, n)
+        got = components(blocks, incidence(blocks, n))
         assert got == bfs_components(blocks, n), (blocks, n)
         isolated += any(not bs for _, bs in got)
         empty += () in blocks
@@ -514,7 +514,9 @@ def test_min_girth_constant():
 
 def test_every_reader_shares_the_one_check_a_diagram_keeps(monkeypatch):
     # require_mmp, and canon through it, run neither the girth search nor
-    # the connectivity scan; every reader after validate reaches no check
+    # the connectivity scan; every reader after validate reaches no check,
+    # and validate, min_loop, girth and max_loop's spent-budget fallback
+    # share one girth search, whichever of them reads first
     from greechie import structure
     from greechie.render import render_dot
     from greechie.states import classify_states
@@ -523,9 +525,10 @@ def test_every_reader_shares_the_one_check_a_diagram_keeps(monkeypatch):
     def refused(*args):
         raise AssertionError("the MMP requirement ran a search of validate's")
 
-    checked = []
-    checks = structure._checks
+    checked, cycles = [], []
+    checks, cycle = structure._checks, structure._shortest_incidence_cycle
     monkeypatch.setattr(structure, "_checks", lambda d: checked.append(d) or checks(d))
+    monkeypatch.setattr(structure, "_shortest_incidence_cycle", lambda d: cycles.append(d) or cycle(d))
     d = parse_mmp("123,345,567,789,9A1.")
     with monkeypatch.context() as m:
         m.setattr(structure, "_shortest_incidence_cycle", refused)
@@ -534,9 +537,12 @@ def test_every_reader_shares_the_one_check_a_diagram_keeps(monkeypatch):
         assert all(mmp_checks(d)) and canonical_form(d).automorphism_count == 10
     assert validate(d).greechie_admissible
     require_admissible(d)
-    assert min_loop(d).order == girth(d) == max_loop(d).order == 5
+    assert min_loop(d).order == girth(d) == max_loop(d).order == max_loop(d, budget=0).order == 5
     assert d.degrees() == [2, 1] * 5 and dual(d).block_count == 10
     assert classify_states(d).classification.value == "MoreThanOne"
     assert len(build_oml(d)) == element_count(d) == 22
     assert render_dot(d).startswith("graph mmp {")
     assert len(checked) == 1 and checked[0] is d
+    e = parse_mmp("123,345,567,789,9AB,BC1.")
+    assert not max_loop(e, budget=0).exact and validate(e).girth == girth(e) == min_loop(e).order == 6
+    assert len(cycles) == 2 and cycles[0] is d and cycles[1] is e

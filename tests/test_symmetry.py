@@ -1,7 +1,9 @@
 import gc
+import inspect
 import json
 import math
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -586,10 +588,9 @@ def test_corpus_search_trees_are_pinned(monkeypatch):
 
 
 def test_recursive_searches_leave_no_garbage():
-    # nothing may be left for the cyclic collector.  The canonical search
-    # recurses through a nested function, which holds itself through its
-    # closure cell unless the cell is cleared; the loop search and the states
-    # layer run loops over explicit lists, and are checked for cycles all the
+    # nothing may be left for the cyclic collector.  No search holds itself
+    # any more: the canonical search, the loop search and the states layer
+    # all run loops over explicit lists, and are checked for cycles all the
     # same
     d = corpus.diagram("35-35a")
     calls = [
@@ -610,3 +611,18 @@ def test_recursive_searches_leave_no_garbage():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_deep_search_never_hits_the_recursion_limit():
+    # the 80-spoke star's first path individualizes 80 spoke ends, one
+    # branching node each; the search keeps them on its own stack, so it
+    # runs within 40 frames above its caller
+    k = 80
+    star = MmpDiagram(2 * k + 1, tuple((2 * i, 2 * i + 1, 2 * k) for i in range(k)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        order = canonical_form(star).automorphism_count
+    finally:
+        sys.setrecursionlimit(limit)
+    assert order == math.factorial(k) * 2**k
