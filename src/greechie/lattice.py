@@ -7,7 +7,10 @@ For an admissible pasting the order is the union of the Boolean block
 orders (Greechie's paste lemma): x <= y exactly when some block holds
 both with subset containment.  It is built from the block incidences
 alone; only order, ortho, and block-local Boolean structure are
-materialized.
+materialized.  Every query answers by element index: ``leq`` reads the
+up-set table, ``ortho`` one index table, ``extend_state`` lists the
+values in element order, and ``covers`` reads the up-sets in O(E^2)
+word operations for E elements.
 """
 
 from __future__ import annotations
@@ -63,9 +66,10 @@ class OmlPoset:
     The order is ``ups``, over the elements in a fixed order (zero, one,
     atoms, coatoms, block interiors): bit j of ``ups[i]`` is element i <=
     element j.  The element objects are built only when named: ``element(i)``
-    builds one, and ``elements`` all of them on first access.  ``leq`` and
-    ``ortho`` answer from tables built on first use.  ``source`` must be
-    Greechie-admissible, as read from the validation it keeps.
+    builds one, and ``elements`` all of them on first access.  ``leq``
+    reads ``ups``, and ``ortho`` an index table built on first use.
+    ``source`` must be Greechie-admissible, as read from the validation it
+    keeps.
     """
 
     def __init__(self, source: MmpDiagram):
@@ -126,8 +130,13 @@ class OmlPoset:
         return {e: i for i, e in enumerate(self.elements)}
 
     @cached_property
-    def _ortho(self) -> list[OmlElement]:
-        return [self._orthocomplement(e) for e in self.elements]
+    def _orth(self) -> list[int]:
+        # 0 <-> 1, atom a <-> coatom a', an interior <-> the rest of its block
+        n, blocks = self.source.atom_count, self.source.blocks
+        where = {form: i for i, form in enumerate(self._interiors, 2 + 2 * n)}
+        rest = [where[bi, tuple(a for a in blocks[bi] if a not in sub)]
+                for bi, sub in self._interiors]
+        return [1, 0, *range(2 + n, 2 + 2 * n), *range(2, 2 + n), *rest]
 
     def index(self, x: OmlElement) -> int:
         try:
@@ -139,20 +148,7 @@ class OmlPoset:
         return bool(self.ups[self.index(x)] >> self.index(y) & 1)
 
     def ortho(self, x: OmlElement) -> OmlElement:
-        return self._ortho[self.index(x)]
-
-    def _orthocomplement(self, x: OmlElement) -> OmlElement:
-        if x.kind == ZERO:
-            return OmlElement(ONE)
-        if x.kind == ONE:
-            return OmlElement(ZERO)
-        if x.kind == ATOM:
-            return OmlElement(COATOM, atom=x.atom)
-        if x.kind == COATOM:
-            return OmlElement(ATOM, atom=x.atom)
-        block = self.source.blocks[x.block]
-        rest = tuple(a for a in block if a not in x.subset)
-        return OmlElement(MID, block=x.block, subset=rest)
+        return self.elements[self._orth[self.index(x)]]
 
     # -- state extension ----------------------------------------------------
 
@@ -164,43 +160,29 @@ class OmlPoset:
         interiors sum their members.
         """
         vals = [Fraction(v) for v in values]
-        self._check_state(vals)
-        out: dict[OmlElement, Fraction] = {}
-        for e in self.elements:
-            if e.kind == ZERO:
-                out[e] = Fraction(0)
-            elif e.kind == ONE:
-                out[e] = Fraction(1)
-            elif e.kind == ATOM:
-                out[e] = vals[e.atom]
-            elif e.kind == COATOM:
-                out[e] = 1 - vals[e.atom]
-            else:
-                out[e] = sum((vals[a] for a in e.subset), Fraction(0))
-        return out
-
-    def _check_state(self, vals: list[Fraction]) -> None:
-        if len(vals) != self.source.atom_count:
-            raise NotAState(f"expected {self.source.atom_count} atom values, got {len(vals)}")
-        if any(v < 0 or v > 1 for v in vals):
-            raise NotAState("atom values must lie in [0, 1]")
-        for bi, block in enumerate(self.source.blocks):
-            if sum(vals[a] for a in block) != 1:
-                raise NotAState(f"block {bi} does not sum to 1")
+        problem = _state_problem(self.source, vals)
+        if problem is not None:
+            raise NotAState(problem)
+        mids = (sum((vals[a] for a in sub), Fraction(0)) for _, sub in self._interiors)
+        values = [Fraction(0), Fraction(1), *vals, *(1 - v for v in vals), *mids]
+        return dict(zip(self.elements, values))
 
     # -- export --------------------------------------------------------------
 
     def covers(self) -> list[tuple[str, str]]:
-        """Cover relation (x, y) pairs with y covering x, by label."""
-        n = len(self.elements)
+        """Cover relation (x, y) pairs with y covering x, by label.
+
+        The covers of x are its strict up-set less the strict up-sets of
+        its members: O(E^2) word operations for E elements.
+        """
+        labels = [e.label() for e in self.elements]
+        strict = [up ^ 1 << i for i, up in enumerate(self.ups)]  # x <= x always
         out = []
-        for i in range(n):
-            strict_up = self.ups[i] & ~(1 << i)
-            for j in range(n):
-                if strict_up >> j & 1:
-                    others = strict_up & ~(1 << j)
-                    if all(not (self.ups[k] >> j & 1) for k in _bits(others)):
-                        out.append((self.elements[i].label(), self.elements[j].label()))
+        for i, up in enumerate(strict):
+            above = 0
+            for k in _bits(up):
+                above |= strict[k]
+            out += [(labels[i], labels[j]) for j in _bits(up & ~above)]
         return out
 
     def to_json(self) -> str:
@@ -217,6 +199,17 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _state_problem(d: MmpDiagram, vals: list[Fraction]) -> str | None:
+    """The first rule of a state of ``d`` that ``vals`` breaks, as a message,
+    or None: one value per atom, each in [0, 1], every block summing to 1."""
+    if len(vals) != d.atom_count:
+        return f"expected {d.atom_count} atom values, got {len(vals)}"
+    if any(v < 0 or v > 1 for v in vals):
+        return "atom values must lie in [0, 1]"
+    sums = (sum(vals[a] for a in b) for b in d.blocks)
+    return next((f"block {bi} does not sum to 1" for bi, s in enumerate(sums) if s != 1), None)
 
 
 def build_oml(d: MmpDiagram) -> OmlPoset:

@@ -20,7 +20,7 @@ from functools import cache, cached_property
 
 from .diagram import MmpDiagram, twin_classes
 from .errors import Infeasible, LengthMismatch
-from .lattice import OmlElement, OmlPoset, build_oml
+from .lattice import OmlElement, OmlPoset, _state_problem, build_oml
 from .linprog import vertices
 from .structure import require_mmp
 
@@ -83,9 +83,7 @@ def is_state(d: MmpDiagram, values) -> bool:
     vals = [Fraction(v) for v in values]
     if len(vals) != d.atom_count:
         raise LengthMismatch(f"expected {d.atom_count} values, got {len(vals)}")
-    if any(v < 0 or v > 1 for v in vals):
-        return False
-    return all(sum(vals[a] for a in b) == 1 for b in d.blocks)
+    return _state_problem(d, vals) is None
 
 
 def classify_states(d: MmpDiagram) -> PolytopeSummary:

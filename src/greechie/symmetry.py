@@ -32,12 +32,11 @@ rule's orbit test (``generate._accepts``).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .diagram import ALPHABET, MmpDiagram, incidence, serialize_mmp, twin_classes
 from .errors import SizeMismatch
@@ -103,10 +102,8 @@ def canonical_form(d: MmpDiagram) -> CanonicalForm:
     """
     require_mmp(d)
     code, _, order, _ = _canonical_search(d.blocks, d.atom_count)
-    if d.atom_count <= len(ALPHABET):
-        text = serialize_mmp(MmpDiagram(d.atom_count, code))
-    else:
-        text = json.dumps({"atoms": d.atom_count, "blocks": [list(b) for b in code]})
+    canon = MmpDiagram(d.atom_count, code)
+    text = serialize_mmp(canon) if d.atom_count <= len(ALPHABET) else canon.to_json()
     return CanonicalForm(text, order)
 
 
@@ -131,8 +128,8 @@ def are_isomorphic(d1: MmpDiagram, d2: MmpDiagram) -> Permutation | None:
     if connected != _connected(comps2, d2.blocks):
         return None
     if connected:
-        code2, p2, _, _ = _search_connected(d2.blocks, n, lambda code: True)
-        code1, p1, _, _ = _search_connected(d1.blocks, n, code2.__eq__)
+        code2, p2, _, _ = _search_connected(d2.blocks, d2.incident_blocks(), lambda code: True)
+        code1, p1, _, _ = _search_connected(d1.blocks, d1.incident_blocks(), code2.__eq__)
     else:
         code1, p1, _, _ = _search_components(d1.blocks, n, comps1, None)
         code2, p2, _, _ = _search_components(d2.blocks, n, comps2, None)
@@ -174,9 +171,10 @@ def _canonical_search(
     group.  Calls that share a ``memo`` share their component searches
     (``_search_components``).
     """
-    comps = components(blocks, incidence(blocks, n))
+    incident = incidence(blocks, n)
+    comps = components(blocks, incident)
     if _connected(comps, blocks):
-        return _search_connected(blocks, n)
+        return _search_connected(blocks, incident)
     return _search_components(blocks, n, comps, memo)
 
 
@@ -214,7 +212,7 @@ def _search_components(
         key = (tuple(tuple(index[a] for a in b) for b in comp_blocks), len(atoms))
         found = memo.get(key) if memo is not None else None
         if found is None:
-            found = _search_connected(*key)
+            found = _search_connected(key[0], incidence(*key))
             if memo is not None:
                 memo[key] = found
         pieces.append((*found, atoms))
@@ -255,9 +253,12 @@ def _connected(comps: list, blocks: tuple[tuple[int, ...], ...]) -> bool:
 
 
 def _search_connected(
-    blocks: tuple[tuple[int, ...], ...], n: int, until: Callable[[Code], bool] | None = None
+    blocks: tuple[tuple[int, ...], ...],
+    incident: Sequence[Sequence[int]],
+    until: Callable[[Code], bool] | None = None,
 ) -> tuple[Code, tuple[int, ...], int, Gens]:
-    """Individualization-refinement search over a connected diagram.
+    """Individualization-refinement search over a connected diagram on
+    atoms 0..n-1, whose ``incidence`` is ``incident`` (n = its length).
 
     The search is one loop over a stack of the branching nodes on its path,
     as ``structure.max_loop`` extends its chain, so no depth meets a
@@ -328,8 +329,8 @@ def _search_connected(
     satisfies it and returns that leaf's code and permutation; the count
     and generators are then partial.
     """
+    n = len(incident)
     refine = _refiner(blocks, n)
-    incident = incidence(blocks, n)
     sigs = [(len(inc), tuple(sorted(len(blocks[i]) for i in inc))) for inc in incident]
     ordered = sorted(sigs)  # a profile's cell is colored by the last position it takes
     colors = [bisect_right(ordered, s) - 1 for s in sigs]

@@ -376,6 +376,21 @@ def brute_leq(d: MmpDiagram, x: OmlElement, y: OmlElement) -> bool:
     return any(bi in fy and form <= fy[bi] for bi, form in fx.items())
 
 
+def brute_covers(d: MmpDiagram) -> list[tuple[str, str]]:
+    """The cover pairs (x, y) of the pasted lattice by label, x-major in
+    ``eager_elements`` order: y covers x when x < y and no z has
+    x < z < y, every comparison by :func:`brute_leq`."""
+    elements = eager_elements(d)
+    size = len(elements)
+    lt = [[x != y and brute_leq(d, x, y) for y in elements] for x in elements]
+    return [
+        (elements[i].label(), elements[j].label())
+        for i in range(size)
+        for j in range(size)
+        if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(size))
+    ]
+
+
 def brute_01_states(d: MmpDiagram) -> list[tuple[Fraction, ...]]:
     """All 0-1 states by scanning every bit vector."""
     n = d.atom_count

@@ -7,11 +7,11 @@ import pytest
 from conftest import random_admissible
 from greechie import corpus
 from greechie.diagram import MmpDiagram, parse_mmp
-from greechie.errors import ForeignElement, NotAdmissible, NotAState
+from greechie.errors import ForeignElement, LengthMismatch, NotAdmissible, NotAState
 from greechie.lattice import ATOM, COATOM, MID, OmlElement, build_oml, extend_state, leq, ortho
-from greechie.states import classify_states
+from greechie.states import classify_states, is_state
 from greechie.structure import element_count
-from oracles import brute_leq, eager_elements
+from oracles import brute_covers, brute_leq, eager_elements
 
 F = Fraction
 
@@ -92,11 +92,21 @@ def test_foreign_element_rejected():
 
 
 def test_ortho_involution_and_order_reversal_exhaustive():
-    for name in ("35-35a", "35-35e", "36-36", "38-38g", "44-44", "73-78-ngv"):
-        poset = build_oml(corpus.diagram(name))
+    # On corpus lattices and on random pastings of 4- to 6-atom blocks,
+    # whose interiors each have the rest of their block as ortho
+    rng = random.Random(1974)
+    names = ("35-35a", "35-35e", "36-36", "38-38g", "44-44", "73-78-ngv")
+    diagrams = [corpus.diagram(name) for name in names]
+    for sizes in ((4,), (5,), (6,), (4, 5, 6)):
+        diagrams += [random_admissible(rng, max_blocks=3, sizes=sizes) for _ in range(5)]
+    for d in diagrams:
+        poset = build_oml(d)
         assert len(poset) <= 200
         for x in poset.elements:
             assert ortho(poset, ortho(poset, x)) == x
+            if x.kind == MID:
+                rest = tuple(a for a in d.blocks[x.block] if a not in x.subset)
+                assert ortho(poset, x) == OmlElement(MID, block=x.block, subset=rest)
         for x in poset.elements:
             for y in poset.elements:
                 assert leq(poset, x, y) == leq(poset, ortho(poset, y), ortho(poset, x))
@@ -184,24 +194,34 @@ def test_five_atom_block_interior():
 
 
 def test_extend_state_rejects_non_states():
-    poset = build_oml(parse_mmp("123."))
-    with pytest.raises(NotAState):
-        extend_state(poset, [F(1, 2), F(1, 2), F(1, 2)])
-    with pytest.raises(NotAState):
-        extend_state(poset, [F(1), F(0)])
-    with pytest.raises(NotAState):
-        extend_state(poset, [F(3, 2), F(-1, 2), F(0)])
+    d = parse_mmp("123.")
+    poset = build_oml(d)
+    for values, message in (
+        ([F(1, 2), F(1, 2), F(1, 2)], "block 0 does not sum to 1"),
+        ([F(1), F(0)], "expected 3 atom values, got 2"),
+        ([F(3, 2), F(-1, 2), F(0)], "atom values must lie in [0, 1]"),
+    ):
+        with pytest.raises(NotAState) as caught:
+            extend_state(poset, values)
+        assert str(caught.value) == message
+    with pytest.raises(LengthMismatch) as caught:
+        is_state(d, [F(1), F(0)])
+    assert str(caught.value) == "expected 3 values, got 2"
 
 
 def test_extension_is_monotone_and_complement_summing():
     # Unit-sum and monotonicity of the extension for every witness state the
-    # analyzer produces on the corpus.
-    for entry in corpus.ENTRIES:
-        d = entry.diagram()
+    # analyzer produces on the corpus and on random pastings of 4- to 6-atom
+    # blocks, which have interiors.
+    rng = random.Random(1975)
+    named = [(entry.name, entry.diagram()) for entry in corpus.ENTRIES]
+    for sizes in ((4,), (5, 6), (3, 4, 5, 6)):
+        named += [(None, random_admissible(rng, max_blocks=3, sizes=sizes)) for _ in range(5)]
+    for name, d in named:
         summary = classify_states(d)
         witnesses = [w for w in (summary.unique_state, summary.witness_state,
                                  summary.second_witness) if w is not None]
-        witnesses += list(corpus.KNOWN_STATES.get(entry.name, ()))
+        witnesses += list(corpus.KNOWN_STATES.get(name, ()))
         if not witnesses:
             continue
         poset = build_oml(d)
@@ -223,3 +243,15 @@ def test_poset_json_export():
     # 0 is covered by exactly the three atoms
     bottoms = [pair for pair in doc["covers"] if pair[0] == "0"]
     assert sorted(x[1] for x in bottoms) == ["1", "2", "3"]
+    # covers, in order, and the export against the brute-force oracle on the
+    # corpus and on random pastings of 3- to 6-atom blocks
+    rng = random.Random(1976)
+    diagrams = [entry.diagram() for entry in corpus.ENTRIES]
+    for sizes in ((3,), (4,), (5,), (6,), (3, 4, 5, 6)):
+        diagrams += [random_admissible(rng, max_blocks=4, sizes=sizes) for _ in range(8)]
+    for d in diagrams:
+        poset = build_oml(d)
+        want = brute_covers(d)
+        assert poset.covers() == want, d
+        labels = [e.label() for e in eager_elements(d)]
+        assert json.loads(poset.to_json()) == {"elements": labels, "covers": [list(c) for c in want]}

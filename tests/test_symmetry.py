@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from greechie import corpus, symmetry
-from greechie.diagram import MmpDiagram, parse_mmp
+from greechie.diagram import MmpDiagram, load_diagram_line, parse_mmp
 from greechie.errors import NotValidated, SizeMismatch
 from greechie.generate import GenSpec, generate
 from greechie.render import render_dot
@@ -438,6 +438,17 @@ def test_canon_of_a_large_star_in_bounded_time(monkeypatch, k):
     form = within(1.5, lambda: canonical_form(d), f"canon of the {k}-spoke star")
     assert form.automorphism_count == math.factorial(k) * 2**k
     assert calls[0] == k * (k + 1) // 2
+
+
+def test_canonical_text_past_the_alphabet_is_json_that_round_trips():
+    # 93 atoms are more than the MMP characters, so the text is the JSON
+    # interchange form, which reads back to a diagram with the same text
+    # and |Aut|
+    k = 46
+    form = canonical_form(star(k))
+    assert form.canonical_text.startswith('{"atoms": 93, "blocks": [[')
+    assert canonical_form(load_diagram_line(form.canonical_text)) == form
+    assert form.automorphism_count == math.factorial(k) * 2**k
 
 
 def disjoint_blocks(k: int) -> MmpDiagram:
