@@ -20,14 +20,15 @@ recolors only its parts before the last; each round re-examines only the
 cells next to an atom that changed cell in the round before, and it keys
 each incident block by one int whose order is that of the (size, colors)
 tuple it encodes (see ``_refiner``).  Twins, atoms on exactly the same
-blocks, are swapped by automorphisms known before the search starts, and
-a cell of twins alone is split in one step.  Each node keeps the orbits
-of the automorphisms known to fix its path, as a union-find partition.
-A leaf that repeats the first or the least code returns the search to
-the node where its path parts from that leaf's (McKay 1981).  Besides
-the code, the search returns |Aut| and generators of Aut.  Generation
-uses them to try one augmenting block per orbit and in the deletion
-rule's orbit test (``generate._accepts``).
+blocks, and pendant blocks of one size at one atom are swapped by
+automorphisms known before the search starts, and a cell of twins alone
+is split in one step.  Each node keeps the orbits of the automorphisms
+known to fix its path, as a union-find partition.  A leaf that repeats
+the first or the least code returns the search to the node where its
+path parts from that leaf's (McKay 1981).  Besides the code, the search
+returns |Aut| and generators of Aut.  Generation uses them to try one
+augmenting block per orbit and in the deletion rule's orbit test
+(``generate._accepts``).
 """
 
 from __future__ import annotations
@@ -274,10 +275,14 @@ def _search_connected(
     or, with none left, pops itself.
 
     Known automorphisms prune each child in the orbit of an explored
-    sibling.  Twins, atoms on exactly the same blocks, are known before
-    the search: the swap of each two neighbours in a twin class is a
-    generator from the start (McKay & Piperno 2014).  The rest are found
-    at leaves with equal codes.
+    sibling.  Two kinds are generators from the start (McKay & Piperno
+    2014): the swap of each two neighbours in a twin class, twins being
+    atoms on exactly the same blocks, and the swap of each two pendant
+    blocks of one size at one atom h that are consecutive in the order of
+    their least other atoms.  A block is pendant at h when h is its only
+    atom on another block, so exchanging the other atoms of two such
+    blocks, in order, fixes every other block.  The rest are found at
+    leaves with equal codes.
 
     Each generator is kept with its support, the atoms it moves, as a list
     and as a bitmask; it fixes a node's path P, a bitmask too, when the two
@@ -341,6 +346,18 @@ def _search_connected(
     # moves[i]: gens[i], with the bitmask and the list of the atoms it moves
     moves = [(tuple(y if i == x else x if i == y else i for i in range(n)), 1 << x | 1 << y, (x, y))
              for cls in dict.fromkeys(twins) for x, y in zip(cls, cls[1:])]
+    if any(len(inc) == 1 for inc in incident):  # pendant blocks, as (hub, size) -> their other atoms
+        pendant: dict[tuple[int, int], list[list[int]]] = {}
+        for b in blocks:
+            if len(hubs := [a for a in b if len(incident[a]) > 1]) == 1 < len(b):
+                pendant.setdefault((hubs[0], len(b)), []).append([a for a in b if a != hubs[0]])
+        for run in pendant.values():
+            run.sort(key=min)  # as the search individualizes a star's spokes
+            for xs, ys in zip(run, run[1:]):
+                g = list(range(n))
+                for x, y in zip(xs, ys):
+                    g[x], g[y] = y, x
+                moves.append((tuple(g), sum(1 << a for a in xs + ys), xs + ys))
     gens = [g for g, _, _ in moves]
     # one per block; a 1-atom block's takes a slice, so it too returns a sequence
     getters = [itemgetter(*b) if len(b) > 1 else itemgetter(slice(b[0], b[0] + 1)) for b in blocks]

@@ -118,6 +118,30 @@ def twin_rich(rng: random.Random, max_atoms: int) -> MmpDiagram:
     return MmpDiagram(n, tuple(tuple(sorted(pi[a] for a in b)) for b in blocks))
 
 
+def pendant_tree(rng: random.Random, max_atoms: int, loop: bool = False) -> MmpDiagram:
+    """A block-tree of 3- and 4-atom blocks, each after the first hung at
+    one atom of those before it, mostly at an atom that already holds a
+    hung block, so that pendant blocks of one or of two sizes share a hub.
+    With ``loop``, one more 3-atom block through two atoms on no common
+    block closes a cycle.  Relabelled at random."""
+    first = rng.choice((3, 4))
+    blocks, n, hubs = [list(range(first))], first, [rng.randrange(first)]
+    while n + 2 + loop <= max_atoms:
+        size = min(rng.choice((3, 4)), max_atoms - loop - n + 1)
+        hub = rng.choice(hubs) if rng.random() < 0.7 else rng.randrange(n)
+        hubs.append(hub)
+        blocks.append([hub] + list(range(n, n + size - 1)))
+        n += size - 1
+    if loop:
+        apart = [(x, y) for x in range(n) for y in range(x) if not any(x in b and y in b for b in blocks)]
+        blocks.append([*rng.choice(apart), n])
+        n += 1
+    pi = list(range(n))
+    rng.shuffle(pi)
+    rng.shuffle(blocks)
+    return MmpDiagram(n, tuple(tuple(sorted(pi[a] for a in b)) for b in blocks))
+
+
 class _Overran(BaseException):
     pass
 

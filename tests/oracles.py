@@ -451,7 +451,16 @@ def brute_automorphism_count(d: MmpDiagram) -> int:
         for a in b:
             incident[a].append(i)
     degree = [len(incident[a]) for a in range(n)]
-    block_set = set(blocks)
+    # atoms in the order a walk over the blocks meets them, each block next
+    # to one met before where there is one, so that blocks are completed,
+    # and checked, early; the count is the same in any order
+    order: list[int] = []
+    left = list(blocks)
+    while left:
+        b = next((b for b in left if set(b) & set(order)), left[0])
+        left.remove(b)
+        order += [a for a in b if a not in order]
+    order += [a for a in range(n) if a not in order]
     count = 0
 
     def extend(mapping: dict[int, int], used: set[int]) -> None:
@@ -461,7 +470,7 @@ def brute_automorphism_count(d: MmpDiagram) -> int:
             if image == blocks:
                 count += 1
             return
-        a = len(mapping)
+        a = order[len(mapping)]
         for target in range(n):
             if target in used or degree[target] != degree[a]:
                 continue

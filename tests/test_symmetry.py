@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from greechie import corpus, symmetry
-from greechie.diagram import MmpDiagram, load_diagram_line, parse_mmp
+from greechie.diagram import MmpDiagram, incidence, load_diagram_line, parse_mmp, twin_classes
 from greechie.errors import NotValidated, SizeMismatch
 from greechie.generate import GenSpec, generate
 from greechie.render import render_dot
@@ -25,7 +25,7 @@ from greechie.symmetry import (
     is_self_dual,
     relabel,
 )
-from conftest import block_cycle, random_diagram, random_mmp, twin_rich, within
+from conftest import block_cycle, pendant_tree, random_diagram, random_mmp, twin_rich, within
 from oracles import brute_automorphism_count, closure_order, refine_by_signatures
 
 PENTAGON = "123,345,567,789,9A1."
@@ -425,19 +425,22 @@ def star(k: int) -> MmpDiagram:
     return MmpDiagram(2 * k + 1, tuple((2 * i, 2 * i + 1, 2 * k) for i in range(k)))
 
 
-@pytest.mark.parametrize("k", [40, 80])
-def test_canon_of_a_large_star_in_bounded_time(monkeypatch, k):
-    # the first path takes k refines, its last cell being two twins.  Each
-    # of its other nodes, at depth i, searches one child more, whose path
-    # takes k - 1 - i refines to a leaf that repeats the first leaf's code;
-    # the automorphism found puts the spoke ends left in one orbit.  That
-    # makes k(k + 1) / 2 refines.  With the orbits of the known
-    # automorphisms recomputed per child, k = 80 took 5 s
+@pytest.mark.parametrize("k", [40, 80, 300])
+def test_canon_of_a_large_star_in_bounded_time(monkeypatch, rng, k):
+    # the spokes are pendant blocks at the centre, so the swaps of spokes
+    # next in the order of their least atoms, like those of the twin spoke
+    # ends, are known before the search starts.  The first path
+    # individualizes spokes in that order, so at every node the swaps of
+    # the spokes left put them in one orbit: the first path, whose last
+    # cell is two twins, is the whole search, k refines, in any labelling.
+    # With the twin swaps alone each node at depth i searched one child
+    # more, k(k + 1) / 2 refines, and k = 300 took 4.9 s
     calls = counted_refines(monkeypatch)
-    d = star(k)
-    form = within(1.5, lambda: canonical_form(d), f"canon of the {k}-spoke star")
-    assert form.automorphism_count == math.factorial(k) * 2**k
-    assert calls[0] == k * (k + 1) // 2
+    for d in (star(k), shuffled(star(k), rng)[0]):
+        calls[:] = [0]
+        form = within(1.5, lambda: canonical_form(d), f"canon of the {k}-spoke star")
+        assert form.automorphism_count == math.factorial(k) * 2**k
+        assert calls[0] == k
 
 
 def test_canonical_text_past_the_alphabet_is_json_that_round_trips():
@@ -493,6 +496,37 @@ def test_twin_rich_search_matches_brute_force(rng):
     assert twins > 0.8 * len(pool) and listed > 70
 
 
+def test_pendant_block_seeds_are_automorphisms_of_the_diagram(rng):
+    # block-trees whose 3- and 4-atom blocks hang at shared hubs, some with
+    # a cycle closed through them, some with pendant blocks of two sizes at
+    # one hub.  A search that stops at its first leaf returns the seeded
+    # swaps alone as its generators; each must map the blocks onto
+    # themselves, which a swap of pendant blocks of two sizes, or of a
+    # block with a second hub, does not.  |Aut| is checked by backtracking
+    # and by listing the group, and the canonical text must stay under
+    # relabelling
+    swapped = mixed = 0
+    for i in range(200):
+        d = pendant_tree(rng, rng.randrange(8, 13), loop=i % 3 == 0)
+        n, target = d.atom_count, sorted(d.blocks)
+        incident = incidence(d.blocks, n)
+        seeds = symmetry._search_connected(d.blocks, incident, lambda code: True)[3]
+        for g in seeds:
+            assert sorted(tuple(sorted(g[a] for a in b)) for b in d.blocks) == target
+        twins = twin_classes(incident)
+        swapped += any(twins[g[a]] is not twins[a] for g in seeds for a in range(n))
+        sizes: dict[int, set[int]] = {}
+        for b in d.blocks:
+            if len(hubs := [a for a in b if len(incident[a]) > 1]) == 1:
+                sizes.setdefault(hubs[0], set()).add(len(b))
+        mixed += any(len(s) > 1 for s in sizes.values())
+        form = canonical_form(d)
+        order, gens = _canonical_search(d.blocks, n)[2:]
+        assert form.automorphism_count == order == brute_automorphism_count(d) == closure_order(gens, n)
+        assert canonical_form(shuffled(d, rng)[0]) == form
+    assert swapped > 80 and mixed > 50
+
+
 def test_component_memo_returns_the_memo_free_search(rng):
     # one memo shared by every search below, as generation shares one per
     # run: on disconnected diagrams whose components repeat, in the same or
@@ -540,13 +574,15 @@ def test_component_memo_returns_the_memo_free_search(rng):
 
 
 def test_refines_of_the_7_spoke_star_and_35_35a(monkeypatch):
-    # the pairs of spoke-end twins split in one step, and a leaf that
-    # repeats a code returns the search to where its path parted from the
-    # earlier leaf's; individualizing the twins one at a time and searching
-    # on below such leaves takes 85 and 34 refines
+    # the pairs of spoke-end twins split in one step, the seeded swaps of
+    # pendant spokes leave the star's first path the only one, and a leaf
+    # that repeats a code returns the search to where its path parted from
+    # the earlier leaf's; individualizing the twins one at a time and
+    # searching on below such leaves takes 85 and 34 refines, and without
+    # the pendant seeds the star takes 28
     calls = counted_refines(monkeypatch)
     _canonical_search(star(7).blocks, 15)
-    assert calls[0] <= 28
+    assert calls[0] <= 7
     calls[:] = [0]
     _canonical_search(corpus.diagram("35-35a").blocks, 35)
     assert calls[0] <= 23
