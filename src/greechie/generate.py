@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 from .diagram import MmpDiagram, incidence, serialize_mmp, twin_classes
 from .errors import BadCheckpoint, InvalidSpec, TooLarge
 from .structure import blocks_connected, validate
-from .symmetry import CanonicalForm, Gens, canonical_code, canonical_form, _canonical_search
+from .symmetry import CanonicalForm, Gens, canonical_form, _canonical_search
 
 Blocks = tuple[tuple[int, ...], ...]
 # blocks, atoms used, canonical code, Aut generators (the last two None until
@@ -186,7 +186,7 @@ def _expand(node: Node, spec: GenSpec, stats: GenStats, emit: Callable[[str], No
     if len(blocks) == spec.block_count:
         if _final_ok(blocks, book[1], spec):
             stats.emitted_count += 1
-            code = _canonical_search(blocks, n_used, memo)[0] if own_code is None else own_code
+            code = _canonical_search(blocks, book[1], memo)[0] if own_code is None else own_code
             emit(serialize_mmp(MmpDiagram(n_used, code)))
         return
     for child in _children(node, spec, stats, memo):
@@ -220,14 +220,14 @@ def _children(node: Node, spec: GenSpec, stats: GenStats, memo: dict) -> Iterato
             stats.canonical_rejections += 1
             continue
         if gens is None:
-            gens = _canonical_search(blocks, n_used, memo)[3]
+            gens = _canonical_search(blocks, book[1], memo)[3]
         covered |= _block_orbit(cand, gens, twins)
         child = blocks + (cand,)
         child_used = len(grown[0])
         keys, child_twins = grown[3], twin_classes(grown[1])
         code = child_gens = None
         if keys.count(keys[-1]) > 1:  # b* may be another block
-            code, perm, _, child_gens = _canonical_search(child, child_used, memo)
+            code, perm, _, child_gens = _canonical_search(child, grown[1], memo)
             if not _accepts(child, keys, perm, child_gens, child_twins):
                 stats.canonical_rejections += 1
                 continue
@@ -465,21 +465,22 @@ def membership_probe(d: MmpDiagram, spec: GenSpec) -> bool:
         and _final_ok(d.blocks, d.incident_blocks(), spec)
     ):
         return False
-    code = canonical_code(d.blocks, d.atom_count)
+    code = _canonical_search(d.blocks, d.incident_blocks())[0]
     while code:
         n = 1 + max(a for b in code for a in b)
         keys = _invariants(code, n)[3]
         star = max(range(len(code)), key=lambda i: (keys[i], i))
-        pcode, pperm, _, _ = _canonical_search(code[:star] + code[star + 1 :], n)
+        parent = code[:star] + code[star + 1 :]
+        pcode, pperm, _, _ = _canonical_search(parent, incidence(parent, n))
         cand = tuple(sorted(pperm[a] for a in code[star]))
         p_used = 1 + max((a for b in pcode for a in b), default=-1)
         invariants = _invariants(pcode, p_used)
         grown = _child_keys(pcode, cand, invariants, max(invariants[3], default=()))
-        child = pcode + (cand,)
-        ccode, cperm, _, cgens = _canonical_search(child, max(p_used, cand[-1] + 1))
-        if grown is None or ccode != code:
+        if grown is None:
             return False
-        if not _accepts(child, grown[3], cperm, cgens, twin_classes(grown[1])):
+        child = pcode + (cand,)
+        ccode, cperm, _, cgens = _canonical_search(child, grown[1])
+        if ccode != code or not _accepts(child, grown[3], cperm, cgens, twin_classes(grown[1])):
             return False
         code = pcode
     return True
@@ -535,7 +536,7 @@ def brute_force_generate(spec: GenSpec, guard: int = 10**8) -> list[CanonicalFor
             continue
         if spec.min_atom_degree > 1 and min(d.degrees()) < spec.min_atom_degree:
             continue
-        key = canonical_code(d.blocks, a)
+        key = _canonical_search(d.blocks, d.incident_blocks())[0]
         if key not in classes:
             classes[key] = d
     forms = [canonical_form(d) for d in classes.values()]

@@ -9,9 +9,10 @@ over all leaves of that search, is a deterministic relabeling-invariant
 representative: two diagrams get the same canonical text exactly when
 they are isomorphic.
 
-Isomorphism needs one leaf, not two canonical codes: the set of leaf
-codes is an isomorphism invariant that pruning keeps whole, so
-``are_isomorphic`` (and ``is_self_dual`` through it) searches one
+Every search enters at ``_canonical_search``, with the incidence its
+caller holds.  Isomorphism needs one leaf, not two canonical codes: the
+set of leaf codes is an isomorphism invariant that pruning keeps whole,
+so ``are_isomorphic`` (and ``is_self_dual`` through it) searches one
 connected diagram only until a leaf repeats the other's first leaf code.
 
 Refinement is incremental: a cell is colored by the last position it
@@ -41,7 +42,7 @@ from typing import Callable, Iterable, Sequence
 
 from .diagram import ALPHABET, MmpDiagram, incidence, serialize_mmp, twin_classes
 from .errors import SizeMismatch
-from .structure import components, dual, mmp_checks, require_mmp
+from .structure import components, dual, is_connected, mmp_checks, require_mmp
 
 Code = tuple[tuple[int, ...], ...]
 Gens = tuple[tuple[int, ...], ...]  # generators of a permutation group
@@ -102,7 +103,7 @@ def canonical_form(d: MmpDiagram) -> CanonicalForm:
     it is exact at any size.
     """
     require_mmp(d)
-    code, _, order, _ = _canonical_search(d.blocks, d.atom_count)
+    code, _, order, _ = _canonical_search(d.blocks, d.incident_blocks())
     canon = MmpDiagram(d.atom_count, code)
     text = serialize_mmp(canon) if d.atom_count <= len(ALPHABET) else canon.to_json()
     return CanonicalForm(text, order)
@@ -111,29 +112,22 @@ def canonical_form(d: MmpDiagram) -> CanonicalForm:
 def are_isomorphic(d1: MmpDiagram, d2: MmpDiagram) -> Permutation | None:
     """A witness permutation with relabel(d1, pi) == d2 up to block order, or None.
 
-    Two connected diagrams take the first leaf of d2's search, then
-    search d1 until a leaf repeats its code.  Such a leaf exists exactly
-    when they are isomorphic: equal codes are equal relabelled block
-    multisets, and the codes a pruned search reaches are an isomorphism
-    invariant, since pruning drops only automorphic images of explored
-    subtrees.  Other pairs compare canonical codes.
+    A connected and a disconnected diagram are told apart before any
+    search.  Two connected diagrams take the first leaf of d2's search,
+    then search d1 until a leaf repeats its code.  Such a leaf exists
+    exactly when they are isomorphic: equal codes are equal relabelled
+    block multisets, and the codes a pruned search reaches are an
+    isomorphism invariant, since pruning drops only automorphic images of
+    explored subtrees.  Two disconnected diagrams compare canonical codes.
     """
     if d1.atom_count != d2.atom_count:
         return None
     if sorted(len(b) for b in d1.blocks) != sorted(len(b) for b in d2.blocks):
         return None
-    n = d1.atom_count
-    comps1 = components(d1.blocks, d1.incident_blocks())
-    comps2 = components(d2.blocks, d2.incident_blocks())
-    connected = _connected(comps1, d1.blocks)
-    if connected != _connected(comps2, d2.blocks):
+    if is_connected(d1) != is_connected(d2):
         return None
-    if connected:
-        code2, p2, _, _ = _search_connected(d2.blocks, d2.incident_blocks(), lambda code: True)
-        code1, p1, _, _ = _search_connected(d1.blocks, d1.incident_blocks(), code2.__eq__)
-    else:
-        code1, p1, _, _ = _search_components(d1.blocks, n, comps1, None)
-        code2, p2, _, _ = _search_components(d2.blocks, n, comps2, None)
+    code2, p2, _, _ = _canonical_search(d2.blocks, d2.incident_blocks(), until=lambda code: True)
+    code1, p1, _, _ = _canonical_search(d1.blocks, d1.incident_blocks(), until=code2.__eq__)
     if code1 != code2:
         return None
     pi = Permutation(p2).inverse().compose(Permutation(p1))
@@ -157,26 +151,25 @@ def is_self_dual(d: MmpDiagram) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def canonical_code(blocks: tuple[tuple[int, ...], ...], atom_count: int) -> Code:
-    """Canonical block code only (no text, no automorphism count)."""
-    return _canonical_search(blocks, atom_count)[0]
-
-
 def _canonical_search(
-    blocks: tuple[tuple[int, ...], ...], n: int, memo: dict | None = None
+    blocks: tuple[tuple[int, ...], ...], incident: Sequence[Sequence[int]], memo: dict | None = None,
+    until: Callable[[Code], bool] | None = None,
 ) -> tuple[Code, tuple[int, ...], int, Gens]:
-    """Return (canonical code, a permutation achieving it, |Aut|, generators).
+    """Return (canonical code, a permutation achieving it, |Aut|, generators)
+    of the blocks on atoms 0..n-1 whose ``incidence`` is ``incident`` (n =
+    its length).
 
     The permutation maps original atom -> canonical index.  The generators
     are atom permutations of the input that generate its automorphism
-    group.  Calls that share a ``memo`` share their component searches
-    (``_search_components``).
+    group.  A connected diagram is searched whole, and with ``until`` up to
+    the first leaf whose code satisfies it (``_search_connected``).  Any
+    other is searched per component, in full, and ``until`` is ignored;
+    calls that share a ``memo`` share those searches (``_search_components``).
     """
-    incident = incidence(blocks, n)
     comps = components(blocks, incident)
-    if _connected(comps, blocks):
-        return _search_connected(blocks, incident)
-    return _search_components(blocks, n, comps, memo)
+    if len(comps) == 1 and len(comps[0][1]) == len(blocks) > 0:
+        return _search_connected(blocks, incident, until)
+    return _search_components(blocks, len(incident), comps, memo)
 
 
 def _search_components(
@@ -248,11 +241,6 @@ def _search_components(
     return tuple(sorted(code_out)), tuple(perm_out), order_out, tuple(gens_out)
 
 
-def _connected(comps: list, blocks: tuple[tuple[int, ...], ...]) -> bool:
-    """True iff ``comps``, the components of ``blocks``, are one, holding every atom and block."""
-    return len(comps) == 1 and len(comps[0][1]) == len(blocks) > 0
-
-
 def _search_connected(
     blocks: tuple[tuple[int, ...], ...],
     incident: Sequence[Sequence[int]],
@@ -275,14 +263,15 @@ def _search_connected(
     or, with none left, pops itself.
 
     Known automorphisms prune each child in the orbit of an explored
-    sibling.  Two kinds are generators from the start (McKay & Piperno
-    2014): the swap of each two neighbours in a twin class, twins being
-    atoms on exactly the same blocks, and the swap of each two pendant
-    blocks of one size at one atom h that are consecutive in the order of
-    their least other atoms.  A block is pendant at h when h is its only
-    atom on another block, so exchanging the other atoms of two such
-    blocks, in order, fixes every other block.  The rest are found at
-    leaves with equal codes.
+    sibling.  Some are generators from the start (McKay & Piperno 2014),
+    each a swap of two atom lists xs and ys of one length, exchanging each
+    atom of xs with the atom at its place in ys: first xs = [x] and ys =
+    [y] for each two neighbours x and y in a twin class, twins being atoms
+    on exactly the same blocks; then the other atoms, in order, of each two
+    pendant blocks of one size at one atom h that are consecutive in the
+    order of their least other atoms.  A block is pendant at h when h is
+    its only atom on another block, so that swap fixes every other block.
+    The rest are found at leaves with equal codes.
 
     Each generator is kept with its support, the atoms it moves, as a list
     and as a bitmask; it fixes a node's path P, a bitmask too, when the two
@@ -343,9 +332,8 @@ def _search_connected(
     for a, c in enumerate(colors):
         cells.setdefault(c, []).append(a)
     twins = twin_classes(incident)
-    # moves[i]: gens[i], with the bitmask and the list of the atoms it moves
-    moves = [(tuple(y if i == x else x if i == y else i for i in range(n)), 1 << x | 1 << y, (x, y))
-             for cls in dict.fromkeys(twins) for x, y in zip(cls, cls[1:])]
+    # swaps of twin neighbours, then of consecutive pendant blocks, as (xs, ys)
+    swaps = [([x], [y]) for cls in dict.fromkeys(twins) for x, y in zip(cls, cls[1:])]
     if any(len(inc) == 1 for inc in incident):  # pendant blocks, as (hub, size) -> their other atoms
         pendant: dict[tuple[int, int], list[list[int]]] = {}
         for b in blocks:
@@ -353,11 +341,14 @@ def _search_connected(
                 pendant.setdefault((hubs[0], len(b)), []).append([a for a in b if a != hubs[0]])
         for run in pendant.values():
             run.sort(key=min)  # as the search individualizes a star's spokes
-            for xs, ys in zip(run, run[1:]):
-                g = list(range(n))
-                for x, y in zip(xs, ys):
-                    g[x], g[y] = y, x
-                moves.append((tuple(g), sum(1 << a for a in xs + ys), xs + ys))
+            swaps += zip(run, run[1:])
+    # moves[i]: gens[i], with the bitmask and the list of the atoms it moves
+    moves = []
+    for xs, ys in swaps:
+        g = list(range(n))
+        for x, y in zip(xs, ys):
+            g[x], g[y] = y, x
+        moves.append((tuple(g), sum(1 << a for a in xs + ys), xs + ys))
     gens = [g for g, _, _ in moves]
     # one per block; a 1-atom block's takes a slice, so it too returns a sequence
     getters = [itemgetter(*b) if len(b) > 1 else itemgetter(slice(b[0], b[0] + 1)) for b in blocks]

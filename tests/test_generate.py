@@ -19,7 +19,7 @@ from greechie.generate import (
     membership_probe,
 )
 from greechie.structure import validate
-from greechie.symmetry import _canonical_search, are_isomorphic, canonical_code, canonical_form
+from greechie.symmetry import _canonical_search, are_isomorphic, canonical_form
 from conftest import twin_rich
 from oracles import chain_balls, closure, deletion_keys
 
@@ -273,9 +273,9 @@ def test_task_roots_prune_by_their_automorphisms(monkeypatch, tmp_path):
     module = sys.modules["greechie.generate"]  # the package exports the function by this name
     real = module._canonical_search
 
-    def counted(blocks, n, memo=None):
+    def counted(blocks, incident, memo=None):
         calls.append(len(blocks))
-        return real(blocks, n, memo)
+        return real(blocks, incident, memo)
 
     monkeypatch.setattr(module, "_canonical_search", counted)
     spec = GenSpec(13, 6)
@@ -310,15 +310,16 @@ def test_deletion_rule_agrees_with_the_full_rule(monkeypatch, spec, by_keys, by_
 
     def full_rule(child):
         n = 1 + max(a for b in child for a in b)
-        _, perm, _, _ = _canonical_search(child, n)
+        _, perm, _, _ = _canonical_search(child, incidence(child, n))
         keys = deletion_keys(child)
         top = max(keys)
         star = max((b for b, k in zip(child, keys) if k == top), key=lambda b: sorted(perm[a] for a in b))
 
-        def marked(block):
-            return tuple(b + (n,) if b == block else b for b in child)
+        def marked_code(block):
+            marked = tuple(b + (n,) if b == block else b for b in child)
+            return _canonical_search(marked, incidence(marked, n + 1))[0]
 
-        return canonical_code(marked(star), n + 1) == canonical_code(marked(child[-1]), n + 1)
+        return marked_code(star) == marked_code(child[-1])
 
     def keys_checked(blocks, cand, *parent):
         got = real_keys(blocks, cand, *parent)
@@ -456,7 +457,7 @@ def test_block_orbit_over_twin_classes_matches_the_listed_group(rng):
     while checked < 40:
         d = twin_rich(rng, max_atoms=rng.randrange(6, 10))
         n = d.atom_count
-        _, _, order, gens = _canonical_search(d.blocks, n)
+        _, _, order, gens = _canonical_search(d.blocks, d.incident_blocks())
         if order > 20000:
             continue
         group = closure(gens, n)

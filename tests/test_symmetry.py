@@ -245,10 +245,10 @@ def test_is_self_dual_corpus_claims(monkeypatch):
         d = corpus.diagram(name)
         dd = dual(d)
         calls[:] = [0]
-        _canonical_search(dd.blocks, dd.atom_count)
+        _canonical_search(dd.blocks, dd.incident_blocks())
         first_path = calls[1]
         calls[:] = [0]
-        _canonical_search(d.blocks, d.atom_count)
+        _canonical_search(d.blocks, d.incident_blocks())
         bound = calls[0] + first_path
         calls[:] = [0]
         assert is_self_dual(d) is claim, name
@@ -258,6 +258,20 @@ def test_is_self_dual_corpus_claims(monkeypatch):
 def test_is_self_dual_invalid_dual_is_false():
     # pentagon's dual has 2-atom blocks, hence not even MMP-valid
     assert not is_self_dual(parse_mmp(PENTAGON))
+
+
+def test_corpus_searches_read_the_incidence_each_diagram_keeps(monkeypatch):
+    # the corpus lattices are connected, so canonical_form and is_self_dual
+    # hand the search the incidence that each diagram and its dual keep; only
+    # a search per component counts one, for the component
+    def refused(*args):
+        raise AssertionError("the canonical search counted an incidence")
+
+    monkeypatch.setattr(symmetry, "incidence", refused)
+    for name in corpus.names():
+        d = corpus.diagram(name)
+        assert canonical_form(d).canonical_text
+        is_self_dual(d)
 
 
 def test_incremental_refine_matches_full_signature_oracle(rng):
@@ -372,7 +386,7 @@ def test_search_generators_generate_the_automorphism_group(rng):
             n += other.atom_count
         rng.shuffle(blocks)
         d = MmpDiagram(n, tuple(blocks))
-        _, _, order, gens = _canonical_search(d.blocks, n)
+        _, _, order, gens = _canonical_search(d.blocks, d.incident_blocks())
         target = sorted(tuple(sorted(b)) for b in d.blocks)
         for g in gens:
             assert sorted(g) == list(range(n))
@@ -414,9 +428,10 @@ def test_twins_of_one_block_cost_one_refine_each(monkeypatch, k):
     # which is split in one step with no refinement: the initial refinement
     # is the only one
     calls = counted_refines(monkeypatch)
-    code, _, order, gens = _canonical_search((tuple(range(k)),), k)
+    blocks = (tuple(range(k)),)
+    code, _, order, gens = _canonical_search(blocks, incidence(blocks, k))
     assert calls[0] == 1
-    assert code == (tuple(range(k)),) and order == math.factorial(k)
+    assert code == blocks and order == math.factorial(k)
     assert closure_order(gens, k) == order
 
 
@@ -476,7 +491,7 @@ def test_twin_rich_search_matches_brute_force(rng):
     twins = listed = 0
     for d, count in pool:
         n = d.atom_count
-        code, perm, order, gens = _canonical_search(d.blocks, n)
+        code, perm, order, gens = _canonical_search(d.blocks, d.incident_blocks())
         assert tuple(sorted(tuple(sorted(perm[a] for a in b)) for b in d.blocks)) == code
         target = sorted(tuple(sorted(b)) for b in d.blocks)
         for g in gens:
@@ -490,7 +505,7 @@ def test_twin_rich_search_matches_brute_force(rng):
             listed += 1
         for _ in range(3):
             r, _ = shuffled(d, rng)
-            assert _canonical_search(r.blocks, n)[::2] == (code, order)
+            assert _canonical_search(r.blocks, r.incident_blocks())[::2] == (code, order)
         on = [tuple(i for i, b in enumerate(d.blocks) if a in b) for a in range(n)]
         twins += len(set(on)) < n
     assert twins > 0.8 * len(pool) and listed > 70
@@ -510,7 +525,7 @@ def test_pendant_block_seeds_are_automorphisms_of_the_diagram(rng):
         d = pendant_tree(rng, rng.randrange(8, 13), loop=i % 3 == 0)
         n, target = d.atom_count, sorted(d.blocks)
         incident = incidence(d.blocks, n)
-        seeds = symmetry._search_connected(d.blocks, incident, lambda code: True)[3]
+        seeds = _canonical_search(d.blocks, incident, until=lambda code: True)[3]
         for g in seeds:
             assert sorted(tuple(sorted(g[a] for a in b)) for b in d.blocks) == target
         twins = twin_classes(incident)
@@ -521,7 +536,7 @@ def test_pendant_block_seeds_are_automorphisms_of_the_diagram(rng):
                 sizes.setdefault(hubs[0], set()).add(len(b))
         mixed += any(len(s) > 1 for s in sizes.values())
         form = canonical_form(d)
-        order, gens = _canonical_search(d.blocks, n)[2:]
+        order, gens = _canonical_search(d.blocks, incident)[2:]
         assert form.automorphism_count == order == brute_automorphism_count(d) == closure_order(gens, n)
         assert canonical_form(shuffled(d, rng)[0]) == form
     assert swapped > 80 and mixed > 50
@@ -568,7 +583,8 @@ def test_component_memo_returns_the_memo_free_search(rng):
     assert len(inputs) == 502 and min(extras.values()) > 60
     memo = {}
     for d in inputs:
-        assert _canonical_search(d.blocks, d.atom_count, memo) == _canonical_search(d.blocks, d.atom_count)
+        incident = d.incident_blocks()
+        assert _canonical_search(d.blocks, incident, memo) == _canonical_search(d.blocks, incident)
     # most components were met before
     assert 0 < len(memo) < searched / 2
 
@@ -581,11 +597,10 @@ def test_refines_of_the_7_spoke_star_and_35_35a(monkeypatch):
     # searching on below such leaves takes 85 and 34 refines, and without
     # the pendant seeds the star takes 28
     calls = counted_refines(monkeypatch)
-    _canonical_search(star(7).blocks, 15)
-    assert calls[0] <= 7
-    calls[:] = [0]
-    _canonical_search(corpus.diagram("35-35a").blocks, 35)
-    assert calls[0] <= 23
+    for d, bound in ((star(7), 7), (corpus.diagram("35-35a"), 23)):
+        calls[:] = [0]
+        _canonical_search(d.blocks, d.incident_blocks())
+        assert calls[0] <= bound
 
 
 #: refines and leaves of the search of each corpus lattice as published and
