@@ -156,15 +156,11 @@ _73_73 = _line(
 _73_78_SINGLE = _line(["123"] + _WEBER_BLOCKS[1:])
 
 
-def _frac(num: int, den: int) -> Fraction:
-    return Fraction(num, den)
-
-
 # First two states of 35-35e found by state scanning, in atom order 1..Z.
 KNOWN_STATES: dict[str, tuple[tuple[Fraction, ...], ...]] = {
     "35-35e": (
         tuple(
-            _frac(*pair)
+            Fraction(*pair)
             for pair in [
                 (1, 6), (1, 2), (1, 2), (1, 6), (1, 2), (1, 2), (1, 6), (1, 6), (1, 2),
                 (1, 2), (1, 6), (1, 6), (1, 2), (1, 6), (1, 2), (1, 6), (1, 2), (1, 6),
@@ -173,7 +169,7 @@ KNOWN_STATES: dict[str, tuple[tuple[Fraction, ...], ...]] = {
             ]
         ),
         tuple(
-            _frac(*pair)
+            Fraction(*pair)
             for pair in [
                 (1, 2), (1, 6), (1, 6), (1, 2), (1, 6), (1, 6), (1, 2), (1, 2), (1, 6),
                 (1, 6), (1, 2), (1, 2), (1, 6), (1, 2), (1, 6), (1, 2), (1, 6), (1, 2),

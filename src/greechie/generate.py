@@ -46,6 +46,7 @@ Blocks = tuple[tuple[int, ...], ...]
 # joined to it by a chain of at most r blocks (None at a leaf)
 Node = tuple[Blocks, int, Blocks | None, Gens | None, tuple]
 TASKS_PER_WORKER = 8  # subtree tasks per worker that a partitioned run aims for
+BRUTE_FORCE_GUARD = 10**8  # candidate block sets that brute_force_generate may filter
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def _final_ok(blocks: Blocks, incident: Sequence[Sequence[int]], spec: GenSpec) 
         return False
     if spec.require_connected and not blocks_connected(blocks, incident):
         return False
-    if spec.min_atom_degree > 1 and min(map(len, incident), default=0) < spec.min_atom_degree:
+    if min(map(len, incident), default=math.inf) < spec.min_atom_degree:  # vacuous with no atom
         return False
     return True
 
@@ -491,7 +492,7 @@ def census(spec: GenSpec) -> int:
     return generate(spec, lambda _line: None).emitted_count
 
 
-def brute_force_generate(spec: GenSpec, guard: int = 10**8) -> list[CanonicalForm]:
+def brute_force_generate(spec: GenSpec) -> list[CanonicalForm]:
     """Independent oracle: filter all block combinations, dedupe canonically.
 
     One block is pinned to the identity labeling (every class has a
@@ -505,8 +506,8 @@ def brute_force_generate(spec: GenSpec, guard: int = 10**8) -> list[CanonicalFor
             return [CanonicalForm(".", 1)]
         return []
     universe = math.comb(math.comb(a, s), m) if a >= s else 0
-    if universe > guard:
-        raise TooLarge(f"{universe} candidate block sets exceed the {guard} guard")
+    if universe > BRUTE_FORCE_GUARD:
+        raise TooLarge(f"{universe} candidate block sets exceed the {BRUTE_FORCE_GUARD} guard")
     if a < s or s * m < a:
         return []
     all_blocks = list(combinations(range(a), s))

@@ -41,8 +41,8 @@ class PolytopeSummary:
     one state for ``ExactlyOne``, two or more for ``MoreThanOne``.  It is
     built from ``_vertex`` on first access; ``zero_masks[k]`` has bit a set
     when ``vertices[k]`` puts 0 on atom a.  ``zero_one_masks`` are the zero
-    masks of the 0-1 vertices, the 0-1 states, in the same order, built from
-    ``_zero_one`` on first access.  Each atom's (min, max) range is the least
+    masks of the 0-1 vertices, the 0-1 states, in the same order, filled
+    with ``zero_masks``.  Each atom's (min, max) range is the least
     and greatest value it takes on a vertex; the two ``MoreThanOne``
     witnesses are the least and the greatest vertex.
     """
@@ -53,16 +53,12 @@ class PolytopeSummary:
     witness_state: StateVector | None = None
     second_witness: StateVector | None = None
     zero_masks: tuple[int, ...] = field(default=(), repr=False)
+    zero_one_masks: tuple[int, ...] = field(default=(), repr=False, compare=False)
     _vertex: Callable[[int], StateVector] | None = field(default=None, repr=False, compare=False)
-    _zero_one: Callable[[], tuple[int, ...]] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def vertices(self) -> tuple[StateVector, ...]:
         return tuple(map(self._vertex, range(len(self.zero_masks)))) if self._vertex else ()
-
-    @cached_property
-    def zero_one_masks(self) -> tuple[int, ...]:
-        return self._zero_one() if self._zero_one else ()
 
 
 @dataclass(frozen=True)
@@ -136,16 +132,13 @@ def classify_states(d: MmpDiagram) -> PolytopeSummary:
         expanded += [(key, z, k) for key, z in found]
     expanded.sort()
     _, masks, owners = zip(*expanded)
+    # a vertex is 0-1 when its reduced point is: every class total 0 or 1
+    flat = [set(p) <= {0, den} for p in points]
     value = cache(lambda v: Fraction(v, den))  # one object per value, built when handed out
 
     def vertex(k: int) -> StateVector:
         p, z = points[owners[k]], masks[k]
         return tuple(value(0 if z >> a & 1 else p[class_of[a]]) for a in range(n))
-
-    def zero_one() -> tuple[int, ...]:
-        # a vertex is 0-1 when its reduced point is: every class total 0 or 1
-        flat = [set(p) <= {0, den} for p in points]
-        return tuple(z for z, k in zip(masks, owners) if flat[k])
 
     # an atom with a twin is 0 on some vertex; its class total is its maximum
     extremes = [(min(c) if len(t) == 1 else 0, max(c)) for c, t in zip(zip(*points), members)]
@@ -157,8 +150,8 @@ def classify_states(d: MmpDiagram) -> PolytopeSummary:
         witness_state=None if one else vertex(0),
         second_witness=None if one else vertex(-1),
         zero_masks=masks,
+        zero_one_masks=tuple(z for z, k in zip(masks, owners) if flat[k]),
         _vertex=vertex,
-        _zero_one=zero_one,
     )
 
 

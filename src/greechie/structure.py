@@ -158,11 +158,18 @@ def girth(d: MmpDiagram) -> int | None:
 
 def min_loop(d: MmpDiagram) -> LoopProfile | None:
     """A witness loop of minimal order, or ``None`` if acyclic."""
-    pairwise = d._checked[3]
-    if not pairwise:
-        raise PreconditionViolated(f"blocks share two or more atoms: {pairwise.offenders[:3]}")
+    _require_linear(d)
     cycle = d._shortest_cycle
     return None if cycle is None else _cycle_to_profile(d, cycle)
+
+
+def _require_linear(d: MmpDiagram) -> None:
+    """Raise ``PreconditionViolated``, naming the first pair, unless the
+    diagram's kept check finds no two blocks sharing two or more atoms."""
+    pairwise = d._checked[3]
+    if not pairwise:
+        i, j = pairwise.offenders[0]
+        raise PreconditionViolated(f"blocks {i} and {j} share two or more atoms")
 
 
 def _cycle_to_profile(d: MmpDiagram, cycle: list[int]) -> LoopProfile:
@@ -267,13 +274,18 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
     distinct atoms, so none is longer than min(blocks, atoms // 2): the
     first loop of that order ends the search, exact at any budget.
     """
+    _require_linear(d)
+    if not d._checked[1]:
+        raise PreconditionViolated("max_loop needs blocks of three or more atoms")
+    if budget is not None and budget < 0:
+        raise PreconditionViolated(f"max_loop budget must be at least 0, not {budget}")
     n, m = d.atom_count, d.block_count
     block_masks = [sum(1 << a for a in b) for b in d.blocks]
     # steps[b]: the steps out of block b by ascending j: (block j, junction
     # x, j's atoms but x, their count, moves[j][x]).  x is in the chain, so j
     # extends it if no other atom is.  Each two blocks through an atom meet
-    # there; a j met twice from b shares two atoms with it.  tables[moves[b][e]]
-    # lists the steps out of b entered at e: by number, so no list holds itself.
+    # there, and only there.  tables[moves[b][e]] lists the steps out of b
+    # entered at e: by number, so no list holds itself.
     steps: list[list[tuple]] = [[] for _ in range(m)]
     moves: list[dict[int, int]] = [{} for _ in range(m)]
     tables: list[list[tuple]] = []
@@ -284,15 +296,8 @@ def max_loop(d: MmpDiagram, budget: int | None = None) -> LoopProfile | None:
                 tables.append([])
         for i, j in permutations(through, 2):
             steps[i].append((j, x, block_masks[j] ^ 1 << x, len(d.blocks[j]) - 1, moves[j][x]))
-    for i, out in enumerate(steps):
+    for out in steps:
         out.sort(key=lambda step: step[0])
-        for s, t in zip(out, out[1:]):
-            if s[0] == t[0]:
-                raise PreconditionViolated(f"blocks {i} and {s[0]} share two or more atoms")
-    if any(len(b) < 3 for b in d.blocks):
-        raise PreconditionViolated("max_loop needs blocks of three or more atoms")
-    if budget is not None and budget < 0:
-        raise PreconditionViolated(f"max_loop budget must be at least 0, not {budget}")
     for b, out in enumerate(moves):
         for e, t in out.items():
             tables[t] += [s for s in steps[b] if s[1] != e]

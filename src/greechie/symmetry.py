@@ -10,10 +10,13 @@ representative: two diagrams get the same canonical text exactly when
 they are isomorphic.
 
 Every search enters at ``_canonical_search``, with the incidence its
-caller holds.  Isomorphism needs one leaf, not two canonical codes: the
-set of leaf codes is an isomorphism invariant that pruning keeps whole,
-so ``are_isomorphic`` (and ``is_self_dual`` through it) searches one
-connected diagram only until a leaf repeats the other's first leaf code.
+caller holds.  A diagram that is not connected is searched per
+component, and each distinct component is searched once per call, and
+once per run with generation's memo.  Isomorphism needs one leaf, not
+two canonical codes: the set of leaf codes is an isomorphism invariant
+that pruning keeps whole, so ``are_isomorphic`` (and ``is_self_dual``
+through it) searches one connected diagram only until a leaf repeats the
+other's first leaf code.
 
 Refinement is incremental: a cell is colored by the last position it
 takes in the ordered partition (McKay & Piperno 2014), so a split
@@ -162,29 +165,17 @@ def _canonical_search(
     The permutation maps original atom -> canonical index.  The generators
     are atom permutations of the input that generate its automorphism
     group.  A connected diagram is searched whole, and with ``until`` up to
-    the first leaf whose code satisfies it (``_search_connected``).  Any
-    other is searched per component, in full, and ``until`` is ignored;
-    calls that share a ``memo`` share those searches (``_search_components``).
-    """
-    comps = components(blocks, incident)
-    if len(comps) == 1 and len(comps[0][1]) == len(blocks) > 0:
-        return _search_connected(blocks, incident, until)
-    return _search_components(blocks, len(incident), comps, memo)
+    the first leaf whose code satisfies it (``_search_connected``).
 
-
-def _search_components(
-    blocks: tuple[tuple[int, ...], ...], n: int, comps: list, memo: dict | None
-) -> tuple[Code, tuple[int, ...], int, Gens]:
-    """``_canonical_search`` of a diagram that is not connected, whose
-    ``components`` are ``comps``.  Each component is canonicalized on its
-    own, and the components are recombined in sorted-code order; the
-    result is still a relabeled copy of the input.  An automorphism
-    permutes the components within each isomorphism class and acts on
-    each one by a component automorphism, so |Aut| is the product of the
-    component orders times k! for each run of k components with equal
-    codes.  The group is generated by the component generators and, for
-    each two neighbours in such a run, the swap that matches their
-    canonical labelings.
+    Any other is searched per component, in full, and ``until`` is
+    ignored.  Each component is canonicalized on its own, and the
+    components are recombined in sorted-code order; the result is still a
+    relabeled copy of the input.  An automorphism permutes the components
+    within each isomorphism class and acts on each one by a component
+    automorphism, so |Aut| is the product of the component orders times k!
+    for each run of k components with equal codes.  The group is generated
+    by the component generators and, for each two neighbours in such a run,
+    the swap that matches their canonical labelings.
 
     Isolated atoms are the components without blocks.  They are not
     searched: they take the trailing indices in input order and never
@@ -192,11 +183,19 @@ def _search_components(
     one code; they add nothing to the automorphism count, and every
     generator fixes them.  Empty blocks stay empty blocks of the code.
 
-    ``memo``, when given, maps a component, as its blocks on atoms 0..k-1
-    and k, to its ``_search_connected`` result, which depends on nothing
-    else.  Generation keeps a node's untouched components in its children,
-    and so meets each one many times.
+    ``memo`` maps a component, as its blocks on atoms 0..k-1 and k, to its
+    ``_search_connected`` result, which depends on nothing else; a call
+    given none keeps its own.  So each distinct component is searched once
+    per call, and once per run with generation's memo: generation keeps a
+    node's untouched components in its children, and so meets each one
+    many times.
     """
+    comps = components(blocks, incident)
+    if len(comps) == 1 and len(comps[0][1]) == len(blocks) > 0:
+        return _search_connected(blocks, incident, until)
+    if memo is None:
+        memo = {}
+    n = len(incident)
     pieces, isolated = [], []
     for atoms, comp_blocks in comps:
         if not comp_blocks:
@@ -204,11 +203,9 @@ def _search_components(
             continue
         index = {a: i for i, a in enumerate(atoms)}
         key = (tuple(tuple(index[a] for a in b) for b in comp_blocks), len(atoms))
-        found = memo.get(key) if memo is not None else None
+        found = memo.get(key)
         if found is None:
-            found = _search_connected(key[0], incidence(*key))
-            if memo is not None:
-                memo[key] = found
+            found = memo[key] = _search_connected(key[0], incidence(*key))
         pieces.append((*found, atoms))
     pieces.sort(key=lambda p: (p[0], p[4][0]))
     perm_out = [0] * n

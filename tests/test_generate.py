@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from greechie import corpus
-from greechie.diagram import incidence, parse_mmp, twin_classes
+from greechie.diagram import MmpDiagram, incidence, parse_mmp, twin_classes
 from greechie.errors import BadCheckpoint, InvalidSpec, TooLarge
 from greechie.generate import (
     TASKS_PER_WORKER,
@@ -420,6 +420,9 @@ def test_membership_probe_examples():
     assert membership_probe(parse_mmp(PENTAGON), GenSpec(10, 5))
     assert not membership_probe(parse_mmp("123,345,567,781."), GenSpec(8, 4))
     assert not membership_probe(parse_mmp(PENTAGON), GenSpec(10, 6))
+    # the empty diagram has no atom short of the minimum degree, and
+    # generate emits it as "."
+    assert membership_probe(MmpDiagram(0, ()), GenSpec(0, 0, min_atom_degree=3))
 
 
 def test_membership_probe_agrees_with_emission():

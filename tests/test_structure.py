@@ -119,12 +119,12 @@ def test_girth_acyclic():
 
 
 def test_girth_precondition():
-    # two blocks sharing two atoms; max_loop tells them from its own table
+    # two blocks sharing two atoms; both searches read the diagram's check
+    # and name its first offending pair
     d = MmpDiagram(4, ((0, 1, 2), (0, 1, 3)))
-    with pytest.raises(PreconditionViolated):
-        girth(d)
-    with pytest.raises(PreconditionViolated, match="blocks 0 and 1 share two or more atoms"):
-        max_loop(d)
+    for search in (girth, max_loop):
+        with pytest.raises(PreconditionViolated, match="blocks 0 and 1 share two or more atoms"):
+            search(d)
     with pytest.raises(PreconditionViolated):  # the shared atoms are not the first ones
         max_loop(MmpDiagram(7, ((0, 1, 2), (2, 3, 4), (3, 4, 5, 6))))
 

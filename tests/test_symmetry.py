@@ -548,7 +548,7 @@ def test_component_memo_returns_the_memo_free_search(rng):
     # another local labelling, with isolated atoms and empty blocks, and on
     # the inputs of the canon workload (each corpus lattice relabelled five
     # times, stars, disjoint blocks and block cycles), every search returns
-    # exactly what a search without the memo returns
+    # exactly what a search with its own memo returns
     pool = [parse_mmp("123."), parse_mmp("123,345."), parse_mmp("124,135,236.")]
     while len(pool) < 12:
         d = random_diagram(rng, max_atoms=8, max_blocks=4, sizes=(3, 4))
@@ -587,6 +587,30 @@ def test_component_memo_returns_the_memo_free_search(rng):
         assert _canonical_search(d.blocks, incident, memo) == _canonical_search(d.blocks, incident)
     # most components were met before
     assert 0 < len(memo) < searched / 2
+
+
+def test_each_distinct_component_is_searched_once_per_call(monkeypatch):
+    # without a memo, a search keeps its own: eight disjoint blocks take one
+    # search of one block, and two copies of the 3-spoke star beside them,
+    # on interleaved atoms in one order, take one more
+    calls = [0]
+    real = symmetry._search_connected
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(symmetry, "_search_connected", counted)
+    blocks = disjoint_blocks(8).blocks
+    spokes = tuple(tuple(k + 2 * a for a in b) for k in (24, 25) for b in star(3).blocks)
+    blocks_order = math.factorial(8) * 6**8
+    for d, searched, order in (
+        (disjoint_blocks(8), 1, blocks_order),
+        (MmpDiagram(38, blocks + spokes), 2, blocks_order * 2 * 48**2),
+    ):
+        calls[0] = 0
+        assert _canonical_search(d.blocks, d.incident_blocks())[2] == order
+        assert calls[0] == searched
 
 
 def test_refines_of_the_7_spoke_star_and_35_35a(monkeypatch):
