@@ -1,10 +1,11 @@
 """Exact linear algebra over polyhedra, in integers; nothing is rounded.
 
-:func:`_reduce`, the one elimination core, reduces a linear system over the
-integers on sparse rows, and :func:`_rays` reads its solutions off as coprime
-integer rays.  :func:`vertices` lists the vertices of {x >= 0 : A x = b} from
-them by double description, with bitmask zero sets; :func:`gauss_affine`
-divides them out into ``Fraction``s.
+:func:`_reduce`, the one elimination core, reduces sparse integer rows, as
+the state analysis reads them off a diagram's incidence, and :func:`_rays`
+reads its solutions off as coprime integer rays.  :func:`vertices` lists the
+vertices of {x >= 0 : A x = b} from them by double description, with bitmask
+zero sets; :func:`gauss_affine` divides them out into ``Fraction``s.  Both
+take dense rational rows and convert them once, by :func:`_sparse`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ def gauss_affine(
     form, which is unique, so any elimination order gives the same answer:
     each is a ray of :func:`_rays` divided by its entry in its own column.
     """
-    solved = _rays(rows, rhs)
+    solved = _rays(*_sparse(rows, rhs))
     if solved is None:
         return None
     free, rays = solved  # free[-1] is n, the column of s
@@ -32,32 +33,27 @@ def gauss_affine(
     return x0, basis
 
 
-def _reduce(rows: list[list[int | Fraction]], rhs: list[int | Fraction], n: int):
-    """The reduced echelon rows of ``rows · x = rhs`` on ``n`` columns, as
-    (pivot column, row) in column order, or ``None`` if inconsistent.
+def _reduce(rows: list[dict[int, int]], n: int):
+    """The reduced echelon rows of the sparse system ``rows`` on ``n`` columns,
+    as (pivot column, row) in column order, or ``None`` if inconsistent.
 
-    The elimination is sparse and fraction-free.  Each row, scaled to
-    integers, is a ``{column: value}`` dict with -rhs in column n, so that
-    it reads row · (x, s) = 0.  Pivot columns are taken in order; the pivot
-    row is the remaining row with the fewest nonzeros (the first on ties),
-    which keeps fill-in low, and each combined row is divided by its
-    content, the gcd of its entries, which keeps the integers small.  A
+    Each row is a ``{column: value}`` dict of nonzero integers with -rhs in
+    column n, so that it reads row · (x, s) = 0.  The elimination is
+    fraction-free.  Pivot columns are taken in order; the pivot row, found in
+    the scan for the column's holders, is the first remaining row with the
+    fewest nonzeros, which keeps fill-in low, and each combined row is divided
+    by its content, the gcd of its entries, which keeps the integers small.  A
     backward pass clears each pivot column above its pivot.
     """
-    active: list[dict[int, int]] = []
-    for row, b in zip(rows, rhs):
-        r = {j: v for j, v in enumerate(row) if v}
-        if b:
-            r[n] = -b
-        if r:
-            den = lcm(*(v.denominator for v in r.values()))
-            active.append({j: int(v * den) for j, v in r.items()})
+    active = rows
     pivots: list[tuple[int, dict[int, int]]] = []
     for col in range(n):
-        holders = [r for r in active if col in r]
-        if not holders:
+        prow = None
+        for r in active:
+            if col in r and (prow is None or len(r) < len(prow)):
+                prow = r
+        if prow is None:
             continue
-        prow = min(holders, key=len)
         pivots.append((col, prow))
         rest = []
         for r in active:
@@ -70,7 +66,7 @@ def _reduce(rows: list[list[int | Fraction]], rhs: list[int | Fraction], n: int)
         return None
     for k in range(len(pivots) - 1, 0, -1):
         col, prow = pivots[k]
-        for i, (c, r) in enumerate(pivots[:k]):
+        for i, (c, r) in zip(range(k), pivots):
             if col in r:
                 pivots[i] = (c, _cancel(r, prow, col))
     return pivots
@@ -91,17 +87,31 @@ def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, in
     return {j: v // g for j, v in out.items()} if g > 1 else out
 
 
-def _rays(rows: list[list[int | Fraction]], rhs: list[int | Fraction]):
-    """The solutions (x, s) of ``rows · x = s · rhs`` as (free columns, rays),
-    or ``None`` if ``rows · x = rhs`` is inconsistent.
+def _sparse(rows: list[list[int | Fraction]], rhs: list[int | Fraction]):
+    """``rows · x = rhs``, dense and rational, as the sparse integer rows of
+    :func:`_reduce`, each scaled by the lcm of its denominators, and n."""
+    n = len(rows[0]) if rows else 0
+    sparse = []
+    for row, b in zip(rows, rhs):
+        r = {j: v for j, v in enumerate(row) if v}
+        if b:
+            r[n] = -b
+        if r:
+            den = lcm(*(v.denominator for v in r.values()))
+            sparse.append({j: int(v * den) for j, v in r.items()})
+    return sparse, n
+
+
+def _rays(rows: list[dict[int, int]], n: int):
+    """The solutions (x, s) of the sparse system ``rows`` (see :func:`_reduce`)
+    as (free columns, rays), or ``None`` if it is inconsistent.
 
     The free columns are those without a pivot, in order, then n, that of s.
     Ray k is the coprime integer solution positive on free column k and 0 on
     the others: those of x's columns span the nullspace, and the last ray is
     the particular solution, with s > 0.
     """
-    n = len(rows[0]) if rows else 0
-    pivots = _reduce(rows, rhs, n)
+    pivots = _reduce(rows, n)
     if pivots is None:
         return None
     pivot_cols = {col for col, _ in pivots}
@@ -138,11 +148,15 @@ def vertices(
     rays with s > 0 are the vertices; any with s = 0 are directions in which
     the polyhedron is unbounded, and are left out.
     """
-    solved = _rays(rows, rhs)
+    return _vertices(*_sparse(rows, rhs))
+
+
+def _vertices(rows: list[dict[int, int]], n: int):
+    """:func:`vertices` of the sparse system ``rows`` of :func:`_reduce`."""
+    solved = _rays(rows, n)
     if solved is None:
         return [], 1, []
     free, rays = solved
-    n = free[-1]
     # s >= 0 and t >= 0; each first ray is zero on every free column but its own
     imposed = sum(1 << k for k in free)
     zeros = [imposed ^ 1 << k for k in free]

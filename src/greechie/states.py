@@ -21,7 +21,7 @@ from functools import cache, cached_property
 from .diagram import MmpDiagram, twin_classes
 from .errors import Infeasible, LengthMismatch
 from .lattice import OmlElement, OmlPoset, _state_problem, build_oml
-from .linprog import vertices
+from .linprog import _vertices
 from .structure import require_mmp
 
 StateVector = tuple[Fraction, ...]
@@ -87,11 +87,12 @@ def classify_states(d: MmpDiagram) -> PolytopeSummary:
 
     The state polytope {x >= 0 : A x = 1} is listed by its vertices
     (:func:`~greechie.linprog.vertices`): one exact sparse elimination of
-    the block sums over the integers, then double description from its
-    solution.  Every atom lies in a block summing to 1, so the polytope
-    is bounded and is the convex hull of those vertices: no vertex means no
-    state, one means exactly one, and the atom ranges are the vertices'
-    column extremes.
+    the block sums over the integers, each block's row read off the
+    incidence as the sparse integer row ``{class: 1, ..., m: -1}``, then
+    double description from its solution.  Every atom lies in a block
+    summing to 1, so the polytope is bounded and is the convex hull of
+    those vertices: no vertex means no state, one means exactly one, and the
+    atom ranges are the vertices' column extremes.
 
     Twins, atoms on the same blocks, have equal columns in A x = 1, so the
     vertices are listed with one column per twin class T, for y_T the sum
@@ -112,11 +113,11 @@ def classify_states(d: MmpDiagram) -> PolytopeSummary:
     members = list(dict.fromkeys(twins))  # the classes, numbered from the first atom on
     number = {cls: t for t, cls in enumerate(members)}
     class_of = [number[cls] for cls in twins]
-    rows = [[0] * len(members) for _ in d.blocks]  # A x = 1 on one column per class
+    rows: list[dict[int, int]] = [{} for _ in d.blocks]  # A x = 1 on one column per class
     for t, cls in enumerate(members):
         for bi in incident[cls[0]]:
             rows[bi][t] = 1
-    points, den, _ = vertices(rows, [1] * len(rows))
+    points, den, _ = _vertices([row | {len(members): -1} for row in rows], len(members))
     if not points:
         return PolytopeSummary(Classification.NONE)
     # each value as its rank among the distinct ones: the lexicographic order

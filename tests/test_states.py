@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from greechie import corpus
+from greechie import corpus, linprog
 from greechie.diagram import MmpDiagram, incidence, parse_mmp, twin_classes
 from greechie.errors import Infeasible, LengthMismatch, NotAdmissible, NotValidated
 from greechie.lattice import ATOM, COATOM, ZERO, build_oml
 from greechie.cli import main
 from greechie.diagram import serialize_mmp
-from greechie.linprog import gauss_affine, vertices
+from greechie.linprog import _vertices, gauss_affine, vertices
 from greechie.generate import GenSpec, generate
 from greechie.states import (
     Classification,
@@ -186,6 +186,15 @@ def _star(k: int) -> MmpDiagram:
     return MmpDiagram(2 * k + 1, tuple((2 * i, 2 * i + 1, 2 * k) for i in range(k)))
 
 
+def _census() -> list[MmpDiagram]:
+    """The 84 classes the benchmark's census specs emit."""
+    pool: list[MmpDiagram] = []
+    for spec in (GenSpec(12, 6), GenSpec(13, 6), GenSpec(14, 7), GenSpec(15, 7)):
+        generate(spec, lambda line: pool.append(parse_mmp(line)))
+    assert len(pool) == 84
+    return pool
+
+
 def test_twin_classes_are_the_atoms_on_equal_block_sets(rng):
     # the one twin-class helper against its definition; the atoms of one
     # class share one tuple object, which the canonical search and
@@ -239,12 +248,12 @@ def test_twin_reduction_eliminates_one_column_per_class(monkeypatch):
     # that expands to 3^10 vertices; the k-spoke star is k + 1 classes
     seen = []
 
-    def counted(rows, rhs):
-        out = vertices(rows, rhs)
-        seen.append((len(rows[0]), len(out[0])))
+    def counted(rows, n):
+        out = _vertices(rows, n)
+        seen.append((n, len(out[0])))
         return out
 
-    monkeypatch.setattr("greechie.states.vertices", counted)
+    monkeypatch.setattr("greechie.states._vertices", counted)
     s = classify_states(_disjoint(10))
     assert seen == [(10, 1)] and len(s.zero_masks) == 3**10
     assert "vertices" not in vars(s)  # built on first access
@@ -252,6 +261,52 @@ def test_twin_reduction_eliminates_one_column_per_class(monkeypatch):
     seen.clear()
     assert len(classify_states(_star(5)).zero_masks) == 2**5 + 1
     assert seen == [(6, 2)]
+
+
+def test_block_rows_go_from_the_incidence_straight_to_the_sparse_core(monkeypatch):
+    # classify_states reads its sparse integer rows off the incidence; the
+    # dense rational rows of the library entries are converted only there
+    def dense(rows, rhs):
+        raise AssertionError("classify_states converted dense rows")
+
+    monkeypatch.setattr(linprog, "_sparse", dense)
+    pool = [corpus.diagram(name) for name in corpus.names()] + _census()
+    pool += [_star(k) for k in range(1, 8)] + [_disjoint(k) for k in range(1, 6)]
+    for d in pool:
+        classify_states(d)
+    with pytest.raises(AssertionError, match="dense rows"):
+        vertices([[1, 1]], [1])
+
+
+#: per corpus lattice, the row combinations (``linprog._cancel`` calls) of
+#: its one exact elimination
+CANCELS = {
+    "35-35a": 212, "35-35b": 209, "35-35c": 234, "35-35d": 224, "35-35e": 196,
+    "36-36": 219,
+    "38-38a": 270, "38-38b": 250, "38-38c": 284, "38-38d": 269,
+    "38-38e": 247, "38-38f": 256, "38-38g": 269, "38-38h": 281,
+    "44-44": 358, "73-78-ngv": 769, "73-78-single": 919, "73-73": 680,
+}
+
+
+def test_corpus_eliminations_make_a_pinned_number_of_row_combinations(monkeypatch):
+    # the work count of the exact elimination: pivot choice and fill-in show
+    # here before they show as time
+    calls = 0
+    cancel = linprog._cancel
+
+    def counted(row, prow, col):
+        nonlocal calls
+        calls += 1
+        return cancel(row, prow, col)
+
+    monkeypatch.setattr(linprog, "_cancel", counted)
+    seen = {}
+    for name in corpus.names():
+        calls = 0
+        classify_states(corpus.diagram(name))
+        seen[name] = calls
+    assert seen == CANCELS
 
 
 #: admissible sub-diagrams (lattice, dropped blocks) whose state polytopes
@@ -521,10 +576,7 @@ def test_strong_sweep_matches_the_pairwise_reference(rng):
     # swept over its vertices, also shuffled, its 0-1 states, a random subset
     # of its vertices, on which pairs past the zero element fail, and no
     # state at all
-    pool = [corpus.diagram(name) for name in corpus.names()]
-    for spec in (GenSpec(12, 6), GenSpec(13, 6), GenSpec(14, 7), GenSpec(15, 7)):
-        generate(spec, lambda line: pool.append(parse_mmp(line)))
-    assert len(pool) == 18 + 84
+    pool = [corpus.diagram(name) for name in corpus.names()] + _census()
     lattices = [name for name in corpus.names() if not name.startswith("73")]
     sources = [
         lambda: random_admissible(rng, max_blocks=6, sizes=(3, 4, 5)),
