@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 analysis-claim mismatch (``corpus --check``,
-``generate --oracle``), 2 format or validation error (also a
-``generate --checkpoint`` file for another spec or that does not read),
+``generate --oracle``), 2 format or validation error (also an input file
+that does not decode, and a ``generate --checkpoint`` file for another
+spec, that does not read or whose depth lies past the search),
 3 invalid generation spec (including ``--workers`` below 1).  Input
 files hold one diagram per line in MMP notation (lines starting with '#'
 are comments); a line opening with '{' is read as the JSON interchange
@@ -337,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file that does not open or decode
         print(f"io error: {exc}", file=sys.stderr)
         return FORMAT_ERROR
 

@@ -418,7 +418,8 @@ def _read_checkpoint(path: str, spec: GenSpec) -> tuple[dict | None, dict, int]:
     """Header, finished tasks and the byte length of the complete lines of a
     checkpoint.  A missing or empty file has no header; a last line without
     its newline was torn by an interrupted run and is ignored.  A header or
-    record of the wrong shape or types raises ``BadCheckpoint``."""
+    record of the wrong shape or types, or a depth past the search, raises
+    ``BadCheckpoint``."""
     data = Path(path).read_bytes() if Path(path).exists() else b""
     if not data:
         return None, {}, 0
@@ -429,6 +430,8 @@ def _read_checkpoint(path: str, spec: GenSpec) -> tuple[dict | None, dict, int]:
             raise BadCheckpoint(f"{path}: written for another spec, {header['spec']}")
         if not type(header["depth"]) is type(header["tasks"]) is int:
             raise ValueError("depth and task count must be integers")
+        if not 0 <= header["depth"] < spec.block_count:  # the depths a run writes
+            raise ValueError(f"depth {header['depth']} lies outside 0 to {spec.block_count - 1}")
         done = {}
         for r in records:
             stats = GenStats(**r["stats"])

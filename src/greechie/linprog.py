@@ -1,36 +1,15 @@
 """Exact linear algebra over polyhedra, in integers; nothing is rounded.
 
-:func:`_reduce`, the one elimination core, reduces sparse integer rows, as
-the state analysis reads them off a diagram's incidence, and :func:`_rays`
-reads its solutions off as coprime integer rays.  :func:`vertices` lists the
-vertices of {x >= 0 : A x = b} from them by double description, with bitmask
-zero sets; :func:`gauss_affine` divides them out into ``Fraction``s.  Both
-take dense rational rows and convert them once, by :func:`_sparse`.
+The rows are sparse integer rows, as the state analysis reads them off a
+diagram's incidence.  :func:`_reduce`, the one elimination core, brings them
+to reduced echelon form; :func:`_rays` reads its solutions off as coprime
+integer rays; and :func:`_vertices` lists the vertices of {x >= 0 : A x = b}
+from those rays by double description.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-
-
-def gauss_affine(
-    rows: list[list[int | Fraction]], rhs: list[int | Fraction]
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Solve ``rows · x = rhs`` over the rationals.
-
-    Returns (particular solution, nullspace basis) with free variables set
-    to zero and each basis vector 1 in its own free column, or ``None`` if
-    the system is inconsistent.  Both are read off the reduced row echelon
-    form, which is unique, so any elimination order gives the same answer:
-    each is a ray of :func:`_rays` divided by its entry in its own column.
-    """
-    solved = _rays(*_sparse(rows, rhs))
-    if solved is None:
-        return None
-    free, rays = solved  # free[-1] is n, the column of s
-    *basis, x0 = ([Fraction(v, r[k]) for v in r[: free[-1]]] for k, r in zip(free, rays))
-    return x0, basis
 
 
 def _reduce(rows: list[dict[int, int]], n: int):
@@ -87,21 +66,6 @@ def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, in
     return {j: v // g for j, v in out.items()} if g > 1 else out
 
 
-def _sparse(rows: list[list[int | Fraction]], rhs: list[int | Fraction]):
-    """``rows · x = rhs``, dense and rational, as the sparse integer rows of
-    :func:`_reduce`, each scaled by the lcm of its denominators, and n."""
-    n = len(rows[0]) if rows else 0
-    sparse = []
-    for row, b in zip(rows, rhs):
-        r = {j: v for j, v in enumerate(row) if v}
-        if b:
-            r[n] = -b
-        if r:
-            den = lcm(*(v.denominator for v in r.values()))
-            sparse.append({j: int(v * den) for j, v in r.items()})
-    return sparse, n
-
-
 def _rays(rows: list[dict[int, int]], n: int):
     """The solutions (x, s) of the sparse system ``rows`` (see :func:`_reduce`)
     as (free columns, rays), or ``None`` if it is inconsistent.
@@ -128,12 +92,10 @@ def _rays(rows: list[dict[int, int]], n: int):
     return free, rays
 
 
-def vertices(
-    rows: list[list[int | Fraction]], rhs: list[int | Fraction]
-) -> tuple[list[tuple[int, ...]], int, list[int]]:
-    """The vertices p / den of {x >= 0 : rows · x = rhs} as (points, den,
-    zero masks): integer points p, in lexicographic order, over one common
-    denominator, each with the mask of its j with x_j = 0; ([], 1, []) if none.
+def _vertices(rows: list[dict[int, int]], n: int) -> tuple[list[tuple[int, ...]], int]:
+    """The vertices p / den of {x >= 0 : A x = b}, given as the sparse system
+    ``rows`` of :func:`_reduce`, as (points, den): integer points p, in
+    lexicographic order, over one common denominator; ([], 1) if none.
 
     By the double-description method (Motzkin, Raiffa, Thompson & Thrall
     1953; Fukuda & Prodon 1996), in integers.  The solutions are x = x0 + N t
@@ -148,14 +110,9 @@ def vertices(
     rays with s > 0 are the vertices; any with s = 0 are directions in which
     the polyhedron is unbounded, and are left out.
     """
-    return _vertices(*_sparse(rows, rhs))
-
-
-def _vertices(rows: list[dict[int, int]], n: int):
-    """:func:`vertices` of the sparse system ``rows`` of :func:`_reduce`."""
     solved = _rays(rows, n)
     if solved is None:
-        return [], 1, []
+        return [], 1
     free, rays = solved
     # s >= 0 and t >= 0; each first ray is zero on every free column but its own
     imposed = sum(1 << k for k in free)
@@ -202,8 +159,7 @@ def _vertices(rows: list[dict[int, int]], n: int):
                         new_zeros.append(common | tight)
         rays, zeros = new_rays, new_zeros
 
-    # s > 0; each mask is exact on every imposed coordinate, s among them
-    kept = [(r, z) for r, z in zip(rays, zeros) if r[n]]
-    den = lcm(*(r[n] for r, _ in kept))
-    points = sorted((tuple(v * (den // r[n]) for v in r[:n]), z) for r, z in kept)
-    return [p for p, _ in points], den, [z for _, z in points]
+    # the rays with s > 0 are the vertices
+    kept = [r for r in rays if r[n]]
+    den = lcm(*(r[n] for r in kept))
+    return sorted(tuple(v * (den // r[n]) for v in r[:n]) for r in kept), den

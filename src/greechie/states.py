@@ -86,7 +86,7 @@ def classify_states(d: MmpDiagram) -> PolytopeSummary:
     """Decide whether the diagram admits no, one, or many states.
 
     The state polytope {x >= 0 : A x = 1} is listed by its vertices
-    (:func:`~greechie.linprog.vertices`): one exact sparse elimination of
+    (:func:`~greechie.linprog._vertices`): one exact sparse elimination of
     the block sums over the integers, each block's row read off the
     incidence as the sparse integer row ``{class: 1, ..., m: -1}``, then
     double description from its solution.  Every atom lies in a block
@@ -117,7 +117,7 @@ def classify_states(d: MmpDiagram) -> PolytopeSummary:
     for t, cls in enumerate(members):
         for bi in incident[cls[0]]:
             rows[bi][t] = 1
-    points, den, _ = _vertices([row | {len(members): -1} for row in rows], len(members))
+    points, den = _vertices([row | {len(members): -1} for row in rows], len(members))
     if not points:
         return PolytopeSummary(Classification.NONE)
     # each value as its rank among the distinct ones: the lexicographic order

@@ -1,10 +1,12 @@
 import math
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 
 from greechie.diagram import MmpDiagram
+from greechie.linprog import _rays
 
 
 def random_diagram(rng: random.Random, max_atoms: int = 13, max_blocks: int = 5,
@@ -140,6 +142,27 @@ def pendant_tree(rng: random.Random, max_atoms: int, loop: bool = False) -> MmpD
     rng.shuffle(pi)
     rng.shuffle(blocks)
     return MmpDiagram(n, tuple(tuple(sorted(pi[a] for a in b)) for b in blocks))
+
+
+def sparse_rows(rows: list[list[int]], rhs: list[int]) -> tuple[list[dict[int, int]], int]:
+    """``rows · x = rhs``, dense and in integers, as the sparse rows of
+    ``linprog._reduce`` (-rhs in column n, zero rows left out), and n."""
+    n = len(rows[0]) if rows else 0
+    sparse = [{j: v for j, v in enumerate([*row, -b]) if v} for row, b in zip(rows, rhs)]
+    return [r for r in sparse if r], n
+
+
+def divided_rays(rows: list[dict[int, int]], n: int):
+    """``linprog._rays`` in the form of ``oracles.dense_gauss_affine``, or
+    ``None``: each ray divided by its entry on its own free column; the last,
+    on the column of s, gives the particular solution, the others the
+    nullspace basis."""
+    solved = _rays(rows, n)
+    if solved is None:
+        return None
+    free, rays = solved
+    *basis, x0 = ([Fraction(v, r[k]) for v in r[:n]] for k, r in zip(free, rays))
+    return x0, basis
 
 
 class _Overran(BaseException):

@@ -24,8 +24,11 @@ ONE = Fraction(1)
 def dense_gauss_affine(
     rows: list[list[Fraction]], rhs: list[Fraction]
 ) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """``linprog.gauss_affine`` by dense Gauss-Jordan elimination over
-    ``Fraction``: pivot columns in order, the first nonzero row as pivot."""
+    """The solutions of ``rows · x = rhs`` as (particular solution, nullspace
+    basis), free variables set to 0 and each basis vector 1 in its own free
+    column, or ``None`` if inconsistent: the reference for ``linprog._rays``,
+    by dense Gauss-Jordan elimination over ``Fraction``, pivot columns in
+    order, the first nonzero row as pivot."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]

@@ -483,6 +483,16 @@ def test_exit_codes_of_every_command(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "36-36: FAIL: element count 74 != 1\n"
 
 
+def test_an_input_file_that_does_not_decode_exits_2(tmp_path, capsys):
+    # the same bytes on stdin under the C locale are a parse error
+    bad = tmp_path / "bad.mmp"
+    bad.write_bytes(b"\xff123.\n")
+    for command in ("validate", "states", "canon", "render"):
+        assert main([command, str(bad)]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("io error: ") and err.count("\n") == 1, (command, err)
+
+
 def test_corpus_check_validates_each_entry_once(capsys, monkeypatch):
     # each entry's lattice, states and strong-set claims share one check of
     # its diagram; a self-duality claim also checks the dual, a second object

@@ -196,6 +196,8 @@ def test_checkpoint_for_another_spec_or_unreadable_is_refused(tmp_path):
         (spec, "[1, 2]\n"),
         (spec, json.dumps({**json.loads(header), "depth": "4"}) + "\n"),
         (spec, json.dumps({**json.loads(header), "tasks": 3}) + "\n"),
+        # a depth past the search deepened the frontier past the leaves
+        (spec, json.dumps({**json.loads(header), "depth": 7}) + "\n"),
         (spec, header + "\n" + record.replace('"stats"', '"counts"') + "\n"),
         # a string count crashed in GenStats.merge; a string of lines printed
         # one line per character; a bool read as task 1; an index past the

@@ -11,7 +11,7 @@ from greechie.errors import Infeasible, LengthMismatch, NotAdmissible, NotValida
 from greechie.lattice import ATOM, COATOM, ZERO, build_oml
 from greechie.cli import main
 from greechie.diagram import serialize_mmp
-from greechie.linprog import _vertices, gauss_affine, vertices
+from greechie.linprog import _rays, _vertices
 from greechie.generate import GenSpec, generate
 from greechie.states import (
     Classification,
@@ -25,10 +25,12 @@ from greechie.states import (
 )
 from greechie.structure import drop_blocks, validate
 from conftest import (
+    divided_rays,
     random_admissible,
     random_diagram,
     random_looped,
     random_mmp,
+    sparse_rows,
     twin_rich,
     within,
 )
@@ -173,7 +175,8 @@ def _twin_rich(rng) -> MmpDiagram:
 
 def _unreduced(d):
     """The vertices and zero masks of the whole block system, one column per atom."""
-    points, den, zero_masks = vertices(*block_rows(d))
+    points, den = _vertices(*sparse_rows(*block_rows(d)))
+    zero_masks = [sum(1 << j for j, v in enumerate(p) if not v) for p in points]
     return [tuple(F(v, den) for v in p) for p in points], zero_masks
 
 
@@ -263,21 +266,6 @@ def test_twin_reduction_eliminates_one_column_per_class(monkeypatch):
     assert seen == [(6, 2)]
 
 
-def test_block_rows_go_from_the_incidence_straight_to_the_sparse_core(monkeypatch):
-    # classify_states reads its sparse integer rows off the incidence; the
-    # dense rational rows of the library entries are converted only there
-    def dense(rows, rhs):
-        raise AssertionError("classify_states converted dense rows")
-
-    monkeypatch.setattr(linprog, "_sparse", dense)
-    pool = [corpus.diagram(name) for name in corpus.names()] + _census()
-    pool += [_star(k) for k in range(1, 8)] + [_disjoint(k) for k in range(1, 6)]
-    for d in pool:
-        classify_states(d)
-    with pytest.raises(AssertionError, match="dense rows"):
-        vertices([[1, 1]], [1])
-
-
 #: per corpus lattice, the row combinations (``linprog._cancel`` calls) of
 #: its one exact elimination
 CANCELS = {
@@ -334,7 +322,7 @@ def _case_id(value):
 def test_block_systems_agree_with_the_dense_oracle(name, dropped):
     d, _ = drop_blocks(corpus.diagram(name), dropped)
     rows, rhs = block_rows(d)
-    assert gauss_affine(rows, rhs) == dense_gauss_affine(rows, rhs)
+    assert divided_rays(*sparse_rows(rows, rhs)) == dense_gauss_affine(rows, rhs)
 
 
 @pytest.mark.parametrize(
@@ -344,9 +332,9 @@ def test_block_systems_agree_with_the_dense_oracle(name, dropped):
 )
 def test_affine_hull_of_a_73_atom_system_within_a_tenth_of_a_second(name, dropped):
     d, _ = drop_blocks(corpus.diagram(name), dropped)
-    rows, rhs = block_rows(d)
+    system, n = sparse_rows(*block_rows(d))
     t0 = time.perf_counter()
-    gauss_affine(rows, rhs)
+    _rays(system, n)
     dt = time.perf_counter() - t0
     assert dt < 0.1, f"{name} minus {sorted(dropped)} took {dt:.3f}s"
 
@@ -371,7 +359,7 @@ def test_cliff_sub_diagrams_take_their_vertices_in_a_few_seconds(
     # a scan of two simplex optimizations per atom took 3.4 to 67 s on these
     d, _ = drop_blocks(corpus.diagram(name), dropped)
     dim, count = shape
-    assert len(gauss_affine(*block_rows(d))[1]) == dim
+    assert len(_rays(*sparse_rows(*block_rows(d)))[0]) - 1 == dim
     s = classify_states(d)
     assert s.classification is Classification.MORE_THAN_ONE and len(s.vertices) == count
     assert all(is_state(d, v) for v in s.vertices)
