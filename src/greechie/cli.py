@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from functools import cache
 
 from . import corpus
@@ -31,11 +32,11 @@ OK, CLAIM_MISMATCH, FORMAT_ERROR, BAD_SPEC = 0, 1, 2, 3
 
 
 def _open_lines(path: str):
-    if path == "-":
-        yield from iter_mmp_lines(sys.stdin)
-    else:
-        with open(path) as fh:
+    with nullcontext(sys.stdin) if path == "-" else open(path) as fh:
+        try:
             yield from iter_mmp_lines(fh)
+        except UnicodeDecodeError as exc:  # its message names no file
+            raise OSError(f"{path}: {exc}") from None
 
 
 def cmd_validate(args) -> int:
@@ -338,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError) as exc:  # a file that does not open or decode
+    except OSError as exc:  # a file that does not open or decode
         print(f"io error: {exc}", file=sys.stderr)
         return FORMAT_ERROR
 

@@ -1,13 +1,13 @@
 """Exact analysis of the state space of a diagram.
 
 A state assigns each atom a rational in [0,1] so that every block sums
-to one.  The set of states is a polytope cut out by those equations, and
+to one.  The states form a polytope cut out by those equations, and
 everything below (classification, per-atom ranges, 0-1 states, strong
-set decisions) is read off its vertices in exact arithmetic, never with
-floats.  The polytope lies in the unit cube, so the 0-1 states are
-exactly its 0-1 vertices.  The strong-set tests see each state as its
-zero mask, bit a set when m(a) = 0; ``Fraction`` tuples are built only
-for the values handed out.
+set decisions) is read off its vertices exactly, never with floats.  It
+lies in the unit cube, so the 0-1 states are its 0-1 vertices.  The
+strong-set tests see a state as its zero mask, bit a set when m(a) = 0,
+and ask each element x if F_x = {m : m(x) = 1} is empty and which atoms
+Z_x are 0 on all of it.  ``Fraction`` tuples are built only when handed out.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cache, cached_property
 
 from .diagram import MmpDiagram, twin_classes
 from .errors import Infeasible, LengthMismatch
-from .lattice import OmlElement, OmlPoset, _state_problem, build_oml
+from .lattice import OmlElement, OmlPoset, _bits, _state_problem, build_oml
 from .linprog import _vertices
 from .structure import require_mmp
 
@@ -183,67 +183,67 @@ def enumerate_01_states(d: MmpDiagram) -> list[StateVector]:
 # ---------------------------------------------------------------------------
 
 
+def _columns(rows: Sequence[int], n: int) -> list[int]:
+    """Per bit a < n, the k with bit a set in rows[k]: every n-th binary digit, last row first."""
+    spec = f"0{n}b"
+    text = "".join([format(r, spec) for r in reversed(rows)])
+    return [int(text[n - 1 - a :: n] or "0", 2) for a in range(n)]
+
+
 def _strong_over(poset: OmlPoset, zero_masks: Sequence[int]) -> StrongReport:
     """The strong-set test over a finite list of states, given by their zero
     masks in any order.
 
     Finds the first pair (x, y) with x not below y, x-major in element order,
     that fails: no state puts 1 on x (reported against the zero element), or
-    every state with m(x) = 1 has m(y) = 1.  For V states, n atoms and E
-    elements it takes O(V n) steps to transpose the masks into one V-bit
-    column per atom and O(V) per pair (x, y), one test whether the states
-    with m(y) = 1 include those with m(x) = 1: O(V (n + E^2)) in all.
+    every state with m(x) = 1 has m(y) = 1.  Atom values are nonnegative, so
+    m(x) = 1 - m(x') is 1 exactly when m is 0 on S_x, the atoms a with
+    x <= a'.  So each x asks: is F_x, the states with m(x) = 1, empty, and
+    which atoms Z_x are 0 on all of it?  m(y) = 1 on all of F_x exactly when
+    S_y <= Z_x: x fails at the first y, not 0 and not above x, below no a'
+    with a outside Z_x.  Only this reads the states, from V-bit atom columns
+    (an O(V n) transpose); each x then takes O(n) V-bit and E-bit steps.
     """
     n = poset.source.atom_count
+    atoms = (1 << n) - 1
+    at_zero = _columns(zero_masks, n)  # per atom, the k with state k at 0 there
     everyone = (1 << len(zero_masks)) - 1
-    # per atom, the k with state k at 0 there: each mask as an n-digit binary
-    # row, last state first, so that every n-th digit is one atom's column
-    # with state k at bit k
-    rows = "".join(format(z, f"0{n}b") for z in reversed(zero_masks)).encode()
-    at_zero = [int(rows[n - 1 - a :: n] or b"0", 2) for a in range(n)]
-    # per element x, the k with m(x) = 1 in state k.  m(x) = 1 - m(x'), and
-    # atom values are nonnegative, so m(x) = 1 exactly when m is 0 on every
-    # atom a below x', that is every a with x <= a'; coatom a' is element 2 + n + a
-    ones = []
-    for up in poset.ups:
-        mask = everyone
-        coatoms = up >> (2 + n) & ((1 << n) - 1)
-        while coatoms:
-            low = coatoms & -coatoms
-            coatoms ^= low
-            mask &= at_zero[low.bit_length() - 1]
-        ones.append(mask)
-    # element objects are built only for the pair returned
-    everything = (1 << len(ones)) - 1
-    for i, (up, mask) in enumerate(zip(poset.ups, ones)):
-        if not mask and everything & ~up:
+    everything = (1 << len(poset.ups)) - 1
+    below = None  # per atom a, the elements below a' (element 2 + n + a)
+    for i, up in enumerate(poset.ups[1:], 1):  # x = 0 is below every y
+        face = everyone  # F_x
+        for a in _bits(up >> (2 + n) & atoms):
+            face &= at_zero[a]
+        if not face:  # element objects are built only for the pair returned
             return StrongReport(False, (poset.element(i), poset.element(0)))
-        # otherwise the first pair to fail is (x, y) for the first y, not 0
-        # and not above x, with m(y) = 1 on every state with m(x) = 1
-        for j, other in enumerate(ones):
-            if other & mask == mask and j and not up >> j & 1:
-                return StrongReport(False, (poset.element(i), poset.element(j)))
+        if below is None and not any(column & face == face for column in at_zero):
+            continue  # Z_x is empty: only the unit has S_y empty, and it is above x
+        below = below or _columns([u >> (2 + n) & atoms for u in poset.ups], n)  # on first need
+        outside = 0  # the y below some a' with a outside Z_x
+        for column, elements in zip(at_zero, below):
+            if column & face != face:
+                outside |= elements
+        failing = everything & ~up & ~outside & ~1
+        if failing:
+            return StrongReport(False, (poset.element(i), poset.element(next(_bits(failing)))))
     return StrongReport(True, None)
 
 
 def admits_strong_set(d: MmpDiagram) -> StrongReport:
     """Decide whether any nonempty strong set of states exists.
 
-    It suffices to test the set of all states: if that set fails the
-    strong-set biconditional at some pair, every subset fails the same
-    pair, since shrinking the set only weakens the premise of the
-    implication.  The states with m(x) = 1 are those that are 0 on a set
-    of atoms, a face of the state polytope, and the vertices of that face
-    are vertices of the polytope.  So m(y) = 1 on the whole face exactly
-    when it holds on each polytope vertex with m(x) = 1, and the test over
-    the vertex list decides every pair.
+    It suffices to test the set of all states: if it fails the strong-set
+    biconditional at a pair, so does every subset, as shrinking the set only
+    weakens the premise.  Each F_x is a face of the state polytope (its
+    states are 0 on S_x), the hull of the vertices it holds, so whether F_x
+    is empty and which atoms Z_x are 0 on all of it are read off the vertices.
     """
     poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
     return _strong_over(poset, classify_states(d).zero_masks)
 
 
 def admits_strong_01_set(d: MmpDiagram) -> StrongReport:
-    """Strong-set test restricted to the 0-1 states (the Kochen-Specker test)."""
+    """The strong-set test with F_x and Z_x over the 0-1 states (the Kochen-Specker test)."""
     poset = build_oml(d)  # requires admissibility, which implies (i)-(iii)
     return _strong_over(poset, classify_states(d).zero_one_masks)
 

@@ -532,11 +532,15 @@ def strong_set_by_vertices(d: MmpDiagram):
 
 
 def pairwise_strong_sweep(poset: OmlPoset, zero_masks) -> StrongReport:
-    """``states._strong_over`` as one XOR per (state, support atom) and one
-    test per pair: each state clears its bit from the column of every atom
-    it puts above 0, and each x tests the elements not above it one at a
-    time, lowest first, for the first y with m(y) = 1 on every state with
-    m(x) = 1 (against the zero element when no state has m(x) = 1).
+    """The report of ``states._strong_over``, by one test per pair.
+
+    ``_strong_over`` asks each x one question, whether F_x (the states with
+    m(x) = 1) is empty and which atoms Z_x are 0 on all of it, and reads
+    the failing y off Z_x.  This reference builds F_y for every element and
+    tests the pairs one at a time: each state clears its bit from the
+    column of every atom it puts above 0, one XOR per (state, support atom),
+    and each x tests the elements not above it, lowest first, for the first
+    y with F_x inside F_y (against the zero element when F_x is empty).
     """
     n = poset.source.atom_count
     everyone = (1 << len(zero_masks)) - 1

@@ -487,10 +487,21 @@ def test_an_input_file_that_does_not_decode_exits_2(tmp_path, capsys):
     # the same bytes on stdin under the C locale are a parse error
     bad = tmp_path / "bad.mmp"
     bad.write_bytes(b"\xff123.\n")
+    good = tmp_path / "good.mmp"
+    good.write_text("123.\n")
     for command in ("validate", "states", "canon", "render"):
         assert main([command, str(bad)]) == 2, command
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("io error: ") and err.count("\n") == 1, (command, err)
+        assert out == "" and err.startswith(f"io error: {bad}: ") and err.count("\n") == 1, (command, err)
+        if command == "render":  # one file
+            continue
+        # with several files, the line names the one that failed, after the
+        # output of those before it
+        assert main([command, str(good)]) == 0, command
+        before = capsys.readouterr().out
+        assert main([command, str(good), str(bad)]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == before and err.startswith(f"io error: {bad}: ") and err.count("\n") == 1, (command, err)
 
 
 def test_corpus_check_validates_each_entry_once(capsys, monkeypatch):

@@ -385,6 +385,9 @@ def test_atom_range_examples():
     assert atom_range(pent, 0) == (lo, hi)
     with pytest.raises(Infeasible):
         atom_range(corpus.diagram("73-78-ngv"), 0)
+    for p in (d.atom_count, -1):  # the first index past each end
+        with pytest.raises(LengthMismatch):
+            atom_range(d, p)
 
 
 def test_enumerate_01_states_single_block():
@@ -592,6 +595,43 @@ def test_strong_sweep_matches_the_pairwise_reference(rng):
             failing[None if rep.admits else rep.witness_pair[1].kind] += 1
     assert min(decided[True], decided[False]) > 100, decided
     assert failing[ATOM] + failing[COATOM] > 200, failing
+
+
+def test_m_y_is_one_on_f_x_exactly_when_s_y_lies_in_z_x(rng):
+    # The lemma the strong-set test rests on, over the vertices listed by
+    # basic solutions, the 0-1 states and a random subset of the vertices:
+    # for x and y not above x, m(y) = 1 on all of F_x (the states with m(x) =
+    # 1) exactly when S_y (the atoms a with y <= a') lies in Z_x (the atoms 0
+    # on all of F_x).  Forests of 3- to 5-atom blocks, loops and the
+    # pentagon, at most 10 atoms each, all admit a strong set: the subsets
+    # give the pairs that fail, and the empty F_x
+    sources = [
+        lambda: random_admissible(rng, max_blocks=4, sizes=(3, 4, 5)),
+        lambda: random_looped(rng, max_atoms=10),
+    ]
+    diagrams = [parse_mmp(PENTAGON)] + [sources[i % 2]() for i in range(60)]
+    seen = Counter()
+    for d in diagrams:
+        if d.atom_count > 10 or not validate(d).greechie_admissible:
+            continue
+        poset = build_oml(d)
+        atoms = [e for e in poset.elements if e.kind == ATOM]
+        s = {y: {a for a in atoms if poset.leq(y, poset.ortho(a))} for y in poset.elements}  # S_y
+        vertices = sorted(polytope_vertices(d))
+        subset = rng.sample(vertices, rng.randrange(len(vertices) + 1))
+        for states in (vertices, brute_01_states(d), subset):
+            values = [poset.extend_state(v) for v in states]
+            for x in poset.elements:
+                face = [m for m in values if m[x] == 1]
+                zero = {a for a in atoms if all(m[a] == 0 for m in face)}
+                for y in poset.elements:
+                    if poset.leq(x, y):
+                        continue
+                    holds = all(m[y] == 1 for m in face)
+                    assert holds == (s[y] <= zero), (serialize_mmp(d), x, y)
+                    seen[bool(face), holds] += 1
+    # an empty F_x holds vacuously, so (False, False) never occurs
+    assert len(seen) == 3 and min(seen.values()) > 100, seen
 
 
 def test_admits_strong_set_on_eleven_disjoint_blocks_in_bounded_time():
