@@ -2,9 +2,9 @@
 
 The rows are sparse integer rows, as the state analysis reads them off a
 diagram's incidence.  :func:`_reduce`, the one elimination core, brings them
-to reduced echelon form; :func:`_rays` reads its solutions off as coprime
-integer rays; and :func:`_vertices` lists the vertices of {x >= 0 : A x = b}
-from those rays by double description.
+to echelon form; :func:`_rays` finds their solutions as coprime integer rays
+by back substitution; and :func:`_vertices` lists the vertices of
+{x >= 0 : A x = b} from those rays by double description.
 """
 
 from __future__ import annotations
@@ -13,16 +13,17 @@ from math import gcd, lcm
 
 
 def _reduce(rows: list[dict[int, int]], n: int):
-    """The reduced echelon rows of the sparse system ``rows`` on ``n`` columns,
-    as (pivot column, row) in column order, or ``None`` if inconsistent.
+    """The echelon rows of the sparse system ``rows`` on ``n`` columns, as
+    (pivot column, row) in column order, or ``None`` if inconsistent.
 
     Each row is a ``{column: value}`` dict of nonzero integers with -rhs in
     column n, so that it reads row · (x, s) = 0.  The elimination is
     fraction-free.  Pivot columns are taken in order; the pivot row, found in
     the scan for the column's holders, is the first remaining row with the
     fewest nonzeros, which keeps fill-in low, and each combined row is divided
-    by its content, the gcd of its entries, which keeps the integers small.  A
-    backward pass clears each pivot column above its pivot.
+    by its content, the gcd of its entries, which keeps the integers small.
+    Each row is 0 on the columns before its pivot; nothing is cleared above a
+    pivot, since :func:`_rays` reads the rows by back substitution.
     """
     active = rows
     pivots: list[tuple[int, dict[int, int]]] = []
@@ -43,11 +44,6 @@ def _reduce(rows: list[dict[int, int]], n: int):
         active = rest
     if active:  # what is left is zero but in column n: 0 = b with b nonzero
         return None
-    for k in range(len(pivots) - 1, 0, -1):
-        col, prow = pivots[k]
-        for i, (c, r) in zip(range(k), pivots):
-            if col in r:
-                pivots[i] = (c, _cancel(r, prow, col))
     return pivots
 
 
@@ -73,7 +69,12 @@ def _rays(rows: list[dict[int, int]], n: int):
     The free columns are those without a pivot, in order, then n, that of s.
     Ray k is the coprime integer solution positive on free column k and 0 on
     the others: those of x's columns span the nullspace, and the last ray is
-    the particular solution, with s > 0.
+    the particular solution, with s > 0.  The values on the free columns fix
+    a solution, so this ray is unique, whatever the order and scale of the
+    rows.  It is found by back substitution through the echelon rows, last
+    pivot first, in integers over one scale: where a pivot does not divide
+    its row's sum, every entry so far is multiplied by what it lacks, a
+    positive factor, and the ray is divided by its content at the end.
     """
     pivots = _reduce(rows, n)
     if pivots is None:
@@ -82,11 +83,19 @@ def _rays(rows: list[dict[int, int]], n: int):
     free = [k for k in range(n + 1) if k not in pivot_cols]
     rays = []
     for k in free:
-        held = [(col, r) for col, r in pivots if k in r]
         ray = [0] * (n + 1)
-        ray[k] = lcm(*(abs(r[col]) for col, r in held))
-        for col, r in held:  # r[col] x_col + r[k] x_k = 0
-            ray[col] = -r[k] * ray[k] // r[col]
+        ray[k] = 1
+        for col, r in reversed(pivots):  # r[col] x_col + (the rest of r) · ray = 0
+            t = 0
+            for j, v in r.items():  # faster than sum() over a generator on short rows
+                t += v * ray[j]
+            if t:
+                p = r[col]
+                if t % p:
+                    m = abs(p) // gcd(t, p)
+                    ray = [m * v for v in ray]
+                    t *= m
+                ray[col] = -t // p
         g = gcd(*ray)
         rays.append(tuple(v // g for v in ray))
     return free, rays

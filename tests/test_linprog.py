@@ -1,5 +1,7 @@
+import ast
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from pathlib import Path
 
 from greechie.linprog import _rays, _vertices
 from conftest import divided_rays, sparse_rows
@@ -10,7 +12,7 @@ F = Fraction
 
 def _mixed(rng, rows):
     """``rows`` shuffled, each times a random nonzero integer, sign included.
-    The reduced echelon form is unique, so the core must return the same."""
+    The coprime rays are unique, so the core must return the same."""
     scales = rng.choices((-3, -2, -1, 1, 2, 5), k=len(rows))
     mixed = [{j: c * v for j, v in r.items()} for r, c in zip(rows, scales)]
     rng.shuffle(mixed)
@@ -129,10 +131,10 @@ def test_rays_agree_with_the_dense_oracle(rng):
     # Integer systems with negative and non-unit entries, some with a row
     # that is a combination of others (rank-deficient), some with one
     # right-hand side shifted (usually inconsistent), a few with rational
-    # entries, and empty ones, each row scaled to integers; the reduced
-    # echelon form is unique, so the two eliminations return the same x0
-    # and nullspace basis exactly, and the rays do not depend on the order
-    # and scale of the rows.
+    # entries, and empty ones, each row scaled to integers; the solution
+    # with given values on the free columns is unique, so the two
+    # eliminations return the same x0 and nullspace basis exactly, and the
+    # rays do not depend on the order and scale of the rows.
     kinds = {"none": 0, "unique": 0, "hull": 0}
     for trial in range(400):
         n = rng.randrange(0, 7)
@@ -153,3 +155,48 @@ def test_rays_agree_with_the_dense_oracle(rng):
         kinds["none" if want is None else "hull" if want[1] else "unique"] += 1
     assert min(kinds.values()) > 50, kinds
     assert divided_rays([], 0) == dense_gauss_affine([], []) == ([], [])
+
+
+def test_back_substitution_agrees_with_the_dense_oracle_on_wide_systems(rng):
+    # 8 to 14 columns and rank-deficient by construction: a few random rows
+    # and integer combinations of them, so each system has several free
+    # columns; the right-hand side comes from a point with halves and
+    # thirds.  A particular solution with a denominator above 1, or a
+    # nullspace vector with one, is reached only by rescaling its ray.  Each
+    # ray is coprime, positive on its own free column, 0 on the other free
+    # columns, and independent of the order and scale of the rows.
+    particular = nullspace = 0  # trials with a rescaled ray of each kind
+    for _ in range(150):
+        n = rng.randrange(8, 15)
+        base = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 6)) for _ in range(n)]
+                for _ in range(rng.randrange(2, n - 2))]
+        combined = [[sum(c * v for c, v in zip(cs, col)) for col in zip(*base)]
+                    for cs in ([rng.choice((-1, 0, 1, 2)) for _ in base] for _ in range(3))]
+        rows = [r for r in base + combined if any(r)]
+        x = [F(rng.randrange(-3, 4), rng.choice((1, 2, 3))) for _ in range(n)]
+        rhs = [sum((a * v for a, v in zip(row, x)), F(0)) for row in rows]
+        want = dense_gauss_affine(rows, rhs)
+        system, n = sparse_rows(*_integral(rows, rhs))
+        assert divided_rays(system, n) == want, (rows, rhs)
+        free, rays = _rays(system, n)
+        assert _rays(_mixed(rng, system), n) == (free, rays), (rows, rhs)
+        for k, r in zip(free, rays):
+            assert gcd(*r) == 1 and r[k] > 0 and all(r[j] == 0 for j in free if j != k)
+        assert len(free) >= 4
+        particular += rays[-1][n] > 1
+        nullspace += any(r[k] > 1 for k, r in zip(free[:-1], rays))
+    assert particular > 50 and nullspace > 50, (particular, nullspace)
+
+
+def test_analysis_modules_hold_no_float():
+    # no true division, float literal or float name where exact results are
+    # computed: every division in them is an exact // on integers, and a
+    # rational is built as Fraction(p, q)
+    src = Path(__file__).resolve().parent.parent / "src" / "greechie"
+    for module in ("linprog.py", "states.py", "lattice.py"):
+        for node in ast.walk(ast.parse((src / module).read_text())):
+            where = f"{module}:{getattr(node, 'lineno', '?')}"
+            assert not (isinstance(node, (ast.BinOp, ast.AugAssign))
+                        and isinstance(node.op, ast.Div)), where
+            assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), where
+            assert not (isinstance(node, ast.Name) and node.id == "float"), where

@@ -1,7 +1,10 @@
+import hashlib
+import io
 import json
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -267,19 +270,18 @@ def test_twin_reduction_eliminates_one_column_per_class(monkeypatch):
 
 
 #: per corpus lattice, the row combinations (``linprog._cancel`` calls) of
-#: its one exact elimination
+#: its one exact elimination, 4,112 in all
 CANCELS = {
-    "35-35a": 212, "35-35b": 209, "35-35c": 234, "35-35d": 224, "35-35e": 196,
-    "36-36": 219,
-    "38-38a": 270, "38-38b": 250, "38-38c": 284, "38-38d": 269,
-    "38-38e": 247, "38-38f": 256, "38-38g": 269, "38-38h": 281,
-    "44-44": 358, "73-78-ngv": 769, "73-78-single": 919, "73-73": 680,
+    "35-35a": 121, "35-35b": 121, "35-35c": 141, "35-35d": 130, "35-35e": 110,
+    "36-36": 130,
+    "38-38a": 159, "38-38b": 133, "38-38c": 173, "38-38d": 158,
+    "38-38e": 134, "38-38f": 140, "38-38g": 153, "38-38h": 170,
+    "44-44": 235, "73-78-ngv": 769, "73-78-single": 688, "73-73": 447,
 }
 
 
-def test_corpus_eliminations_make_a_pinned_number_of_row_combinations(monkeypatch):
-    # the work count of the exact elimination: pivot choice and fill-in show
-    # here before they show as time
+def _count_cancels(monkeypatch, diagrams):
+    """The ``linprog._cancel`` calls of ``classify_states`` on each diagram."""
     calls = 0
     cancel = linprog._cancel
 
@@ -289,12 +291,20 @@ def test_corpus_eliminations_make_a_pinned_number_of_row_combinations(monkeypatc
         return cancel(row, prow, col)
 
     monkeypatch.setattr(linprog, "_cancel", counted)
-    seen = {}
-    for name in corpus.names():
+    seen = []
+    for d in diagrams:
         calls = 0
-        classify_states(corpus.diagram(name))
-        seen[name] = calls
-    assert seen == CANCELS
+        classify_states(d)
+        seen.append(calls)
+    return seen
+
+
+def test_corpus_eliminations_make_a_pinned_number_of_row_combinations(monkeypatch):
+    # the work count of the exact elimination: pivot choice and fill-in show
+    # here before they show as time
+    names = corpus.names()
+    seen = _count_cancels(monkeypatch, [corpus.diagram(name) for name in names])
+    assert dict(zip(names, seen)) == CANCELS
 
 
 #: admissible sub-diagrams (lattice, dropped blocks) whose state polytopes
@@ -308,6 +318,16 @@ CLIFF = [
 ]
 #: per CLIFF case: the dimension of its state polytope and its vertex count
 CLIFF_SHAPES = [(2, 6), (2, 6), (4, 71), (3, 30), (5, 496)]
+#: per CLIFF case: the row combinations of its exact elimination
+CLIFF_CANCELS = [134, 187, 125, 313, 207]
+
+
+def test_cliff_eliminations_make_a_pinned_number_of_row_combinations(monkeypatch):
+    # rank-deficient systems: each of their 3 to 6 free columns, that of s
+    # included, takes one back substitution through the echelon rows, which
+    # combines no rows, so the forward pass is the whole count
+    diagrams = [drop_blocks(corpus.diagram(name), dropped)[0] for name, dropped in CLIFF]
+    assert _count_cancels(monkeypatch, diagrams) == CLIFF_CANCELS
 
 
 def _case_id(value):
@@ -337,6 +357,25 @@ def test_affine_hull_of_a_73_atom_system_within_a_tenth_of_a_second(name, droppe
     _rays(system, n)
     dt = time.perf_counter() - t0
     assert dt < 0.1, f"{name} minus {sorted(dropped)} took {dt:.3f}s"
+
+
+RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus.json"
+
+
+def test_states_lines_match_recorded_corpus_outputs(monkeypatch, capsys):
+    # every byte of the states --strong and --zero-one lines the benchmark
+    # recorded for the corpus: classifications, atom ranges, witnesses and
+    # 0-1 counts, each read from its MMP line on stdin
+    data = json.loads(RECORDED.read_text())
+    lines = {e["name"]: e["line"] for e in data["entries"]}
+    pinned = {tuple(key.split(":")[1:]): v["sha256"] for key, v in data["outputs"].items()
+              if key.startswith(("corpus:strong:", "corpus:zero-one:"))}
+    assert len(pinned) == 33  # --zero-one on the 73-atom lattices is not recorded
+    for (flag, name), digest in sorted(pinned.items()):
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines[name] + "\n"))
+        main(["states", f"--{flag}", "-"])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (flag, name)
 
 
 def test_weber_original_is_stateless_within_a_second():
