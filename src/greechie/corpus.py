@@ -3,8 +3,9 @@
 Each entry carries the MMP line and the properties claimed for it
 (state-space classification, self-duality, strong-set admission, element
 count).  ``73-73`` drops the first five blocks of Weber's 73-78 diagram;
-``73-78-single`` drops the fourth atom of its first block.  Both are
-stored literally and re-derived in tests as a transcription cross-check.
+it is stored literally and re-derived in tests as a transcription
+cross-check.  ``73-78-single`` drops the fourth atom of its first block
+and is built here from Weber's blocks.
 """
 
 from __future__ import annotations

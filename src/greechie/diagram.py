@@ -189,7 +189,7 @@ def serialize_mmp(d: MmpDiagram) -> str:
     """Render a diagram as one MMP line; inverse of :func:`parse_mmp`.
 
     Atoms inside a block come out in alphabet order.  Diagrams with more
-    than 90 atoms cannot be spelled and must use the JSON format.
+    than 90 atoms cannot be spelled; :func:`dump_diagram_line` writes JSON.
     """
     if d.atom_count > len(ALPHABET):
         raise TooManyAtoms(d.atom_count)
@@ -215,6 +215,11 @@ def load_diagram_line(line: str) -> MmpDiagram:
     if line.lstrip().startswith("{"):
         return MmpDiagram.from_json(line)
     return parse_mmp(line)
+
+
+def dump_diagram_line(d: MmpDiagram) -> str:
+    """The line :func:`load_diagram_line` reads back: MMP while the atoms fit the alphabet, else JSON."""
+    return serialize_mmp(d) if d.atom_count <= len(ALPHABET) else d.to_json()
 
 
 from . import structure  # noqa: E402  last, as structure imports this module

@@ -31,9 +31,9 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
-from .diagram import MmpDiagram, incidence, serialize_mmp, twin_classes
+from .diagram import MmpDiagram, dump_diagram_line, incidence, twin_classes
 from .errors import BadCheckpoint, InvalidSpec, TooLarge
 from .structure import blocks_connected, validate
 from .symmetry import CanonicalForm, Gens, canonical_form, _canonical_search
@@ -133,6 +133,12 @@ def _candidates(
     increasing order, each outside the ``ball`` of radius min_girth - 2
     of all picked: a block over x and y closes a loop of order one more
     than the shortest chain joining them.
+
+    At the last block (``remaining_after`` = 0) the budget tests are exact.
+    The atom budget needs new >= atom_count - n_used, the loop's bound, so
+    a leaf has atom_count atoms, each in some block.  With md > 1 (md =
+    min_atom_degree), ``spare`` is -new * (md - 1) and the shortfall left
+    is >= 0, so only new = 0 with none left passes: all degrees end >= md.
     """
     s, md = spec.block_size, spec.min_atom_degree
     remaining_after = spec.block_count - len(blocks) - 1
@@ -169,26 +175,15 @@ def _candidates(
     return out
 
 
-def _final_ok(blocks: Blocks, incident: Sequence[Sequence[int]], spec: GenSpec) -> bool:
-    """Does a leaf meet the spec?  ``incident`` lists the blocks through each atom."""
-    if len(incident) != spec.atom_count:
-        return False
-    if spec.require_connected and not blocks_connected(blocks, incident):
-        return False
-    if min(map(len, incident), default=math.inf) < spec.min_atom_degree:  # vacuous with no atom
-        return False
-    return True
-
-
 def _expand(node: Node, spec: GenSpec, stats: GenStats, emit: Callable[[str], None], memo: dict) -> None:
     """Depth-first canonical augmentation below one node, with the run's ``memo``."""
     blocks, n_used, own_code, _, book = node
     stats.nodes_explored += 1
-    if len(blocks) == spec.block_count:
-        if _final_ok(blocks, book[1], spec):
+    if len(blocks) == spec.block_count:  # atoms and degrees hold by ``_candidates``
+        if not spec.require_connected or blocks_connected(blocks, book[1]):
             stats.emitted_count += 1
             code = _canonical_search(blocks, book[1], memo)[0] if own_code is None else own_code
-            emit(serialize_mmp(MmpDiagram(n_used, code)))
+            emit(dump_diagram_line(MmpDiagram(n_used, code)))
         return
     for child in _children(node, spec, stats, memo):
         _expand(child, spec, stats, emit, memo)
@@ -466,7 +461,8 @@ def membership_probe(d: MmpDiagram, spec: GenSpec) -> bool:
         and all(len(b) == spec.block_size for b in d.blocks)
         and rep.mmp_i and rep.mmp_ii and rep.mmp_iii and rep.pairwise_intersections
         and (rep.girth is None or rep.girth >= spec.min_girth)
-        and _final_ok(d.blocks, d.incident_blocks(), spec)
+        and (rep.connected or not spec.require_connected)
+        and all(k >= spec.min_atom_degree for k in d.degrees())
     ):
         return False
     code = _canonical_search(d.blocks, d.incident_blocks())[0]

@@ -56,8 +56,6 @@ def render_dot(d: MmpDiagram, on_loop: Callable[[LoopProfile], None] | None = No
             paths[bi] = [j_in, *interior, j_out]
             a_in = 2 * math.pi * (i - 1) / loop.order - math.pi / 2
             a_out = 2 * math.pi * i / loop.order - math.pi / 2
-            if a_out < a_in:
-                a_out += 2 * math.pi
             for k, atom in enumerate(interior, start=1):
                 frac = k / (len(interior) + 1)
                 angle = a_in + (a_out - a_in) * frac

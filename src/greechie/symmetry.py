@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .diagram import ALPHABET, MmpDiagram, incidence, serialize_mmp, twin_classes
+from .diagram import MmpDiagram, dump_diagram_line, incidence, twin_classes
 from .errors import SizeMismatch
 from .structure import components, dual, is_connected, mmp_checks, require_mmp
 
@@ -107,9 +107,7 @@ def canonical_form(d: MmpDiagram) -> CanonicalForm:
     """
     require_mmp(d)
     code, _, order, _ = _canonical_search(d.blocks, d.incident_blocks())
-    canon = MmpDiagram(d.atom_count, code)
-    text = serialize_mmp(canon) if d.atom_count <= len(ALPHABET) else canon.to_json()
-    return CanonicalForm(text, order)
+    return CanonicalForm(dump_diagram_line(MmpDiagram(d.atom_count, code)), order)
 
 
 def are_isomorphic(d1: MmpDiagram, d2: MmpDiagram) -> Permutation | None:

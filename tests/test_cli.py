@@ -1,13 +1,15 @@
 import dataclasses
 import json
+import math
 import time
+from fractions import Fraction
 
 import pytest
 
 from greechie import cli, corpus
 from greechie.cli import main
 from greechie.diagram import load_diagram_line, serialize_mmp
-from greechie.generate import GenSpec, generate
+from greechie.generate import BRUTE_FORCE_GUARD, GenSpec, generate, membership_probe
 from greechie.lattice import build_oml
 from greechie.render import LOOP_BUDGET, render_dot
 from greechie.states import classify_states, enumerate_01_states
@@ -33,6 +35,35 @@ def test_validate_ok_and_failure_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.mmp", SQUARE + "\n")
     assert main(["validate", bad]) == 2
     assert "loop of order 4" in capsys.readouterr().out
+
+
+def test_validate_fail_lines_name_every_broken_condition(tmp_path, capsys):
+    cases = [
+        ('{"atoms": 5, "blocks": [[0, 1, 2]]}',
+         "atoms=5 blocks=1 girth=inf connected=false: unused atoms [3, 4]"),
+        ("12,234,456.",
+         "atoms=6 blocks=3 girth=inf connected=true: blocks below 3 atoms [0]; "
+         "condition (iii) pairs [(0, 1)]"),
+        ("123,124,345.",
+         "atoms=5 blocks=3 girth=2 connected=true: condition (iii) pairs [(0, 1)]; "
+         "blocks sharing 2+ atoms [(0, 1)]; loop of order 2"),
+    ]
+    for line, detail in cases:
+        f = write(tmp_path, "bad.mmp", line + "\n")
+        assert main(["validate", f]) == 2, line
+        assert capsys.readouterr().out == f"{f}:1: FAIL [greechie] {detail}\n"
+
+
+def test_validate_reports_json_lines_that_do_not_load(tmp_path, capsys):
+    cases = [
+        ('{"atoms": 3, "blocks": [[0, 0, 1]]}', "block 0 repeats atom 0"),
+        ('{"atoms": -1, "blocks": []}', "atom_count must be non-negative"),
+        ('{"atoms": 3', "not valid JSON: Expecting ',' delimiter: line 1 column 12 (char 11)"),
+    ]
+    for line, error in cases:
+        f = write(tmp_path, "bad.json", line + "\n")
+        assert main(["validate", f]) == 2, line
+        assert capsys.readouterr().out == f"{f}:1: parse error: {error}\n"
 
 
 def test_validate_mmp_level_accepts_square_loop(tmp_path):
@@ -332,6 +363,42 @@ def test_generate_streams_each_line_as_emitted(capsys, monkeypatch):
         assert capsys.readouterr().out == f"{len(expected)}\n"
 
 
+def test_generate_oracle_skipped_past_the_guard(capsys):
+    assert main(["generate", "--atoms", "30", "--blocks", "10", "--oracle"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    universe = math.comb(math.comb(30, 3), 10)
+    assert err[-1] == f"oracle skipped: {universe} candidate block sets exceed the {BRUTE_FORCE_GUARD} guard"
+
+
+def test_generate_with_no_blocks(capsys):
+    # (0, 0) has one class, the empty diagram, and (3, 0) none; no node is
+    # searched and the oracle agrees
+    for atoms, out in (("0", ".\n"), ("3", "")):
+        assert main(["generate", "--atoms", atoms, "--blocks", "0", "--oracle"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out
+        counts, oracle = captured.err.splitlines()
+        emitted = len(out.split())
+        assert counts.startswith(
+            f"# nodes=0 canonical_rejections=0 girth_prunes=0 budget_prunes=0 emitted={emitted} wall="
+        )
+        assert oracle == f"oracle agrees: {emitted} classes"
+
+
+def test_generate_past_the_alphabet_prints_what_canon_prints(tmp_path, capsys):
+    # 91 atoms have no MMP spelling: generation writes the JSON form, as
+    # canon does, serially and as checkpointed subtree tasks
+    block = write(tmp_path, "block.json", json.dumps({"atoms": 91, "blocks": [list(range(91))]}) + "\n")
+    assert main(["canon", block]) == 0
+    text, count = capsys.readouterr().out.rstrip("\n").rsplit(" ", 1)
+    assert text.startswith("{") and count == str(math.factorial(91))
+    argv = ["generate", "--atoms", "91", "--blocks", "1", "--block-size", "91"]
+    for extra in ([], ["--workers", "2", "--checkpoint", str(tmp_path / "cp.jsonl")]):
+        assert main(argv + extra) == 0, extra
+        assert capsys.readouterr().out == text + "\n"
+    assert membership_probe(load_diagram_line(text), GenSpec(91, 1, block_size=91))
+
+
 def test_generate_invalid_spec(capsys):
     assert main(["generate", "--atoms", "4", "--blocks", "1", "--block-size", "2"]) == 3
 
@@ -481,6 +548,33 @@ def test_exit_codes_of_every_command(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["corpus", "--check"]) == 1
     assert capsys.readouterr().out == "36-36: FAIL: element count 74 != 1\n"
+
+
+def test_corpus_check_names_each_failed_claim(capsys, monkeypatch):
+    # 36-36 meets every claim; each copy breaks one.  The published states
+    # are the uniform 1/3, a state, and the uniform 1/2, which is not one
+    entry = corpus.get("36-36")
+    wrong = (
+        dataclasses.replace(entry, name="class", state_classification=corpus.MORE_THAN_ONE),
+        dataclasses.replace(entry, name="value", unique_state_value=Fraction(1, 2)),
+        dataclasses.replace(entry, name="dual", self_dual=False),
+        dataclasses.replace(entry, name="strong", admits_strong_set=True),
+        dataclasses.replace(entry, name="published"),
+        dataclasses.replace(entry, name="square", mmp_line=SQUARE),
+    )
+    n = entry.diagram().atom_count
+    published = ((Fraction(1, 3),) * n, (Fraction(1, 2),) * n)
+    monkeypatch.setitem(corpus.KNOWN_STATES, "published", published)
+    monkeypatch.setattr(corpus, "ENTRIES", wrong)
+    assert main(["corpus", "--check"]) == 1
+    assert capsys.readouterr().out == (
+        "class: FAIL: classification ExactlyOne != MoreThanOne\n"
+        "value: FAIL: unique state is not uniformly the claimed value\n"
+        "dual: FAIL: self_dual True != False\n"
+        "strong: FAIL: admits_strong_set False != True\n"
+        "published: FAIL: published state 2 fails is_state\n"
+        "square: FAIL: not greechie-admissible\n"
+    )
 
 
 def test_an_input_file_that_does_not_decode_exits_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ from greechie import corpus
 from greechie.diagram import (
     ALPHABET,
     MmpDiagram,
+    dump_diagram_line,
     incidence,
     iter_mmp_lines,
     load_diagram_line,
@@ -120,6 +121,14 @@ def test_json_rejects_malformed_documents():
 def test_load_diagram_line_dispatches_on_shape():
     assert load_diagram_line("123.") == parse_mmp("123.")
     assert load_diagram_line(json.dumps({"atoms": 3, "blocks": [[0, 1, 2]]})) == parse_mmp("123.")
+
+
+def test_dump_diagram_line_spells_up_to_90_atoms_then_writes_json():
+    for n in (3, 90, 91, 120):
+        d = MmpDiagram(n, ((0, 1, n - 1),))
+        line = dump_diagram_line(d)
+        assert line.startswith("{") == (n > 90)
+        assert load_diagram_line(line) == d
 
 
 def test_iter_mmp_lines_skips_comments_and_blanks():

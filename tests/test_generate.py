@@ -379,6 +379,40 @@ def test_handed_down_bookkeeping_matches_a_recount(monkeypatch, spec):
     assert checked == stats.nodes_explored
 
 
+@pytest.mark.parametrize(
+    ("spec", "disconnected"),
+    [(GenSpec(15, 7), 4), (GenSpec(12, 8, min_girth=3, min_atom_degree=2), 1),
+     (GenSpec(10, 10, min_girth=3, min_atom_degree=3), 0),
+     (GenSpec(12, 9, block_size=4, min_girth=3, min_atom_degree=3), 0),
+     (GenSpec(18, 8, require_connected=False), 97)],
+    ids=["15-7", "12-8-degree-2", "10_3", "12-9-size-4-degree-3", "18-8-disconnected"],
+)
+def test_every_leaf_has_the_spec_atoms_and_degrees(monkeypatch, tmp_path, spec, disconnected):
+    # a leaf tests only connectivity: the budget tests of _candidates at the
+    # last block leave atom_count atoms, each of degree >= min_atom_degree.
+    # The serial search and the subtree tasks of a checkpointed run reach
+    # the same leaves, and emit those that are connected or need not be
+    module = sys.modules["greechie.generate"]
+    real = module._expand
+    leaves = []
+
+    def expand_checked(node, *args):
+        blocks, n = node[:2]
+        if len(blocks) == spec.block_count:
+            d = MmpDiagram(n, blocks)
+            assert n == spec.atom_count and min(d.degrees()) >= spec.min_atom_degree
+            leaves.append(validate(d).connected)
+        real(node, *args)
+
+    monkeypatch.setattr(module, "_expand", expand_checked)
+    serial = generate(spec, lambda line: None)
+    assert leaves.count(False) == disconnected
+    kept = len(leaves) - (disconnected if spec.require_connected else 0)
+    assert serial.emitted_count == kept > 0
+    tasked = generate(spec, lambda line: None, checkpoint=str(tmp_path / "cp.jsonl"))
+    assert leaves.count(False) == 2 * disconnected and tasked.emitted_count == kept
+
+
 # class sets recorded before the deletion rule replaced the canonical-tail
 # parent test; the brute-force oracle's guard forbids these specs
 RECORDED_CLASSES = {
@@ -422,6 +456,11 @@ def test_membership_probe_examples():
     assert membership_probe(parse_mmp(PENTAGON), GenSpec(10, 5))
     assert not membership_probe(parse_mmp("123,345,567,781."), GenSpec(8, 4))
     assert not membership_probe(parse_mmp(PENTAGON), GenSpec(10, 6))
+    # the spec's connectivity and minimum degree, which generation's leaves
+    # meet by their construction, are tested on the probed diagram itself
+    assert not membership_probe(parse_mmp("123,456."), GenSpec(6, 2))
+    assert membership_probe(parse_mmp("123,456."), GenSpec(6, 2, require_connected=False))
+    assert not membership_probe(parse_mmp(PENTAGON), GenSpec(10, 5, min_atom_degree=2))
     # the empty diagram has no atom short of the minimum degree, and
     # generate emits it as "."
     assert membership_probe(MmpDiagram(0, ()), GenSpec(0, 0, min_atom_degree=3))
